@@ -26,7 +26,6 @@ from .analysis import (
     opinion_diameter,
 )
 from .dynamics import (
-    StepWeights,
     Trajectory,
     follower_update,
     leader_update,
@@ -35,7 +34,6 @@ from .dynamics import (
 )
 from .errors import (
     DimensionMismatch,
-    FallbackToNaive,
     ScenarioValidationError,
     ScheduleViolation,
     ValidationIssue,
@@ -50,7 +48,7 @@ from .model import (
     build_scenario,
     distance,
 )
-from .neighbors import GridIndex, compute_neighbors, neighbors_grid, neighbors_naive
+from .neighbors import compute_neighbors, neighbors_naive
 from .scenario_io import load_scenario, save_canonical
 
 __version__ = "0.1.0"
@@ -60,8 +58,6 @@ __all__ = [
     "ConvergenceReport",
     "DimensionMismatch",
     "EngineOptions",
-    "FallbackToNaive",
-    "GridIndex",
     "GroupId",
     "MetricsRow",
     "NeighborSets",
@@ -69,7 +65,6 @@ __all__ = [
     "Scenario",
     "ScenarioValidationError",
     "ScheduleViolation",
-    "StepWeights",
     "SystemState",
     "Trajectory",
     "ValidationIssue",
@@ -91,7 +86,6 @@ __all__ = [
     "load_scenario",
     "max_target_distance",
     "metrics_rows",
-    "neighbors_grid",
     "neighbors_naive",
     "opinion_diameter",
     "run",

@@ -790,7 +790,6 @@ def check_subsystem_independence(
     tol: float = SLACK_TOL,
     consensus_tol: float = CONSENSUS_TOL,
     joint: Trajectory | None = None,
-    threads: int = 1,
 ) -> CheckReport:
     """Spatially separated leader groups each reach their own target.
 
@@ -806,7 +805,7 @@ def check_subsystem_independence(
     if scenario.m < 1:
         return _skipped(name, INAPPLICABLE, "needs at least one leader group")
     if joint is None:
-        joint = run(scenario, horizon, threads=threads)
+        joint = run(scenario, horizon)
     horizon = joint.horizon
     part = scenario.partition
 
@@ -864,7 +863,7 @@ def check_subsystem_independence(
 
         followers_k = [i for i in members.tolist() if i in assignment]
         sub, originals = subsystem_scenario(scenario, k, followers_k)
-        alone = run(sub, horizon, stop_tol=None, threads=threads)
+        alone = run(sub, horizon, stop_tol=None)
         dists = distances_to(alone.final_state.opinions, g)
         for new, orig in enumerate(originals.tolist()):
             report.records.append(

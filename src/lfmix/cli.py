@@ -6,7 +6,9 @@ verification harness), ``plot`` (metrics CSV to standalone SVG), ``sweep``
 
 Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file),
 3 runtime schedule violation, 4 at least one applicable check failed.
-Diagnostics go to stderr. ``LFMIX_THREADS`` sets the default worker count.
+Diagnostics go to stderr. ``--threads`` and its default ``LFMIX_THREADS`` are
+accepted and recorded in ``run.json`` but change nothing: a step is a few
+array operations with a single result.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ _CHECK_HELP = (
 
 def _err(message: str) -> None:
     print(f"lfmix: {message}", file=sys.stderr)
+
+
+def _count(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+    def parse(raw: str) -> int:
+        if raw.removeprefix("-").isdecimal() and int(raw) >= minimum:
+            return int(raw)
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {raw!r}")
+
+    return parse
 
 
 def _default_threads() -> int:
@@ -123,7 +135,7 @@ def _cmd_simulate(args) -> int:
         return 2
     started = time.perf_counter()
     try:
-        trajectory = run(scenario, args.horizon, threads=args.threads)
+        trajectory = run(scenario, args.horizon)
     except ScheduleViolation as exc:
         _err(f"schedule violation: {exc}")
         return 3
@@ -138,7 +150,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_checks(scenario: Scenario, trajectory, tokens, threads: int) -> dict:
+def _run_checks(scenario: Scenario, trajectory, tokens) -> dict:
     reports = {}
     for token in tokens:
         if token == "lemma1":
@@ -160,9 +172,7 @@ def _run_checks(scenario: Scenario, trajectory, tokens, threads: int) -> dict:
         elif token == "cor1":
             reports[token] = analysis.check_mixture_limit(trajectory)
         elif token == "cor2":
-            reports[token] = analysis.check_subsystem_independence(
-                scenario, joint=trajectory, threads=threads
-            )
+            reports[token] = analysis.check_subsystem_independence(scenario, joint=trajectory)
     return reports
 
 
@@ -176,11 +186,11 @@ def _cmd_check(args) -> int:
     if scenario is None:
         return 2
     try:
-        trajectory = run(scenario, args.horizon, threads=args.threads, fault=args.inject_fault)
+        trajectory = run(scenario, args.horizon, fault=args.inject_fault)
     except ScheduleViolation as exc:
         _err(f"schedule violation: {exc}")
         return 3
-    reports = _run_checks(scenario, trajectory, tokens, args.threads)
+    reports = _run_checks(scenario, trajectory, tokens)
     payload = {
         "scenario": args.scenario,
         "horizon": trajectory.horizon,
@@ -341,7 +351,7 @@ def _cmd_sweep(args) -> int:
             _err(f"sweep point {index} is invalid: {exc}")
             return 2
         try:
-            trajectory = run(scenario, args.horizon, threads=args.threads)
+            trajectory = run(scenario, args.horizon)
         except ScheduleViolation as exc:
             _err(f"sweep point {index}: schedule violation: {exc}")
             return 3
@@ -382,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario and write trajectory/metrics files")
     sim.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--horizon", type=int, default=None, help="override the scenario horizon")
-    sim.add_argument("--record-every", type=int, default=1, metavar="K",
+    sim.add_argument("--horizon", type=_count(0), default=None, help="override the scenario horizon")
+    sim.add_argument("--record-every", type=_count(1), default=1, metavar="K",
                      help="record opinions every K steps (metrics are always per step)")
     sim.add_argument("--threads", type=int, default=_default_threads(),
-                     help="worker threads (default: LFMIX_THREADS or 1)")
+                     help="accepted for compatibility; has no effect (default: LFMIX_THREADS or 1)")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the seed of random initial opinions")
     sim.set_defaults(func=_cmd_simulate)
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--checks", default=None, metavar="LIST",
                      help=f"comma-separated subset of {','.join(CHECK_TOKENS)}; {_CHECK_HELP}")
     chk.add_argument("--report", default=None, help="write the JSON report here (default: stdout)")
-    chk.add_argument("--horizon", type=int, default=None)
+    chk.add_argument("--horizon", type=_count(0), default=None)
     chk.add_argument("--threads", type=int, default=_default_threads())
     chk.add_argument("--inject-fault", choices=FAULT_KINDS, default=None,
                      help="corrupt the engine on purpose to demonstrate check sensitivity")
@@ -415,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--vary", action="append", required=True, metavar="P=LO:HI:STEPS",
                      help=f"parameter grid over one of {', '.join(_SWEEP_PARAMS)}; repeatable")
     swp.add_argument("--out", required=True)
-    swp.add_argument("--horizon", type=int, default=None)
-    swp.add_argument("--record-every", type=int, default=1)
+    swp.add_argument("--horizon", type=_count(0), default=None)
+    swp.add_argument("--record-every", type=_count(1), default=1)
     swp.add_argument("--threads", type=int, default=_default_threads())
     swp.add_argument("--seed", type=int, default=None, help="base seed for per-point seeds")
     swp.set_defaults(func=_cmd_sweep)

@@ -1,7 +1,7 @@
 """Synchronous update engine.
 
-One step maps the state at t to the state at t+1 using neighbor sets computed
-once on the state at t:
+One step maps the state at t to the state at t+1 using the epsilon-neighbor
+pairs found once on the state at t:
 
 * leader i in group k moves to ``alpha * mean(own-group neighbors) +
   (1 - alpha) * target_k``;
@@ -10,20 +10,22 @@ once on the state at t:
   to zero whenever the corresponding leader-neighbor set is empty (the freed
   weight flows to the follower term, with no renormalization).
 
-Every new opinion is a convex combination of time-t opinions and targets; the
-engine emits the realized weights so that containment can be certified rather
-than trusted.
+``step`` computes this for all agents at once: neighbor pairs, then one sum
+per neighbor set, taken for all sets of one size together, then elementwise
+array expressions for the mix and for the ``StepDigest`` of the realized
+weights. ``leader_update`` and ``follower_update`` compute one agent from
+per-agent neighbor sets; they are the references ``step`` is tested against.
 
-Determinism contract: all reductions run over ids in ascending order through
-numpy's fixed reduction, each agent's update reads only the time-t state, and
-per-agent work is independent, so results are bit-identical at any thread
-count and any agent evaluation order.
+Determinism contract: every set sum adds the set's opinions in ascending id
+order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
+only the time-t state, so results are bit-identical to the per-agent
+references.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,41 +37,14 @@ from .neighbors import compute_neighbors
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
 _MEAN_SHIFT = 0.05
+# a block of equal-size sets gathers at most this many coordinates
+_GATHER_FLOATS = 1 << 17
 
 STOP_HORIZON = "horizon"
 STOP_CONVERGED = "converged"
 STOP_STAGNATED = "stagnated"
 
 _SCENARIO_DEFAULT = object()
-
-
-@dataclass(frozen=True)
-class AgentStepWeights:
-    """Realized convex-combination weights of one agent's update.
-
-    ``neighbor_ids``/``neighbor_weights`` list every time-t opinion used;
-    ``target_groups``/``target_weights`` list leader-group targets (1-based).
-    Only strictly positive weights are recorded.
-    """
-
-    agent: int
-    neighbor_ids: np.ndarray
-    neighbor_weights: np.ndarray
-    target_groups: np.ndarray
-    target_weights: np.ndarray
-
-    def total(self) -> float:
-        return float(np.sum(self.neighbor_weights) + np.sum(self.target_weights))
-
-    def min_weight(self) -> float:
-        vals = np.concatenate([self.neighbor_weights, self.target_weights])
-        return float(vals.min()) if vals.size else 1.0
-
-
-@dataclass(frozen=True)
-class StepWeights:
-    t: int
-    per_agent: tuple[AgentStepWeights, ...]
 
 
 @dataclass(frozen=True)
@@ -90,7 +65,6 @@ class Trajectory:
     states: list[SystemState]
     stop_reason: str
     step_digests: list[StepDigest]
-    weights: list[StepWeights] | None = None
 
     @property
     def horizon(self) -> int:
@@ -129,11 +103,8 @@ def realized_betas(scenario: Scenario, agent: int, t: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _mean_rows(x: np.ndarray, ids: np.ndarray, shift: float) -> np.ndarray:
-    mean = np.sum(x[ids], axis=0) / len(ids)
-    if shift:
-        mean = mean + shift
-    return mean
+def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    return np.sum(x[ids], axis=0) / len(ids)
 
 
 def leader_update(
@@ -144,8 +115,7 @@ def leader_update(
     target: np.ndarray,
 ) -> np.ndarray:
     """Next opinion of a leader: own-group neighbor mean mixed with the target."""
-    ids = neighbors.leader_sets[agent]
-    mean = _mean_rows(state.opinions, ids, 0.0)
+    mean = _mean_rows(state.opinions, neighbors.leader_sets[agent])
     return alpha * mean + (1.0 - alpha) * target
 
 
@@ -156,97 +126,40 @@ def follower_update(
     betas,
 ) -> np.ndarray:
     """Next opinion of a follower; betas toward unreachable groups are masked."""
+    x = state.opinions
     lsets = neighbors.follower_leader_sets[agent]
     masked = tuple(b if lsets[k].size else 0.0 for k, b in enumerate(betas))
-    return _follower_next(state.opinions, neighbors.follower_sets[agent], lsets, masked, 0.0)
-
-
-def _follower_next(x, f_ids, lsets, masked, shift):
     total = 0.0
     for b in masked:
         total += b
-    out = (1.0 - total) * _mean_rows(x, f_ids, shift)
+    out = (1.0 - total) * _mean_rows(x, neighbors.follower_sets[agent])
     for k, b in enumerate(masked):
         if b != 0.0:
-            out = out + b * _mean_rows(x, lsets[k], shift)
+            out = out + b * _mean_rows(x, lsets[k])
     return out
 
 
-def _advance_block(x, scenario, t, neighbors, shift, agents, new, record_weights):
-    """Compute next opinions for a block of agents; returns (weights, digest parts)."""
-    part = scenario.partition
-    group_of = part.group_of
-    targets = scenario.targets
-    weights = [] if record_weights else None
-    min_w = math.inf
-    max_err = 0.0
-    pairs = 0
-    for i in agents:
-        code = group_of[i]
-        if code:
-            ids = neighbors.leader_sets[i]
-            n_own = len(ids)
-            alpha = realized_alpha(scenario, i, t)
-            mean = _mean_rows(x, ids, shift)
-            new[i] = alpha * mean + (1.0 - alpha) * targets[code - 1]
-            w_each = alpha / n_own
-            w_target = 1.0 - alpha
-            agent_min = w_each if alpha > 0.0 else math.inf
-            if w_target > 0.0:
-                agent_min = min(agent_min, w_target)
-            min_w = min(min_w, agent_min)
-            max_err = max(max_err, abs(1.0 - (w_each * n_own + w_target)))
-            pairs += n_own
-            if record_weights:
-                nz = alpha > 0.0
-                weights.append(
-                    AgentStepWeights(
-                        agent=int(i),
-                        neighbor_ids=ids if nz else ids[:0],
-                        neighbor_weights=np.full(n_own if nz else 0, w_each),
-                        target_groups=np.asarray([code] if w_target > 0.0 else [], dtype=np.int64),
-                        target_weights=np.asarray([w_target] if w_target > 0.0 else []),
-                    )
-                )
-        else:
-            f_ids = neighbors.follower_sets[i]
-            lsets = neighbors.follower_leader_sets[i]
-            betas = realized_betas(scenario, i, t)
-            masked = tuple(b if lsets[k].size else 0.0 for k, b in enumerate(betas))
-            new[i] = _follower_next(x, f_ids, lsets, masked, shift)
-            total = 0.0
-            for b in masked:
-                total += b
-            n_f = len(f_ids)
-            w_f = (1.0 - total) / n_f
-            sum_w = w_f * n_f
-            agent_min = math.inf if total == 1.0 else w_f
-            pairs += n_f
-            for k, b in enumerate(masked):
-                if b != 0.0:
-                    w_k = b / len(lsets[k])
-                    sum_w += w_k * len(lsets[k])
-                    agent_min = min(agent_min, w_k)
-                    pairs += len(lsets[k])
-            min_w = min(min_w, agent_min)
-            max_err = max(max_err, abs(1.0 - sum_w))
-            if record_weights:
-                id_parts = [f_ids] if w_f > 0.0 else []
-                w_parts = [np.full(n_f, w_f)] if w_f > 0.0 else []
-                for k, b in enumerate(masked):
-                    if b != 0.0:
-                        id_parts.append(lsets[k])
-                        w_parts.append(np.full(len(lsets[k]), b / len(lsets[k])))
-                weights.append(
-                    AgentStepWeights(
-                        agent=int(i),
-                        neighbor_ids=np.concatenate(id_parts) if id_parts else np.empty(0, np.int64),
-                        neighbor_weights=np.concatenate(w_parts) if w_parts else np.empty(0),
-                        target_groups=np.empty(0, dtype=np.int64),
-                        target_weights=np.empty(0),
-                    )
-                )
-    return weights, min_w, max_err, pairs
+def _set_means(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shift: float):
+    """Size and mean of each agent's set, the set of agent i being the cols
+    of the pairs whose row is i (pairs sorted by row, then col).
+
+    A set's sum is ``np.sum(x[ids], axis=0)``; sets of equal size are summed
+    together along axis 1 of one gathered block, which keeps numpy's
+    per-set summation order bit for bit in every dimension. The mean of an
+    empty set is 0.
+    """
+    size = np.bincount(rows, minlength=len(x))
+    first = np.cumsum(size) - size
+    sums = np.zeros_like(x)
+    for k in np.unique(size[size > 0]).tolist():
+        agents = np.flatnonzero(size == k)
+        block = max(1, _GATHER_FLOATS // (k * x.shape[1]))
+        for part in np.split(agents, range(block, agents.size, block)):
+            sums[part] = np.sum(x[cols[first[part, None] + np.arange(k)]], axis=1)
+    mean = sums / np.maximum(size, 1)[:, None]
+    if shift:
+        mean = mean + shift
+    return size, mean
 
 
 def step(
@@ -254,56 +167,73 @@ def step(
     scenario: Scenario,
     t: int,
     *,
-    neighbors: NeighborSets | None = None,
-    threads: int = 1,
     fault: str | None = None,
-    record_weights: bool = True,
-    _pool: ThreadPoolExecutor | None = None,
-) -> tuple[SystemState, StepWeights | None, StepDigest]:
+) -> tuple[SystemState, StepDigest]:
     """Apply one synchronous update to every agent.
 
-    Neighbor sets are computed once on ``state``; every new opinion depends
-    only on ``state``, so the result is independent of agent evaluation order.
-    Raises ScheduleViolation if a schedule leaves its declared range.
+    Neighbor pairs are found once on ``state``; every new opinion depends
+    only on ``state``. Raises ScheduleViolation if a schedule leaves its
+    declared range.
     """
     if fault is not None and fault not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {fault!r}")
     shift = _MEAN_SHIFT if fault == FAULT_MEAN_SHIFT else 0.0
-    if neighbors is None:
-        neighbors = compute_neighbors(state, scenario)
+    rows, cols = compute_neighbors(state, scenario)
     x = state.opinions
     n = x.shape[0]
-    new = np.empty_like(x)
-    if threads > 1 and n > 1:
-        blocks = [b for b in np.array_split(np.arange(n), threads) if b.size]
-        def work(block):
-            return _advance_block(x, scenario, t, neighbors, shift, block, new, record_weights)
-        if _pool is not None:
-            results = list(_pool.map(work, blocks))
+    group_of = scenario.partition.group_of
+    lead = group_of > 0
+
+    alpha = np.zeros(n)
+    betas = np.zeros((n, scenario.m))
+    for i in range(n):
+        if group_of[i]:
+            alpha[i] = realized_alpha(scenario, i, t)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, blocks))
-    else:
-        results = [_advance_block(x, scenario, t, neighbors, shift, np.arange(n), new, record_weights)]
-    min_w = min(r[1] for r in results)
-    max_err = max(r[2] for r in results)
-    pairs = sum(r[3] for r in results)
-    digest = StepDigest(t, min_w, max_err, pairs)
-    weights = None
-    if record_weights:
-        per_agent = []
-        for r in results:
-            per_agent.extend(r[0])
-        weights = StepWeights(t, tuple(per_agent))
-    return SystemState(t + 1, new), weights, digest
+            betas[i] = realized_betas(scenario, i, t)
+
+    # an agent's own set holds its own group; a follower's set k its
+    # group-k leaders; a leader's pairs with other groups are not used
+    codes = group_of.astype(np.min_scalar_type(scenario.m))
+    row_code, col_code = codes[rows], codes[cols]
+    same = row_code == col_code
+    n_own, own_mean = _set_means(x, rows[same], cols[same], shift)
+    leader_terms = []
+    total = np.zeros(n)
+    for k in range(1, scenario.m + 1):
+        keep = (row_code == 0) & (col_code == k)
+        size, mean = _set_means(x, rows[keep], cols[keep], shift)
+        b = np.where(size > 0, betas[:, k - 1], 0.0)  # masked beta
+        total = total + b
+        leader_terms.append((b, size, mean))
+
+    # own-set weight: alpha for a leader, 1 - (sum of masked betas) for a follower
+    w_own = np.where(lead, alpha, 1.0 - total)
+    new = w_own[:, None] * own_mean
+    w_each = w_own / n_own
+    sum_w = w_each * n_own
+    min_w = np.where(w_own > 0.0, w_each, math.inf)
+    pairs = int(n_own.sum())
+    for b, size, mean in leader_terms:
+        used = b != 0.0
+        new = np.where(used[:, None], new + b[:, None] * mean, new)
+        w_each = b / np.maximum(size, 1)
+        sum_w = np.where(used, sum_w + w_each * size, sum_w)
+        min_w = np.where(used, np.minimum(min_w, w_each), min_w)
+        pairs += int(size[used].sum())
+    w_target = np.where(lead, 1.0 - alpha, 0.0)
+    new[lead] += w_target[lead, None] * scenario.targets[group_of[lead] - 1]
+    sum_w += w_target
+    min_w = np.where(w_target > 0.0, np.minimum(min_w, w_target), min_w)
+
+    digest = StepDigest(t, float(min_w.min(initial=math.inf)), float(np.abs(1.0 - sum_w).max(initial=0.0)), pairs)
+    return SystemState(t + 1, new), digest
 
 
 def run(
     scenario: Scenario,
     horizon: int | None = None,
     *,
-    threads: int = 1,
-    record_weights: bool = False,
     fault: str | None = None,
     stop_tol: float | None | object = _SCENARIO_DEFAULT,
     stop_window: int | None = None,
@@ -327,38 +257,19 @@ def run(
 
     states = [scenario.initial_state]
     digests: list[StepDigest] = []
-    all_weights: list[StepWeights] | None = [] if record_weights else None
     reason = STOP_HORIZON
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    recent: list[float] = []
-    try:
-        for t in range(horizon):
-            nxt, weights, digest = step(
-                states[-1],
-                scenario,
-                t,
-                threads=threads,
-                fault=fault,
-                record_weights=record_weights,
-                _pool=pool,
-            )
-            digests.append(digest)
-            if record_weights:
-                all_weights.append(weights)
-            prev = states[-1].opinions
-            states.append(nxt)
-            diff = nxt.opinions - prev
-            disp = float(np.sqrt((diff * diff).sum(axis=1).max()))
-            recent.append(disp)
-            if len(recent) > window:
-                recent.pop(0)
-            if tol is not None and len(recent) == window and max(recent) <= tol:
-                reason = STOP_CONVERGED
-                break
-            if tol is None and disp == 0.0:
-                reason = STOP_STAGNATED
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return Trajectory(scenario, states, reason, digests, all_weights)
+    recent: deque[float] = deque(maxlen=window)
+    for t in range(horizon):
+        nxt, digest = step(states[-1], scenario, t, fault=fault)
+        digests.append(digest)
+        diff = nxt.opinions - states[-1].opinions
+        states.append(nxt)
+        disp = float(np.sqrt((diff * diff).sum(axis=1).max()))
+        recent.append(disp)
+        if tol is not None and len(recent) == window and max(recent) <= tol:
+            reason = STOP_CONVERGED
+            break
+        if tol is None and disp == 0.0:
+            reason = STOP_STAGNATED
+            break
+    return Trajectory(scenario, states, reason, digests)

@@ -43,6 +43,3 @@ class DimensionMismatch(ValueError):
 class ScheduleViolation(RuntimeError):
     """A degree schedule returned a value outside its contract at runtime."""
 
-
-class FallbackToNaive(UserWarning):
-    """Grid neighbor search declined (dimension above cap); exact brute force used."""

@@ -4,8 +4,7 @@ A scenario describes a finite set of agents with opinions in R^d, partitioned
 into one follower group and m leader groups. Two agents are neighbors when
 their opinions are at most epsilon apart (Euclidean norm, ties count). Each
 leader group has a fixed target opinion; mixing degrees are given by pure
-time schedules. All types are immutable after construction and safe to share
-across threads.
+time schedules. All types are immutable after construction.
 
 Scenario configs are JSON-shaped dicts with top-level keys::
 
@@ -22,6 +21,9 @@ Scenario configs are JSON-shaped dicts with top-level keys::
                       group, optional {"per_agent": {id: {...}}} overrides
     engine            {"neighbor_strategy": "naive"|"grid"|"auto",
                        "horizon", "stop": {"tol", "window"}, "grid_dim_cap"}
+                      neighbor_strategy and grid_dim_cap are validated and
+                      kept in the canonical form but select nothing; the
+                      engine's neighbor search is exact either way.
 
 ``build_scenario`` validates everything and either returns a ``Scenario`` or
 raises ``ScenarioValidationError`` carrying the full list of issues; no other
@@ -140,11 +142,6 @@ class NeighborSets:
     follower_leader_sets: dict[int, tuple[np.ndarray, ...]]
     leader_sets: dict[int, np.ndarray]
 
-    def own_set(self, agent: int) -> np.ndarray:
-        if agent in self.leader_sets:
-            return self.leader_sets[agent]
-        return self.follower_sets[agent]
-
     def equals(self, other: "NeighborSets") -> bool:
         """Exact set equality per agent per group."""
         if set(self.follower_sets) != set(other.follower_sets):
@@ -167,11 +164,11 @@ class NeighborSets:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    neighbor_strategy: str = "auto"  # "naive" | "grid" | "auto"
+    neighbor_strategy: str = "auto"  # "naive" | "grid" | "auto"; kept, selects nothing
     horizon: int = 1000
     stop_tol: float | None = None
     stop_window: int = 1
-    grid_dim_cap: int = 6
+    grid_dim_cap: int = 6  # kept, selects nothing
 
 
 @dataclass(frozen=True)

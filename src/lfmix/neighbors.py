@@ -1,76 +1,34 @@
 """Fixed-radius neighbor search over opinion space.
 
-Two interchangeable implementations with identical output, compared set-for-set
-in the test suite:
+* ``compute_neighbors``: the engine's search. It returns every ordered pair
+  (i, j) with ||x_i - x_j||^2 <= epsilon^2 as two int32 arrays sorted by
+  (i, j); every agent is its own neighbor. Candidates come from
+  ``neighbors_grid``, a grid of cells of side just over epsilon (d <= 6 and
+  N >= 64) whose 3^d block around an agent's cell covers every point within
+  epsilon of it, or else from a scan over all agents. Only N and d choose;
+  both yield the same pairs.
+* ``neighbors_naive``: exact O(N^2) pairwise scan into per-agent sets split
+  by group, the reference the tests and checks use.
 
-* ``neighbors_naive``: exact O(N^2) pairwise scan, the reference.
-* ``neighbors_grid``: buckets opinions into axis-aligned cells of side epsilon
-  and scans the 3^d surrounding cells, so any pair within epsilon is covered.
-
-Both compare squared distances against epsilon squared; squaring is monotone
-on nonnegative values, so the boundary rule (distance exactly epsilon counts)
-is unchanged. Cells use floor indexing, left-closed. Above ``grid_dim_cap``
-dimensions the 3^d scan loses to the naive pass and ``neighbors_grid`` falls
-back, emitting a ``FallbackToNaive`` warning; output is exact either way.
+Both keep a pair by the same test on the same arithmetic, squared distance
+against epsilon squared, so the boundary rule (distance exactly epsilon
+counts) is the same everywhere. The scenario's ``neighbor_strategy`` and
+``grid_dim_cap`` are validated and kept in canonical files but select
+nothing: the output is exact either way.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 
-from .errors import FallbackToNaive
 from .model import NeighborSets, Scenario, SystemState
 
-_NAIVE_CHUNK = 256
-_AUTO_GRID_MIN_AGENTS = 64
-
-_EMPTY = np.empty(0, dtype=np.int64)
-_EMPTY.flags.writeable = False
-
-
-class GridIndex:
-    """Uniform grid over opinions: cell -> ascending ids of agents inside it.
-
-    Every agent lands in exactly one cell under floor(coordinate / cell_size).
-    """
-
-    def __init__(self, opinions: np.ndarray, cell_size: float):
-        self.cell_size = float(cell_size)
-        coords = np.floor(opinions / self.cell_size).astype(np.int64)
-        buckets: dict[tuple, list] = {}
-        for i, row in enumerate(coords):
-            buckets.setdefault(tuple(row.tolist()), []).append(i)
-        self.cells = {key: np.asarray(ids, dtype=np.int64) for key, ids in buckets.items()}
-        self._coords = coords
-
-    def cell_of(self, agent: int) -> tuple:
-        return tuple(self._coords[agent].tolist())
-
-    def candidates(self, cell: tuple, offsets) -> np.ndarray:
-        """Ascending ids from the cell's surrounding block."""
-        parts = []
-        for off in offsets:
-            ids = self.cells.get(tuple(c + o for c, o in zip(cell, off)))
-            if ids is not None:
-                parts.append(ids)
-        if not parts:
-            return _EMPTY
-        cand = np.concatenate(parts)
-        cand.sort()
-        return cand
-
-
-def _split_by_group(hits: np.ndarray, i: int, group_of: np.ndarray, m: int, fol, fol_lead, lead):
-    code = group_of[i]
-    hit_codes = group_of[hits]
-    if code == 0:
-        fol[i] = hits[hit_codes == 0]
-        fol_lead[i] = tuple(hits[hit_codes == k] for k in range(1, m + 1))
-    else:
-        lead[i] = hits[hit_codes == code]
+_CHUNK = 128  # rows per block of the reference and the grid search
+_SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
+_GRID_MIN_AGENTS = 64
+_GRID_MAX_DIM = 6
 
 
 def neighbors_naive(state: SystemState, scenario: Scenario) -> NeighborSets:
@@ -83,53 +41,86 @@ def neighbors_naive(state: SystemState, scenario: Scenario) -> NeighborSets:
     fol: dict = {}
     fol_lead: dict = {}
     lead: dict = {}
-    for start in range(0, n, _NAIVE_CHUNK):
-        stop = min(start + _NAIVE_CHUNK, n)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
         diff = x[start:stop, None, :] - x[None, :, :]
         within = (diff * diff).sum(axis=2) <= eps2
         for row in range(stop - start):
+            i = start + row
             hits = np.nonzero(within[row])[0]
-            _split_by_group(hits, start + row, group_of, m, fol, fol_lead, lead)
+            code = group_of[i]
+            hit_codes = group_of[hits]
+            if code == 0:
+                fol[i] = hits[hit_codes == 0]
+                fol_lead[i] = tuple(hits[hit_codes == k] for k in range(1, m + 1))
+            else:
+                lead[i] = hits[hit_codes == code]
     return NeighborSets(fol, fol_lead, lead)
 
 
-def neighbors_grid(state: SystemState, scenario: Scenario) -> NeighborSets:
-    """Grid-accelerated neighbor sets; output equals ``neighbors_naive``."""
-    d = scenario.dimension
-    if d > scenario.engine.grid_dim_cap:
-        warnings.warn(
-            f"dimension {d} above grid cap {scenario.engine.grid_dim_cap}; using naive scan",
-            FallbackToNaive,
-            stacklevel=2,
-        )
-        return neighbors_naive(state, scenario)
+def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
     x = state.opinions
-    eps = scenario.epsilon
+    n, d = x.shape
+    search = neighbors_grid if n >= _GRID_MIN_AGENTS and d <= _GRID_MAX_DIM else _scan_pairs
+    rows, cols = zip(*search(x, scenario.epsilon))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _scan_pairs(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every agent against all agents, a block of rows at a time."""
     eps2 = eps * eps
-    group_of = scenario.partition.group_of
-    m = scenario.m
-    index = GridIndex(x, eps)
-    offsets = tuple(itertools.product((-1, 0, 1), repeat=d))
-    fol: dict = {}
-    fol_lead: dict = {}
-    lead: dict = {}
-    for cell, members in index.cells.items():
-        cand = index.candidates(cell, offsets)
-        diff = x[members][:, None, :] - x[cand][None, :, :]
-        within = (diff * diff).sum(axis=2) <= eps2
-        for row, i in enumerate(members.tolist()):
-            hits = cand[within[row]]
-            _split_by_group(hits, i, group_of, m, fol, fol_lead, lead)
-    return NeighborSets(fol, fol_lead, lead)
+    ids = np.arange(x.shape[0], dtype=np.int32)
+    parts = []
+    block = max(1, _SCAN_FLOATS // x.size)
+    for start in range(0, x.shape[0], block):
+        diff = x[start:start + block, None, :] - x[None, :, :]
+        diff *= diff
+        within = diff.sum(axis=2) <= eps2
+        rows = np.repeat(ids[start:start + block], within.sum(axis=1))
+        parts.append((rows, np.broadcast_to(ids, within.shape)[within]))
+    return parts
 
 
-def compute_neighbors(state: SystemState, scenario: Scenario) -> NeighborSets:
-    """Dispatch on the scenario's neighbor strategy ('auto' picks by size)."""
-    strategy = scenario.engine.neighbor_strategy
-    if strategy == "naive":
-        return neighbors_naive(state, scenario)
-    if strategy == "grid":
-        return neighbors_grid(state, scenario)
-    if state.n_agents >= _AUTO_GRID_MIN_AGENTS and scenario.dimension <= scenario.engine.grid_dim_cap:
-        return neighbors_grid(state, scenario)
-    return neighbors_naive(state, scenario)
+def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every agent against the agents in the 3^d cells around its own, one
+    ``(rows, cols)`` part per block of rows; ``compute_neighbors`` joins them.
+
+    A cell is keyed by its mixed-radix index taken modulo 2^64, so the key of
+    a neighboring cell is the agent's key plus a fixed offset. Keys can only
+    collide when the grid has more than 2^64 cells; a collision adds
+    candidates, which the distance test then drops, and loses none.
+    """
+    n, d = x.shape
+    eps2 = eps * eps
+    # the distance test keeps pairs a few ulps more than epsilon apart (-1e-17
+    # and 0.5 at epsilon 0.5) and x / side rounds; this margin keeps them adjacent
+    side = eps * (1.0 + 2.0**-48) + float(np.abs(x).max()) * 2.0**-50
+    cells = np.floor(x / side).astype(np.int64)
+    cells -= cells.min(axis=0) - 1  # every coordinate >= 1, so a -1 offset stays >= 0
+    strides = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2].astype(np.uint64), dtype=np.uint64)
+    keys = (cells.astype(np.uint64) * strides).sum(axis=1, dtype=np.uint64)
+    shifts = np.asarray(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.uint64)
+    offsets = np.unique((shifts * strides).sum(axis=1, dtype=np.uint64) - strides.sum(dtype=np.uint64))
+
+    order = np.argsort(keys, kind="stable").astype(np.int32)  # agents by cell, ascending id within a cell
+    cell_keys, first, size = np.unique(keys[order], return_index=True, return_counts=True)
+    parts = []
+    for start in range(0, n, _CHUNK):
+        block = np.arange(start, min(start + _CHUNK, n), dtype=np.int32)
+        wanted = (keys[block, None] + offsets).ravel()
+        cell = np.minimum(np.searchsorted(cell_keys, wanted), cell_keys.size - 1)
+        found = cell_keys[cell] == wanted
+        owner = np.repeat(block, offsets.size)[found]
+        cell = cell[found]
+        # expand each (agent, cell) hit into the cell's members
+        lengths = size[cell]
+        rows = np.repeat(owner, lengths)
+        ends = np.cumsum(lengths)
+        cols = order[np.arange(ends[-1]) + np.repeat(first[cell] - ends + lengths, lengths)]
+        diff = x[rows] - x[cols]
+        keep = (diff * diff).sum(axis=1) <= eps2
+        pairs = rows[keep].astype(np.int64) * n + cols[keep]
+        pairs.sort(kind="stable")  # the runs from each cell are already ascending
+        parts.append(((pairs // n).astype(np.int32), (pairs % n).astype(np.int32)))
+    return parts

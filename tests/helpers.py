@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lfmix import Scenario, build_scenario
+from lfmix import NeighborSets, Scenario, build_scenario, compute_neighbors
 
 
 def config(
@@ -95,13 +95,14 @@ def random_mixed_config(
     *,
     n_followers_hi=20,
     leader_size_hi=6,
+    d_lo=1,
     d_hi=5,
     m_hi=4,
     m_lo=1,
     horizon=200,
 ) -> dict:
     """Randomized mixed scenario within desk-scale bounds."""
-    d = int(rng.integers(1, d_hi + 1))
+    d = int(rng.integers(d_lo, d_hi + 1))
     m = int(rng.integers(m_lo, m_hi + 1))
     n_followers = int(rng.integers(0, n_followers_hi + 1))
     if n_followers == 0 and m == 0:
@@ -120,3 +121,25 @@ def random_mixed_config(
         follower_betas=random_beta_specs(rng, m) if n_followers else None,
         horizon=horizon,
     )
+
+
+def pair_sets(sc: Scenario, state=None) -> NeighborSets:
+    """``compute_neighbors`` pairs split into per-agent sets by group, the
+    shape ``neighbors_naive`` returns, after checking that the pairs come as
+    int32 arrays sorted by (row, col)."""
+    state = sc.initial_state if state is None else state
+    rows, cols = compute_neighbors(state, sc)
+    assert rows.dtype == cols.dtype == np.int32
+    assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
+    bounds = np.searchsorted(rows, np.arange(sc.n_agents + 1))
+    group_of = sc.partition.group_of
+    fol, fol_lead, lead = {}, {}, {}
+    for i in range(sc.n_agents):
+        hits = cols[bounds[i]:bounds[i + 1]].astype(np.int64)
+        codes = group_of[hits]
+        if group_of[i] == 0:
+            fol[i] = hits[codes == 0]
+            fol_lead[i] = tuple(hits[codes == k] for k in range(1, sc.m + 1))
+        else:
+            lead[i] = hits[codes == group_of[i]]
+    return NeighborSets(fol, fol_lead, lead)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import config, constant, random_mixed_config
+from helpers import config, constant, pair_sets, random_mixed_config
 from lfmix import (
     build_scenario,
     check_consensus_bound,
@@ -22,9 +22,9 @@ from lfmix import (
     check_mixture_limit,
     check_subsystem_independence,
     check_target_envelope,
+    compute_neighbors,
     hk_reference_step,
     load_scenario,
-    neighbors_grid,
     neighbors_naive,
     run,
 )
@@ -181,7 +181,8 @@ def test_criterion_6_subsystems():
 
 
 def test_criterion_7_neighbor_equivalence():
-    """200 random states (N up to 10^4, d in 1..3): grid equals naive exactly."""
+    """200 random states (N up to 10^4, d in 1..3): the engine's pair search
+    equals the naive reference exactly."""
     rng = np.random.default_rng(77)
     mismatches = 0
     sizes = []
@@ -212,10 +213,10 @@ def test_criterion_7_neighbor_equivalence():
             follower_betas=[constant(0.1)] * m if n_fol else None,
         )
         sc = build_scenario(cfg)
-        if not neighbors_grid(sc.initial_state, sc).equals(neighbors_naive(sc.initial_state, sc)):
+        if not pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc)):
             mismatches += 1
     report(7, mismatches == 0,
-           f"200 states (max N {max(sizes)}), {mismatches} grid/naive discrepancies")
+           f"200 states (max N {max(sizes)}), {mismatches} pair-search/naive discrepancies")
 
 
 def test_criterion_8_hk_reduction():
@@ -234,7 +235,7 @@ def test_criterion_8_hk_reduction():
                          "seed": int(rng.integers(0, 2**31))},
         )
         sc = build_scenario(cfg)
-        nxt, _, _ = step(sc.initial_state, sc, 0)
+        nxt, _ = step(sc.initial_state, sc, 0)
         if np.array_equal(nxt.opinions, hk_reference_step(sc.initial_state.opinions, sc.epsilon)):
             exact += 1
     report(8, exact == 50, f"{exact}/50 follower-only steps bit-identical to the reference")
@@ -283,11 +284,13 @@ def test_criterion_11_performance():
     within 1 s, 100 steps within 60 s."""
     sc = load_scenario(SCENARIOS / "perf_10k.json")
     state = sc.initial_state
-    nbrs = neighbors_grid(state, sc)
-    mean_size = float(np.mean([len(s) for s in nbrs.follower_sets.values()]))
+    rows, cols = compute_neighbors(state, sc)
+    group_of = sc.partition.group_of
+    follower_pairs = int(((group_of[rows] == 0) & (group_of[cols] == 0)).sum())
+    mean_size = follower_pairs / sc.partition.follower_ids.size
 
     t0 = time.perf_counter()
-    step(state, sc, 0, record_weights=False)
+    step(state, sc, 0)
     one = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -341,6 +341,28 @@ def test_sweep_invalid_point_exits_2(tmp_path, capsys):
     ) == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--record-every", "0"),
+    ("simulate", "--horizon", "-1"),
+    ("check", "--horizon", "-1"),
+    ("sweep", "--horizon", "-1"),
+    ("sweep", "--record-every", "0"),
+    ("simulate", "--record-every", "two"),
+])
+def test_bad_count_flag_exits_2_before_running(tmp_path, monkeypatch, capsys, command, flag, value):
+    path = write_config(tmp_path, demo_config())
+    monkeypatch.setattr("lfmix.cli.run", lambda *a, **k: pytest.fail("ran with a bad flag"))
+    argv = {"simulate": ["--out", str(tmp_path / "o")],
+            "check": [],
+            "sweep": ["--vary", "alpha=0.2:0.4:2", "--out", str(tmp_path / "s")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(path), *argv, flag, value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"lfmix {command}: error: argument {flag}: expected an integer >= "
+                      f"{1 if flag == '--record-every' else 0}, got {value!r}"]
+
+
 def test_threads_env_default(monkeypatch):
     monkeypatch.setenv("LFMIX_THREADS", "4")
     from lfmix.cli import _default_threads

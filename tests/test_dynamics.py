@@ -9,13 +9,13 @@ from helpers import config, constant, random_mixed_config, scenario
 from lfmix import (
     ScheduleViolation,
     build_scenario,
-    compute_neighbors,
     follower_update,
     hk_reference_step,
     leader_update,
+    neighbors_naive,
     run,
 )
-from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, step
+from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
 
 
 def two_leader_scenario(alpha=0.5):
@@ -34,7 +34,7 @@ def two_leader_scenario(alpha=0.5):
 
 def test_leader_update_alpha_zero_snaps_to_target():
     sc = two_leader_scenario()
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     out = leader_update(0, sc.initial_state, nbrs, 0.0, sc.target(1))
     assert np.array_equal(out, sc.target(1))
 
@@ -45,7 +45,7 @@ def test_leader_update_alpha_one_alone_is_identity():
         leader_groups=[("brand", 2, [0.0], constant(1.0))],
         initial=[[0.2], [0.4]],  # not mutual neighbors at eps 0.05
     )
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     out = leader_update(0, sc.initial_state, nbrs, 1.0, sc.target(1))
     assert np.array_equal(out, sc.initial_state.opinions[0])
 
@@ -53,7 +53,7 @@ def test_leader_update_alpha_one_alone_is_identity():
 def test_leader_update_hand_example():
     # mean (0.2 + 0.4)/2 = 0.3; 0.5 * 0.3 + 0.5 * 0 = 0.15
     sc = two_leader_scenario()
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     for i in (0, 1):
         out = leader_update(i, sc.initial_state, nbrs, 0.5, sc.target(1))
         assert out[0] == pytest.approx(0.15, abs=1e-12)
@@ -72,14 +72,14 @@ def follower_with_leader(leader_at, beta=0.4, epsilon=1.0):
 def test_follower_update_mixes_leader_mean():
     # 0.6 * 0.5 + 0.4 * 0.3 = 0.42
     sc = follower_with_leader(0.3)
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     out = follower_update(0, sc.initial_state, nbrs, (0.4,))
     assert out[0] == pytest.approx(0.42, abs=1e-12)
 
 
 def test_follower_update_masks_unreachable_group():
     sc = follower_with_leader(5.0)  # leader out of confidence range
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     assert nbrs.follower_leader_sets[0][0].size == 0
     out = follower_update(0, sc.initial_state, nbrs, (0.4,))
     assert out[0] == 0.5  # exact: full weight back on the follower mean
@@ -93,7 +93,7 @@ def test_follower_update_all_beta_zero_is_plain_averaging():
         initial=[[0.1], [0.3], [0.9], [0.2]],
         follower_betas=[constant(0.0)],
     )
-    nbrs = compute_neighbors(sc.initial_state, sc)
+    nbrs = neighbors_naive(sc.initial_state, sc)
     out = follower_update(0, sc.initial_state, nbrs, (0.0,))
     ids = nbrs.follower_sets[0]
     expected = np.sum(sc.initial_state.opinions[ids], axis=0) / len(ids)
@@ -107,29 +107,18 @@ def test_follower_update_all_beta_zero_is_plain_averaging():
 
 def test_step_two_leader_example():
     sc = two_leader_scenario()
-    nxt, weights, digest = step(sc.initial_state, sc, 0)
+    nxt, digest = step(sc.initial_state, sc, 0)
     assert nxt.t == 1
     assert nxt.opinions[:, 0] == pytest.approx([0.15, 0.15], abs=1e-12)
     assert digest.max_sum_error <= 1e-12
     assert digest.min_weight >= 0.0
 
 
-def test_step_weights_certify_convex_combination():
-    sc = two_leader_scenario()
-    _, weights, _ = step(sc.initial_state, sc, 0)
-    w = weights.per_agent[0]
-    assert w.neighbor_ids.tolist() == [0, 1]
-    assert w.neighbor_weights.tolist() == [0.25, 0.25]
-    assert w.target_groups.tolist() == [1]
-    assert w.target_weights.tolist() == [0.5]
-    assert w.total() == pytest.approx(1.0, abs=1e-15)
-
-
 def test_single_follower_is_fixed_point_bitwise():
     sc = scenario(followers=1, initial=[[0.37]], epsilon=0.5, horizon=5, stop_tol=None)
     state = sc.initial_state
     for t in range(5):
-        state, _, _ = step(state, sc, t)
+        state, _ = step(state, sc, t)
         assert np.array_equal(state.opinions, sc.initial_state.opinions)
 
 
@@ -141,7 +130,7 @@ def test_all_agents_at_target_is_fixed_point():
         initial=[[0.0, 0.0]] * 4,
         follower_betas=[constant(0.4)],
     )
-    nxt, _, _ = step(sc.initial_state, sc, 0)
+    nxt, _ = step(sc.initial_state, sc, 0)
     assert np.array_equal(nxt.opinions, sc.initial_state.opinions)
 
     # nonzero target: fixed in exact arithmetic, so only ulp-level drift allowed
@@ -151,38 +140,100 @@ def test_all_agents_at_target_is_fixed_point():
         initial=[[0.1]] * 4,
         follower_betas=[constant(0.4)],
     )
-    nxt2, _, _ = step(sc2.initial_state, sc2, 0)
+    nxt2, _ = step(sc2.initial_state, sc2, 0)
     assert np.allclose(nxt2.opinions, 0.1, atol=1e-15)
 
 
 def test_step_weights_invariants_random_scenarios():
+    """Each new opinion lies in the bounding box of the time-t opinions it
+    may mix (its naive neighbor sets) and the targets it may move toward;
+    the digest certifies positive weights that sum to 1."""
     rng = np.random.default_rng(21)
     for _ in range(25):
         sc = build_scenario(random_mixed_config(rng, horizon=3))
+        group_of = sc.partition.group_of
         state = sc.initial_state
         for t in range(3):
-            nxt, weights, _ = step(state, sc, t)
-            for w in weights.per_agent:
-                vals = np.concatenate([w.neighbor_weights, w.target_weights])
-                assert (vals > 0.0).all()
-                assert abs(w.total() - 1.0) <= 1e-12
-                # bounding box of the generators contains the new opinion
-                gens = [state.opinions[w.neighbor_ids]]
-                if w.target_groups.size:
-                    gens.append(sc.targets[w.target_groups - 1])
+            nxt, digest = step(state, sc, t)
+            assert digest.min_weight > 0.0
+            assert digest.max_sum_error <= 1e-12
+            nbrs = neighbors_naive(state, sc)
+            for i in range(sc.n_agents):
+                if group_of[i]:
+                    gens = [state.opinions[nbrs.leader_sets[i]], sc.targets[group_of[i] - 1][None, :]]
+                else:
+                    gens = [state.opinions[ids] for ids in (nbrs.follower_sets[i], *nbrs.follower_leader_sets[i])]
                 gens = np.vstack(gens)
-                assert (nxt.opinions[w.agent] >= gens.min(axis=0) - 1e-12).all()
-                assert (nxt.opinions[w.agent] <= gens.max(axis=0) + 1e-12).all()
+                assert (nxt.opinions[i] >= gens.min(axis=0) - 1e-12).all()
+                assert (nxt.opinions[i] <= gens.max(axis=0) + 1e-12).all()
             state = nxt
 
 
-def test_step_threads_bit_identical():
-    rng = np.random.default_rng(33)
-    sc = build_scenario(random_mixed_config(rng, n_followers_hi=40, horizon=1))
-    base, _, _ = step(sc.initial_state, sc, 0)
-    for threads in (2, 3, 8):
-        alt, _, _ = step(sc.initial_state, sc, 0, threads=threads)
-        assert np.array_equal(alt.opinions, base.opinions)
+def reference_step(state, sc, t):
+    """Per-agent step from the naive neighbor sets and the references, and
+    the neighbor-pair count the digest reports: own-group sets of all agents
+    plus the leader sets a follower mixes with a nonzero beta."""
+    nbrs = neighbors_naive(state, sc)
+    new = np.empty_like(state.opinions)
+    pairs = 0
+    for i in range(sc.n_agents):
+        code = sc.partition.group_of[i]
+        if code:
+            new[i] = leader_update(i, state, nbrs, realized_alpha(sc, i, t), sc.target(code))
+            pairs += nbrs.leader_sets[i].size
+        else:
+            betas = realized_betas(sc, i, t)
+            new[i] = follower_update(i, state, nbrs, betas)
+            lsets = nbrs.follower_leader_sets[i]
+            pairs += nbrs.follower_sets[i].size
+            pairs += sum(ids.size for ids, b in zip(lsets, betas) if ids.size and b != 0.0)
+    return new, pairs
+
+
+def dense_mixed_scenario(rng, d, n_followers, leader_sizes, epsilon, spread):
+    """Followers and leaders packed so that sets reach numpy's pairwise-sum
+    thresholds (8 and 129), plus one far follower that sees no leader."""
+    leader_groups = [
+        (f"g{k}", size, rng.uniform(0.0, 1.0, size=d).round(6).tolist(),
+         {"kind": "seeded_random", "seed": int(rng.integers(0, 2**31)), "low": 0.0, "high": 1.0})
+        for k, size in enumerate(leader_sizes)
+    ]
+    n = n_followers + sum(leader_sizes)
+    opinions = rng.uniform(0.0, spread, size=(n, d))
+    opinions[0] = 50.0
+    betas = [{"kind": "seeded_random", "seed": int(rng.integers(0, 2**31)), "low": 0.0, "high": 0.9 / len(leader_sizes)}
+             for _ in leader_sizes]
+    betas[-1] = constant(0.0)
+    return build_scenario(config(dimension=d, epsilon=epsilon, followers=n_followers, leader_groups=leader_groups,
+                                 initial=opinions.tolist(), follower_betas=betas))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_step_equals_per_agent_references_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    cases = [
+        dense_mixed_scenario(rng, d, 180, [12, 140], epsilon=0.5 * np.sqrt(d), spread=1.0),
+        dense_mixed_scenario(rng, d, 40, [9, 3, 20], epsilon=0.3 * np.sqrt(d), spread=1.0),
+    ]
+    cases += [
+        build_scenario(random_mixed_config(rng, n_followers_hi=80, leader_size_hi=20, d_lo=d, d_hi=d, horizon=3))
+        for _ in range(20)
+    ]
+    sizes = []
+    unreachable = 0
+    for sc in cases:
+        state = sc.initial_state
+        for t in range(3):
+            nbrs = neighbors_naive(state, sc)
+            sizes += [ids.size for ids in (*nbrs.follower_sets.values(), *nbrs.leader_sets.values())]
+            unreachable += sum(ids.size == 0 for sets in nbrs.follower_leader_sets.values() for ids in sets)
+            nxt, digest = step(state, sc, t)
+            expected, pairs = reference_step(state, sc, t)
+            assert np.array_equal(nxt.opinions, expected)
+            assert digest.neighbor_pairs == pairs
+            state = nxt
+    assert max(sizes) >= 129 and any(8 <= s < 129 for s in sizes)
+    assert unreachable > 0
 
 
 def test_schedule_violation_detected_at_runtime():
@@ -248,26 +299,9 @@ def test_run_consecutive_states_differ_by_one_step():
     sc = build_scenario(random_mixed_config(rng, horizon=6))
     traj = run(sc)
     for t in range(traj.horizon):
-        redo, _, _ = step(traj.states[t], sc, t)
+        redo, _ = step(traj.states[t], sc, t)
         assert np.array_equal(redo.opinions, traj.states[t + 1].opinions)
         assert traj.states[t + 1].t == t + 1
-
-
-def test_run_threads_bit_identical_trajectories():
-    rng = np.random.default_rng(13)
-    sc = build_scenario(random_mixed_config(rng, n_followers_hi=30, horizon=12))
-    t1 = run(sc, threads=1)
-    t4 = run(sc, threads=4)
-    assert len(t1.states) == len(t4.states)
-    for a, b in zip(t1.states, t4.states):
-        assert np.array_equal(a.opinions, b.opinions)
-
-
-def test_run_records_weights_on_request():
-    sc = two_leader_scenario()
-    traj = run(sc, 4, record_weights=True)
-    assert traj.weights is not None and len(traj.weights) == 4
-    assert run(sc, 4).weights is None
 
 
 def test_mean_shift_fault_breaks_fixed_point():
@@ -294,7 +328,7 @@ def test_follower_only_step_equals_reference():
         initial=opinions.tolist(),
     )
     sc = build_scenario(cfg)
-    nxt, _, _ = step(sc.initial_state, sc, 0)
+    nxt, _ = step(sc.initial_state, sc, 0)
     expected = hk_reference_step(sc.initial_state.opinions, sc.epsilon)
     assert np.array_equal(nxt.opinions, expected)
 
@@ -311,7 +345,7 @@ def test_beta_zero_followers_match_reference_on_follower_block():
         follower_betas=[constant(0.0)],
     )
     sc = build_scenario(cfg)
-    nxt, _, _ = step(sc.initial_state, sc, 0)
+    nxt, _ = step(sc.initial_state, sc, 0)
     expected = hk_reference_step(fol, sc.epsilon)
     assert np.array_equal(nxt.opinions[:10], expected)
 
@@ -326,6 +360,6 @@ def test_alpha_one_leader_group_matches_reference():
         initial=leaders.tolist(),
     )
     sc = build_scenario(cfg)
-    nxt, _, _ = step(sc.initial_state, sc, 0)
+    nxt, _ = step(sc.initial_state, sc, 0)
     expected = hk_reference_step(leaders, sc.epsilon)
     assert np.array_equal(nxt.opinions, expected)

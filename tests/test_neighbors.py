@@ -1,14 +1,13 @@
-"""Neighbor search: exact reference, grid equivalence, grid structure."""
-
-import itertools
+"""Neighbor search: the exact reference, and the engine's pair search against it
+on both sides of its grid/scan choice."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import config, constant
-from lfmix import FallbackToNaive, GridIndex, build_scenario, neighbors_grid, neighbors_naive
+from helpers import config, constant, pair_sets
+from lfmix import build_scenario, compute_neighbors, neighbors_naive
 from lfmix.model import SystemState
 
 
@@ -40,11 +39,38 @@ def test_identical_opinions_are_mutual_neighbors():
 
 
 def test_boundary_tie_counts_as_neighbor():
-    # distance exactly epsilon
+    # distance exactly epsilon, on both sides of the grid/scan choice
     sc = follower_only([[0.0], [0.5]], 0.5)
-    for ns in (neighbors_naive(sc.initial_state, sc), neighbors_grid(sc.initial_state, sc)):
+    for ns in (neighbors_naive(sc.initial_state, sc), pair_sets(sc)):
         assert ns.follower_sets[0].tolist() == [0, 1]
         assert ns.follower_sets[1].tolist() == [0, 1]
+    lattice = [[0.5 * i] for i in range(-40, 40)]  # 80 agents, neighbors exactly epsilon apart
+    sc = follower_only(lattice, 0.5)
+    ns = pair_sets(sc)
+    assert ns.equals(neighbors_naive(sc.initial_state, sc))
+    assert ns.follower_sets[10].tolist() == [9, 10, 11]
+    grid2 = [[0.25 * i, 0.25 * j] for i in range(-5, 5) for j in range(-5, 5)]
+    sc = follower_only(grid2, 0.25, d=2)
+    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+
+
+def test_grid_keeps_pair_whose_rounded_distance_is_epsilon():
+    # 0.5 - (-1e-17) rounds to 0.5, so the pair counts, though the two
+    # opinions lie two epsilon-cells apart
+    far = [[10.0 + i] for i in range(62)]
+    sc = follower_only([[-1e-17], [0.5], *far], 0.5)
+    assert neighbors_naive(sc.initial_state, sc).follower_sets[0].tolist() == [0, 1]
+    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    sc = follower_only([[-1e-17, 3.0], [0.5, 3.0], *[[v[0], 0.0] for v in far]], 0.5, d=2)
+    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+
+
+def test_identical_opinions_on_both_sides_of_the_grid_choice():
+    for n, d in ((5, 3), (70, 2), (70, 7)):
+        sc = follower_only([[-0.3] * d] * n, 0.01, d=d)
+        rows, cols = compute_neighbors(sc.initial_state, sc)
+        assert rows.size == n * n
+        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
 
 
 def mixed_scenario():
@@ -80,7 +106,7 @@ def test_group_split_and_leader_scope():
 
 def test_self_membership_and_symmetry():
     sc = mixed_scenario()
-    for ns in (neighbors_naive(sc.initial_state, sc), neighbors_grid(sc.initial_state, sc)):
+    for ns in (neighbors_naive(sc.initial_state, sc), pair_sets(sc)):
         for i, ids in ns.follower_sets.items():
             assert i in ids
             for j in ids.tolist():
@@ -114,74 +140,50 @@ def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
     return build_scenario(cfg)
 
 
-@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 4))
+@given(st.integers(0, 10_000), st.integers(1, 150), st.integers(1, 8))
 @settings(max_examples=120, deadline=None)
 def test_grid_equals_naive(seed, n, d):
     rng = np.random.default_rng(seed)
     sc = random_state_scenario(rng, n, d)
-    naive = neighbors_naive(sc.initial_state, sc)
-    grid = neighbors_grid(sc.initial_state, sc)
-    assert grid.equals(naive)
-    assert naive.equals(grid)
+    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
 
 
 def test_grid_equals_naive_tiny_cases():
     for opinions in ([[0.0]], [[0.0], [10.0]], [[0.0], [0.25], [0.5]]):
         sc = follower_only(opinions, 0.3)
-        assert neighbors_grid(sc.initial_state, sc).equals(neighbors_naive(sc.initial_state, sc))
+        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
 
 
 def test_grid_negative_coordinates():
     sc = follower_only([[-1.05], [-0.95], [0.0]], 0.2)
-    assert neighbors_grid(sc.initial_state, sc).equals(neighbors_naive(sc.initial_state, sc))
+    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    rng = np.random.default_rng(7)
+    for d in (1, 3, 6):
+        sc = follower_only(rng.uniform(-3.0, -1.0, size=(100, d)).tolist(), 0.4, d=d)
+        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
 
 
-def test_dimension_cap_falls_back_to_naive():
-    rng = np.random.default_rng(3)
-    opinions = rng.uniform(0, 1, size=(12, 7))
-    cfg = config(
-        dimension=7,
-        epsilon=0.4,
-        followers=12,
-        initial=opinions.tolist(),
-        neighbor_strategy="grid",
-    )
-    sc = build_scenario(cfg)
-    with pytest.warns(FallbackToNaive):
-        ns = neighbors_grid(sc.initial_state, sc)
+def test_grid_spread_beyond_int64_cell_keys():
+    # 10^6 cells per axis over 6 axes: the cell keys wrap modulo 2^64
+    rng = np.random.default_rng(12)
+    base = rng.integers(-10**6, 10**6, size=(40, 6)) * 1e-3
+    shift = np.zeros(6)
+    shift[0] = 4e-4
+    opinions = np.vstack([base, base + shift, base - shift])
+    sc = follower_only(opinions.tolist(), 1e-3, d=6)
+    ns = pair_sets(sc)
     assert ns.equals(neighbors_naive(sc.initial_state, sc))
-
-
-def test_grid_index_partitions_agents():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-2, 2, size=(64, 2))
-    index = GridIndex(x, 0.3)
-    counted = sorted(i for ids in index.cells.values() for i in ids.tolist())
-    assert counted == list(range(64))  # each agent in exactly one cell
-    for i in range(64):
-        cell = index.cell_of(i)
-        assert i in index.cells[cell]
-        assert cell == tuple(int(np.floor(v / 0.3)) for v in x[i])
-
-
-def test_grid_candidate_pairs_bounded_by_square():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(0, 1, size=(200, 2))
-    index = GridIndex(x, 0.1)
-    offsets = tuple(itertools.product((-1, 0, 1), repeat=2))
-    examined = 0
-    for cell, members in index.cells.items():
-        examined += len(members) * len(index.candidates(cell, offsets))
-    assert examined <= 200 * 200
+    assert all(ids.size >= 3 for ids in ns.follower_sets.values())
 
 
 def test_strategy_dispatch_matches():
-    rng = np.random.default_rng(11)
     for strategy in ("naive", "grid", "auto"):
-        sc = random_state_scenario(rng, 30, 2, strategy=strategy)
-        from lfmix import compute_neighbors
-
-        assert compute_neighbors(sc.initial_state, sc).equals(neighbors_naive(sc.initial_state, sc))
+        sc = random_state_scenario(np.random.default_rng(11), 90, 2, strategy=strategy)
+        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+        rows, cols = compute_neighbors(sc.initial_state, sc)
+        if strategy == "naive":
+            first = (rows, cols)
+        assert np.array_equal(rows, first[0]) and np.array_equal(cols, first[1])
 
 
 def test_neighbor_sets_equals_detects_difference():
