@@ -34,13 +34,13 @@ from .dynamics import (
 )
 from .errors import (
     DimensionMismatch,
+    NonFiniteState,
     ScenarioValidationError,
     ScheduleViolation,
     ValidationIssue,
 )
 from .model import (
     EngineOptions,
-    GroupId,
     NeighborSets,
     Partition,
     Scenario,
@@ -49,7 +49,7 @@ from .model import (
     distance,
 )
 from .neighbors import compute_neighbors, neighbors_naive
-from .scenario_io import load_scenario, save_canonical
+from .scenario_io import load_scenario
 
 __version__ = "0.1.0"
 
@@ -58,9 +58,9 @@ __all__ = [
     "ConvergenceReport",
     "DimensionMismatch",
     "EngineOptions",
-    "GroupId",
     "MetricsRow",
     "NeighborSets",
+    "NonFiniteState",
     "Partition",
     "Scenario",
     "ScenarioValidationError",
@@ -89,6 +89,5 @@ __all__ = [
     "neighbors_naive",
     "opinion_diameter",
     "run",
-    "save_canonical",
     "step",
 ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, realized_alpha, realized_betas, run
+from .dynamics import Trajectory, beta_sums, realized_alpha, realized_betas, run
 from .model import Partition, Scenario, SystemState
 from .neighbors import neighbors_naive
 from .schedules import RemappedAgents
@@ -159,7 +159,7 @@ def max_target_distance(state: SystemState, scenario: Scenario, k: int) -> float
     return float(distances_to(state.opinions[ids], scenario.target(k)).max())
 
 
-_DIAMETER_CHUNK = 512
+_DIAMETER_FLOATS = 1 << 17  # coordinate differences per block of the full scan
 _HULL_MIN_AGENTS = 2048
 
 
@@ -180,24 +180,20 @@ def opinion_diameter(x: np.ndarray) -> float:
         except (QhullError, ValueError):
             pass  # degenerate input, fall through to the full scan
     best = 0.0
-    for start in range(0, n, _DIAMETER_CHUNK):
-        block = x[start : start + _DIAMETER_CHUNK]
-        d2 = ((block[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        best = max(best, float(d2.max()))
+    rows = max(1, _DIAMETER_FLOATS // x.size)
+    for start in range(0, n, rows):
+        diff = x[start : start + rows, None, :] - x[None, :, :]
+        diff *= diff
+        best = max(best, float(diff.sum(axis=2).max()))
     return math.sqrt(best)
 
 
 def _degree_extremes(scenario: Scenario, t: int) -> tuple[float | None, float | None]:
     part = scenario.partition
-    max_alpha = None
-    for ids in part.leader_ids:
-        for i in ids.tolist():
-            a = realized_alpha(scenario, i, t)
-            max_alpha = a if max_alpha is None else max(max_alpha, a)
-    max_rest = None
-    for i in part.follower_ids.tolist():
-        rest = 1.0 - sum(realized_betas(scenario, i, t))
-        max_rest = rest if max_rest is None else max(max_rest, rest)
+    lead = part.group_of > 0
+    max_alpha = float(realized_alpha(scenario, t)[lead].max()) if lead.any() else None
+    fol = part.follower_ids
+    max_rest = float((1.0 - beta_sums(realized_betas(scenario, t)[fol])).max()) if fol.size else None
     return max_alpha, max_rest
 
 
@@ -290,7 +286,7 @@ def check_contraction_step(
         dist1 = distances_to(state_t1.opinions, g)
         group_alpha = 0.0
         for i in ids.tolist():
-            alpha = alphas_t[i]
+            alpha = float(alphas_t[i])
             group_alpha = max(group_alpha, alpha)
             nbrs = neighbors_t.leader_sets[i]
             report.records.append(
@@ -315,11 +311,10 @@ def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckRe
     if scenario.m == 0:
         report.params["note"] = "no leader groups; nothing to check"
         return report
-    leader_ids = [i for ids in scenario.partition.leader_ids for i in ids.tolist()]
     for t in range(trajectory.horizon):
         state_t = trajectory.states[t]
         neighbors = neighbors_naive(state_t, scenario)
-        alphas = {i: realized_alpha(scenario, i, t) for i in leader_ids}
+        alphas = realized_alpha(scenario, t)
         sub = check_contraction_step(state_t, trajectory.states[t + 1], neighbors, alphas, scenario, tol)
         report.records.extend(sub.records)
     report.params["steps"] = trajectory.horizon
@@ -333,6 +328,14 @@ def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckRe
 
 def _target_curve(trajectory: Trajectory, k: int) -> list[float]:
     return [max_target_distance(s, trajectory.scenario, k) for s in trajectory.states]
+
+
+def _alpha_above(scenario: Scenario, k: int, t: int, delta: float) -> str | None:
+    """Names the first leader of group k whose degree at t exceeds delta."""
+    ids = scenario.partition.leader_ids[k - 1]
+    alpha = realized_alpha(scenario, t)[ids]
+    i = (alpha > delta).argmax()
+    return f"degree {float(alpha[i])} of agent {ids[i]}" if alpha[i] > delta else None
 
 
 def check_target_envelope(
@@ -354,15 +357,10 @@ def check_target_envelope(
         return _skipped(name, INAPPLICABLE, f"no leader group {k}")
     if not 0.0 <= delta < 1.0:
         return _skipped(name, INAPPLICABLE, f"delta {delta} outside [0, 1)")
-    ids = scenario.partition.leader_ids[k - 1].tolist()
     for t in range(trajectory.horizon):
-        for i in ids:
-            a = realized_alpha(scenario, i, t)
-            if a > delta:
-                return _skipped(
-                    name, INAPPLICABLE, f"degree {a} of agent {i} at t={t} exceeds delta {delta}",
-                    delta=delta, k=k,
-                )
+        above = _alpha_above(scenario, k, t, delta)
+        if above:
+            return _skipped(name, INAPPLICABLE, f"{above} at t={t} exceeds delta {delta}", delta=delta, k=k)
     curve = _target_curve(trajectory, k)
     c0 = curve[0]
     report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "c0": c0})
@@ -402,11 +400,8 @@ def check_target_envelope_all(
     merged = CheckReport(name, tolerance=tol, params={"target_tol": target_tol})
     eligible = 0
     for k in range(1, scenario.m + 1):
-        ids = scenario.partition.leader_ids[k - 1].tolist()
-        delta = 0.0
-        for t in range(trajectory.horizon):
-            for i in ids:
-                delta = max(delta, realized_alpha(scenario, i, t))
+        ids = scenario.partition.leader_ids[k - 1]
+        delta = max([0.0] + [float(realized_alpha(scenario, t)[ids].max()) for t in range(trajectory.horizon)])
         gname = scenario.partition.leader_names[k - 1]
         if delta >= 1.0:
             merged.params[f"group_{gname}"] = "skipped (measured delta reaches 1)"
@@ -446,14 +441,10 @@ def target_envelope_along(
     steps = sorted(set(int(s) for s in steps))
     if any(s < 0 or s >= trajectory.horizon for s in steps):
         return _skipped(name, INAPPLICABLE, "designated steps outside the trajectory")
-    ids = scenario.partition.leader_ids[k - 1].tolist()
     for s in steps:
-        for i in ids:
-            a = realized_alpha(scenario, i, s)
-            if a > delta:
-                return _skipped(
-                    name, INAPPLICABLE, f"degree {a} of agent {i} at designated step {s} exceeds {delta}"
-                )
+        above = _alpha_above(scenario, k, s, delta)
+        if above:
+            return _skipped(name, INAPPLICABLE, f"{above} at designated step {s} exceeds {delta}")
     curve = _target_curve(trajectory, k)
     report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "steps": len(steps)})
     count = 0
@@ -560,10 +551,9 @@ def check_consensus_bound(
 
     gamma = 0.0
     for s in range(t_star, horizon):
-        for i in fol.tolist():
-            gamma = max(gamma, 1.0 - realized_betas(scenario, i, s)[0])
-        for i in part.leader_ids[0].tolist():
-            gamma = max(gamma, realized_alpha(scenario, i, s))
+        rest = 1.0 - realized_betas(scenario, s)[fol, 0]
+        alpha = realized_alpha(scenario, s)[part.leader_ids[0]]
+        gamma = max(gamma, float(rest.max(initial=0.0)), float(alpha.max()))
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
@@ -629,20 +619,19 @@ def check_mixture_limit(
     if horizon < 1:
         return _skipped(name, INAPPLICABLE, "trajectory has no steps")
 
-    tail = range(max(0, horizon - window), horizon)
-    limits: dict[int, np.ndarray] = {}
-    for i in part.follower_ids.tolist():
-        values = np.asarray([realized_betas(scenario, i, s) for s in tail])
-        spread = float((values.max(axis=0) - values.min(axis=0)).max()) if values.size else 0.0
-        if spread > stabilization_tol:
+    fol = part.follower_ids
+    tail = np.stack([realized_betas(scenario, s)[fol] for s in range(max(0, horizon - window), horizon)])
+    spread = (tail.max(axis=0) - tail.min(axis=0)).max(axis=1)
+    total = tail[-1].sum(axis=1)
+    unfit = (spread > stabilization_tol) | (total == 0.0)
+    if unfit.any():
+        j = unfit.argmax()
+        if spread[j] > stabilization_tol:
             return _skipped(
-                name, INAPPLICABLE, f"betas of agent {i} not stabilized (spread {spread:.3g})"
+                name, INAPPLICABLE, f"betas of agent {fol[j]} not stabilized (spread {float(spread[j]):.3g})"
             )
-        final = values[-1]
-        total = float(final.sum())
-        if total == 0.0:
-            return _skipped(name, UNDEFINED_LIMIT, f"agent {i} has zero beta sum; mixture undefined")
-        limits[i] = (final / total) @ scenario.targets
+        return _skipped(name, UNDEFINED_LIMIT, f"agent {fol[j]} has zero beta sum; mixture undefined")
+    weights = tail[-1] / total[:, None]
 
     t_star = delta = center_group = None
     for t, state in enumerate(trajectory.states):
@@ -665,11 +654,8 @@ def check_mixture_limit(
 
     gamma = 0.0
     for s in range(t_star, horizon):
-        for i in part.follower_ids.tolist():
-            gamma = max(gamma, 1.0 - sum(realized_betas(scenario, i, s)))
-        for k in range(1, m + 1):
-            for i in part.leader_ids[k - 1].tolist():
-                gamma = max(gamma, realized_alpha(scenario, i, s))
+        rest = 1.0 - beta_sums(realized_betas(scenario, s)[fol])
+        gamma = max(gamma, float(rest.max(initial=0.0)), float(realized_alpha(scenario, s).max()))
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
@@ -688,8 +674,8 @@ def check_mixture_limit(
         },
     )
     final = trajectory.final_state.opinions
-    for i in sorted(limits):
-        lhs = float(np.sqrt(((final[i] - limits[i]) ** 2).sum()))
+    for j, i in enumerate(fol.tolist()):
+        lhs = float(np.sqrt(((final[i] - weights[j] @ scenario.targets) ** 2).sum()))
         report.records.append(StepRecord(horizon, f"follower {i} mixture", lhs, consensus_tol))
     for k in range(1, m + 1):
         dists = distances_to(final[part.leader_ids[k - 1]], scenario.target(k))
@@ -713,15 +699,14 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     and the original ids (indexed by new id).
     """
     part = scenario.partition
-    follower_ids = np.asarray(sorted(follower_ids), dtype=np.int64)
-    originals = np.asarray(sorted(follower_ids.tolist() + part.leader_ids[k - 1].tolist()), dtype=np.int64)
-    orig_tuple = tuple(int(i) for i in originals)
-    new_id = {orig: new for new, orig in enumerate(orig_tuple)}
+    follower_ids = np.asarray(follower_ids, dtype=np.int64)
+    originals = np.union1d(follower_ids, part.leader_ids[k - 1])
+    new_id = np.full(scenario.n_agents, -1, dtype=np.int64)
+    new_id[originals] = np.arange(originals.size)
 
-    new_followers = np.asarray([new_id[i] for i in follower_ids.tolist()], dtype=np.int64)
-    new_leaders = np.asarray([new_id[i] for i in part.leader_ids[k - 1].tolist()], dtype=np.int64)
-    n = len(orig_tuple)
-    group_of = np.zeros(n, dtype=np.int64)
+    new_followers = np.sort(new_id[follower_ids])
+    new_leaders = new_id[part.leader_ids[k - 1]]
+    group_of = np.zeros(originals.size, dtype=np.int64)
     group_of[new_leaders] = 1
 
     names, kinds, members = [], [], []
@@ -733,13 +718,15 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     kinds.append("leader")
     members.append(new_leaders)
 
-    alphas: list = [None] * n
-    betas: list = [None] * n
-    for new, orig in enumerate(orig_tuple):
-        if group_of[new]:
-            alphas[new] = RemappedAgents(scenario.alphas[orig], orig_tuple)
-        else:
-            betas[new] = (RemappedAgents(scenario.betas[orig][k - 1], orig_tuple),)
+    def remap(blocks, pick) -> tuple:
+        """The blocks' schedules over the kept agents, queried under their original ids."""
+        out = []
+        for schedules, ids in blocks:
+            ids = new_id[ids]
+            ids = ids[ids >= 0]
+            if ids.size:
+                out.append((pick(schedules), ids))
+        return tuple(out)
 
     sub = Scenario(
         dimension=scenario.dimension,
@@ -756,8 +743,8 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
         ),
         targets=scenario.targets[k - 1 : k],
         initial_state=SystemState(0, scenario.initial_state.opinions[originals]),
-        alphas=tuple(alphas),
-        betas=tuple(betas),
+        alphas=remap(scenario.alphas, lambda s: RemappedAgents(s, originals)),
+        betas=remap(scenario.betas, lambda s: (RemappedAgents(s[k - 1], originals),)),
         engine=scenario.engine,
         base_seed=scenario.base_seed,
         canonical={},
@@ -771,17 +758,13 @@ def derive_subsystem_assignment(scenario: Scenario, horizon: int) -> dict[int, i
     A follower belongs to group k when its beta toward k is positive at some
     step and its betas toward every other group are identically zero. Returns
     None when any follower has no group or several."""
-    assignment: dict[int, int] = {}
-    for i in scenario.partition.follower_ids.tolist():
-        active = set()
-        for s in range(max(horizon, 1)):
-            for k, b in enumerate(realized_betas(scenario, i, s), start=1):
-                if b > 0.0:
-                    active.add(k)
-        if len(active) != 1:
-            return None
-        assignment[i] = active.pop()
-    return assignment
+    fol = scenario.partition.follower_ids
+    active = np.zeros((fol.size, scenario.m), dtype=bool)
+    for s in range(max(horizon, 1)):
+        active |= realized_betas(scenario, s)[fol] > 0.0
+    if (active.sum(axis=1) != 1).any():
+        return None
+    return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
 
 
 def check_subsystem_independence(
@@ -814,11 +797,6 @@ def check_subsystem_independence(
         return _skipped(
             name, INAPPLICABLE, "followers do not split into one leader group each (betas overlap or vanish)"
         )
-    subsystem_of = dict(assignment)
-    for k in range(1, scenario.m + 1):
-        for i in part.leader_ids[k - 1].tolist():
-            subsystem_of[i] = k
-
     # cross-subsystem contact scan on the joint run
     for state in joint.states:
         nbrs = neighbors_naive(state, scenario)
@@ -841,7 +819,8 @@ def check_subsystem_independence(
     x0 = scenario.initial_state.opinions
     final_joint = joint.final_state.opinions
     for k in range(1, scenario.m + 1):
-        members = np.asarray(sorted(i for i, s in subsystem_of.items() if s == k), dtype=np.int64)
+        followers_k = np.asarray([i for i, a in assignment.items() if a == k], dtype=np.int64)
+        members = np.union1d(followers_k, part.leader_ids[k - 1])
         g = scenario.target(k)
         delta_k = float(distances_to(x0[members], g).max())
         if delta_k >= scenario.epsilon:
@@ -851,17 +830,14 @@ def check_subsystem_independence(
             )
         gamma_k = 0.0
         for s in range(horizon):
-            for i in members.tolist():
-                if subsystem_of[i] == k and i in assignment:
-                    gamma_k = max(gamma_k, 1.0 - realized_betas(scenario, i, s)[k - 1])
-                elif subsystem_of[i] == k:
-                    gamma_k = max(gamma_k, realized_alpha(scenario, i, s))
+            rest = 1.0 - realized_betas(scenario, s)[followers_k, k - 1]
+            alpha = realized_alpha(scenario, s)[part.leader_ids[k - 1]]
+            gamma_k = max(gamma_k, float(rest.max(initial=0.0)), float(alpha.max()))
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
         report.params[f"delta_{k}"] = delta_k
         report.params[f"gamma_{k}"] = gamma_k
 
-        followers_k = [i for i in members.tolist() if i in assignment]
         sub, originals = subsystem_scenario(scenario, k, followers_k)
         alone = run(sub, horizon, stop_tol=None)
         dists = distances_to(alone.final_state.opinions, g)

@@ -5,7 +5,8 @@ verification harness), ``plot`` (metrics CSV to standalone SVG), ``sweep``
 (Cartesian parameter sweeps with derived per-point seeds).
 
 Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file),
-3 runtime schedule violation, 4 at least one applicable check failed.
+3 runtime schedule violation, 4 at least one applicable check failed,
+5 a step produced an infinite or NaN opinion.
 Diagnostics go to stderr. ``--threads`` and its default ``LFMIX_THREADS`` are
 accepted and recorded in ``run.json`` but change nothing: a step is a few
 array operations with a single result.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import analysis
 from .dynamics import FAULT_KINDS, STOP_CONVERGED, run
-from .errors import ScenarioValidationError, ScheduleViolation
+from .errors import NonFiniteState, ScenarioValidationError, ScheduleViolation
 from .model import LEADER, Scenario, build_scenario
 from .scenario_io import (
     dump_canonical,
@@ -134,11 +135,7 @@ def _cmd_simulate(args) -> int:
     if scenario is None:
         return 2
     started = time.perf_counter()
-    try:
-        trajectory = run(scenario, args.horizon)
-    except ScheduleViolation as exc:
-        _err(f"schedule violation: {exc}")
-        return 3
+    trajectory = run(scenario, args.horizon)
     wall = time.perf_counter() - started
     _write_outputs(
         Path(args.out),
@@ -185,11 +182,7 @@ def _cmd_check(args) -> int:
     scenario = _load(args.scenario, None)
     if scenario is None:
         return 2
-    try:
-        trajectory = run(scenario, args.horizon, fault=args.inject_fault)
-    except ScheduleViolation as exc:
-        _err(f"schedule violation: {exc}")
-        return 3
+    trajectory = run(scenario, args.horizon, fault=args.inject_fault)
     reports = _run_checks(scenario, trajectory, tokens)
     payload = {
         "scenario": args.scenario,
@@ -314,7 +307,7 @@ def _point_config(base: dict, assignments: dict, index: int, base_seed: int) -> 
                 g["members"] = list(range(next_id, next_id + count))
                 next_id += count
     if "random" in config["initial_opinions"]:
-        config["initial_opinions"]["random"]["seed"] = derive_key(base_seed, index) % (1 << 62)
+        config["initial_opinions"]["random"]["seed"] = int(derive_key(base_seed, index)) % (1 << 62)
     return config
 
 
@@ -352,9 +345,8 @@ def _cmd_sweep(args) -> int:
             return 2
         try:
             trajectory = run(scenario, args.horizon)
-        except ScheduleViolation as exc:
-            _err(f"sweep point {index}: schedule violation: {exc}")
-            return 3
+        except (ScheduleViolation, NonFiniteState) as exc:
+            raise type(exc)(f"sweep point {index}: {exc}") from None
         point_dir = out_root / f"point_{index:04d}"
         _write_outputs(
             point_dir, scenario, trajectory, args.record_every,
@@ -436,7 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScheduleViolation as exc:
+        _err(f"schedule violation: {exc}")
+        return 3
+    except NonFiniteState as exc:
+        _err(f"non-finite state: {exc}")
+        return 5
 
 
 if __name__ == "__main__":

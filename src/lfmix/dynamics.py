@@ -10,10 +10,10 @@ pairs found once on the state at t:
   to zero whenever the corresponding leader-neighbor set is empty (the freed
   weight flows to the follower term, with no renormalization).
 
-``step`` computes this for all agents at once: neighbor pairs, then one sum
-per neighbor set, taken for all sets of one size together, then elementwise
-array expressions for the mix and for the ``StepDigest`` of the realized
-weights. ``leader_update`` and ``follower_update`` compute one agent from
+``step`` computes this for all agents at once: neighbor pairs, degrees from
+one query per schedule block, one sum per neighbor set, taken for all sets of
+one size together, then elementwise array expressions for the mix and for the
+``StepDigest`` of the realized weights. ``leader_update`` and ``follower_update`` compute one agent from
 per-agent neighbor sets; they are the references ``step`` is tested against.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
@@ -24,13 +24,14 @@ references.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleViolation
+from .errors import NonFiniteState, ScheduleViolation
 from .model import NeighborSets, Scenario, SystemState
 from .neighbors import compute_neighbors
 
@@ -75,32 +76,46 @@ class Trajectory:
         return self.states[-1]
 
 
-def _guard_degree(raw, what: str) -> float:
+def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> None:
+    """``out[ids] = schedule.at(ids, t)``; every value must be a number in [0, 1]."""
+    raw = schedule.at(ids, t)
     try:
-        v = float(raw)
+        out[ids] = raw
     except (TypeError, ValueError):
-        raise ScheduleViolation(f"{what} returned non-numeric {raw!r}") from None
-    if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-        raise ScheduleViolation(f"{what} returned {v!r} outside [0, 1]")
-    return v
+        raise ScheduleViolation(f"{what} for agents {ids} at t={t} returned non-numeric {raw!r}") from None
+    bad = ~((out[ids] >= 0.0) & (out[ids] <= 1.0))  # NaN too
+    if bad.any():
+        i = ids[bad.argmax()]
+        raise ScheduleViolation(f"{what} for agent {i} at t={t} returned {float(out[i])!r} outside [0, 1]")
 
 
-def realized_alpha(scenario: Scenario, agent: int, t: int) -> float:
-    """Schedule value for a leader, guarded against out-of-range returns."""
-    return _guard_degree(scenario.alphas[agent].at(agent, t), f"alpha schedule for agent {agent} at t={t}")
+def beta_sums(betas: np.ndarray) -> np.ndarray:
+    """Row sums added left to right as ``sum(row)`` does; ``betas.sum(axis=1)``
+    adds pairwise and differs from it once m >= 8."""
+    return functools.reduce(np.add, betas.T, np.zeros(len(betas)))
 
 
-def realized_betas(scenario: Scenario, agent: int, t: int) -> tuple[float, ...]:
-    """Schedule vector for a follower; each entry and the running sum guarded."""
-    out = []
-    total = 0.0
-    for k, s in enumerate(scenario.betas[agent]):
-        b = _guard_degree(s.at(agent, t), f"beta schedule {k + 1} for agent {agent} at t={t}")
-        total += b
-        out.append(b)
-    if total > 1.0:
-        raise ScheduleViolation(f"beta sum for agent {agent} is {total!r} > 1 at t={t}")
-    return tuple(out)
+def realized_alpha(scenario: Scenario, t: int) -> np.ndarray:
+    """All N leader degrees at step t (0 for followers), one schedule query
+    per block, guarded against out-of-range returns."""
+    alpha = np.zeros(scenario.n_agents)
+    for schedule, ids in scenario.alphas:
+        _query(alpha, schedule, ids, t, "alpha schedule")
+    return alpha
+
+
+def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
+    """The (N, m) follower degrees at step t (0 for leaders), one query per
+    block and leader group; each entry and each agent's sum guarded."""
+    betas = np.zeros((scenario.n_agents, scenario.m))
+    for schedules, ids in scenario.betas:
+        for k, schedule in enumerate(schedules):
+            _query(betas[:, k], schedule, ids, t, f"beta schedule {k + 1}")
+    total = beta_sums(betas)
+    if (total > 1.0).any():
+        i = (total > 1.0).argmax()
+        raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
+    return betas
 
 
 def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -184,13 +199,8 @@ def step(
     group_of = scenario.partition.group_of
     lead = group_of > 0
 
-    alpha = np.zeros(n)
-    betas = np.zeros((n, scenario.m))
-    for i in range(n):
-        if group_of[i]:
-            alpha[i] = realized_alpha(scenario, i, t)
-        else:
-            betas[i] = realized_betas(scenario, i, t)
+    alpha = realized_alpha(scenario, t)
+    betas = realized_betas(scenario, t)
 
     # an agent's own set holds its own group; a follower's set k its
     # group-k leaders; a leader's pairs with other groups are not used
@@ -243,7 +253,8 @@ def run(
     Stop reasons: ``horizon`` (step budget exhausted), ``converged`` (max
     per-agent displacement stayed within ``stop_tol`` over the trailing
     ``stop_window`` steps), ``stagnated`` (exact fixed point reached while no
-    tolerance-based stop is configured).
+    tolerance-based stop is configured). Raises NonFiniteState as soon as a
+    new state holds an infinite or NaN coordinate.
     """
     opts = scenario.engine
     if horizon is None:
@@ -261,6 +272,10 @@ def run(
     recent: deque[float] = deque(maxlen=window)
     for t in range(horizon):
         nxt, digest = step(states[-1], scenario, t, fault=fault)
+        finite = np.isfinite(nxt.opinions).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise NonFiniteState(f"opinion of agent {i} is {nxt.opinions[i].tolist()} at t={t + 1}")
         digests.append(digest)
         diff = nxt.opinions - states[-1].opinions
         states.append(nxt)

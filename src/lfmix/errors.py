@@ -43,3 +43,6 @@ class DimensionMismatch(ValueError):
 class ScheduleViolation(RuntimeError):
     """A degree schedule returned a value outside its contract at runtime."""
 
+
+class NonFiniteState(RuntimeError):
+    """A step produced an infinite or NaN opinion coordinate."""

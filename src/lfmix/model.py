@@ -67,17 +67,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroupId:
-    """Group membership tag: the follower group or leader group k (1-based)."""
-
-    kind: str
-    index: int | None = None
-
-    def __str__(self) -> str:
-        return FOLLOWER if self.kind == FOLLOWER else f"{LEADER}:{self.index}"
-
-
-@dataclass(frozen=True)
 class Partition:
     """Disjoint assignment of agents 0..N-1 to the follower and leader groups."""
 
@@ -97,10 +86,6 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.leader_ids)
-
-    def group_id_of(self, agent: int) -> GroupId:
-        code = int(self.group_of[agent])
-        return GroupId(FOLLOWER) if code == 0 else GroupId(LEADER, code)
 
     def group_name_of(self, agent: int) -> str:
         code = int(self.group_of[agent])
@@ -175,10 +160,12 @@ class EngineOptions:
 class Scenario:
     """Immutable problem instance: partition, targets, schedules, options.
 
-    ``alphas[i]`` is the degree schedule of leader agent i (None for
-    followers); ``betas[i]`` is the m-tuple of leader-mix schedules of
-    follower agent i (None for leaders). ``canonical`` is the normalized
-    config dict this scenario round-trips through.
+    ``alphas`` holds ``(schedule, ids)`` blocks: the degree schedule of the
+    leader agents ``ids``. ``betas`` holds ``(schedules, ids)`` blocks: the
+    m-tuple of leader-mix schedules of the follower agents ``ids``. Every
+    leader is in exactly one alpha block and every follower, when m >= 1, in
+    exactly one beta block; ids are sorted int64 arrays. ``canonical`` is the
+    normalized config dict this scenario round-trips through.
     """
 
     dimension: int
@@ -470,10 +457,7 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
         if any(lo > hi for lo, hi in zip(low, high)):
             issues.add(BAD_CONFIG, "initial_opinions.random: low must not exceed high")
             return None, None, 0
-        arr = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            for c in range(d):
-                arr[i, c] = low[c] + (high[c] - low[c]) * unit_uniform(seed, i, c)
+        arr = low + np.subtract(high, low) * unit_uniform(seed, np.arange(n)[:, None], np.arange(d))
         norm = {"random": {"distribution": "uniform_box", "low": low, "high": high, "seed": int(seed)}}
         return arr, norm, int(seed)
     issues.add(BAD_CONFIG, "initial_opinions: must be {'explicit': ...} or {'random': ...}")
@@ -575,8 +559,8 @@ def build_scenario(raw: Any) -> Scenario:
         if name not in known_names:
             issues.add(BAD_CONFIG, f"schedules: unknown group {name!r}")
 
-    alphas: list = [None] * n
-    betas: list = [None] * n
+    alphas: list = []  # (schedule, ids) blocks of leaders
+    betas: list = []  # (m-tuple of schedules, ids) blocks of followers
     schedules_norm: dict[str, dict] = {}
 
     def parse_group_entry(entry, spec, where) -> tuple[Any, dict | None]:
@@ -622,26 +606,17 @@ def build_scenario(raw: Any) -> Scenario:
                 issues.add(MISSING_SCHEDULE, f"follower group {name!r} has no schedule entry")
             else:
                 schedules_norm[name] = {"betas": []}
-                for i in e["ids"]:
-                    if i < n:
-                        betas[i] = ()
             continue
         base, norm = parse_group_entry(e, spec, f"schedules.{name}")
         if base is None:
             continue
-        for i in e["ids"]:
-            if i >= n:
-                continue  # gapped explicit ids; already recorded as an issue
-            if e["kind"] == LEADER:
-                alphas[i] = base
-            else:
-                betas[i] = base
         overrides = spec.get("per_agent") if isinstance(spec, dict) else None
         if overrides is not None:
             if not isinstance(overrides, dict):
                 issues.add(BAD_CONFIG, f"schedules.{name}.per_agent: must be an object")
                 overrides = None
         norm_overrides = {}
+        own: dict[int, Any] = {}  # agent -> its override
         if overrides:
             id_set = set(e["ids"])
             for key, sub in overrides.items():
@@ -656,11 +631,12 @@ def build_scenario(raw: Any) -> Scenario:
                 sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]")
                 if sub_base is None or agent >= n:
                     continue
-                if e["kind"] == LEADER:
-                    alphas[agent] = sub_base
-                else:
-                    betas[agent] = sub_base
+                own[agent] = sub_base
                 norm_overrides[str(agent)] = sub_norm
+        ids = np.asarray(e["ids"], dtype=np.int64)
+        blocks = [(base, ids[~np.isin(ids, list(own))])]
+        blocks += [(s, np.array([i], dtype=np.int64)) for i, s in own.items()]
+        (alphas if e["kind"] == LEADER else betas).extend((s, _frozen(b)) for s, b in blocks if b.size)
         if norm is not None:
             if norm_overrides:
                 norm = dict(norm, per_agent=norm_overrides)

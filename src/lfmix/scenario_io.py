@@ -38,10 +38,6 @@ def dump_canonical(scenario: Scenario) -> str:
     return json.dumps(scenario.canonical, indent=2, sort_keys=True) + "\n"
 
 
-def save_canonical(scenario: Scenario, path) -> None:
-    Path(path).write_text(dump_canonical(scenario), encoding="utf-8")
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 

@@ -4,6 +4,11 @@ A schedule maps (agent id, time step) to a degree in [0, 1]. Schedules are
 pure functions of their arguments: the same query always returns the same
 value, which is what makes trajectories reproducible at any thread count.
 
+``at`` takes one agent id or an int array of ids. For an array it returns a
+value that broadcasts to the array's shape (a scalar for agent-independent
+kinds) and equals the scalar query of each id, so one call per step serves
+every agent a schedule covers.
+
 Built-in kinds:
 
 * ``constant``        fixed value for all agents and times
@@ -16,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .seeding import unit_uniform
 
 
@@ -24,8 +31,9 @@ class Schedule:
 
     kind = "abstract"
 
-    def at(self, agent: int, t: int) -> float:
-        """Degree for ``agent`` at step ``t``; always in [0, 1]."""
+    def at(self, agent, t: int):
+        """Degree for ``agent`` (an id or an int array of ids) at step ``t``;
+        always in [0, 1], broadcasting to the shape of ``agent``."""
         raise NotImplementedError
 
     def upper_bound(self) -> float:
@@ -46,7 +54,7 @@ class Constant(Schedule):
 
     kind = "constant"
 
-    def at(self, agent: int, t: int) -> float:
+    def at(self, agent, t: int):
         return self.value
 
     def upper_bound(self) -> float:
@@ -67,7 +75,7 @@ class Table(Schedule):
 
     kind = "table"
 
-    def at(self, agent: int, t: int) -> float:
+    def at(self, agent, t: int):
         return self.values[min(t, len(self.values) - 1)]
 
     def upper_bound(self) -> float:
@@ -87,7 +95,7 @@ class GeometricDecay(Schedule):
 
     kind = "geometric_decay"
 
-    def at(self, agent: int, t: int) -> float:
+    def at(self, agent, t: int):
         return min(1.0, max(0.0, self.initial * self.ratio**t))
 
     def upper_bound(self) -> float:
@@ -111,7 +119,7 @@ class SeededRandom(Schedule):
 
     kind = "seeded_random"
 
-    def at(self, agent: int, t: int) -> float:
+    def at(self, agent, t: int):
         return self.low + (self.high - self.low) * unit_uniform(self.seed, agent, t)
 
     def upper_bound(self) -> float:
@@ -121,20 +129,21 @@ class SeededRandom(Schedule):
         return {"kind": "seeded_random", "seed": self.seed, "low": self.low, "high": self.high}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemappedAgents(Schedule):
     """Internal wrapper: query an inner schedule under an agent-id relabeling.
 
     Used when a subsystem is extracted from a larger scenario so that
-    agent-keyed draws keep their original streams. Not serializable.
+    agent-keyed draws keep their original streams; ``original_ids[new]`` is
+    the original id of agent ``new``. Not serializable.
     """
 
     inner: Schedule
-    original_ids: tuple[int, ...]
+    original_ids: np.ndarray
 
     kind = "remapped"
 
-    def at(self, agent: int, t: int) -> float:
+    def at(self, agent, t: int):
         return self.inner.at(self.original_ids[agent], t)
 
     def upper_bound(self) -> float:

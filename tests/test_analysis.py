@@ -26,6 +26,7 @@ from lfmix import (
 from lfmix.analysis import CROSSTALK, INAPPLICABLE, UNDEFINED_LIMIT, target_envelope_along
 from lfmix.dynamics import STOP_CONVERGED
 from lfmix.model import SystemState
+from lfmix.schedules import SeededRandom
 
 
 def two_leader_scenario(alpha=0.5, horizon=10):
@@ -90,6 +91,25 @@ def test_metrics_rows_shape_and_degrees():
     assert rows[0].max_alpha == 0.5
     assert rows[0].max_one_minus_beta_sum == 0.5
     assert rows[-1].max_alpha is None  # no step leaves the final state
+
+
+def test_one_minus_beta_sum_adds_nine_groups_left_to_right():
+    specs = [{"kind": "seeded_random", "seed": 40 + k, "low": 0.0, "high": 0.11} for k in range(9)]
+    sc = scenario(
+        followers=3,
+        leader_groups=[(f"g{k}", 1, [float(k)], constant(0.5)) for k in range(9)],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 9.0, "seed": 2},
+        follower_betas=specs,
+        horizon=30,
+    )
+    schedules = [SeededRandom(40 + k, 0.0, 0.11) for k in range(9)]
+    rows = metrics_rows(run(sc))
+    pairwise_differs = 0
+    for row in rows[:-1]:
+        betas = [[s.at(i, row.t) for s in schedules] for i in range(3)]
+        assert row.max_one_minus_beta_sum == max(1.0 - sum(b) for b in betas)
+        pairwise_differs += row.max_one_minus_beta_sum != max(1.0 - np.sum(b) for b in betas)
+    assert pairwise_differs > 0  # numpy's pairwise row sum would not do
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from helpers import config, constant
 from lfmix.cli import main
 from lfmix.errors import ScheduleViolation
+from lfmix.seeding import derive_key
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -78,6 +80,35 @@ def test_simulate_schedule_violation_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("lfmix.cli.run", explode)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "synthetic violation" in capsys.readouterr().err
+
+
+def overflowing_config():
+    """The followers' first mean overflows to inf."""
+    return config(
+        followers=2,
+        leader_groups=[("brand", 1, [0.0], constant(0.5))],
+        initial=[[1.7e308], [1.7e308], [0.0]],
+        follower_betas=[constant(0.5)],
+        horizon=5,
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+def test_non_finite_state_exits_5(tmp_path, capsys, command):
+    path = write_config(tmp_path, overflowing_config())
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--scenario", str(path), "--out", str(out)],
+        "check": ["check", "--scenario", str(path), "--report", str(out / "report.json")],
+        "sweep": ["sweep", "--scenario", str(path), "--vary", "epsilon=1:2:2", "--out", str(out)],
+    }[command]
+    with np.errstate(over="ignore"):
+        assert main(argv) == 5
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("lfmix:")]
+    assert len(lines) == 1 and lines[0].startswith("lfmix: non-finite state: ")
+    assert lines[0].endswith("opinion of agent 0 is [inf] at t=1")
+    assert ("sweep point 0: " in lines[0]) == (command == "sweep")
+    assert not (out / "trajectory.csv").exists() and not (out / "report.json").exists()
 
 
 def test_simulate_threads_byte_identical(tmp_path):
@@ -305,6 +336,23 @@ def test_sweep_cartesian_product_and_n_scaling(tmp_path):
     run0 = json.loads((out / "point_0000" / "run.json").read_text())
     run2 = json.loads((out / "point_0002" / "run.json").read_text())
     assert run0["n_agents"] == 5 and run2["n_agents"] == 20
+
+
+def test_sweep_writes_integer_point_seeds(tmp_path):
+    cfg = config(
+        followers=4,
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 3},
+        epsilon=0.3,
+        horizon=2,
+    )
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.4:3", "--out", str(out),
+                 "--seed", str(-(2**63))]) == 0
+    for index in range(3):
+        canon = json.loads((out / f"point_{index:04d}" / "scenario.canonical.json").read_text())
+        seed = canon["initial_opinions"]["random"]["seed"]
+        assert type(seed) is int and seed == int(derive_key(-(2**63), index)) % (1 << 62)
 
 
 def test_sweep_n_with_explicit_initials_exits_2(tmp_path, capsys):

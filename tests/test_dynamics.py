@@ -16,6 +16,8 @@ from lfmix import (
     run,
 )
 from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
+from lfmix.errors import NonFiniteState
+from lfmix.schedules import Constant
 
 
 def two_leader_scenario(alpha=0.5):
@@ -175,14 +177,15 @@ def reference_step(state, sc, t):
     plus the leader sets a follower mixes with a nonzero beta."""
     nbrs = neighbors_naive(state, sc)
     new = np.empty_like(state.opinions)
+    alphas, all_betas = realized_alpha(sc, t).tolist(), realized_betas(sc, t).tolist()
     pairs = 0
     for i in range(sc.n_agents):
         code = sc.partition.group_of[i]
         if code:
-            new[i] = leader_update(i, state, nbrs, realized_alpha(sc, i, t), sc.target(code))
+            new[i] = leader_update(i, state, nbrs, alphas[i], sc.target(code))
             pairs += nbrs.leader_sets[i].size
         else:
-            betas = realized_betas(sc, i, t)
+            betas = all_betas[i]
             new[i] = follower_update(i, state, nbrs, betas)
             lsets = nbrs.follower_leader_sets[i]
             pairs += nbrs.follower_sets[i].size
@@ -246,9 +249,94 @@ def test_schedule_violation_detected_at_runtime():
         def upper_bound(self):
             return 1.5
 
-    bad = dataclasses.replace(sc, alphas=(Lying(), sc.alphas[1]))
-    with pytest.raises(ScheduleViolation):
+    (constant_alpha, _), = sc.alphas
+    bad = dataclasses.replace(sc, alphas=((constant_alpha, np.array([0])), (Lying(), np.array([1]))))
+    with pytest.raises(ScheduleViolation, match=r"agent 1 at t=0 returned 1\.5"):
         step(bad.initial_state, bad, 0)
+
+
+class Spike:
+    """Degree ``value`` for agent ``agent`` and ``base`` for every other id."""
+
+    def __init__(self, agent, value, base=0.3):
+        self.agent, self.value, self.base = agent, value, base
+
+    def at(self, agent, t):
+        return np.where(np.asarray(agent) == self.agent, self.value, self.base)
+
+
+def test_array_query_guards_name_the_agent_and_step():
+    sc = scenario(
+        followers=3,
+        leader_groups=[("a", 2, [0.0], constant(0.5)), ("b", 2, [1.0], constant(0.5))],
+        initial=[[0.1]] * 7,
+        follower_betas=[constant(0.2), constant(0.2)],
+    )
+    leaders, followers = np.arange(3, 7), np.arange(3)
+    for value in (1.25, -0.5, float("nan")):
+        bad = dataclasses.replace(sc, alphas=((Spike(5, value), leaders),))
+        with pytest.raises(ScheduleViolation, match=rf"alpha schedule for agent 5 at t=2 returned {value}"):
+            realized_alpha(bad, 2)
+        with pytest.raises(ScheduleViolation, match="agent 5 at t=2"):
+            step(bad.initial_state, bad, 2)
+    bad = dataclasses.replace(sc, betas=(((Constant(0.2), Spike(2, 1.5)), followers),))
+    with pytest.raises(ScheduleViolation, match=r"beta schedule 2 for agent 2 at t=4 returned 1\.5"):
+        realized_betas(bad, 4)
+    # each beta in range, the sum of agent 1's above 1
+    bad = dataclasses.replace(sc, betas=(((Constant(0.6), Spike(1, 0.5, base=0.1)), followers),))
+    with pytest.raises(ScheduleViolation, match=r"beta sum for agent 1 is 1\.1 > 1 at t=3"):
+        realized_betas(bad, 3)
+    with pytest.raises(ScheduleViolation, match="agent 1 .* at t=3"):
+        step(bad.initial_state, bad, 3)
+
+
+def test_step_queries_each_schedule_once_per_block_and_group():
+    cfg = config(
+        followers=5,
+        leader_groups=[("a", 3, [0.0], constant(0.5)),
+                       ("b", 2, [1.0], {"kind": "seeded_random", "seed": 3, "low": 0.2, "high": 0.6})],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 4},
+        follower_betas=[constant(0.2), {"kind": "seeded_random", "seed": 8, "low": 0.0, "high": 0.3}],
+        per_agent_betas={1: [constant(0.1), constant(0.1)], 3: [constant(0.0), constant(0.4)]},
+    )
+    cfg["schedules"]["a"]["per_agent"] = {"6": {"alpha": constant(0.9)}}
+    sc = build_scenario(cfg)
+    assert [ids.tolist() for _, ids in sc.alphas] == [[5, 7], [6], [8, 9]]
+    assert [ids.tolist() for _, ids in sc.betas] == [[0, 2, 4], [1], [3]]
+
+    calls = []
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def at(self, agent, t):
+            calls.append(np.size(agent))
+            return self.inner.at(agent, t)
+
+    counted = dataclasses.replace(
+        sc,
+        alphas=tuple((Counting(s), ids) for s, ids in sc.alphas),
+        betas=tuple((tuple(Counting(s) for s in group), ids) for group, ids in sc.betas),
+    )
+    new, digest = step(counted.initial_state, counted, 0)
+    assert len(calls) == 3 + 3 * sc.m
+    assert sum(calls) == 5 + 5 * sc.m
+    expected, expected_digest = step(sc.initial_state, sc, 0)
+    assert np.array_equal(new.opinions, expected.opinions) and digest == expected_digest
+
+
+def test_non_finite_state_stops_the_run():
+    # the followers' mean overflows to inf; an inf agent is then not its own neighbor
+    sc = scenario(
+        followers=2,
+        leader_groups=[("brand", 1, [0.0], constant(0.5))],
+        initial=[[1.7e308], [1.7e308], [0.0]],
+        follower_betas=[constant(0.5)],
+        horizon=5,
+    )
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"agent 0 is \[inf\] at t=1"):
+        run(sc)
 
 
 # ---------------------------------------------------------------------------

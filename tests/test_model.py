@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import config, constant, scenario
 from lfmix import DimensionMismatch, ScenarioValidationError, build_scenario, distance
-from lfmix.schedules import Constant, GeometricDecay, SeededRandom, Table
+from lfmix.dynamics import realized_alpha, realized_betas
+from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, SeededRandom, Table
+from lfmix.seeding import derive_key, unit_uniform
 
 
 def issue_kinds(exc: ScenarioValidationError) -> set[str]:
@@ -298,6 +300,68 @@ def test_schedules_stay_in_unit_interval(kind, agent, t, seed):
     assert v <= s.upper_bound() + 1e-15
 
 
+# (seed, *counters), derive_key, unit_uniform: values of the pure-int
+# splitmix64 implementation the uint64 one replaced
+PINNED_DRAWS = [
+    ((0,), 16294208416658607535, 0.8833108082136426),
+    ((0, 0), 0, 0.0),
+    ((1, 0), 2442277658713457816, 0.13239613716949705),
+    ((-1, 0), 2862039115465172983, 0.1551514513362915),
+    ((-(2**63), 5, 7), 7211589579280660154, 0.39094105444649574),
+    ((2**64, 0), 0, 0.0),
+    ((2**64 + 12345, 3, 2**40), 10114251244595284202, 0.5482946586227212),
+    ((42, 2**40), 3169979485210606157, 0.17184493222999098),
+    ((42, 0, 0), 17804110779945572527, 0.9651627793394789),
+    ((2**70 - 1, 2**40, 0), 15904953146613253436, 0.8622092377419124),
+    ((-7, 2**40, 2**40), 4772914231072107982, 0.25874019892076794),
+    ((123456789, 17, 3), 2321136391735801225, 0.12582905592775595),
+    ((5, -1), 14037225222889099931, 0.760959504116234),
+]
+
+
+@pytest.mark.parametrize("args, key, draw", PINNED_DRAWS)
+def test_draws_match_pinned_values_as_ints_and_arrays(args, key, draw):
+    seed, *counters = args
+    assert int(derive_key(seed, *counters)) == key
+    assert float(unit_uniform(seed, *counters)) == draw
+    # the same draw with its last argument as an int64 array
+    *head, last = args
+    as_array = (*head, np.array([last, last], dtype=np.int64))
+    assert derive_key(*as_array).tolist() == [key, key]
+    assert unit_uniform(*as_array).tolist() == [draw, draw]
+
+
+def test_array_draws_broadcast_and_equal_scalar_draws():
+    counters = np.array([0, 1, 5, -1, 2**40, 2**62], dtype=np.int64)
+    for seed in (0, -1, -(2**63), 2**64, 2**64 + 12345, 2**70 - 1, 123456789):
+        keys = derive_key(seed, counters[:, None], counters)
+        draws = unit_uniform(seed, counters[:, None], counters)
+        assert keys.dtype == np.uint64 and keys.shape == (6, 6) and draws.dtype == np.float64
+        for a, ca in enumerate(counters.tolist()):
+            for b, cb in enumerate(counters.tolist()):
+                assert int(keys[a, b]) == int(derive_key(seed, ca, cb))
+                assert draws[a, b] == unit_uniform(seed, ca, cb)
+    seeds = np.array([0, -1, -(2**63), 123456789], dtype=np.int64)
+    assert derive_key(seeds, 7).tolist() == [int(derive_key(s, 7)) for s in seeds.tolist()]
+
+
+@pytest.mark.parametrize("schedule", [
+    Constant(0.37),
+    Table((0.9, 0.1, 0.5)),
+    GeometricDecay(0.8, 0.9),
+    SeededRandom(77, 0.1, 0.6),
+    RemappedAgents(SeededRandom(5, 0.0, 1.0), np.array([9, 3, 40, 7, 0, 12])),
+    RemappedAgents(Table((0.2, 0.4)), np.array([9, 3, 40, 7, 0, 12])),
+])
+def test_schedule_at_id_array_equals_scalar_queries(schedule):
+    ids = np.array([0, 3, 1, 5, 5, 2])
+    for t in (0, 1, 2, 7, 1000):
+        values = np.broadcast_to(schedule.at(ids, t), ids.shape)
+        assert values.tolist() == [schedule.at(int(i), t) for i in ids]
+        if isinstance(schedule, RemappedAgents):
+            assert values.tolist() == [schedule.inner.at(int(schedule.original_ids[i]), t) for i in ids]
+
+
 def test_per_agent_override_applies():
     sc = scenario(
         followers=3,
@@ -306,9 +370,13 @@ def test_per_agent_override_applies():
         follower_betas=[constant(0.2)],
         per_agent_betas={1: [constant(0.7)]},
     )
-    assert sc.betas[0][0].at(0, 0) == 0.2
-    assert sc.betas[1][0].at(1, 0) == 0.7
-    assert sc.alphas[3].at(3, 0) == 0.5
+    assert [(tuple(s.at(ids, 0) for s in group), ids.tolist()) for group, ids in sc.betas] == [
+        ((0.2,), [0, 2]),
+        ((0.7,), [1]),
+    ]
+    assert [(s.at(ids, 0), ids.tolist()) for s, ids in sc.alphas] == [(0.5, [3])]
+    assert realized_betas(sc, 0)[:, 0].tolist() == [0.2, 0.7, 0.2, 0.0]
+    assert realized_alpha(sc, 0).tolist() == [0.0, 0.0, 0.0, 0.5]
 
 
 def test_immutability_of_state_and_partition():
