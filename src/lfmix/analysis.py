@@ -22,9 +22,14 @@ concrete trajectories, with measured slack:
   if simulated alone and each reaches its own target; any cross-group
   neighbor contact is flagged.
 
-All checks recompute distances and neighbor sets from raw states with the
-exact O(N^2) scan, independent of the engine's internals, so a pass is
-evidence rather than tautology. Hypothesis parameters (delta, gamma, onset
+All checks recompute distances and neighbor relations from raw states,
+independent of the engine's internals, so a pass is evidence rather than
+tautology. They test a pair by the same exact arithmetic as the engine's
+search (squared distance against epsilon squared, a tie counts) but scan
+only the pairs they need: ``check_contraction`` each leader against the
+leaders of its own group, and the cross-talk scan of
+``check_subsystem_independence`` the followers of each subsystem against the
+agents of the other subsystems. Hypothesis parameters (delta, gamma, onset
 steps) are measured from the realized run and reported, never assumed.
 Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
@@ -159,8 +164,20 @@ def max_target_distance(state: SystemState, scenario: Scenario, k: int) -> float
     return float(distances_to(state.opinions[ids], scenario.target(k)).max())
 
 
-_DIAMETER_FLOATS = 1 << 17  # coordinate differences per block of the full scan
+_SCAN_FLOATS = 1 << 17  # coordinate differences per block of a pairwise scan
 _HULL_MIN_AGENTS = 2048
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray):
+    """Squared distances of the rows of ``a`` to all of ``b``, a block of
+    rows at a time: yields ``(start, block)`` with ``block[r, j]`` the
+    squared distance of ``a[start + r]`` and ``b[j]``, by the arithmetic of
+    the engine's neighbor test."""
+    rows = max(1, _SCAN_FLOATS // max(b.size, 1))
+    for start in range(0, a.shape[0], rows):
+        diff = a[start : start + rows, None, :] - b[None, :, :]
+        diff *= diff
+        yield start, diff.sum(axis=2)
 
 
 def opinion_diameter(x: np.ndarray) -> float:
@@ -176,16 +193,9 @@ def opinion_diameter(x: np.ndarray) -> float:
             from scipy.spatial import ConvexHull, QhullError
 
             x = x[ConvexHull(x).vertices]
-            n = x.shape[0]
         except (QhullError, ValueError):
             pass  # degenerate input, fall through to the full scan
-    best = 0.0
-    rows = max(1, _DIAMETER_FLOATS // x.size)
-    for start in range(0, n, rows):
-        diff = x[start : start + rows, None, :] - x[None, :, :]
-        diff *= diff
-        best = max(best, float(diff.sum(axis=2).max()))
-    return math.sqrt(best)
+    return math.sqrt(max(float(block.max()) for _, block in _squared_distances(x, x)))
 
 
 def _degree_extremes(scenario: Scenario, t: int) -> tuple[float | None, float | None]:
@@ -266,7 +276,6 @@ def detect_convergence(states, tol: float, window: int) -> ConvergenceReport:
 def check_contraction_step(
     state_t: SystemState,
     state_t1: SystemState,
-    neighbors_t,
     alphas_t,
     scenario: Scenario,
     tol: float = SLACK_TOL,
@@ -274,26 +283,30 @@ def check_contraction_step(
     """One step of the leader contraction bound.
 
     For every leader i with degree alpha: the new distance to the target is
-    at most alpha times the worst neighbor distance at time t; per group, the
-    max distance contracts by the group's max degree.
+    at most alpha times the worst distance at time t among i's own-group
+    neighbors, i included; per group, the max distance contracts by the
+    group's max degree. Each group's leaders are scanned against that group
+    only.
     """
     report = CheckReport("contraction", tolerance=tol)
     part = scenario.partition
+    eps2 = scenario.epsilon * scenario.epsilon
     for k in range(1, scenario.m + 1):
         g = scenario.target(k)
         ids = part.leader_ids[k - 1]
-        dist0 = distances_to(state_t.opinions, g)
-        dist1 = distances_to(state_t1.opinions, g)
+        x = state_t.opinions[ids]
+        dist0 = distances_to(x, g)
+        dist1 = distances_to(state_t1.opinions[ids], g)
+        worst = np.empty_like(dist0)
+        for start, block in _squared_distances(x, x):
+            worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
         group_alpha = 0.0
-        for i in ids.tolist():
+        for i, d1, w in zip(ids.tolist(), dist1.tolist(), worst.tolist()):
             alpha = float(alphas_t[i])
             group_alpha = max(group_alpha, alpha)
-            nbrs = neighbors_t.leader_sets[i]
-            report.records.append(
-                StepRecord(state_t.t, f"agent {i}", float(dist1[i]), alpha * float(dist0[nbrs].max()))
-            )
-        c0 = float(dist0[ids].max())
-        c1 = float(dist1[ids].max())
+            report.records.append(StepRecord(state_t.t, f"agent {i}", d1, alpha * w))
+        c0 = float(dist0.max())
+        c1 = float(dist1.max())
         report.records.append(
             StepRecord(state_t.t, f"group {part.leader_names[k - 1]}", c1, group_alpha * c0)
         )
@@ -303,8 +316,8 @@ def check_contraction_step(
 def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckReport:
     """Contraction bound at every step of a trajectory.
 
-    Neighbor sets are recomputed with the exact scan and degrees re-queried
-    from the schedules, independently of whatever the engine did.
+    Own-group neighbors are recomputed from the raw states and degrees
+    re-queried from the schedules, independently of whatever the engine did.
     """
     scenario = trajectory.scenario
     report = CheckReport("contraction", tolerance=tol)
@@ -312,10 +325,8 @@ def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckRe
         report.params["note"] = "no leader groups; nothing to check"
         return report
     for t in range(trajectory.horizon):
-        state_t = trajectory.states[t]
-        neighbors = neighbors_naive(state_t, scenario)
         alphas = realized_alpha(scenario, t)
-        sub = check_contraction_step(state_t, trajectory.states[t + 1], neighbors, alphas, scenario, tol)
+        sub = check_contraction_step(trajectory.states[t], trajectory.states[t + 1], alphas, scenario, tol)
         report.records.extend(sub.records)
     report.params["steps"] = trajectory.horizon
     return report
@@ -709,15 +720,6 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     group_of = np.zeros(originals.size, dtype=np.int64)
     group_of[new_leaders] = 1
 
-    names, kinds, members = [], [], []
-    if new_followers.size:
-        names.append(part.follower_name or "followers")
-        kinds.append("follower")
-        members.append(new_followers)
-    names.append(part.leader_names[k - 1])
-    kinds.append("leader")
-    members.append(new_leaders)
-
     def remap(blocks, pick) -> tuple:
         """The blocks' schedules over the kept agents, queried under their original ids."""
         out = []
@@ -732,9 +734,6 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
         dimension=scenario.dimension,
         epsilon=scenario.epsilon,
         partition=Partition(
-            group_names=tuple(names),
-            group_kinds=tuple(kinds),
-            group_members=tuple(members),
             group_of=group_of,
             follower_ids=new_followers,
             leader_ids=(new_leaders,),
@@ -765,6 +764,35 @@ def derive_subsystem_assignment(scenario: Scenario, horizon: int) -> dict[int, i
     if (active.sum(axis=1) != 1).any():
         return None
     return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
+
+
+def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray, assignment) -> str | None:
+    """Names the first follower within epsilon of an agent of another
+    subsystem, or None. Each subsystem's followers are scanned against the
+    agents outside it; only a state with a contact gets the full neighbor
+    sets, to name the contact in ascending follower order."""
+    part = scenario.partition
+    fol = part.follower_ids
+    x = state.opinions
+    eps2 = scenario.epsilon * scenario.epsilon
+    for a in range(1, scenario.m + 1):
+        own = fol[label[fol] == a]
+        others = label != a
+        if own.size and others.any():
+            if any((block <= eps2).any() for _, block in _squared_distances(x[own], x[others])):
+                break
+    else:
+        return None
+    nbrs = neighbors_naive(state, scenario)
+    for i in fol.tolist():
+        a = assignment[i]
+        for j in nbrs.follower_sets[i].tolist():
+            if assignment[j] != a:
+                return f"followers {i} and {j} of different subsystems are neighbors at t={state.t}"
+        for b, ids in enumerate(nbrs.follower_leader_sets[i], start=1):
+            if b != a and ids.size:
+                return f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}"
+    return None
 
 
 def check_subsystem_independence(
@@ -798,22 +826,12 @@ def check_subsystem_independence(
             name, INAPPLICABLE, "followers do not split into one leader group each (betas overlap or vanish)"
         )
     # cross-subsystem contact scan on the joint run
+    label = part.group_of.copy()  # subsystem of every agent: a leader's group, a follower's assignment
+    label[part.follower_ids] = [assignment[i] for i in part.follower_ids.tolist()]
     for state in joint.states:
-        nbrs = neighbors_naive(state, scenario)
-        for i in part.follower_ids.tolist():
-            a = assignment[i]
-            for j in nbrs.follower_sets[i].tolist():
-                if assignment[j] != a:
-                    return _skipped(
-                        name, CROSSTALK,
-                        f"followers {i} and {j} of different subsystems are neighbors at t={state.t}",
-                    )
-            for b, ids in enumerate(nbrs.follower_leader_sets[i], start=1):
-                if b != a and ids.size:
-                    return _skipped(
-                        name, CROSSTALK,
-                        f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}",
-                    )
+        message = _crosstalk(state, scenario, label, assignment)
+        if message:
+            return _skipped(name, CROSSTALK, message)
 
     report = CheckReport(name, tolerance=tol, params={"consensus_tol": consensus_tol, "cross_contacts": 0})
     x0 = scenario.initial_state.opinions

@@ -70,9 +70,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Partition:
     """Disjoint assignment of agents 0..N-1 to the follower and leader groups."""
 
-    group_names: tuple[str, ...]
-    group_kinds: tuple[str, ...]
-    group_members: tuple[np.ndarray, ...]
     group_of: np.ndarray  # (N,) codes: 0 follower, k = leader group k
     follower_ids: np.ndarray
     leader_ids: tuple[np.ndarray, ...]  # one sorted array per leader group
@@ -648,9 +645,6 @@ def build_scenario(raw: Any) -> Scenario:
         raise ScenarioValidationError(issues.items)
 
     partition = Partition(
-        group_names=tuple(e["name"] for e in entries),
-        group_kinds=tuple(e["kind"] for e in entries),
-        group_members=tuple(_frozen(np.asarray(e["ids"], dtype=np.int64)) for e in entries),
         group_of=_frozen(group_of),
         follower_ids=_frozen(
             np.asarray(follower_entry["ids"], dtype=np.int64) if follower_entry else _EMPTY_IDS.copy()

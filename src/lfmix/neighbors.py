@@ -8,7 +8,8 @@
   epsilon of it, or else from a scan over all agents. Only N and d choose;
   both yield the same pairs.
 * ``neighbors_naive``: exact O(N^2) pairwise scan into per-agent sets split
-  by group, the reference the tests and checks use.
+  by group, the reference the tests use. The checks scan only the pairs
+  they need and call it just to name a cross-talk contact they found.
 
 Both keep a pair by the same test on the same arithmetic, squared distance
 against epsilon squared, so the boundary rule (distance exactly epsilon

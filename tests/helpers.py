@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from lfmix import NeighborSets, Scenario, build_scenario, compute_neighbors
+from lfmix import CheckReport, NeighborSets, Scenario, build_scenario, compute_neighbors, neighbors_naive
+from lfmix.analysis import StepRecord, distances_to
+from lfmix.dynamics import realized_alpha
 
 
 def config(
@@ -143,3 +145,51 @@ def pair_sets(sc: Scenario, state=None) -> NeighborSets:
         else:
             lead[i] = hits[codes == group_of[i]]
     return NeighborSets(fol, fol_lead, lead)
+
+
+def contraction_oracle(trajectory, tol=1e-9):
+    """``check_contraction`` computed from ``neighbors_naive`` sets over all
+    agents, one Python loop per leader: the reference for the restricted scan."""
+    sc = trajectory.scenario
+    report = CheckReport("contraction", tolerance=tol)
+    if sc.m == 0:
+        report.params["note"] = "no leader groups; nothing to check"
+        return report
+    part = sc.partition
+    for t in range(trajectory.horizon):
+        state_t, state_t1 = trajectory.states[t], trajectory.states[t + 1]
+        nbrs = neighbors_naive(state_t, sc)
+        alphas = realized_alpha(sc, t)
+        for k in range(1, sc.m + 1):
+            g = sc.target(k)
+            ids = part.leader_ids[k - 1]
+            dist0 = distances_to(state_t.opinions, g)
+            dist1 = distances_to(state_t1.opinions, g)
+            group_alpha = 0.0
+            for i in ids.tolist():
+                alpha = float(alphas[i])
+                group_alpha = max(group_alpha, alpha)
+                rhs = alpha * float(dist0[nbrs.leader_sets[i]].max())
+                report.records.append(StepRecord(t, f"agent {i}", float(dist1[i]), rhs))
+            c0 = float(dist0[ids].max())
+            c1 = float(dist1[ids].max())
+            report.records.append(StepRecord(t, f"group {part.leader_names[k - 1]}", c1, group_alpha * c0))
+    report.params["steps"] = trajectory.horizon
+    return report
+
+
+def crosstalk_oracle(scenario: Scenario, joint, assignment) -> str | None:
+    """The first cross-subsystem contact of a joint run, in the wording of
+    ``check_subsystem_independence``, from ``neighbors_naive`` sets of every
+    state; None when there is none."""
+    for state in joint.states:
+        nbrs = neighbors_naive(state, scenario)
+        for i in scenario.partition.follower_ids.tolist():
+            a = assignment[i]
+            for j in nbrs.follower_sets[i].tolist():
+                if assignment[j] != a:
+                    return f"followers {i} and {j} of different subsystems are neighbors at t={state.t}"
+            for b, ids in enumerate(nbrs.follower_leader_sets[i], start=1):
+                if b != a and ids.size:
+                    return f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}"
+    return None

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import config, constant, random_mixed_config, scenario
+from helpers import (
+    config,
+    constant,
+    contraction_oracle,
+    crosstalk_oracle,
+    random_alpha_spec,
+    random_mixed_config,
+    scenario,
+)
 from lfmix import (
     build_scenario,
     check_ball_invariance,
@@ -23,7 +31,13 @@ from lfmix import (
     opinion_diameter,
     run,
 )
-from lfmix.analysis import CROSSTALK, INAPPLICABLE, UNDEFINED_LIMIT, target_envelope_along
+from lfmix.analysis import (
+    CROSSTALK,
+    INAPPLICABLE,
+    UNDEFINED_LIMIT,
+    derive_subsystem_assignment,
+    target_envelope_along,
+)
 from lfmix.dynamics import STOP_CONVERGED
 from lfmix.model import SystemState
 from lfmix.schedules import SeededRandom
@@ -163,8 +177,7 @@ def test_detect_convergence_agrees_with_run_stop():
 def test_contraction_step_hand_example():
     sc = two_leader_scenario()
     traj = run(sc, 1)
-    nbrs = neighbors_naive(traj.states[0], sc)
-    rep = check_contraction_step(traj.states[0], traj.states[1], nbrs, {0: 0.5, 1: 0.5}, sc)
+    rep = check_contraction_step(traj.states[0], traj.states[1], {0: 0.5, 1: 0.5}, sc)
     assert rep.passed
     by_label = {r.label: r for r in rep.records}
     agent0 = by_label["agent 0"]
@@ -197,6 +210,45 @@ def test_contraction_random_sweep_smoke():
 def test_contraction_detects_mean_shift_fault():
     traj = run(consensus_demo(), fault="mean-shift")
     assert not check_contraction(traj).passed
+
+
+def bits(report):
+    """Records and params with floats as hex, so -0.0 and 0.0 differ."""
+    records = [(r.t, r.label, r.lhs.hex(), r.rhs.hex()) for r in report.records]
+    return records, report.params, report.status
+
+
+def test_contraction_records_equal_naive_oracle():
+    rng = np.random.default_rng(41)
+    for d in range(1, 9):
+        for m in range(1, 5):
+            cfg = random_mixed_config(rng, d_lo=d, d_hi=d, m_lo=m, m_hi=m, leader_size_hi=9, horizon=4)
+            traj = run(build_scenario(cfg))
+            assert bits(check_contraction(traj)) == bits(contraction_oracle(traj)), (d, m)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_contraction_on_an_epsilon_lattice_equals_naive_oracle(eps):
+    # leaders exactly epsilon apart, so ties decide the neighbor sets; a
+    # degree of -0.0 keeps the group bound at 0.0 * c0
+    grid = [[eps * i, eps * j] for i in range(4) for j in range(3)]
+    sc = scenario(
+        dimension=2,
+        epsilon=eps,
+        followers=3,
+        leader_groups=[("a", 12, [0.0, 0.0], constant(-0.0)), ("b", 12, [eps, eps], constant(0.5))],
+        initial=[[eps, 0.0], [0.0, eps], [2 * eps, eps]] + grid + [[y, x] for x, y in grid],
+        follower_betas=[constant(0.25), constant(0.25)],
+        horizon=3,
+    )
+    traj = run(sc)
+    ties = neighbors_naive(traj.states[0], sc).leader_sets[7]  # group a's lattice point (eps, eps)
+    assert ties.size == 5 if eps == 0.5 else ties.size > 1
+    rep = check_contraction(traj)
+    assert bits(rep) == bits(contraction_oracle(traj))
+    groups = [r for r in rep.records if r.label == "group a"]
+    assert [math.copysign(1.0, r.rhs) for r in groups] == [1.0] * 3
+    assert any(math.copysign(1.0, r.rhs) < 0 for r in rep.records if r.label.startswith("agent"))
 
 
 def test_monotone_group_distance():
@@ -539,6 +591,55 @@ def test_subsystems_crosstalk_when_everything_visible():
     rep = check_subsystem_independence(sc)
     assert rep.status == "skipped"
     assert rep.reason.startswith(CROSSTALK)
+
+
+def assigned_subsystem_config(rng, m, separated):
+    """m leader groups, each follower mixing toward one group only; with
+    ``separated`` every subsystem starts in a small box around its own
+    target, far from the others, else all opinions share the unit cube."""
+    d = int(rng.integers(1, 5))
+    eps = round(float(rng.uniform(0.05, 0.2 if separated else 0.6)), 6)
+    n_followers = int(rng.integers(2, 16))
+    own = rng.integers(0, m, size=n_followers)
+    sizes = rng.integers(1, 5, size=m)
+    targets = [[3.0 * k] + [0.5] * (d - 1) for k in range(m)]
+    spread = 0.3 * eps if separated else 1.0
+
+    def draw(k):
+        base = np.asarray(targets[k]) - spread / 2 if separated else np.zeros(d)
+        return (base + rng.uniform(0.0, spread, size=d)).tolist()
+
+    betas = {i: [constant(0.4 if k == own[i] else 0.0) for k in range(m)] for i in range(n_followers)}
+    return config(
+        dimension=d,
+        epsilon=eps,
+        followers=n_followers,
+        leader_groups=[(f"g{k + 1}", int(sizes[k]), targets[k], random_alpha_spec(rng)) for k in range(m)],
+        initial=[draw(k) for k in own] + [draw(k) for k in range(m) for _ in range(sizes[k])],
+        follower_betas=[constant(0.0)] * m,
+        per_agent_betas=betas,
+        horizon=6,
+    )
+
+
+def test_crosstalk_reason_equals_naive_oracle():
+    rng = np.random.default_rng(5)
+    kinds = []
+    for trial in range(40):
+        m = int(rng.integers(2, 5))
+        sc = build_scenario(assigned_subsystem_config(rng, m, separated=trial % 2 == 0))
+        joint = run(sc, stop_tol=None)
+        assignment = derive_subsystem_assignment(sc, joint.horizon)
+        assert assignment is not None
+        expected = crosstalk_oracle(sc, joint, assignment)
+        rep = check_subsystem_independence(sc, joint=joint)
+        if expected is None:
+            assert not (rep.reason or "").startswith(CROSSTALK)
+            kinds.append("none")
+        else:
+            assert rep.status == "skipped" and rep.reason == f"{CROSSTALK}: {expected}"
+            kinds.append(expected.split()[0])
+    assert {"none", "followers", "follower"} <= set(kinds), kinds
 
 
 def test_single_subsystem_reduces_to_consensus_check():
