@@ -26,11 +26,7 @@ def main() -> None:
     checks = {
         "contraction": analysis.check_contraction(trajectory),
         "target envelope": analysis.check_target_envelope_all(trajectory),
-        "ball invariance": analysis.check_ball_invariance(
-            trajectory,
-            scenario.target(1),
-            float(analysis.distances_to(scenario.initial_state.opinions, scenario.target(1)).max()),
-        ),
+        "ball invariance": analysis.check_ball_invariance(trajectory),
         "consensus bound": analysis.check_consensus_bound(trajectory),
     }
     for name, report in checks.items():

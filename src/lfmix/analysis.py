@@ -33,10 +33,16 @@ agents of the other subsystems. Hypothesis parameters (delta, gamma, onset
 steps) are measured from the realized run and reported, never assumed.
 Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
+
+``measure`` reads a trajectory once into a ``Series`` of per-state distances
+(C_t, A_t, the radius around the first target) and per-step degree maxima,
+which ``metrics_rows``, ``measured_degree_bounds`` and the envelope, ball and
+limit checks read; each takes an optional precomputed series.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -198,35 +204,75 @@ def opinion_diameter(x: np.ndarray) -> float:
     return math.sqrt(max(float(block.max()) for _, block in _squared_distances(x, x)))
 
 
-def _degree_extremes(scenario: Scenario, t: int) -> tuple[float | None, float | None]:
-    part = scenario.partition
-    lead = part.group_of > 0
-    max_alpha = float(realized_alpha(scenario, t)[lead].max()) if lead.any() else None
-    fol = part.follower_ids
-    max_rest = float((1.0 - beta_sums(realized_betas(scenario, t)[fol])).max()) if fol.size else None
-    return max_alpha, max_rest
+@dataclass(frozen=True)
+class Series:
+    """Per-state (t = 0..T) and per-step (t = 0..T-1) maxima of one trajectory.
 
-
-def metrics_rows(trajectory: Trajectory, reference: np.ndarray | None = None) -> list[MetricsRow]:
-    """Summaries for every recorded state.
-
-    The follower spread is measured against ``reference`` (default: the first
-    leader group's target; None when there are no leader groups).
+    Per state: C_t of group k, ``target_distances[k - 1][t]``; the followers'
+    (A_t) and all agents' max distance to target 1. Per step: group k's max
+    degree, ``max_alpha[k - 1][t]``; the max over all leaders in one reduction
+    (so a zero max keeps numpy's sign); the followers' max 1 - (sum of betas).
+    A series is None when it has no agents or no target 1.
     """
+
+    target_distances: tuple[list[float], ...]
+    follower_distances: list[float] | None
+    radii: list[float] | None
+    max_alpha: tuple[list[float], ...]
+    leader_max_alpha: list[float] | None
+    max_rest: list[float] | None
+
+
+def measure(trajectory: Trajectory) -> Series:
+    """The trajectory's series, from its raw states and degrees re-queried
+    from the schedules."""
     scenario = trajectory.scenario
     part = scenario.partition
-    if reference is None and scenario.m >= 1:
-        reference = scenario.target(1)
-    horizon = trajectory.horizon
+    fol = part.follower_ids
+    m = scenario.m
+    states = trajectory.states
+    steps = range(trajectory.horizon)
+    target_distances = tuple([max_target_distance(s, scenario, k) for s in states] for k in range(1, m + 1))
+    follower_distances = radii = leader_max_alpha = max_rest = None
+    max_alpha = tuple([] for _ in part.leader_ids)
+    if m:
+        g = scenario.target(1)
+        radii = [float(distances_to(s.opinions, g).max()) for s in states]
+        if fol.size:
+            follower_distances = [float(distances_to(s.opinions[fol], g).max()) for s in states]
+        lead = part.group_of > 0
+        leader_max_alpha = []
+        for t in steps:
+            alpha = realized_alpha(scenario, t)
+            leader_max_alpha.append(float(alpha[lead].max()))
+            for col, ids in zip(max_alpha, part.leader_ids):
+                col.append(float(alpha[ids].max()))
+    if fol.size:
+        max_rest = [float((1.0 - beta_sums(realized_betas(scenario, t)[fol])).max()) for t in steps]
+    return Series(target_distances, follower_distances, radii, max_alpha, leader_max_alpha, max_rest)
+
+
+def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
+    """(gamma, delta) over the realized steps: gamma is the sup of
+    max(1 - beta sum, alpha), delta the sup of alpha alone."""
+    alphas = series.leader_max_alpha or []
+    delta = max(alphas, default=None)
+    gamma = max(alphas + (series.max_rest or []), default=None)
+    return gamma, delta
+
+
+def metrics_rows(trajectory: Trajectory, series: Series | None = None) -> list[MetricsRow]:
+    """Summaries for every recorded state. The follower spread is measured
+    against the first leader group's target (None without leader groups)."""
+    series = series or measure(trajectory)
     rows = []
-    for state in trajectory.states:
-        cds = tuple(max_target_distance(state, scenario, k) for k in range(1, scenario.m + 1))
-        a = None
-        if reference is not None and part.follower_ids.size:
-            a = float(distances_to(state.opinions[part.follower_ids], reference).max())
+    for t, state in enumerate(trajectory.states):
+        cds = tuple(c[t] for c in series.target_distances)
+        a = None if series.follower_distances is None else series.follower_distances[t]
         max_alpha = max_rest = None
-        if state.t < horizon:
-            max_alpha, max_rest = _degree_extremes(scenario, state.t)
+        if t < trajectory.horizon:
+            max_alpha = None if series.leader_max_alpha is None else series.leader_max_alpha[t]
+            max_rest = None if series.max_rest is None else series.max_rest[t]
         rows.append(MetricsRow(state.t, cds, a, opinion_diameter(state.opinions), max_alpha, max_rest))
     return rows
 
@@ -337,16 +383,12 @@ def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
-def _target_curve(trajectory: Trajectory, k: int) -> list[float]:
-    return [max_target_distance(s, trajectory.scenario, k) for s in trajectory.states]
-
-
-def _alpha_above(scenario: Scenario, k: int, t: int, delta: float) -> str | None:
+def _alpha_above(scenario: Scenario, k: int, t: int, delta: float) -> str:
     """Names the first leader of group k whose degree at t exceeds delta."""
     ids = scenario.partition.leader_ids[k - 1]
     alpha = realized_alpha(scenario, t)[ids]
     i = (alpha > delta).argmax()
-    return f"degree {float(alpha[i])} of agent {ids[i]}" if alpha[i] > delta else None
+    return f"degree {float(alpha[i])} of agent {ids[i]}"
 
 
 def check_target_envelope(
@@ -355,6 +397,7 @@ def check_target_envelope(
     delta: float,
     tol: float = SLACK_TOL,
     target_tol: float = 1e-9,
+    series: Series | None = None,
 ) -> CheckReport:
     """Geometric decay of leader group k's max target distance.
 
@@ -368,11 +411,12 @@ def check_target_envelope(
         return _skipped(name, INAPPLICABLE, f"no leader group {k}")
     if not 0.0 <= delta < 1.0:
         return _skipped(name, INAPPLICABLE, f"delta {delta} outside [0, 1)")
-    for t in range(trajectory.horizon):
-        above = _alpha_above(scenario, k, t, delta)
-        if above:
+    series = series or measure(trajectory)
+    for t, alpha in enumerate(series.max_alpha[k - 1]):
+        if alpha > delta:
+            above = _alpha_above(scenario, k, t, delta)
             return _skipped(name, INAPPLICABLE, f"{above} at t={t} exceeds delta {delta}", delta=delta, k=k)
-    curve = _target_curve(trajectory, k)
+    curve = series.target_distances[k - 1]
     c0 = curve[0]
     report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "c0": c0})
     for t, ct in enumerate(curve):
@@ -397,6 +441,7 @@ def check_target_envelope_all(
     trajectory: Trajectory,
     tol: float = SLACK_TOL,
     target_tol: float = 1e-9,
+    series: Series | None = None,
 ) -> CheckReport:
     """Envelope check for every leader group with delta measured from the run.
 
@@ -408,17 +453,17 @@ def check_target_envelope_all(
     name = "target_envelope"
     if scenario.m == 0:
         return _skipped(name, INAPPLICABLE, "no leader groups")
+    series = series or measure(trajectory)
     merged = CheckReport(name, tolerance=tol, params={"target_tol": target_tol})
     eligible = 0
     for k in range(1, scenario.m + 1):
-        ids = scenario.partition.leader_ids[k - 1]
-        delta = max([0.0] + [float(realized_alpha(scenario, t)[ids].max()) for t in range(trajectory.horizon)])
+        delta = max([0.0] + series.max_alpha[k - 1])
         gname = scenario.partition.leader_names[k - 1]
         if delta >= 1.0:
             merged.params[f"group_{gname}"] = "skipped (measured delta reaches 1)"
             continue
         eligible += 1
-        sub = check_target_envelope(trajectory, k, delta, tol, target_tol)
+        sub = check_target_envelope(trajectory, k, delta, tol, target_tol, series)
         merged.records.extend(
             StepRecord(r.t, f"{gname}: {r.label}", r.lhs, r.rhs) for r in sub.records
         )
@@ -452,19 +497,16 @@ def target_envelope_along(
     steps = sorted(set(int(s) for s in steps))
     if any(s < 0 or s >= trajectory.horizon for s in steps):
         return _skipped(name, INAPPLICABLE, "designated steps outside the trajectory")
+    series = measure(trajectory)
     for s in steps:
-        above = _alpha_above(scenario, k, s, delta)
-        if above:
+        if series.max_alpha[k - 1][s] > delta:
+            above = _alpha_above(scenario, k, s, delta)
             return _skipped(name, INAPPLICABLE, f"{above} at designated step {s} exceeds {delta}")
-    curve = _target_curve(trajectory, k)
+    curve = series.target_distances[k - 1]
     report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "steps": len(steps)})
-    count = 0
-    next_idx = 0
     for t, ct in enumerate(curve):
-        while next_idx < len(steps) and steps[next_idx] < t:
-            count += 1
-            next_idx += 1
-        report.records.append(StepRecord(t, "envelope", ct, delta**count * curve[0]))
+        # one delta factor per designated step before t
+        report.records.append(StepRecord(t, "envelope", ct, delta ** bisect.bisect_left(steps, t) * curve[0]))
     return report
 
 
@@ -475,25 +517,30 @@ def target_envelope_along(
 
 def check_ball_invariance(
     trajectory: Trajectory,
-    center: np.ndarray,
-    radius: float,
+    center: np.ndarray | None = None,
+    radius: float | None = None,
     tol: float = BALL_TOL,
+    series: Series | None = None,
 ) -> CheckReport:
     """Containment in the ball around the single leader group's target.
 
     Finds the first step with every opinion inside the ball and asserts
     containment at every later step. Vacuous pass when the ball is never
-    entered.
+    entered. The center defaults to the target and the radius to the
+    initial state's.
     """
     scenario = trajectory.scenario
     name = "ball_invariance"
     if scenario.m != 1:
         return _skipped(name, INAPPLICABLE, f"needs exactly one leader group, found {scenario.m}")
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (scenario.dimension,) or not np.array_equal(center, scenario.target(1)):
-        return _skipped(name, INAPPLICABLE, "center must equal the leader group's target")
+    if center is not None:
+        center = np.asarray(center, dtype=np.float64)
+        if center.shape != (scenario.dimension,) or not np.array_equal(center, scenario.target(1)):
+            return _skipped(name, INAPPLICABLE, "center must equal the leader group's target")
+    radii = (series or measure(trajectory)).radii
+    if radius is None:
+        radius = radii[0]
     report = CheckReport(name, tolerance=tol, params={"radius": radius})
-    radii = [float(distances_to(s.opinions, center).max()) for s in trajectory.states]
     t0 = next((t for t, r in enumerate(radii) if r <= radius), None)
     if t0 is None:
         report.params["t0"] = "never"
@@ -510,21 +557,11 @@ def check_ball_invariance(
 # ---------------------------------------------------------------------------
 
 
-def _first_stable_suffix(flags: list[bool], start: int) -> int | None:
-    """Smallest p >= start with flags[p:] all true."""
-    p = None
-    for t in range(len(flags) - 1, start - 1, -1):
-        if flags[t]:
-            p = t
-        else:
-            break
-    return p
-
-
 def check_consensus_bound(
     trajectory: Trajectory,
     tol: float = SLACK_TOL,
     consensus_tol: float = CONSENSUS_TOL,
+    series: Series | None = None,
 ) -> CheckReport:
     """Follower convergence bound for a single leader group.
 
@@ -541,17 +578,12 @@ def check_consensus_bound(
     name = "consensus_bound"
     if scenario.m != 1:
         return _skipped(name, INAPPLICABLE, f"needs exactly one leader group, found {scenario.m}")
-    part = scenario.partition
-    g = scenario.target(1)
     eps = scenario.epsilon
     horizon = trajectory.horizon
-
-    radii = [float(distances_to(s.opinions, g).max()) for s in trajectory.states]
-    curve_c = _target_curve(trajectory, 1)
-    fol = part.follower_ids
-    curve_a = [
-        float(distances_to(s.opinions[fol], g).max()) if fol.size else 0.0 for s in trajectory.states
-    ]
+    series = series or measure(trajectory)
+    radii = series.radii
+    curve_c = series.target_distances[0]
+    curve_a = series.follower_distances or [0.0] * len(radii)
 
     t_star = next((t for t, r in enumerate(radii) if r < eps), None)
     if t_star is None:
@@ -560,20 +592,17 @@ def check_consensus_bound(
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
     delta = radii[t_star]
 
-    gamma = 0.0
-    for s in range(t_star, horizon):
-        rest = 1.0 - realized_betas(scenario, s)[fol, 0]
-        alpha = realized_alpha(scenario, s)[part.leader_ids[0]]
-        gamma = max(gamma, float(rest.max(initial=0.0)), float(alpha.max()))
+    # for one group the followers' 1 - (sum of betas) is 1 - beta
+    gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.max_alpha[0][t_star:])
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
             gamma=gamma, t_star=t_star, delta=delta,
         )
 
-    inside = [c < eps - delta for c in curve_c]
-    p = _first_stable_suffix(inside, t_star)
-    if p is None:
+    # smallest p >= t_star with every later leader distance below epsilon - delta
+    p = 1 + max((t for t in range(t_star, horizon + 1) if not curve_c[t] < eps - delta), default=t_star - 1)
+    if p > horizon:
         return _skipped(
             name, INAPPLICABLE, "leader distances never stayed below epsilon - delta",
             gamma=gamma, t_star=t_star, delta=delta,
@@ -611,6 +640,7 @@ def check_mixture_limit(
     consensus_tol: float = CONSENSUS_TOL,
     stabilization_tol: float = STABILIZATION_TOL,
     window: int = 10,
+    series: Series | None = None,
 ) -> CheckReport:
     """Limit point of followers under several leader groups.
 
@@ -663,10 +693,8 @@ def check_mixture_limit(
     if t_star >= horizon:
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
 
-    gamma = 0.0
-    for s in range(t_star, horizon):
-        rest = 1.0 - beta_sums(realized_betas(scenario, s)[fol])
-        gamma = max(gamma, float(rest.max(initial=0.0)), float(realized_alpha(scenario, s).max()))
+    series = series or measure(trajectory)
+    gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.leader_max_alpha[t_star:])
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
@@ -811,6 +839,10 @@ def check_subsystem_independence(
     must end within consensus_tol of its group target, in the standalone run
     and in the joint run. Any epsilon-contact between different subsystems in
     the joint run is flagged as cross talk and the premise fails.
+
+    With one leader group the standalone system is the whole system, so a
+    joint run made without an injected fault and without a tolerance stop
+    already is the standalone run and is not repeated.
     """
     name = "subsystem_independence"
     if scenario.m < 1:
@@ -856,10 +888,12 @@ def check_subsystem_independence(
         report.params[f"delta_{k}"] = delta_k
         report.params[f"gamma_{k}"] = gamma_k
 
-        sub, originals = subsystem_scenario(scenario, k, followers_k)
-        alone = run(sub, horizon, stop_tol=None)
-        dists = distances_to(alone.final_state.opinions, g)
-        for new, orig in enumerate(originals.tolist()):
+        if scenario.m == 1 and joint.fault is None and joint.stop_tol is None:
+            alone = joint
+        else:
+            alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
+        dists = distances_to(alone.final_state.opinions, g)  # a subsystem's agents are its members in id order
+        for new, orig in enumerate(members.tolist()):
             report.records.append(
                 StepRecord(alone.horizon, f"standalone agent {orig}", float(dists[new]), consensus_tol)
             )

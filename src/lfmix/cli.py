@@ -7,9 +7,9 @@ verification harness), ``plot`` (metrics CSV to standalone SVG), ``sweep``
 Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file),
 3 runtime schedule violation, 4 at least one applicable check failed,
 5 a step produced an infinite or NaN opinion.
-Diagnostics go to stderr. ``--threads`` and its default ``LFMIX_THREADS`` are
-accepted and recorded in ``run.json`` but change nothing: a step is a few
-array operations with a single result.
+Diagnostics go to stderr. ``--threads`` is accepted and recorded in
+``run.json`` but changes nothing: a step is a few array operations with a
+single result.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ import argparse
 import copy
 import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis
 from .dynamics import FAULT_KINDS, STOP_CONVERGED, run
@@ -66,14 +63,6 @@ def _count(minimum: int):
     return parse
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("LFMIX_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load(path: str, seed: int | None) -> Scenario | None:
     try:
         scenario = load_scenario(path)
@@ -98,24 +87,13 @@ def _load(path: str, seed: int | None) -> Scenario | None:
     return scenario
 
 
-def _measured_degree_bounds(rows) -> tuple[float | None, float | None]:
-    """(gamma, delta) over the realized steps: gamma is the sup of
-    max(1 - beta sum, alpha), delta the sup of alpha alone."""
-    alphas = [r.max_alpha for r in rows if r.max_alpha is not None]
-    rests = [r.max_one_minus_beta_sum for r in rows if r.max_one_minus_beta_sum is not None]
-    delta = max(alphas) if alphas else None
-    candidates = alphas + rests
-    gamma = max(candidates) if candidates else None
-    return gamma, delta
-
-
 def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: int, extra: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv", record_every)
-    rows = analysis.metrics_rows(trajectory)
-    write_metrics_csv(rows, scenario, out_dir / "metrics.csv")
+    series = analysis.measure(trajectory)
+    write_metrics_csv(analysis.metrics_rows(trajectory, series), scenario, out_dir / "metrics.csv")
     (out_dir / "scenario.canonical.json").write_text(dump_canonical(scenario), encoding="utf-8")
-    gamma, delta = _measured_degree_bounds(rows)
+    gamma, delta = analysis.measured_degree_bounds(series)
     payload = {
         "stop_reason": trajectory.stop_reason,
         "converged": trajectory.stop_reason == STOP_CONVERGED,
@@ -148,29 +126,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _run_checks(scenario: Scenario, trajectory, tokens) -> dict:
-    reports = {}
-    for token in tokens:
-        if token == "lemma1":
-            reports[token] = analysis.check_contraction(trajectory)
-        elif token == "thm2":
-            reports[token] = analysis.check_target_envelope_all(trajectory)
-        elif token == "lemma3":
-            if scenario.m == 1:
-                radius = float(
-                    analysis.distances_to(scenario.initial_state.opinions, scenario.target(1)).max()
-                )
-                reports[token] = analysis.check_ball_invariance(trajectory, scenario.target(1), radius)
-            else:
-                reports[token] = analysis.check_ball_invariance(
-                    trajectory, np.zeros(scenario.dimension), 0.0
-                )
-        elif token == "thm4":
-            reports[token] = analysis.check_consensus_bound(trajectory)
-        elif token == "cor1":
-            reports[token] = analysis.check_mixture_limit(trajectory)
-        elif token == "cor2":
-            reports[token] = analysis.check_subsystem_independence(scenario, joint=trajectory)
-    return reports
+    series = analysis.measure(trajectory)
+    checks = {
+        "lemma1": lambda: analysis.check_contraction(trajectory),
+        "thm2": lambda: analysis.check_target_envelope_all(trajectory, series=series),
+        "lemma3": lambda: analysis.check_ball_invariance(trajectory, series=series),
+        "thm4": lambda: analysis.check_consensus_bound(trajectory, series=series),
+        "cor1": lambda: analysis.check_mixture_limit(trajectory, series=series),
+        "cor2": lambda: analysis.check_subsystem_independence(scenario, joint=trajectory),
+    }
+    return {token: checks[token]() for token in tokens}
 
 
 def _cmd_check(args) -> int:
@@ -387,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=_count(0), default=None, help="override the scenario horizon")
     sim.add_argument("--record-every", type=_count(1), default=1, metavar="K",
                      help="record opinions every K steps (metrics are always per step)")
-    sim.add_argument("--threads", type=int, default=_default_threads(),
-                     help="accepted for compatibility; has no effect (default: LFMIX_THREADS or 1)")
+    sim.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the seed of random initial opinions")
     sim.set_defaults(func=_cmd_simulate)
@@ -399,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma-separated subset of {','.join(CHECK_TOKENS)}; {_CHECK_HELP}")
     chk.add_argument("--report", default=None, help="write the JSON report here (default: stdout)")
     chk.add_argument("--horizon", type=_count(0), default=None)
-    chk.add_argument("--threads", type=int, default=_default_threads())
+    chk.add_argument("--threads", type=int, default=1)
     chk.add_argument("--inject-fault", choices=FAULT_KINDS, default=None,
                      help="corrupt the engine on purpose to demonstrate check sensitivity")
     chk.set_defaults(func=_cmd_check)
@@ -419,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", required=True)
     swp.add_argument("--horizon", type=_count(0), default=None)
     swp.add_argument("--record-every", type=_count(1), default=1)
-    swp.add_argument("--threads", type=int, default=_default_threads())
+    swp.add_argument("--threads", type=int, default=1)
     swp.add_argument("--seed", type=int, default=None, help="base seed for per-point seeds")
     swp.set_defaults(func=_cmd_sweep)
 

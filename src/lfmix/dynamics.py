@@ -60,12 +60,15 @@ class StepDigest:
 
 @dataclass
 class Trajectory:
-    """States for t = 0..T plus how the run ended."""
+    """States for t = 0..T, how the run ended, and the injected fault and
+    tolerance stop (None when off) it ran with."""
 
     scenario: Scenario
     states: list[SystemState]
     stop_reason: str
     step_digests: list[StepDigest]
+    fault: str | None
+    stop_tol: float | None
 
     @property
     def horizon(self) -> int:
@@ -246,15 +249,14 @@ def run(
     *,
     fault: str | None = None,
     stop_tol: float | None | object = _SCENARIO_DEFAULT,
-    stop_window: int | None = None,
 ) -> Trajectory:
     """Iterate steps from t = 0 until the horizon or a stop criterion.
 
     Stop reasons: ``horizon`` (step budget exhausted), ``converged`` (max
-    per-agent displacement stayed within ``stop_tol`` over the trailing
-    ``stop_window`` steps), ``stagnated`` (exact fixed point reached while no
-    tolerance-based stop is configured). Raises NonFiniteState as soon as a
-    new state holds an infinite or NaN coordinate.
+    per-agent displacement stayed within ``stop_tol`` over the scenario's
+    trailing ``stop_window`` steps), ``stagnated`` (exact fixed point reached
+    while no tolerance-based stop is configured). Raises NonFiniteState as
+    soon as a new state holds an infinite or NaN coordinate.
     """
     opts = scenario.engine
     if horizon is None:
@@ -262,14 +264,11 @@ def run(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     tol = opts.stop_tol if stop_tol is _SCENARIO_DEFAULT else stop_tol
-    window = opts.stop_window if stop_window is None else stop_window
-    if window < 1:
-        raise ValueError("stop window must be >= 1")
 
     states = [scenario.initial_state]
     digests: list[StepDigest] = []
     reason = STOP_HORIZON
-    recent: deque[float] = deque(maxlen=window)
+    recent: deque[float] = deque(maxlen=opts.stop_window)
     for t in range(horizon):
         nxt, digest = step(states[-1], scenario, t, fault=fault)
         finite = np.isfinite(nxt.opinions).all(axis=1)
@@ -281,10 +280,10 @@ def run(
         states.append(nxt)
         disp = float(np.sqrt((diff * diff).sum(axis=1).max()))
         recent.append(disp)
-        if tol is not None and len(recent) == window and max(recent) <= tol:
+        if tol is not None and len(recent) == opts.stop_window and max(recent) <= tol:
             reason = STOP_CONVERGED
             break
         if tol is None and disp == 0.0:
             reason = STOP_STAGNATED
             break
-    return Trajectory(scenario, states, reason, digests)
+    return Trajectory(scenario, states, reason, digests, fault, tol)

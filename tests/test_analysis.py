@@ -31,14 +31,17 @@ from lfmix import (
     opinion_diameter,
     run,
 )
+from lfmix import analysis
 from lfmix.analysis import (
     CROSSTALK,
     INAPPLICABLE,
     UNDEFINED_LIMIT,
     derive_subsystem_assignment,
+    distances_to,
+    measure,
     target_envelope_along,
 )
-from lfmix.dynamics import STOP_CONVERGED
+from lfmix.dynamics import STOP_CONVERGED, beta_sums, realized_alpha, realized_betas
 from lfmix.model import SystemState
 from lfmix.schedules import SeededRandom
 
@@ -124,6 +127,67 @@ def test_one_minus_beta_sum_adds_nine_groups_left_to_right():
         assert row.max_one_minus_beta_sum == max(1.0 - sum(b) for b in betas)
         pairwise_differs += row.max_one_minus_beta_sum != max(1.0 - np.sum(b) for b in betas)
     assert pairwise_differs > 0  # numpy's pairwise row sum would not do
+
+
+def hexes(values):
+    return None if values is None else [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_equals_per_state_distances_bitwise(seed):
+    rng = np.random.default_rng(300 + seed)
+    for trial in range(8):
+        cfg = random_mixed_config(rng, d_lo=1, d_hi=8, m_lo=0, m_hi=4,
+                                  n_followers_hi=0 if trial % 4 == 0 else 20, horizon=6)
+        sc = build_scenario(cfg)
+        traj = run(sc)
+        series = measure(traj)
+        part = sc.partition
+        fol = part.follower_ids
+        assert len(series.target_distances) == len(series.max_alpha) == sc.m
+        for k in range(1, sc.m + 1):
+            assert hexes(series.target_distances[k - 1]) == hexes(
+                max_target_distance(s, sc, k) for s in traj.states
+            )
+            assert hexes(series.max_alpha[k - 1]) == hexes(
+                realized_alpha(sc, t)[part.leader_ids[k - 1]].max() for t in range(traj.horizon)
+            )
+        if sc.m:
+            g = sc.target(1)
+            assert hexes(series.radii) == hexes(distances_to(s.opinions, g).max() for s in traj.states)
+            assert hexes(series.leader_max_alpha) == hexes(
+                realized_alpha(sc, t)[part.group_of > 0].max() for t in range(traj.horizon)
+            )
+        else:
+            assert series.radii is None and series.leader_max_alpha is None
+        if sc.m and fol.size:
+            assert hexes(series.follower_distances) == hexes(
+                distances_to(s.opinions[fol], g).max() for s in traj.states
+            )
+        else:
+            assert series.follower_distances is None
+        if fol.size:
+            assert hexes(series.max_rest) == hexes(
+                (1.0 - beta_sums(realized_betas(sc, t)[fol])).max() for t in range(traj.horizon)
+            )
+        else:
+            assert series.max_rest is None
+
+
+def test_metrics_max_alpha_keeps_the_sign_of_a_zero_max():
+    # every leader degree is zero; the ones of the first group are -0.0
+    sc = scenario(
+        epsilon=0.3,
+        followers=3,
+        leader_groups=[("a", 2, [0.9], constant(-0.0)), ("b", 2, [0.1], constant(0.0))],
+        follower_betas=[constant(0.2), constant(0.3)],
+        horizon=3,
+    )
+    traj = run(sc)
+    expected = float(realized_alpha(sc, 0)[sc.partition.group_of > 0].max())
+    by_group = max(col[0] for col in measure(traj).max_alpha)
+    assert expected.hex() != by_group.hex()  # the max of the group maxima would flip it
+    assert [r.max_alpha.hex() for r in metrics_rows(traj)[:-1]] == [expected.hex()] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +467,15 @@ def test_ball_invariance_requires_single_leader_group():
     assert rep.status == "skipped" and rep.reason.startswith(INAPPLICABLE)
 
 
+def test_ball_invariance_defaults_to_target_and_initial_radius():
+    sc = consensus_demo()
+    traj = run(sc)
+    radius = float(distances_to(sc.initial_state.opinions, sc.target(1)).max())
+    explicit = check_ball_invariance(traj, sc.target(1), radius)
+    assert check_ball_invariance(traj).to_dict() == explicit.to_dict()
+    assert explicit.params["radius"] == 0.3 and explicit.status == "pass"
+
+
 def test_ball_invariance_center_must_be_target():
     sc = consensus_demo()
     rep = check_ball_invariance(run(sc, 5), np.asarray([0.05]), 0.5)
@@ -668,3 +741,93 @@ def test_joint_run_equals_standalone_rerun_bitwise():
     alone = run(sub, 40, stop_tol=None)
     for t in range(41):
         assert np.array_equal(alone.states[t].opinions, joint.states[t].opinions[originals])
+
+
+def ball_scenario(horizon=40, stop_tol=None):
+    """One leader group with every opinion inside the epsilon ball around
+    its target, so cor2 passes and reaches its standalone run."""
+    return scenario(
+        dimension=2,
+        epsilon=0.2,
+        followers=12,
+        leader_groups=[("brand", 3, [0.5, 0.5], {"kind": "seeded_random", "seed": 3, "low": 0.3, "high": 0.7})],
+        random_init={"distribution": "uniform_box", "low": 0.4, "high": 0.6, "seed": 11},
+        follower_betas=[constant(0.5)],
+        horizon=horizon,
+        stop_tol=stop_tol,
+    )
+
+
+@pytest.fixture
+def analysis_runs(monkeypatch):
+    """Arguments of every ``run`` call made by ``lfmix.analysis``."""
+    calls = []
+    real = analysis.run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counting)
+    return calls
+
+
+def report_bits(rep):
+    """A report with every float as hex, so -0.0, 0.0 and the last ulp count."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return (
+        rep.status,
+        rep.reason,
+        {k: bits(v) for k, v in rep.params.items()},
+        [(r.t, r.label, bits(r.lhs), bits(r.rhs)) for r in rep.records],
+    )
+
+
+def test_one_group_cor2_reuses_the_joint_run(analysis_runs):
+    sc = ball_scenario()
+    joint = run(sc)
+    assert joint.fault is None and joint.stop_tol is None
+    rep = check_subsystem_independence(sc, joint=joint)
+    assert rep.status == "pass" and len(rep.records) == 2 * sc.n_agents
+    assert analysis_runs == []
+
+
+def test_two_group_cor2_reruns_each_subsystem(analysis_runs):
+    sc = build_scenario(subsystem_config())
+    rep = check_subsystem_independence(sc, joint=run(sc))
+    assert rep.status == "pass"
+    assert len(analysis_runs) == 2
+
+
+def test_one_group_cor2_reruns_a_faulty_joint_run(analysis_runs):
+    sc = ball_scenario()
+    joint = run(sc, fault="mean-shift")
+    assert joint.fault == "mean-shift"
+    rep = check_subsystem_independence(sc, joint=joint)
+    assert rep.status == "fail"
+    assert len(analysis_runs) == 1
+
+
+def test_one_group_cor2_reruns_a_joint_run_with_a_stop_tol(analysis_runs):
+    sc = ball_scenario(horizon=200, stop_tol=1e-9)
+    joint = run(sc)
+    assert joint.stop_tol == 1e-9 and joint.stop_reason == STOP_CONVERGED
+    check_subsystem_independence(sc, joint=joint)
+    assert len(analysis_runs) == 1
+
+
+def test_reused_report_equals_rerun_report_bitwise(analysis_runs):
+    sc = ball_scenario()
+    joint = run(sc)
+    # a tolerance that only an exact fixed point meets: the same states,
+    # but the run is recorded with a tolerance stop, so cor2 re-runs it
+    rerun_joint = run(sc, stop_tol=5e-324)
+    assert all(np.array_equal(a.opinions, b.opinions) for a, b in zip(joint.states, rerun_joint.states))
+    assert len(joint.states) == len(rerun_joint.states)
+    reused = check_subsystem_independence(sc, joint=joint)
+    assert analysis_runs == []
+    rerun = check_subsystem_independence(sc, joint=rerun_joint)
+    assert len(analysis_runs) == 1
+    assert report_bits(reused) == report_bits(rerun)

@@ -411,15 +411,6 @@ def test_bad_count_flag_exits_2_before_running(tmp_path, monkeypatch, capsys, co
                       f"{1 if flag == '--record-every' else 0}, got {value!r}"]
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("LFMIX_THREADS", "4")
-    from lfmix.cli import _default_threads
-
-    assert _default_threads() == 4
-    monkeypatch.setenv("LFMIX_THREADS", "banana")
-    assert _default_threads() == 1
-
-
 def test_help_lists_every_flag(capsys):
     for argv in (["simulate", "--help"], ["check", "--help"], ["plot", "--help"], ["sweep", "--help"]):
         with pytest.raises(SystemExit) as exc:
