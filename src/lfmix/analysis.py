@@ -38,6 +38,11 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 (C_t, A_t, the radius around the first target) and per-step degree maxima,
 which ``metrics_rows``, ``measured_degree_bounds`` and the envelope, ball and
 limit checks read; each takes an optional precomputed series.
+
+``opinion_diameter`` is exact and needs numpy only. For d >= 2 it gives the
+square root of the largest squared distance the engine's arithmetic gives
+any pair, bit for bit, but scans pairwise only the points that the triangle
+inequality through the bounding-box centre cannot rule out.
 """
 
 from __future__ import annotations
@@ -171,7 +176,9 @@ def max_target_distance(state: SystemState, scenario: Scenario, k: int) -> float
 
 
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of a pairwise scan
-_HULL_MIN_AGENTS = 2048
+# opinion_diameter prunes only above this squared lower bound: below it the
+# absolute rounding error of subnormal squares can outweigh the slack
+_PRUNE_MIN_SQUARED = 2.0**-900
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray):
@@ -186,22 +193,54 @@ def _squared_distances(a: np.ndarray, b: np.ndarray):
         yield start, diff.sum(axis=2)
 
 
+def _max_squared_distance(x: np.ndarray) -> float:
+    return max(float(block.max()) for _, block in _squared_distances(x, x))
+
+
 def opinion_diameter(x: np.ndarray) -> float:
-    """Exact max pairwise opinion distance."""
+    """Exact max pairwise opinion distance: for d >= 2 the square root of the
+    largest squared distance the engine's arithmetic gives any pair, bit for
+    bit; for d = 1 max - min, which that gives too unless the squares under-
+    or overflow.
+
+    A lower bound L comes from two O(N) passes (the point a farthest from
+    the bounding-box centre c, then the point farthest from a); the pairwise
+    scan then runs only over the points that could be in a pair above L.
+    """
     n, d = x.shape
-    if n <= 1:
+    if n < 2:
         return 0.0
     if d == 1:
         return float(x.max() - x.min())
-    if n > _HULL_MIN_AGENTS and d <= 3:
-        # the farthest pair lies on the convex hull; qhull shrinks the scan
-        try:
-            from scipy.spatial import ConvexHull, QhullError
-
-            x = x[ConvexHull(x).vertices]
-        except (QhullError, ValueError):
-            pass  # degenerate input, fall through to the full scan
-    return math.sqrt(max(float(block.max()) for _, block in _squared_distances(x, x)))
+    if n * n * d <= _SCAN_FLOATS:
+        return math.sqrt(_max_squared_distance(x))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    diff = x - (0.5 * lo + 0.5 * hi)
+    diff *= diff
+    r = np.sqrt(diff.sum(axis=1))
+    a = int(r.argmax())
+    _, row = next(_squared_distances(x[a : a + 1], x))
+    lower = float(row.max())
+    if not lower >= _PRUNE_MIN_SQUARED:
+        # all points equal, or a spread whose squares may underflow
+        return 0.0 if (lo == hi).all() else math.sqrt(_max_squared_distance(x))
+    # Drop i when r_i + R <= sqrt(L) w, with R = r_a the largest r: then no
+    # pair with i computes above L.
+    # With u = 2^-53 and no over- or underflow, every rounding is a relative
+    # error of at most u, and a sum of d terms takes each through at most
+    # d - 1 additions in any order. So the computed r_i >= |x_i - c|
+    # (1 - u)^((d + 4) / 2) (diff, square, d - 1 sums, sqrt), and a pair's
+    # computed squared distance D_ij <= |x_i - x_j|^2 (1 + u)^(d + 2)
+    # <= (|x_i - c| + |x_j - c|)^2 (1 + u)^(d + 2). Both bounds, with the
+    # rounding of r_i + R, sqrt(L) and the product with w, give
+    # D_ij <= L w^2 ((1 + u) / (1 - u))^(d + 6), which is <= L for any
+    # w <= 1 - (d + 6) u. Taking w = 1 - 2 (d + 6) u leaves room for the
+    # absolute error of subnormal squares, at most 2^-1075 each, since
+    # L >= 2^-900. Overflow only makes some r_i infinite, which keeps i.
+    near = x[r + r[a] > math.sqrt(lower) * (1.0 - (d + 6) * 2.0**-52)]
+    if near.shape[0] < 2:
+        return math.sqrt(lower)
+    return math.sqrt(max(lower, _max_squared_distance(near)))
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,27 @@ def _load(path: str, seed: int | None) -> Scenario | None:
 
 def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: int, extra: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv", record_every)
+    written = time.perf_counter()
     series = analysis.measure(trajectory)
     write_metrics_csv(analysis.metrics_rows(trajectory, series), scenario, out_dir / "metrics.csv")
+    timings = {"trajectory_csv_s": written - started, "metrics_s": time.perf_counter() - written}
     (out_dir / "scenario.canonical.json").write_text(dump_canonical(scenario), encoding="utf-8")
     gamma, delta = analysis.measured_degree_bounds(series)
+    digests = trajectory.step_digests
+    pairs = [d.neighbor_pairs for d in digests]
     payload = {
+        "timings": timings,
+        "step_digest": {
+            "min_weight": min((d.min_weight for d in digests), default=None),
+            "max_sum_error": max((d.max_sum_error for d in digests), default=None),
+            "neighbor_pairs": {
+                "min": min(pairs, default=None),
+                "max": max(pairs, default=None),
+                "last": pairs[-1] if pairs else None,
+            },
+        },
         "stop_reason": trajectory.stop_reason,
         "converged": trajectory.stop_reason == STOP_CONVERGED,
         "steps": trajectory.horizon,

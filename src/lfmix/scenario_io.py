@@ -10,11 +10,16 @@ recorded step. Metrics CSV: header ``t,group,metric,value`` with metrics
 ``C`` (per leader group), ``A`` (follower spread), ``diameter``,
 ``max_alpha`` and ``max_one_minus_beta_sum``. Floats are written with
 ``repr`` so files are byte-deterministic and round-trip exactly.
+
+Both files hold exactly what ``csv.writer`` writes (excel dialect, CRLF line
+ends). The trajectory writer quotes each group name once and writes a
+recorded state as one string, one row per agent.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -42,6 +47,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]  # the row's \r\n
+
+
 def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) -> None:
     """States at t = 0, K, 2K, ... plus the final state."""
     if record_every < 1:
@@ -49,15 +61,17 @@ def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) ->
     scenario = trajectory.scenario
     part = scenario.partition
     names = [part.group_name_of(i) for i in range(scenario.n_agents)]
+    quoted = {name: _csv_field(name) for name in set(names)}
+    prefixes = [f",{i},{quoted[name]}," for i, name in enumerate(names)]
     last = trajectory.horizon
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "agent", "group"] + [f"x{c}" for c in range(scenario.dimension)])
+        csv.writer(fh).writerow(["t", "agent", "group"] + [f"x{c}" for c in range(scenario.dimension)])
         for state in trajectory.states:
             if state.t % record_every and state.t != last:
                 continue
-            for i in range(scenario.n_agents):
-                writer.writerow([state.t, i, names[i]] + [_fmt(v) for v in state.opinions[i]])
+            t = str(state.t)
+            fh.write("".join([t + p + ",".join(map(repr, row)) + "\r\n"
+                              for p, row in zip(prefixes, state.opinions.tolist())]))
 
 
 def write_metrics_csv(rows: list[MetricsRow], scenario: Scenario, path) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 
 from lfmix import CheckReport, NeighborSets, Scenario, build_scenario, compute_neighbors, neighbors_naive
-from lfmix.analysis import StepRecord, distances_to
+from lfmix.analysis import StepRecord, _squared_distances, distances_to
 from lfmix.dynamics import realized_alpha
 
 
@@ -193,3 +196,27 @@ def crosstalk_oracle(scenario: Scenario, joint, assignment) -> str | None:
                 if b != a and ids.size:
                     return f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}"
     return None
+
+
+def diameter_oracle(x: np.ndarray) -> float:
+    """``opinion_diameter`` by the full pairwise scan."""
+    if x.shape[0] < 2:
+        return 0.0
+    return math.sqrt(max(float(block.max()) for _, block in _squared_distances(x, x)))
+
+
+def trajectory_csv_oracle(trajectory, path, record_every: int = 1) -> None:
+    """``write_trajectory_csv`` as one ``csv.writer`` row per agent per
+    recorded state."""
+    scenario = trajectory.scenario
+    part = scenario.partition
+    names = [part.group_name_of(i) for i in range(scenario.n_agents)]
+    last = trajectory.horizon
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "agent", "group"] + [f"x{c}" for c in range(scenario.dimension)])
+        for state in trajectory.states:
+            if state.t % record_every and state.t != last:
+                continue
+            for i in range(scenario.n_agents):
+                writer.writerow([state.t, i, names[i]] + [repr(float(v)) for v in state.opinions[i]])

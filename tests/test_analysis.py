@@ -1,6 +1,7 @@
 """Verification harness: metrics, convergence detection, and every check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     constant,
     contraction_oracle,
     crosstalk_oracle,
+    diameter_oracle,
     random_alpha_spec,
     random_mixed_config,
     scenario,
@@ -88,14 +90,102 @@ def test_opinion_diameter_matches_brute_force():
         brute = 0.0
         for i in range(n):
             brute = max(brute, float(np.sqrt(((x - x[i]) ** 2).sum(axis=1)).max()))
-        assert opinion_diameter(x) == pytest.approx(brute, rel=1e-12)
+        assert opinion_diameter(x).hex() == brute.hex()
 
 
-def test_opinion_diameter_hull_path_is_exact():
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0, 1, size=(3000, 2))  # large enough to take the hull path
-    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    assert opinion_diameter(x) == pytest.approx(math.sqrt(float(d2.max())), rel=1e-12)
+def scanned_sizes(monkeypatch) -> list[int]:
+    """The point counts ``opinion_diameter`` hands to its pairwise scan."""
+    sizes = []
+    scan = analysis._max_squared_distance
+
+    def spy(x):
+        sizes.append(x.shape[0])
+        return scan(x)
+
+    monkeypatch.setattr(analysis, "_max_squared_distance", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_opinion_diameter_pruned_scan_is_exact(d):
+    rng = np.random.default_rng(d)
+    for n in (2, 3, 17, 300, 1000, 3000):
+        for x in (rng.uniform(0, 1, size=(n, d)), rng.normal(size=(n, d))):
+            assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+
+
+def test_opinion_diameter_identical_points_take_linear_time(monkeypatch):
+    sizes = scanned_sizes(monkeypatch)
+    for d in (1, 2, 8):
+        x = np.full((10_000, d), -0.3)
+        started = time.perf_counter()
+        assert opinion_diameter(x) == 0.0
+        assert time.perf_counter() - started < 0.25
+    assert sizes == []
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_opinion_diameter_on_a_sphere_scans_every_point(monkeypatch, d):
+    # antipodal pairs: every point is a rounding error away from the farthest
+    # pair, so a pruning bound without slack would drop some of them
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(1000, d))
+    v /= np.sqrt((v * v).sum(axis=1))[:, None]
+    x = np.concatenate([v, -v])
+    sizes = scanned_sizes(monkeypatch)
+    assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+    assert sizes == [2000]
+
+
+def test_opinion_diameter_two_tight_clusters():
+    rng = np.random.default_rng(4)
+    for d in (2, 5):
+        x = 1e-9 * rng.normal(size=(3000, d))
+        x[1500:] += 7.0
+        assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+
+
+def test_opinion_diameter_tied_farthest_pairs():
+    side = np.linspace(-1.0, 1.0, 51)
+    grid = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)  # four corners tie in two pairs
+    cube = np.stack(np.meshgrid(side[::5], side[::5], side[::5]), axis=-1).reshape(-1, 3)
+    doubled = np.concatenate([grid, grid])
+    for x in (grid, cube, doubled):
+        assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+
+
+def test_opinion_diameter_negative_coordinates_and_signed_zero():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 4):
+        x = -rng.uniform(0, 1, size=(2000, d))
+        x[::3] = -0.0
+        x[1::3] = 0.0 * x[1::3]
+        assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+        zeros = np.zeros((2000, d))
+        zeros[::2] = -0.0
+        assert opinion_diameter(zeros).hex() == diameter_oracle(zeros).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-162])
+def test_opinion_diameter_extreme_magnitudes(scale):
+    rng = np.random.default_rng(6)
+    for d in (2, 3, 8):
+        x = scale * rng.uniform(-1, 1, size=(1500, d))
+        assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
+
+
+def test_opinion_diameter_in_one_dimension_is_max_minus_min():
+    # the pairwise scan agrees except where a square under- or overflows
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e-162, 1e200):
+        x = scale * rng.uniform(-1, 1, size=(1500, 1))
+        assert opinion_diameter(x) == float(x.max() - x.min())
+
+
+def test_opinion_diameter_with_subnormal_squares_in_one_coordinate():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, size=(2000, 2)) * np.array([1e-130, 1e-160])
+    assert opinion_diameter(x).hex() == diameter_oracle(x).hex()
 
 
 def test_metrics_rows_shape_and_degrees():

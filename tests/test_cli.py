@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lfmix
 from helpers import config, constant
+from lfmix import build_scenario, run
 from lfmix.cli import main
 from lfmix.errors import ScheduleViolation
 from lfmix.seeding import derive_key
@@ -43,6 +49,9 @@ def test_simulate_horizon_zero_writes_n_rows(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {rec["t"] for rec in rows} == {"0"}
+    digest = json.loads((out / "run.json").read_text())["step_digest"]
+    assert digest == {"min_weight": None, "max_sum_error": None,
+                      "neighbor_pairs": {"min": None, "max": None, "last": None}}
 
 
 def test_simulate_missing_file_exits_2(tmp_path, capsys):
@@ -69,6 +78,31 @@ def test_simulate_demo_converges(tmp_path):
     assert payload["measured_gamma"] == 0.5
     assert (out / "scenario.canonical.json").exists()
     assert (out / "metrics.csv").exists()
+    assert set(payload["timings"]) == {"trajectory_csv_s", "metrics_s"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in payload["timings"].values())
+    digests = run(build_scenario(demo_config())).step_digests
+    pairs = [d.neighbor_pairs for d in digests]
+    assert payload["step_digest"] == {
+        "min_weight": min(d.min_weight for d in digests),
+        "max_sum_error": max(d.max_sum_error for d in digests),
+        "neighbor_pairs": {"min": min(pairs), "max": max(pairs), "last": pairs[-1]},
+    }
+    assert payload["step_digest"]["min_weight"] == 0.5
+
+
+def test_simulate_does_not_import_scipy(tmp_path):
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "perf_10k.json"
+    code = (
+        "import sys\n"
+        "from lfmix.cli import main\n"
+        f"assert main(['simulate', '--scenario', {str(scenario)!r}, '--out', {str(tmp_path)!r},"
+        " '--horizon', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_schedule_violation_exits_3(tmp_path, monkeypatch, capsys):

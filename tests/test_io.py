@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from helpers import config, constant
+from helpers import config, constant, trajectory_csv_oracle
 from lfmix import build_scenario, metrics_rows, run
+from lfmix.dynamics import Trajectory
+from lfmix.model import SystemState
 from lfmix.scenario_io import (
     canonical_dict,
     dump_canonical,
@@ -128,3 +130,42 @@ def test_group_names_with_commas_are_quoted(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {rec["group"] for rec in rows} == {"crowd", "brand, premium"}
+
+
+AWKWARD_NAMES = ["crowd, north", 'the "brand"', "two\nlines", "crlf\r\nname", " spaced out ", "marque éé ✓"]
+AWKWARD_VALUES = [-0.0, 5e-324, 1e308, 1e-05, -1.5, 0.1, 1e16, 123456789.125]
+
+
+def awkward_trajectory(horizon: int) -> Trajectory:
+    """A follower group and five leader groups with names ``csv`` must quote
+    (or must not), and hand-made states of awkward float values."""
+    followers, *leaders = AWKWARD_NAMES
+    cfg = config(
+        dimension=3,
+        followers=4,
+        leader_groups=[(name, 2, [0.0] * 3, constant(0.5)) for name in leaders],
+        follower_betas=[constant(0.1)] * len(leaders),
+        horizon=horizon,
+    )
+    cfg["groups"][0]["name"] = followers
+    cfg["schedules"][followers] = cfg["schedules"].pop("crowd")
+    sc = build_scenario(cfg)
+    values = np.resize(np.asarray(AWKWARD_VALUES), (horizon + 1, sc.n_agents, 3))
+    for t in range(horizon + 1):
+        values[t] = np.roll(values[t], t)
+    states = [SystemState(t, values[t]) for t in range(horizon + 1)]
+    return Trajectory(sc, states, "horizon", [], None, None)
+
+
+@pytest.mark.parametrize("horizon, record_every", [(0, 1), (7, 1), (7, 3), (7, 8), (6, 3)])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, horizon, record_every):
+    traj = awkward_trajectory(horizon)
+    write_trajectory_csv(traj, tmp_path / "fast.csv", record_every)
+    trajectory_csv_oracle(traj, tmp_path / "oracle.csv", record_every)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "oracle.csv").read_bytes()
+    for value in ("-0.0", "5e-324", "1e+308", "1e-05"):
+        assert f",{value}".encode() in fast
+    with open(tmp_path / "fast.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {rec["group"] for rec in rows} == set(AWKWARD_NAMES)
