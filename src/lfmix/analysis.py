@@ -212,8 +212,6 @@ def opinion_diameter(x: np.ndarray) -> float:
         return 0.0
     if d == 1:
         return float(x.max() - x.min())
-    if n * n * d <= _SCAN_FLOATS:
-        return math.sqrt(_max_squared_distance(x))
     lo, hi = x.min(axis=0), x.max(axis=0)
     diff = x - (0.5 * lo + 0.5 * hi)
     diff *= diff
