@@ -9,7 +9,6 @@ contraction, invariance, and convergence guarantees with measured slack.
 
 from .analysis import (
     CheckReport,
-    ConvergenceReport,
     MetricsRow,
     check_ball_invariance,
     check_consensus_bound,
@@ -19,21 +18,16 @@ from .analysis import (
     check_subsystem_independence,
     check_target_envelope,
     check_target_envelope_all,
-    detect_convergence,
-    hk_reference_step,
     max_target_distance,
     metrics_rows,
     opinion_diameter,
 )
 from .dynamics import (
     Trajectory,
-    follower_update,
-    leader_update,
     run,
     step,
 )
 from .errors import (
-    DimensionMismatch,
     NonFiniteState,
     ScenarioValidationError,
     ScheduleViolation,
@@ -41,12 +35,10 @@ from .errors import (
 )
 from .model import (
     EngineOptions,
-    NeighborSets,
     Partition,
     Scenario,
     SystemState,
     build_scenario,
-    distance,
 )
 from .neighbors import compute_neighbors, neighbors_naive
 from .scenario_io import load_scenario
@@ -55,11 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "ConvergenceReport",
-    "DimensionMismatch",
     "EngineOptions",
     "MetricsRow",
-    "NeighborSets",
     "NonFiniteState",
     "Partition",
     "Scenario",
@@ -78,11 +67,6 @@ __all__ = [
     "check_target_envelope",
     "check_target_envelope_all",
     "compute_neighbors",
-    "detect_convergence",
-    "distance",
-    "follower_update",
-    "hk_reference_step",
-    "leader_update",
     "load_scenario",
     "max_target_distance",
     "metrics_rows",

@@ -134,13 +134,6 @@ def _skipped(name: str, kind: str, message: str, **params) -> CheckReport:
     return CheckReport(name, applicable=False, reason=f"{kind}: {message}", params=params)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    converged: bool
-    first_step: int | None
-    limit: np.ndarray | None
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -312,43 +305,6 @@ def metrics_rows(trajectory: Trajectory, series: Series | None = None) -> list[M
             max_rest = None if series.max_rest is None else series.max_rest[t]
         rows.append(MetricsRow(state.t, cds, a, opinion_diameter(state.opinions), max_alpha, max_rest))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Independent references and convergence detection
-# ---------------------------------------------------------------------------
-
-
-def hk_reference_step(opinions: np.ndarray, epsilon: float) -> np.ndarray:
-    """Plain bounded-confidence averaging step, written independently of the
-    engine: each agent moves to the mean of all opinions within epsilon,
-    summed in ascending id order. Used as an equivalence oracle for the
-    engine's no-leader reduction."""
-    eps2 = epsilon * epsilon
-    n = opinions.shape[0]
-    out = np.empty_like(opinions)
-    for i in range(n):
-        diff = opinions - opinions[i]
-        ids = np.nonzero((diff * diff).sum(axis=1) <= eps2)[0]
-        out[i] = np.sum(opinions[ids], axis=0) / len(ids)
-    return out
-
-
-def detect_convergence(states, tol: float, window: int) -> ConvergenceReport:
-    """Converged at the first step t >= window whose trailing ``window``
-    per-agent displacements all stay within ``tol``."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if isinstance(states, Trajectory):
-        states = states.states
-    disps = []
-    for prev, cur in zip(states, states[1:]):
-        diff = cur.opinions - prev.opinions
-        disps.append(float(np.sqrt((diff * diff).sum(axis=1).max())))
-    for t in range(window, len(states)):
-        if max(disps[t - window : t]) <= tol:
-            return ConvergenceReport(True, t, states[-1].opinions)
-    return ConvergenceReport(False, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +787,12 @@ def derive_subsystem_assignment(scenario: Scenario, horizon: int) -> dict[int, i
     return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
 
 
-def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray, assignment) -> str | None:
+def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray) -> str | None:
     """Names the first follower within epsilon of an agent of another
     subsystem, or None. Each subsystem's followers are scanned against the
     agents outside it; only a state with a contact gets the full neighbor
-    sets, to name the contact in ascending follower order."""
+    pairs, to name the lowest such follower, then its lowest-id follower
+    contact or else its lowest leader group."""
     part = scenario.partition
     fol = part.follower_ids
     x = state.opinions
@@ -848,16 +805,14 @@ def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray, assign
                 break
     else:
         return None
-    nbrs = neighbors_naive(state, scenario)
-    for i in fol.tolist():
-        a = assignment[i]
-        for j in nbrs.follower_sets[i].tolist():
-            if assignment[j] != a:
-                return f"followers {i} and {j} of different subsystems are neighbors at t={state.t}"
-        for b, ids in enumerate(nbrs.follower_leader_sets[i], start=1):
-            if b != a and ids.size:
-                return f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}"
-    return None
+    rows, cols = neighbors_naive(state, scenario)
+    cross = (part.group_of[rows] == 0) & (label[cols] != label[rows])
+    i = rows[cross.argmax()]
+    hits = cols[cross & (rows == i)]  # ascending
+    codes = part.group_of[hits]
+    if (codes == 0).any():
+        return f"followers {i} and {hits[codes == 0][0]} of different subsystems are neighbors at t={state.t}"
+    return f"follower {i} (subsystem {label[i]}) sees leader group {codes.min()} at t={state.t}"
 
 
 def check_subsystem_independence(
@@ -866,6 +821,7 @@ def check_subsystem_independence(
     tol: float = SLACK_TOL,
     consensus_tol: float = CONSENSUS_TOL,
     joint: Trajectory | None = None,
+    series: Series | None = None,
 ) -> CheckReport:
     """Spatially separated leader groups each reach their own target.
 
@@ -879,7 +835,8 @@ def check_subsystem_independence(
 
     With one leader group the standalone system is the whole system, so a
     joint run made without an injected fault and without a tolerance stop
-    already is the standalone run and is not repeated.
+    already is the standalone run and is not repeated. ``series``, when
+    given, is the joint run's.
     """
     name = "subsystem_independence"
     if scenario.m < 1:
@@ -898,9 +855,10 @@ def check_subsystem_independence(
     label = part.group_of.copy()  # subsystem of every agent: a leader's group, a follower's assignment
     label[part.follower_ids] = [assignment[i] for i in part.follower_ids.tolist()]
     for state in joint.states:
-        message = _crosstalk(state, scenario, label, assignment)
+        message = _crosstalk(state, scenario, label)
         if message:
             return _skipped(name, CROSSTALK, message)
+    series = series or measure(joint)
 
     report = CheckReport(name, tolerance=tol, params={"consensus_tol": consensus_tol, "cross_contacts": 0})
     x0 = scenario.initial_state.opinions
@@ -916,10 +874,9 @@ def check_subsystem_independence(
                 f"subsystem {k} starts at radius {delta_k:.6g}, not inside the epsilon ball",
             )
         gamma_k = 0.0
-        for s in range(horizon):
+        for s, alpha in enumerate(series.max_alpha[k - 1]):
             rest = 1.0 - realized_betas(scenario, s)[followers_k, k - 1]
-            alpha = realized_alpha(scenario, s)[part.leader_ids[k - 1]]
-            gamma_k = max(gamma_k, float(rest.max(initial=0.0)), float(alpha.max()))
+            gamma_k = max(gamma_k, float(rest.max(initial=0.0)), alpha)
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
         report.params[f"delta_{k}"] = delta_k

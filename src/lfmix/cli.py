@@ -130,12 +130,14 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     trajectory = run(scenario, args.horizon)
     wall = time.perf_counter() - started
+    # _load ignores --seed for explicit opinions, so run.json records none
+    seed = args.seed if "random" in scenario.canonical["initial_opinions"] else None
     _write_outputs(
         Path(args.out),
         scenario,
         trajectory,
         args.record_every,
-        {"wall_time_seconds": wall, "threads": args.threads, "seed": args.seed},
+        {"wall_time_seconds": wall, "threads": args.threads, "seed": seed},
     )
     return 0
 
@@ -148,7 +150,7 @@ def _run_checks(scenario: Scenario, trajectory, tokens) -> dict:
         "lemma3": lambda: analysis.check_ball_invariance(trajectory, series=series),
         "thm4": lambda: analysis.check_consensus_bound(trajectory, series=series),
         "cor1": lambda: analysis.check_mixture_limit(trajectory, series=series),
-        "cor2": lambda: analysis.check_subsystem_independence(scenario, joint=trajectory),
+        "cor2": lambda: analysis.check_subsystem_independence(scenario, joint=trajectory, series=series),
     }
     return {token: checks[token]() for token in tokens}
 

@@ -13,13 +13,13 @@ pairs found once on the state at t:
 ``step`` computes this for all agents at once: neighbor pairs, degrees from
 one query per schedule block, one sum per neighbor set, taken for all sets of
 one size together, then elementwise array expressions for the mix and for the
-``StepDigest`` of the realized weights. ``leader_update`` and ``follower_update`` compute one agent from
-per-agent neighbor sets; they are the references ``step`` is tested against.
+``StepDigest`` of the realized weights. An agent's set is the cols of its
+neighbor pairs that carry the set's group; no per-agent object is built.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
-only the time-t state, so results are bit-identical to the per-agent
-references.
+only the time-t state, so results are bit-identical to a per-agent loop
+that computes each agent from its own id arrays (the tests keep one).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, ScheduleViolation
-from .model import NeighborSets, Scenario, SystemState
+from .model import Scenario, SystemState
 from .neighbors import compute_neighbors
 
 FAULT_MEAN_SHIFT = "mean-shift"
@@ -119,42 +119,6 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
         i = (total > 1.0).argmax()
         raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
     return betas
-
-
-def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return np.sum(x[ids], axis=0) / len(ids)
-
-
-def leader_update(
-    agent: int,
-    state: SystemState,
-    neighbors: NeighborSets,
-    alpha: float,
-    target: np.ndarray,
-) -> np.ndarray:
-    """Next opinion of a leader: own-group neighbor mean mixed with the target."""
-    mean = _mean_rows(state.opinions, neighbors.leader_sets[agent])
-    return alpha * mean + (1.0 - alpha) * target
-
-
-def follower_update(
-    agent: int,
-    state: SystemState,
-    neighbors: NeighborSets,
-    betas,
-) -> np.ndarray:
-    """Next opinion of a follower; betas toward unreachable groups are masked."""
-    x = state.opinions
-    lsets = neighbors.follower_leader_sets[agent]
-    masked = tuple(b if lsets[k].size else 0.0 for k, b in enumerate(betas))
-    total = 0.0
-    for b in masked:
-        total += b
-    out = (1.0 - total) * _mean_rows(x, neighbors.follower_sets[agent])
-    for k, b in enumerate(masked):
-        if b != 0.0:
-            out = out + b * _mean_rows(x, lsets[k])
-    return out
 
 
 def _set_means(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shift: float):

@@ -36,10 +36,6 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible dimensions."""
-
-
 class ScheduleViolation(RuntimeError):
     """A degree schedule returned a value outside its contract at runtime."""
 

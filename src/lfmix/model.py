@@ -48,7 +48,6 @@ from .errors import (
     MISSING_SCHEDULE,
     NON_FINITE,
     PARTITION_INCOMPLETE,
-    DimensionMismatch,
     ScenarioValidationError,
     ValidationIssue,
 )
@@ -112,39 +111,6 @@ class SystemState:
 
 
 @dataclass(frozen=True)
-class NeighborSets:
-    """Per-agent epsilon-neighbor ids, split by group.
-
-    Followers get their follower set and one set per leader group; a leader
-    gets only its own group's set. Every array is sorted ascending and
-    contains the agent itself in its own-group set.
-    """
-
-    follower_sets: dict[int, np.ndarray]
-    follower_leader_sets: dict[int, tuple[np.ndarray, ...]]
-    leader_sets: dict[int, np.ndarray]
-
-    def equals(self, other: "NeighborSets") -> bool:
-        """Exact set equality per agent per group."""
-        if set(self.follower_sets) != set(other.follower_sets):
-            return False
-        if set(self.leader_sets) != set(other.leader_sets):
-            return False
-        for i, ids in self.follower_sets.items():
-            if not np.array_equal(ids, other.follower_sets[i]):
-                return False
-            mine, theirs = self.follower_leader_sets[i], other.follower_leader_sets[i]
-            if len(mine) != len(theirs):
-                return False
-            if any(not np.array_equal(a, b) for a, b in zip(mine, theirs)):
-                return False
-        for i, ids in self.leader_sets.items():
-            if not np.array_equal(ids, other.leader_sets[i]):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class EngineOptions:
     neighbor_strategy: str = "auto"  # "naive" | "grid" | "auto"; kept, selects nothing
     horizon: int = 1000
@@ -187,16 +153,6 @@ class Scenario:
     def target(self, k: int) -> np.ndarray:
         """Target opinion of leader group k (1-based)."""
         return self.targets[k - 1]
-
-
-def distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Euclidean distance between two opinion vectors of equal dimension."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise DimensionMismatch(f"cannot take distance between shapes {av.shape} and {bv.shape}")
-    diff = av - bv
-    return float(math.sqrt(float(np.dot(diff, diff))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@
   N >= 64) whose 3^d block around an agent's cell covers every point within
   epsilon of it, or else from a scan over all agents. Only N and d choose;
   both yield the same pairs.
-* ``neighbors_naive``: exact O(N^2) pairwise scan into per-agent sets split
-  by group, the reference the tests use. The checks scan only the pairs
-  they need and call it just to name a cross-talk contact they found.
+* ``neighbors_naive``: the same pairs in the same format from an exact
+  O(N^2) scan of every agent against all agents, the reference the tests
+  hold ``compute_neighbors`` to. The checks scan only the pairs they need
+  and call it just to name a cross-talk contact they found.
 
-Both keep a pair by the same test on the same arithmetic, squared distance
+Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
+is the cols of its rows, split by group where a caller needs that. Both
+keep a pair by the same test on the same arithmetic, squared distance
 against epsilon squared, so the boundary rule (distance exactly epsilon
 counts) is the same everywhere. The scenario's ``neighbor_strategy`` and
 ``grid_dim_cap`` are validated and kept in canonical files but select
@@ -24,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .model import NeighborSets, Scenario, SystemState
+from .model import Scenario, SystemState
 
 _CHUNK = 128  # rows per block of the reference and the grid search
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
@@ -32,31 +35,18 @@ _GRID_MIN_AGENTS = 64
 _GRID_MAX_DIM = 6
 
 
-def neighbors_naive(state: SystemState, scenario: Scenario) -> NeighborSets:
-    """Exact pairwise neighbor sets; the reference implementation."""
+def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row,
+    col), from a scan of every agent against all agents; the reference."""
     x = state.opinions
     eps2 = scenario.epsilon * scenario.epsilon
-    group_of = scenario.partition.group_of
-    m = scenario.m
-    n = x.shape[0]
-    fol: dict = {}
-    fol_lead: dict = {}
-    lead: dict = {}
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        diff = x[start:stop, None, :] - x[None, :, :]
-        within = (diff * diff).sum(axis=2) <= eps2
-        for row in range(stop - start):
-            i = start + row
-            hits = np.nonzero(within[row])[0]
-            code = group_of[i]
-            hit_codes = group_of[hits]
-            if code == 0:
-                fol[i] = hits[hit_codes == 0]
-                fol_lead[i] = tuple(hits[hit_codes == k] for k in range(1, m + 1))
-            else:
-                lead[i] = hits[hit_codes == code]
-    return NeighborSets(fol, fol_lead, lead)
+    rows, cols = [], []
+    for start in range(0, x.shape[0], _CHUNK):
+        diff = x[start:start + _CHUNK, None, :] - x[None, :, :]
+        r, c = np.nonzero((diff * diff).sum(axis=2) <= eps2)
+        rows.append(r + start)
+        cols.append(c)
+    return np.concatenate(rows).astype(np.int32), np.concatenate(cols).astype(np.int32)
 
 
 def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

@@ -100,14 +100,18 @@ def read_metrics_csv(path) -> list[dict]:
         if reader.fieldnames is None or not {"t", "group", "metric", "value"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header t,group,metric,value")
         for rec in reader:
-            out.append(
-                {
-                    "t": int(rec["t"]),
-                    "group": rec["group"],
-                    "metric": rec["metric"],
-                    "value": float(rec["value"]),
-                }
-            )
+            try:
+                # a truncated row has None in its missing fields, the last being value
+                out.append(
+                    {
+                        "t": int(rec["t"]),
+                        "group": rec["group"],
+                        "metric": rec["metric"],
+                        "value": float(rec["value"]),
+                    }
+                )
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num}: expected t,group,metric,value") from None
     if not out:
         raise ValueError(f"{path}: no metric rows")
     return out

@@ -37,17 +37,18 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str = "") -> None:
     """Write a line chart to ``out_path``.
 
-    ``series`` maps label -> (xs, ys). With ``log_y`` the y axis is log10 and
-    nonpositive values are dropped. Raises ValueError when nothing is
-    drawable.
+    ``series`` maps label -> (xs, ys). Non-finite values are dropped; with
+    ``log_y`` the y axis is log10 and nonpositive values are dropped too.
+    Raises ValueError when nothing is drawable.
     """
     drawable: dict[str, tuple[list[float], list[float]]] = {}
     for label, (xs, ys) in series.items():
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if not log_y or y > 0.0]
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(y) and (not log_y or y > 0.0)]
         if pts:
             drawable[label] = ([p[0] for p in pts], [math.log10(p[1]) if log_y else p[1] for p in pts])
     if not drawable:
-        raise ValueError("no drawable points" + (" (log scale drops values <= 0)" if log_y else ""))
+        dropped = "non-finite values" + (" and values <= 0" if log_y else "")
+        raise ValueError(f"no drawable points ({dropped} are dropped)")
 
     x_lo = min(min(xs) for xs, _ in drawable.values())
     x_hi = max(max(xs) for xs, _ in drawable.values())

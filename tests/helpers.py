@@ -1,13 +1,15 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders for the test suite, and the per-agent oracles
+the package's array code is tested against."""
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from lfmix import CheckReport, NeighborSets, Scenario, build_scenario, compute_neighbors, neighbors_naive
+from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, neighbors_naive
 from lfmix.analysis import StepRecord, _squared_distances, distances_to
 from lfmix.dynamics import realized_alpha
 
@@ -128,30 +130,113 @@ def random_mixed_config(
     )
 
 
-def pair_sets(sc: Scenario, state=None) -> NeighborSets:
-    """``compute_neighbors`` pairs split into per-agent sets by group, the
-    shape ``neighbors_naive`` returns, after checking that the pairs come as
-    int32 arrays sorted by (row, col)."""
+def pairs_match_naive(sc: Scenario, state=None) -> bool:
+    """Whether ``compute_neighbors`` gives exactly the int32 ``(rows, cols)``
+    pairs of ``neighbors_naive``, which come sorted by (row, col)."""
     state = sc.initial_state if state is None else state
     rows, cols = compute_neighbors(state, sc)
-    assert rows.dtype == cols.dtype == np.int32
-    assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
+    ref_rows, ref_cols = neighbors_naive(state, sc)
+    return (rows.dtype == cols.dtype == ref_rows.dtype == ref_cols.dtype == np.int32
+            and np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols))
+
+
+def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Every agent's ``neighbors_naive`` pairs split by group: entry i is
+    ``(own, leaders)``, the ascending ids of i's neighbors in its own group
+    and, for k = 1..m, in leader group k (``leaders[k - 1]``)."""
+    state = sc.initial_state if state is None else state
+    rows, cols = neighbors_naive(state, sc)
     bounds = np.searchsorted(rows, np.arange(sc.n_agents + 1))
     group_of = sc.partition.group_of
-    fol, fol_lead, lead = {}, {}, {}
+    out = []
     for i in range(sc.n_agents):
-        hits = cols[bounds[i]:bounds[i + 1]].astype(np.int64)
+        hits = cols[bounds[i]:bounds[i + 1]]
         codes = group_of[hits]
-        if group_of[i] == 0:
-            fol[i] = hits[codes == 0]
-            fol_lead[i] = tuple(hits[codes == k] for k in range(1, sc.m + 1))
-        else:
-            lead[i] = hits[codes == group_of[i]]
-    return NeighborSets(fol, fol_lead, lead)
+        out.append((hits[codes == group_of[i]], tuple(hits[codes == k] for k in range(1, sc.m + 1))))
+    return out
+
+
+def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    return np.sum(x[ids], axis=0) / len(ids)
+
+
+def leader_update(x: np.ndarray, own: np.ndarray, alpha: float, target: np.ndarray) -> np.ndarray:
+    """Next opinion of a leader: the mean of its own-group neighbors ``own``
+    mixed with the target."""
+    return alpha * _mean_rows(x, own) + (1.0 - alpha) * target
+
+
+def follower_update(x: np.ndarray, own: np.ndarray, leaders, betas) -> np.ndarray:
+    """Next opinion of a follower from its follower neighbors ``own`` and its
+    group-k leader neighbors ``leaders[k - 1]``; betas toward unreachable
+    groups are masked."""
+    masked = tuple(b if leaders[k].size else 0.0 for k, b in enumerate(betas))
+    total = 0.0
+    for b in masked:
+        total += b
+    out = (1.0 - total) * _mean_rows(x, own)
+    for k, b in enumerate(masked):
+        if b != 0.0:
+            out = out + b * _mean_rows(x, leaders[k])
+    return out
+
+
+def hk_reference_step(opinions: np.ndarray, epsilon: float) -> np.ndarray:
+    """Plain bounded-confidence averaging step, written independently of the
+    engine: each agent moves to the mean of all opinions within epsilon,
+    summed in ascending id order. The oracle for the engine's no-leader
+    reduction."""
+    eps2 = epsilon * epsilon
+    n = opinions.shape[0]
+    out = np.empty_like(opinions)
+    for i in range(n):
+        diff = opinions - opinions[i]
+        ids = np.nonzero((diff * diff).sum(axis=1) <= eps2)[0]
+        out[i] = np.sum(opinions[ids], axis=0) / len(ids)
+    return out
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    converged: bool
+    first_step: int | None
+    limit: np.ndarray | None
+
+
+def detect_convergence(states, tol: float, window: int) -> ConvergenceReport:
+    """Converged at the first step t >= window whose trailing ``window``
+    per-agent displacements all stay within ``tol``: the oracle for the
+    tolerance stop of ``run``."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if isinstance(states, Trajectory):
+        states = states.states
+    disps = []
+    for prev, cur in zip(states, states[1:]):
+        diff = cur.opinions - prev.opinions
+        disps.append(float(np.sqrt((diff * diff).sum(axis=1).max())))
+    for t in range(window, len(states)):
+        if max(disps[t - window : t]) <= tol:
+            return ConvergenceReport(True, t, states[-1].opinions)
+    return ConvergenceReport(False, None, None)
+
+
+class DimensionMismatch(ValueError):
+    """Operands have incompatible dimensions."""
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between two opinion vectors of equal dimension."""
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape or av.ndim != 1:
+        raise DimensionMismatch(f"cannot take distance between shapes {av.shape} and {bv.shape}")
+    diff = av - bv
+    return float(math.sqrt(float(np.dot(diff, diff))))
 
 
 def contraction_oracle(trajectory, tol=1e-9):
-    """``check_contraction`` computed from ``neighbors_naive`` sets over all
+    """``check_contraction`` computed from ``neighbors_naive`` pairs over all
     agents, one Python loop per leader: the reference for the restricted scan."""
     sc = trajectory.scenario
     report = CheckReport("contraction", tolerance=tol)
@@ -161,7 +246,7 @@ def contraction_oracle(trajectory, tol=1e-9):
     part = sc.partition
     for t in range(trajectory.horizon):
         state_t, state_t1 = trajectory.states[t], trajectory.states[t + 1]
-        nbrs = neighbors_naive(state_t, sc)
+        sets = neighbor_sets(sc, state_t)
         alphas = realized_alpha(sc, t)
         for k in range(1, sc.m + 1):
             g = sc.target(k)
@@ -172,7 +257,7 @@ def contraction_oracle(trajectory, tol=1e-9):
             for i in ids.tolist():
                 alpha = float(alphas[i])
                 group_alpha = max(group_alpha, alpha)
-                rhs = alpha * float(dist0[nbrs.leader_sets[i]].max())
+                rhs = alpha * float(dist0[sets[i][0]].max())
                 report.records.append(StepRecord(t, f"agent {i}", float(dist1[i]), rhs))
             c0 = float(dist0[ids].max())
             c1 = float(dist1[ids].max())
@@ -183,16 +268,17 @@ def contraction_oracle(trajectory, tol=1e-9):
 
 def crosstalk_oracle(scenario: Scenario, joint, assignment) -> str | None:
     """The first cross-subsystem contact of a joint run, in the wording of
-    ``check_subsystem_independence``, from ``neighbors_naive`` sets of every
-    state; None when there is none."""
+    ``check_subsystem_independence``, from the ``neighbors_naive`` pairs of
+    every state split per agent; None when there is none."""
     for state in joint.states:
-        nbrs = neighbors_naive(state, scenario)
+        sets = neighbor_sets(scenario, state)
         for i in scenario.partition.follower_ids.tolist():
             a = assignment[i]
-            for j in nbrs.follower_sets[i].tolist():
+            own, leaders = sets[i]
+            for j in own.tolist():
                 if assignment[j] != a:
                     return f"followers {i} and {j} of different subsystems are neighbors at t={state.t}"
-            for b, ids in enumerate(nbrs.follower_leader_sets[i], start=1):
+            for b, ids in enumerate(leaders, start=1):
                 if b != a and ids.size:
                     return f"follower {i} (subsystem {a}) sees leader group {b} at t={state.t}"
     return None

@@ -11,7 +11,9 @@ from helpers import (
     constant,
     contraction_oracle,
     crosstalk_oracle,
+    detect_convergence,
     diameter_oracle,
+    neighbor_sets,
     random_alpha_spec,
     random_mixed_config,
     scenario,
@@ -26,10 +28,8 @@ from lfmix import (
     check_subsystem_independence,
     check_target_envelope,
     check_target_envelope_all,
-    detect_convergence,
     max_target_distance,
     metrics_rows,
-    neighbors_naive,
     opinion_diameter,
     run,
 )
@@ -410,7 +410,7 @@ def test_contraction_on_an_epsilon_lattice_equals_naive_oracle(eps):
         horizon=3,
     )
     traj = run(sc)
-    ties = neighbors_naive(traj.states[0], sc).leader_sets[7]  # group a's lattice point (eps, eps)
+    ties = neighbor_sets(sc, traj.states[0])[7][0]  # group a's lattice point (eps, eps)
     assert ties.size == 5 if eps == 0.5 else ties.size > 1
     rep = check_contraction(traj)
     assert bits(rep) == bits(contraction_oracle(traj))
@@ -896,6 +896,16 @@ def test_one_group_cor2_reuses_the_joint_run(analysis_runs):
     rep = check_subsystem_independence(sc, joint=joint)
     assert rep.status == "pass" and len(rep.records) == 2 * sc.n_agents
     assert analysis_runs == []
+
+
+def test_cor2_reads_leader_degrees_from_the_series(monkeypatch):
+    sc = build_scenario(subsystem_config())
+    joint = run(sc)
+    series = measure(joint)
+    expected = report_bits(check_subsystem_independence(sc, joint=joint))
+    monkeypatch.setattr(analysis, "realized_alpha", lambda *a: pytest.fail("cor2 re-queried the alphas"))
+    rep = check_subsystem_independence(sc, joint=joint, series=series)
+    assert rep.status == "pass" and report_bits(rep) == expected
 
 
 def test_two_group_cor2_reruns_each_subsystem(analysis_runs):

@@ -36,6 +36,18 @@ def demo_config(stop_tol=1e-9, horizon=60):
     )
 
 
+def test_public_api():
+    assert lfmix.__all__ == [
+        "CheckReport", "EngineOptions", "MetricsRow", "NonFiniteState", "Partition", "Scenario",
+        "ScenarioValidationError", "ScheduleViolation", "SystemState", "Trajectory", "ValidationIssue",
+        "build_scenario", "check_ball_invariance", "check_consensus_bound", "check_contraction",
+        "check_contraction_step", "check_mixture_limit", "check_subsystem_independence",
+        "check_target_envelope", "check_target_envelope_all", "compute_neighbors", "load_scenario",
+        "max_target_distance", "metrics_rows", "neighbors_naive", "opinion_diameter", "run", "step",
+    ]
+    assert all(hasattr(lfmix, name) for name in lfmix.__all__)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -181,6 +193,15 @@ def test_simulate_seed_override_changes_random_initials(tmp_path):
     assert outs[0] != outs[1]
     canon = json.loads((tmp_path / "s2" / "scenario.canonical.json").read_text())
     assert canon["initial_opinions"]["random"]["seed"] == 2
+    assert json.loads((tmp_path / "s2" / "run.json").read_text())["seed"] == 2
+
+
+def test_run_json_records_no_seed_when_it_is_ignored(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())  # explicit initial opinions
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", "7"]) == 0
+    assert "--seed ignored" in capsys.readouterr().err
+    assert json.loads((out / "run.json").read_text())["seed"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +310,29 @@ def test_plot_empty_metrics_exits_2(tmp_path, capsys):
     assert main(["plot", "--metrics", str(empty), "--out", str(tmp_path / "x.svg")]) == 2
     missing = tmp_path / "missing.csv"
     assert main(["plot", "--metrics", str(missing), "--out", str(tmp_path / "x.svg")]) == 2
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("t,group,metric,value\n0,all,diameter\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", "--metrics", str(truncated), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_drops_non_finite_values(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("t,group,metric,value\n0,all,diameter,1.0\n1,all,diameter,inf\n"
+                       "2,all,diameter,nan\n3,all,diameter,0.5\n4,all,diameter,-inf\n", encoding="utf-8")
+    out = tmp_path / "chart.svg"
+    assert main(["plot", "--metrics", str(metrics), "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    (points,) = polyline_points(svg)
+    assert [x for x, _ in points] == [70.0, 870.0]  # t = 0 and t = 3 span the x axis
+    nothing = tmp_path / "nothing.csv"
+    nothing.write_text("t,group,metric,value\n0,all,diameter,inf\n1,all,diameter,nan\n", encoding="utf-8")
+    assert main(["plot", "--metrics", str(nothing), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "no drawable points" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 # ---------------------------------------------------------------------------

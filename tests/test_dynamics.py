@@ -5,16 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import config, constant, random_mixed_config, scenario
-from lfmix import (
-    ScheduleViolation,
-    build_scenario,
+from helpers import (
+    config,
+    constant,
     follower_update,
     hk_reference_step,
     leader_update,
-    neighbors_naive,
-    run,
+    neighbor_sets,
+    random_mixed_config,
+    scenario,
 )
+from lfmix import ScheduleViolation, build_scenario, run
 from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
 from lfmix.errors import NonFiniteState
 from lfmix.schedules import Constant
@@ -36,8 +37,8 @@ def two_leader_scenario(alpha=0.5):
 
 def test_leader_update_alpha_zero_snaps_to_target():
     sc = two_leader_scenario()
-    nbrs = neighbors_naive(sc.initial_state, sc)
-    out = leader_update(0, sc.initial_state, nbrs, 0.0, sc.target(1))
+    own, _ = neighbor_sets(sc)[0]
+    out = leader_update(sc.initial_state.opinions, own, 0.0, sc.target(1))
     assert np.array_equal(out, sc.target(1))
 
 
@@ -47,17 +48,17 @@ def test_leader_update_alpha_one_alone_is_identity():
         leader_groups=[("brand", 2, [0.0], constant(1.0))],
         initial=[[0.2], [0.4]],  # not mutual neighbors at eps 0.05
     )
-    nbrs = neighbors_naive(sc.initial_state, sc)
-    out = leader_update(0, sc.initial_state, nbrs, 1.0, sc.target(1))
+    own, _ = neighbor_sets(sc)[0]
+    out = leader_update(sc.initial_state.opinions, own, 1.0, sc.target(1))
     assert np.array_equal(out, sc.initial_state.opinions[0])
 
 
 def test_leader_update_hand_example():
     # mean (0.2 + 0.4)/2 = 0.3; 0.5 * 0.3 + 0.5 * 0 = 0.15
     sc = two_leader_scenario()
-    nbrs = neighbors_naive(sc.initial_state, sc)
+    sets = neighbor_sets(sc)
     for i in (0, 1):
-        out = leader_update(i, sc.initial_state, nbrs, 0.5, sc.target(1))
+        out = leader_update(sc.initial_state.opinions, sets[i][0], 0.5, sc.target(1))
         assert out[0] == pytest.approx(0.15, abs=1e-12)
 
 
@@ -74,16 +75,16 @@ def follower_with_leader(leader_at, beta=0.4, epsilon=1.0):
 def test_follower_update_mixes_leader_mean():
     # 0.6 * 0.5 + 0.4 * 0.3 = 0.42
     sc = follower_with_leader(0.3)
-    nbrs = neighbors_naive(sc.initial_state, sc)
-    out = follower_update(0, sc.initial_state, nbrs, (0.4,))
+    own, leaders = neighbor_sets(sc)[0]
+    out = follower_update(sc.initial_state.opinions, own, leaders, (0.4,))
     assert out[0] == pytest.approx(0.42, abs=1e-12)
 
 
 def test_follower_update_masks_unreachable_group():
     sc = follower_with_leader(5.0)  # leader out of confidence range
-    nbrs = neighbors_naive(sc.initial_state, sc)
-    assert nbrs.follower_leader_sets[0][0].size == 0
-    out = follower_update(0, sc.initial_state, nbrs, (0.4,))
+    own, leaders = neighbor_sets(sc)[0]
+    assert leaders[0].size == 0
+    out = follower_update(sc.initial_state.opinions, own, leaders, (0.4,))
     assert out[0] == 0.5  # exact: full weight back on the follower mean
 
 
@@ -95,10 +96,9 @@ def test_follower_update_all_beta_zero_is_plain_averaging():
         initial=[[0.1], [0.3], [0.9], [0.2]],
         follower_betas=[constant(0.0)],
     )
-    nbrs = neighbors_naive(sc.initial_state, sc)
-    out = follower_update(0, sc.initial_state, nbrs, (0.0,))
-    ids = nbrs.follower_sets[0]
-    expected = np.sum(sc.initial_state.opinions[ids], axis=0) / len(ids)
+    own, leaders = neighbor_sets(sc)[0]
+    out = follower_update(sc.initial_state.opinions, own, leaders, (0.0,))
+    expected = np.sum(sc.initial_state.opinions[own], axis=0) / len(own)
     assert np.array_equal(out, expected)
 
 
@@ -159,12 +159,11 @@ def test_step_weights_invariants_random_scenarios():
             nxt, digest = step(state, sc, t)
             assert digest.min_weight > 0.0
             assert digest.max_sum_error <= 1e-12
-            nbrs = neighbors_naive(state, sc)
-            for i in range(sc.n_agents):
+            for i, (own, leaders) in enumerate(neighbor_sets(sc, state)):
                 if group_of[i]:
-                    gens = [state.opinions[nbrs.leader_sets[i]], sc.targets[group_of[i] - 1][None, :]]
+                    gens = [state.opinions[own], sc.targets[group_of[i] - 1][None, :]]
                 else:
-                    gens = [state.opinions[ids] for ids in (nbrs.follower_sets[i], *nbrs.follower_leader_sets[i])]
+                    gens = [state.opinions[ids] for ids in (own, *leaders)]
                 gens = np.vstack(gens)
                 assert (nxt.opinions[i] >= gens.min(axis=0) - 1e-12).all()
                 assert (nxt.opinions[i] <= gens.max(axis=0) + 1e-12).all()
@@ -172,24 +171,23 @@ def test_step_weights_invariants_random_scenarios():
 
 
 def reference_step(state, sc, t):
-    """Per-agent step from the naive neighbor sets and the references, and
-    the neighbor-pair count the digest reports: own-group sets of all agents
-    plus the leader sets a follower mixes with a nonzero beta."""
-    nbrs = neighbors_naive(state, sc)
-    new = np.empty_like(state.opinions)
+    """Per-agent step from the naive neighbor pairs split per agent and the
+    references, and the neighbor-pair count the digest reports: own-group
+    sets of all agents plus the leader sets a follower mixes with a nonzero
+    beta."""
+    x = state.opinions
+    new = np.empty_like(x)
     alphas, all_betas = realized_alpha(sc, t).tolist(), realized_betas(sc, t).tolist()
     pairs = 0
-    for i in range(sc.n_agents):
+    for i, (own, leaders) in enumerate(neighbor_sets(sc, state)):
         code = sc.partition.group_of[i]
+        pairs += own.size
         if code:
-            new[i] = leader_update(i, state, nbrs, alphas[i], sc.target(code))
-            pairs += nbrs.leader_sets[i].size
+            new[i] = leader_update(x, own, alphas[i], sc.target(code))
         else:
             betas = all_betas[i]
-            new[i] = follower_update(i, state, nbrs, betas)
-            lsets = nbrs.follower_leader_sets[i]
-            pairs += nbrs.follower_sets[i].size
-            pairs += sum(ids.size for ids, b in zip(lsets, betas) if ids.size and b != 0.0)
+            new[i] = follower_update(x, own, leaders, betas)
+            pairs += sum(ids.size for ids, b in zip(leaders, betas) if ids.size and b != 0.0)
     return new, pairs
 
 
@@ -227,9 +225,9 @@ def test_step_equals_per_agent_references_bitwise(d):
     for sc in cases:
         state = sc.initial_state
         for t in range(3):
-            nbrs = neighbors_naive(state, sc)
-            sizes += [ids.size for ids in (*nbrs.follower_sets.values(), *nbrs.leader_sets.values())]
-            unreachable += sum(ids.size == 0 for sets in nbrs.follower_leader_sets.values() for ids in sets)
+            sets = neighbor_sets(sc, state)
+            sizes += [own.size for own, _ in sets]
+            unreachable += sum(ids.size == 0 for i in sc.partition.follower_ids.tolist() for ids in sets[i][1])
             nxt, digest = step(state, sc, t)
             expected, pairs = reference_step(state, sc, t)
             assert np.array_equal(nxt.opinions, expected)

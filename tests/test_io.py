@@ -117,6 +117,10 @@ def test_metrics_csv_rejects_garbage(tmp_path):
     wrong.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_metrics_csv(wrong)
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("t,group,metric,value\n0,all,diameter,0.5\n0,all,diameter\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3"):
+        read_metrics_csv(truncated)
 
 
 def test_group_names_with_commas_are_quoted(tmp_path):

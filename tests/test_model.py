@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import config, constant, scenario
-from lfmix import DimensionMismatch, ScenarioValidationError, build_scenario, distance
+from helpers import DimensionMismatch, config, constant, distance, scenario
+from lfmix import ScenarioValidationError, build_scenario
 from lfmix.dynamics import realized_alpha, realized_betas
 from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, SeededRandom, Table
 from lfmix.seeding import derive_key, unit_uniform

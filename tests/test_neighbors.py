@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import config, constant, pair_sets
+from helpers import config, constant, neighbor_sets, pairs_match_naive
 from lfmix import build_scenario, compute_neighbors, neighbors_naive
-from lfmix.model import SystemState
+
+
+def pair_list(rows, cols):
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def follower_only(opinions, epsilon, d=1, strategy="auto"):
@@ -25,33 +28,27 @@ def follower_only(opinions, epsilon, d=1, strategy="auto"):
 def test_naive_1d_example():
     # pairwise distances: |0-0.5| = 0.5 <= 0.6; |0-1.2| = 1.2 > 0.6; |0.5-1.2| = 0.7 > 0.6
     sc = follower_only([[0.0], [0.5], [1.2]], 0.6)
-    ns = neighbors_naive(sc.initial_state, sc)
-    assert ns.follower_sets[0].tolist() == [0, 1]
-    assert ns.follower_sets[1].tolist() == [0, 1]
-    assert ns.follower_sets[2].tolist() == [2]
+    assert pair_list(*neighbors_naive(sc.initial_state, sc)) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
 
 
 def test_identical_opinions_are_mutual_neighbors():
     sc = follower_only([[0.7], [0.7]], 0.1)
-    ns = neighbors_naive(sc.initial_state, sc)
-    assert ns.follower_sets[0].tolist() == [0, 1]
-    assert ns.follower_sets[1].tolist() == [0, 1]
+    assert pair_list(*neighbors_naive(sc.initial_state, sc)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_boundary_tie_counts_as_neighbor():
     # distance exactly epsilon, on both sides of the grid/scan choice
     sc = follower_only([[0.0], [0.5]], 0.5)
-    for ns in (neighbors_naive(sc.initial_state, sc), pair_sets(sc)):
-        assert ns.follower_sets[0].tolist() == [0, 1]
-        assert ns.follower_sets[1].tolist() == [0, 1]
+    for pairs in (neighbors_naive(sc.initial_state, sc), compute_neighbors(sc.initial_state, sc)):
+        assert pair_list(*pairs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     lattice = [[0.5 * i] for i in range(-40, 40)]  # 80 agents, neighbors exactly epsilon apart
     sc = follower_only(lattice, 0.5)
-    ns = pair_sets(sc)
-    assert ns.equals(neighbors_naive(sc.initial_state, sc))
-    assert ns.follower_sets[10].tolist() == [9, 10, 11]
+    assert pairs_match_naive(sc)
+    rows, cols = compute_neighbors(sc.initial_state, sc)
+    assert cols[rows == 10].tolist() == [9, 10, 11]
     grid2 = [[0.25 * i, 0.25 * j] for i in range(-5, 5) for j in range(-5, 5)]
     sc = follower_only(grid2, 0.25, d=2)
-    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    assert pairs_match_naive(sc)
 
 
 def test_grid_keeps_pair_whose_rounded_distance_is_epsilon():
@@ -59,10 +56,11 @@ def test_grid_keeps_pair_whose_rounded_distance_is_epsilon():
     # opinions lie two epsilon-cells apart
     far = [[10.0 + i] for i in range(62)]
     sc = follower_only([[-1e-17], [0.5], *far], 0.5)
-    assert neighbors_naive(sc.initial_state, sc).follower_sets[0].tolist() == [0, 1]
-    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    rows, cols = neighbors_naive(sc.initial_state, sc)
+    assert cols[rows == 0].tolist() == [0, 1]
+    assert pairs_match_naive(sc)
     sc = follower_only([[-1e-17, 3.0], [0.5, 3.0], *[[v[0], 0.0] for v in far]], 0.5, d=2)
-    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    assert pairs_match_naive(sc)
 
 
 def test_identical_opinions_on_both_sides_of_the_grid_choice():
@@ -70,7 +68,7 @@ def test_identical_opinions_on_both_sides_of_the_grid_choice():
         sc = follower_only([[-0.3] * d] * n, 0.01, d=d)
         rows, cols = compute_neighbors(sc.initial_state, sc)
         assert rows.size == n * n
-        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+        assert pairs_match_naive(sc)
 
 
 def mixed_scenario():
@@ -91,30 +89,27 @@ def mixed_scenario():
 
 def test_group_split_and_leader_scope():
     sc = mixed_scenario()
-    ns = neighbors_naive(sc.initial_state, sc)
+    rows, cols = neighbors_naive(sc.initial_state, sc)
+    # the pairs span groups: leader 5 (group b at 1.0) is within epsilon of follower 2
+    assert cols[rows == 5].tolist() == [2, 5, 6]
+    sets = neighbor_sets(sc)
     # follower 0 at 0.1: follower neighbors {0}, group-a leaders {3, 4}, group-b none
-    assert ns.follower_sets[0].tolist() == [0]
-    assert ns.follower_leader_sets[0][0].tolist() == [3, 4]
-    assert ns.follower_leader_sets[0][1].tolist() == []
-    # leaders get only their own group: leader 5 (group b at 1.0) sees 5 and 6
-    assert ns.leader_sets[5].tolist() == [5, 6]
-    assert ns.leader_sets[3].tolist() == [3, 4]
-    assert 0 not in ns.leader_sets  # followers have no entry in leader_sets
-    assert set(ns.follower_sets) == {0, 1, 2}
-    assert set(ns.leader_sets) == {3, 4, 5, 6}
+    own, leaders = sets[0]
+    assert own.tolist() == [0]
+    assert [ids.tolist() for ids in leaders] == [[3, 4], []]
+    # a leader's own set holds only its own group
+    assert sets[5][0].tolist() == [5, 6]
+    assert sets[3][0].tolist() == [3, 4]
 
 
 def test_self_membership_and_symmetry():
     sc = mixed_scenario()
-    for ns in (neighbors_naive(sc.initial_state, sc), pair_sets(sc)):
-        for i, ids in ns.follower_sets.items():
-            assert i in ids
-            for j in ids.tolist():
-                assert i in ns.follower_sets[j]
-        for i, ids in ns.leader_sets.items():
-            assert i in ids
-            for j in ids.tolist():
-                assert i in ns.leader_sets[j]
+    for rows, cols in (neighbors_naive(sc.initial_state, sc), compute_neighbors(sc.initial_state, sc)):
+        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))  # sorted by (row, col)
+        pairs = set(pair_list(rows, cols))
+        assert len(pairs) == rows.size
+        assert all((i, i) in pairs for i in range(sc.n_agents))
+        assert pairs == {(j, i) for i, j in pairs}
 
 
 def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
@@ -145,22 +140,22 @@ def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
 def test_grid_equals_naive(seed, n, d):
     rng = np.random.default_rng(seed)
     sc = random_state_scenario(rng, n, d)
-    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    assert pairs_match_naive(sc)
 
 
 def test_grid_equals_naive_tiny_cases():
     for opinions in ([[0.0]], [[0.0], [10.0]], [[0.0], [0.25], [0.5]]):
         sc = follower_only(opinions, 0.3)
-        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+        assert pairs_match_naive(sc)
 
 
 def test_grid_negative_coordinates():
     sc = follower_only([[-1.05], [-0.95], [0.0]], 0.2)
-    assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+    assert pairs_match_naive(sc)
     rng = np.random.default_rng(7)
     for d in (1, 3, 6):
         sc = follower_only(rng.uniform(-3.0, -1.0, size=(100, d)).tolist(), 0.4, d=d)
-        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+        assert pairs_match_naive(sc)
 
 
 def test_grid_spread_beyond_int64_cell_keys():
@@ -171,23 +166,17 @@ def test_grid_spread_beyond_int64_cell_keys():
     shift[0] = 4e-4
     opinions = np.vstack([base, base + shift, base - shift])
     sc = follower_only(opinions.tolist(), 1e-3, d=6)
-    ns = pair_sets(sc)
-    assert ns.equals(neighbors_naive(sc.initial_state, sc))
-    assert all(ids.size >= 3 for ids in ns.follower_sets.values())
+    assert pairs_match_naive(sc)
+    rows, _ = compute_neighbors(sc.initial_state, sc)
+    assert np.bincount(rows, minlength=sc.n_agents).min() >= 3
 
 
 def test_strategy_dispatch_matches():
     for strategy in ("naive", "grid", "auto"):
         sc = random_state_scenario(np.random.default_rng(11), 90, 2, strategy=strategy)
-        assert pair_sets(sc).equals(neighbors_naive(sc.initial_state, sc))
+        assert pairs_match_naive(sc)
         rows, cols = compute_neighbors(sc.initial_state, sc)
         if strategy == "naive":
             first = (rows, cols)
         assert np.array_equal(rows, first[0]) and np.array_equal(cols, first[1])
 
-
-def test_neighbor_sets_equals_detects_difference():
-    sc = follower_only([[0.0], [0.5], [1.2]], 0.6)
-    a = neighbors_naive(sc.initial_state, sc)
-    b = neighbors_naive(SystemState(0, np.asarray([[0.0], [0.5], [0.55]])), sc)
-    assert not a.equals(b)
