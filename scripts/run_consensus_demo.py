@@ -3,11 +3,13 @@
 
 Writes metrics and a log-scale SVG of the distance decay next to this script
 (under ``out/``) and prints one line per check with the measured parameters.
+Exits 1 when a check fails, as ``lfmix check`` exits 4.
 
 Usage:
     python scripts/run_consensus_demo.py
 """
 
+import sys
 from pathlib import Path
 
 from lfmix import analysis, load_scenario, metrics_rows, run
@@ -18,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "scripts" / "out"
 
 
-def main() -> None:
+def main() -> int:
     scenario = load_scenario(ROOT / "scenarios" / "consensus_demo.json")
     trajectory = run(scenario)
     print(f"stopped: {trajectory.stop_reason} after {trajectory.horizon} steps")
@@ -42,7 +44,12 @@ def main() -> None:
     }
     render_line_chart(series, OUT / "consensus_decay.svg", log_y=True, title="distance decay")
     print(f"wrote {OUT / 'consensus_metrics.csv'} and {OUT / 'consensus_decay.svg'}")
+    failed = [name for name, report in checks.items() if report.status == "fail"]
+    if failed:
+        print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -35,9 +35,12 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
 
 ``measure`` reads a trajectory once into a ``Series`` of per-state distances
-(C_t, A_t, the radius around the first target) and per-step degree maxima,
-which ``metrics_rows``, ``measured_degree_bounds`` and the envelope, ball and
-limit checks read; each takes an optional precomputed series.
+(C_t, A_t, the radius around the first target), the per-step degrees
+re-queried from the schedules and their maxima, and caches it for as long as
+the trajectory lives. ``metrics_rows``, ``measured_degree_bounds`` and every
+check read that one series; no check queries a schedule itself (cor2 reads
+step 0's betas when the run has no steps). A check takes the trajectory and
+its theorem's own inputs only: tolerances are the module constants below.
 
 ``opinion_diameter`` is exact and needs numpy only. For d >= 2 it gives the
 square root of the largest squared distance the engine's arithmetic gives
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +62,12 @@ from .model import Partition, Scenario, SystemState
 from .neighbors import neighbors_naive
 from .schedules import RemappedAgents
 
-SLACK_TOL = 1e-9
-CONSENSUS_TOL = 1e-6
+SLACK_TOL = 1e-9  # a record passes when rhs - lhs >= -SLACK_TOL (BALL_TOL for lemma3)
 BALL_TOL = 1e-12
-STABILIZATION_TOL = 1e-12
+TARGET_TOL = 1e-9  # thm2: the leader distance to certify by the derived horizon
+CONSENSUS_TOL = 1e-6  # thm4, cor1, cor2: the final distance to the limit
+STABILIZATION_TOL = 1e-12  # cor1: the largest beta spread over the trailing window
+STABILIZATION_WINDOW = 10
 
 INAPPLICABLE = "InapplicableHypothesis"
 UNDEFINED_LIMIT = "UndefinedLimit"
@@ -241,7 +247,10 @@ class Series:
     Per state: C_t of group k, ``target_distances[k - 1][t]``; the followers'
     (A_t) and all agents' max distance to target 1. Per step: group k's max
     degree, ``max_alpha[k - 1][t]``; the max over all leaders in one reduction
-    (so a zero max keeps numpy's sign); the followers' max 1 - (sum of betas).
+    (so a zero max keeps numpy's sign); the followers' max 1 - (sum of betas);
+    the degrees themselves, ``alphas[t]`` for all N agents (0 for followers;
+    no entries without leader groups) and ``betas[t]``, the followers' (F, m)
+    rows in follower-id order.
     A series is None when it has no agents or no target 1.
     """
 
@@ -251,35 +260,44 @@ class Series:
     max_alpha: tuple[list[float], ...]
     leader_max_alpha: list[float] | None
     max_rest: list[float] | None
+    alphas: tuple[np.ndarray, ...]
+    betas: tuple[np.ndarray, ...]
+
+
+_SERIES: weakref.WeakKeyDictionary[Trajectory, Series] = weakref.WeakKeyDictionary()
 
 
 def measure(trajectory: Trajectory) -> Series:
     """The trajectory's series, from its raw states and degrees re-queried
-    from the schedules."""
+    from the schedules; computed on the first call, then cached."""
+    series = _SERIES.get(trajectory)
+    if series is None:
+        series = _SERIES[trajectory] = _measure(trajectory)
+    return series
+
+
+def _measure(trajectory: Trajectory) -> Series:
     scenario = trajectory.scenario
     part = scenario.partition
     fol = part.follower_ids
     m = scenario.m
     states = trajectory.states
     steps = range(trajectory.horizon)
+    alphas = tuple(realized_alpha(scenario, t) for t in steps) if m else ()
+    betas = tuple(realized_betas(scenario, t)[fol] for t in steps)
     target_distances = tuple([max_target_distance(s, scenario, k) for s in states] for k in range(1, m + 1))
+    max_alpha = tuple([float(a[ids].max()) for a in alphas] for ids in part.leader_ids)
     follower_distances = radii = leader_max_alpha = max_rest = None
-    max_alpha = tuple([] for _ in part.leader_ids)
     if m:
         g = scenario.target(1)
         radii = [float(distances_to(s.opinions, g).max()) for s in states]
         if fol.size:
             follower_distances = [float(distances_to(s.opinions[fol], g).max()) for s in states]
         lead = part.group_of > 0
-        leader_max_alpha = []
-        for t in steps:
-            alpha = realized_alpha(scenario, t)
-            leader_max_alpha.append(float(alpha[lead].max()))
-            for col, ids in zip(max_alpha, part.leader_ids):
-                col.append(float(alpha[ids].max()))
+        leader_max_alpha = [float(a[lead].max()) for a in alphas]
     if fol.size:
-        max_rest = [float((1.0 - beta_sums(realized_betas(scenario, t)[fol])).max()) for t in steps]
-    return Series(target_distances, follower_distances, radii, max_alpha, leader_max_alpha, max_rest)
+        max_rest = [float((1.0 - beta_sums(b)).max()) for b in betas]
+    return Series(target_distances, follower_distances, radii, max_alpha, leader_max_alpha, max_rest, alphas, betas)
 
 
 def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
@@ -291,10 +309,10 @@ def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
     return gamma, delta
 
 
-def metrics_rows(trajectory: Trajectory, series: Series | None = None) -> list[MetricsRow]:
+def metrics_rows(trajectory: Trajectory) -> list[MetricsRow]:
     """Summaries for every recorded state. The follower spread is measured
     against the first leader group's target (None without leader groups)."""
-    series = series or measure(trajectory)
+    series = measure(trajectory)
     rows = []
     for t, state in enumerate(trajectory.states):
         cds = tuple(c[t] for c in series.target_distances)
@@ -312,13 +330,7 @@ def metrics_rows(trajectory: Trajectory, series: Series | None = None) -> list[M
 # ---------------------------------------------------------------------------
 
 
-def check_contraction_step(
-    state_t: SystemState,
-    state_t1: SystemState,
-    alphas_t,
-    scenario: Scenario,
-    tol: float = SLACK_TOL,
-) -> CheckReport:
+def check_contraction_step(state_t: SystemState, state_t1: SystemState, alphas_t, scenario: Scenario) -> CheckReport:
     """One step of the leader contraction bound.
 
     For every leader i with degree alpha: the new distance to the target is
@@ -327,7 +339,7 @@ def check_contraction_step(
     group's max degree. Each group's leaders are scanned against that group
     only.
     """
-    report = CheckReport("contraction", tolerance=tol)
+    report = CheckReport("contraction")
     part = scenario.partition
     eps2 = scenario.epsilon * scenario.epsilon
     for k in range(1, scenario.m + 1):
@@ -352,20 +364,19 @@ def check_contraction_step(
     return report
 
 
-def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckReport:
+def check_contraction(trajectory: Trajectory) -> CheckReport:
     """Contraction bound at every step of a trajectory.
 
-    Own-group neighbors are recomputed from the raw states and degrees
-    re-queried from the schedules, independently of whatever the engine did.
+    Own-group neighbors are recomputed from the raw states, and the degrees
+    are the series' re-queried ones, independently of whatever the engine did.
     """
     scenario = trajectory.scenario
-    report = CheckReport("contraction", tolerance=tol)
+    report = CheckReport("contraction")
     if scenario.m == 0:
         report.params["note"] = "no leader groups; nothing to check"
         return report
-    for t in range(trajectory.horizon):
-        alphas = realized_alpha(scenario, t)
-        sub = check_contraction_step(trajectory.states[t], trajectory.states[t + 1], alphas, scenario, tol)
+    for t, alphas in enumerate(measure(trajectory).alphas):
+        sub = check_contraction_step(trajectory.states[t], trajectory.states[t + 1], alphas, scenario)
         report.records.extend(sub.records)
     report.params["steps"] = trajectory.horizon
     return report
@@ -376,27 +387,20 @@ def check_contraction(trajectory: Trajectory, tol: float = SLACK_TOL) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
-def _alpha_above(scenario: Scenario, k: int, t: int, delta: float) -> str:
+def _alpha_above(trajectory: Trajectory, k: int, t: int, delta: float) -> str:
     """Names the first leader of group k whose degree at t exceeds delta."""
-    ids = scenario.partition.leader_ids[k - 1]
-    alpha = realized_alpha(scenario, t)[ids]
+    ids = trajectory.scenario.partition.leader_ids[k - 1]
+    alpha = measure(trajectory).alphas[t][ids]
     i = (alpha > delta).argmax()
     return f"degree {float(alpha[i])} of agent {ids[i]}"
 
 
-def check_target_envelope(
-    trajectory: Trajectory,
-    k: int,
-    delta: float,
-    tol: float = SLACK_TOL,
-    target_tol: float = 1e-9,
-    series: Series | None = None,
-) -> CheckReport:
+def check_target_envelope(trajectory: Trajectory, k: int, delta: float) -> CheckReport:
     """Geometric decay of leader group k's max target distance.
 
     Requires delta in [0, 1) with every realized degree of the group bounded
-    by delta; then C_t <= delta^t * C_0 at every step, and C_T <= target_tol
-    once the horizon passes log(target_tol / C_0) / log(delta).
+    by delta; then C_t <= delta^t * C_0 at every step, and C_T <= TARGET_TOL
+    once the horizon passes log(TARGET_TOL / C_0) / log(delta).
     """
     scenario = trajectory.scenario
     name = "target_envelope"
@@ -404,38 +408,33 @@ def check_target_envelope(
         return _skipped(name, INAPPLICABLE, f"no leader group {k}")
     if not 0.0 <= delta < 1.0:
         return _skipped(name, INAPPLICABLE, f"delta {delta} outside [0, 1)")
-    series = series or measure(trajectory)
+    series = measure(trajectory)
     for t, alpha in enumerate(series.max_alpha[k - 1]):
         if alpha > delta:
-            above = _alpha_above(scenario, k, t, delta)
+            above = _alpha_above(trajectory, k, t, delta)
             return _skipped(name, INAPPLICABLE, f"{above} at t={t} exceeds delta {delta}", delta=delta, k=k)
     curve = series.target_distances[k - 1]
     c0 = curve[0]
-    report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "c0": c0})
+    report = CheckReport(name, params={"k": k, "delta": delta, "c0": c0})
     for t, ct in enumerate(curve):
         report.records.append(StepRecord(t, "envelope", ct, delta**t * c0))
-    if c0 <= target_tol:
+    if c0 <= TARGET_TOL:
         needed = 0
     elif delta == 0.0:
         needed = 1
     else:
-        needed = math.ceil(math.log(target_tol / c0) / math.log(delta))
-    report.params["target_tol"] = target_tol
+        needed = math.ceil(math.log(TARGET_TOL / c0) / math.log(delta))
+    report.params["target_tol"] = TARGET_TOL
     report.params["needed_horizon"] = needed
     report.params["final_value"] = curve[-1]
     if trajectory.horizon >= needed:
-        report.records.append(StepRecord(trajectory.horizon, "final_target", curve[-1], target_tol))
+        report.records.append(StepRecord(trajectory.horizon, "final_target", curve[-1], TARGET_TOL))
     else:
         report.params["note"] = "horizon below certification threshold; envelope only"
     return report
 
 
-def check_target_envelope_all(
-    trajectory: Trajectory,
-    tol: float = SLACK_TOL,
-    target_tol: float = 1e-9,
-    series: Series | None = None,
-) -> CheckReport:
+def check_target_envelope_all(trajectory: Trajectory) -> CheckReport:
     """Envelope check for every leader group with delta measured from the run.
 
     Per group, delta is the largest realized degree over the trajectory.
@@ -446,8 +445,8 @@ def check_target_envelope_all(
     name = "target_envelope"
     if scenario.m == 0:
         return _skipped(name, INAPPLICABLE, "no leader groups")
-    series = series or measure(trajectory)
-    merged = CheckReport(name, tolerance=tol, params={"target_tol": target_tol})
+    series = measure(trajectory)
+    merged = CheckReport(name, params={"target_tol": TARGET_TOL})
     eligible = 0
     for k in range(1, scenario.m + 1):
         delta = max([0.0] + series.max_alpha[k - 1])
@@ -456,7 +455,7 @@ def check_target_envelope_all(
             merged.params[f"group_{gname}"] = "skipped (measured delta reaches 1)"
             continue
         eligible += 1
-        sub = check_target_envelope(trajectory, k, delta, tol, target_tol, series)
+        sub = check_target_envelope(trajectory, k, delta)
         merged.records.extend(
             StepRecord(r.t, f"{gname}: {r.label}", r.lhs, r.rhs) for r in sub.records
         )
@@ -467,13 +466,7 @@ def check_target_envelope_all(
     return merged
 
 
-def target_envelope_along(
-    trajectory: Trajectory,
-    k: int,
-    delta: float,
-    steps,
-    tol: float = SLACK_TOL,
-) -> CheckReport:
+def target_envelope_along(trajectory: Trajectory, k: int, delta: float, steps) -> CheckReport:
     """Envelope applied only along designated contraction steps.
 
     At every step the group's max target distance is nonincreasing; at each
@@ -493,10 +486,10 @@ def target_envelope_along(
     series = measure(trajectory)
     for s in steps:
         if series.max_alpha[k - 1][s] > delta:
-            above = _alpha_above(scenario, k, s, delta)
+            above = _alpha_above(trajectory, k, s, delta)
             return _skipped(name, INAPPLICABLE, f"{above} at designated step {s} exceeds {delta}")
     curve = series.target_distances[k - 1]
-    report = CheckReport(name, tolerance=tol, params={"k": k, "delta": delta, "steps": len(steps)})
+    report = CheckReport(name, params={"k": k, "delta": delta, "steps": len(steps)})
     for t, ct in enumerate(curve):
         # one delta factor per designated step before t
         report.records.append(StepRecord(t, "envelope", ct, delta ** bisect.bisect_left(steps, t) * curve[0]))
@@ -508,32 +501,21 @@ def target_envelope_along(
 # ---------------------------------------------------------------------------
 
 
-def check_ball_invariance(
-    trajectory: Trajectory,
-    center: np.ndarray | None = None,
-    radius: float | None = None,
-    tol: float = BALL_TOL,
-    series: Series | None = None,
-) -> CheckReport:
+def check_ball_invariance(trajectory: Trajectory, radius: float | None = None) -> CheckReport:
     """Containment in the ball around the single leader group's target.
 
     Finds the first step with every opinion inside the ball and asserts
     containment at every later step. Vacuous pass when the ball is never
-    entered. The center defaults to the target and the radius to the
-    initial state's.
+    entered. The radius defaults to the initial state's.
     """
     scenario = trajectory.scenario
     name = "ball_invariance"
     if scenario.m != 1:
         return _skipped(name, INAPPLICABLE, f"needs exactly one leader group, found {scenario.m}")
-    if center is not None:
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (scenario.dimension,) or not np.array_equal(center, scenario.target(1)):
-            return _skipped(name, INAPPLICABLE, "center must equal the leader group's target")
-    radii = (series or measure(trajectory)).radii
+    radii = measure(trajectory).radii
     if radius is None:
         radius = radii[0]
-    report = CheckReport(name, tolerance=tol, params={"radius": radius})
+    report = CheckReport(name, tolerance=BALL_TOL, params={"radius": radius})
     t0 = next((t for t, r in enumerate(radii) if r <= radius), None)
     if t0 is None:
         report.params["t0"] = "never"
@@ -550,12 +532,7 @@ def check_ball_invariance(
 # ---------------------------------------------------------------------------
 
 
-def check_consensus_bound(
-    trajectory: Trajectory,
-    tol: float = SLACK_TOL,
-    consensus_tol: float = CONSENSUS_TOL,
-    series: Series | None = None,
-) -> CheckReport:
+def check_consensus_bound(trajectory: Trajectory) -> CheckReport:
     """Follower convergence bound for a single leader group.
 
     Hypotheses are measured from the run: the first step t* with every
@@ -565,7 +542,7 @@ def check_consensus_bound(
     p the first step after which the leader distance stays below
     epsilon - delta, follower distances A satisfy
     A_(t+1) <= gamma^(t-p+1) A_p + (t-p+1) gamma^(t-p) C_p for t >= p,
-    and the final state must lie within consensus_tol of the target.
+    and the final state must lie within CONSENSUS_TOL of the target.
     """
     scenario = trajectory.scenario
     name = "consensus_bound"
@@ -573,7 +550,7 @@ def check_consensus_bound(
         return _skipped(name, INAPPLICABLE, f"needs exactly one leader group, found {scenario.m}")
     eps = scenario.epsilon
     horizon = trajectory.horizon
-    series = series or measure(trajectory)
+    series = measure(trajectory)
     radii = series.radii
     curve_c = series.target_distances[0]
     curve_a = series.follower_distances or [0.0] * len(radii)
@@ -603,14 +580,13 @@ def check_consensus_bound(
 
     report = CheckReport(
         name,
-        tolerance=tol,
         params={
             "t_star": t_star,
             "delta": delta,
             "gamma": gamma,
             "p": p,
             "final_distance": radii[-1],
-            "consensus_tol": consensus_tol,
+            "consensus_tol": CONSENSUS_TOL,
             "hypothesis_window": "measured over horizon",
         },
     )
@@ -618,7 +594,7 @@ def check_consensus_bound(
     for t in range(p, horizon):
         bound = gamma ** (t - p + 1) * a_p + (t - p + 1) * gamma ** (t - p) * c_p
         report.records.append(StepRecord(t + 1, "follower_bound", curve_a[t + 1], bound))
-    report.records.append(StepRecord(horizon, "final_consensus", radii[-1], consensus_tol))
+    report.records.append(StepRecord(horizon, "final_consensus", radii[-1], CONSENSUS_TOL))
     return report
 
 
@@ -627,21 +603,15 @@ def check_consensus_bound(
 # ---------------------------------------------------------------------------
 
 
-def check_mixture_limit(
-    trajectory: Trajectory,
-    tol: float = SLACK_TOL,
-    consensus_tol: float = CONSENSUS_TOL,
-    stabilization_tol: float = STABILIZATION_TOL,
-    window: int = 10,
-    series: Series | None = None,
-) -> CheckReport:
+def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     """Limit point of followers under several leader groups.
 
-    Requires stabilized betas (spread within stabilization_tol over the
-    trailing window), a step at which all opinions and all targets fit in a
-    ball of radius delta < epsilon around one target, and measured gamma < 1.
-    Each follower must end within consensus_tol of the beta-weighted mixture
-    of the targets; each leader ends at its own target.
+    Requires stabilized betas (spread within STABILIZATION_TOL over the
+    trailing STABILIZATION_WINDOW steps), a step at which all opinions and
+    all targets fit in a ball of radius delta < epsilon around one target,
+    and measured gamma < 1. Each follower must end within CONSENSUS_TOL of
+    the beta-weighted mixture of the targets; each leader ends at its own
+    target.
     """
     scenario = trajectory.scenario
     name = "mixture_limit"
@@ -654,13 +624,14 @@ def check_mixture_limit(
         return _skipped(name, INAPPLICABLE, "trajectory has no steps")
 
     fol = part.follower_ids
-    tail = np.stack([realized_betas(scenario, s)[fol] for s in range(max(0, horizon - window), horizon)])
+    series = measure(trajectory)
+    tail = np.stack(series.betas[-STABILIZATION_WINDOW:])
     spread = (tail.max(axis=0) - tail.min(axis=0)).max(axis=1)
     total = tail[-1].sum(axis=1)
-    unfit = (spread > stabilization_tol) | (total == 0.0)
+    unfit = (spread > STABILIZATION_TOL) | (total == 0.0)
     if unfit.any():
         j = unfit.argmax()
-        if spread[j] > stabilization_tol:
+        if spread[j] > STABILIZATION_TOL:
             return _skipped(
                 name, INAPPLICABLE, f"betas of agent {fol[j]} not stabilized (spread {float(spread[j]):.3g})"
             )
@@ -686,7 +657,6 @@ def check_mixture_limit(
     if t_star >= horizon:
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
 
-    series = series or measure(trajectory)
     gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.leader_max_alpha[t_star:])
     if gamma >= 1.0:
         return _skipped(
@@ -696,23 +666,22 @@ def check_mixture_limit(
 
     report = CheckReport(
         name,
-        tolerance=tol,
         params={
             "t_star": t_star,
             "delta": delta,
             "gamma": gamma,
             "ball_center_group": center_group,
-            "consensus_tol": consensus_tol,
+            "consensus_tol": CONSENSUS_TOL,
         },
     )
     final = trajectory.final_state.opinions
     for j, i in enumerate(fol.tolist()):
         lhs = float(np.sqrt(((final[i] - weights[j] @ scenario.targets) ** 2).sum()))
-        report.records.append(StepRecord(horizon, f"follower {i} mixture", lhs, consensus_tol))
+        report.records.append(StepRecord(horizon, f"follower {i} mixture", lhs, CONSENSUS_TOL))
     for k in range(1, m + 1):
         dists = distances_to(final[part.leader_ids[k - 1]], scenario.target(k))
         report.records.append(
-            StepRecord(horizon, f"group {part.leader_names[k - 1]} target", float(dists.max()), consensus_tol)
+            StepRecord(horizon, f"group {part.leader_names[k - 1]} target", float(dists.max()), CONSENSUS_TOL)
         )
     return report
 
@@ -772,16 +741,18 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     return sub, originals
 
 
-def derive_subsystem_assignment(scenario: Scenario, horizon: int) -> dict[int, int] | None:
+def derive_subsystem_assignment(trajectory: Trajectory) -> dict[int, int] | None:
     """Map each follower to the unique leader group it can mix toward.
 
     A follower belongs to group k when its beta toward k is positive at some
-    step and its betas toward every other group are identically zero. Returns
-    None when any follower has no group or several."""
+    step of the run (at step 0 when it has no steps) and its betas toward
+    every other group are identically zero. Returns None when any follower
+    has no group or several; else the map in follower-id order."""
+    scenario = trajectory.scenario
     fol = scenario.partition.follower_ids
     active = np.zeros((fol.size, scenario.m), dtype=bool)
-    for s in range(max(horizon, 1)):
-        active |= realized_betas(scenario, s)[fol] > 0.0
+    for betas in measure(trajectory).betas or (realized_betas(scenario, 0)[fol],):
+        active |= betas > 0.0
     if (active.sum(axis=1) != 1).any():
         return None
     return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
@@ -815,56 +786,50 @@ def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray) -> str
     return f"follower {i} (subsystem {label[i]}) sees leader group {codes.min()} at t={state.t}"
 
 
-def check_subsystem_independence(
-    scenario: Scenario,
-    horizon: int | None = None,
-    tol: float = SLACK_TOL,
-    consensus_tol: float = CONSENSUS_TOL,
-    joint: Trajectory | None = None,
-    series: Series | None = None,
-) -> CheckReport:
+def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     """Spatially separated leader groups each reach their own target.
 
     Followers are assigned to the single group their betas point at; each
     subsystem (its leaders plus assigned followers) must start inside a ball
     of radius delta_k < epsilon around its target with measured degree bound
     gamma_k < 1. Each subsystem is then re-run standalone and every agent
-    must end within consensus_tol of its group target, in the standalone run
-    and in the joint run. Any epsilon-contact between different subsystems in
-    the joint run is flagged as cross talk and the premise fails.
+    must end within CONSENSUS_TOL of its group target, in the standalone run
+    and in the joint run, the given trajectory. Any epsilon-contact between
+    different subsystems in the joint run is flagged as cross talk and the
+    premise fails.
 
     With one leader group the standalone system is the whole system, so a
     joint run made without an injected fault and without a tolerance stop
-    already is the standalone run and is not repeated. ``series``, when
-    given, is the joint run's.
+    already is the standalone run and is not repeated.
     """
+    scenario = trajectory.scenario
     name = "subsystem_independence"
     if scenario.m < 1:
         return _skipped(name, INAPPLICABLE, "needs at least one leader group")
-    if joint is None:
-        joint = run(scenario, horizon)
-    horizon = joint.horizon
+    horizon = trajectory.horizon
     part = scenario.partition
 
-    assignment = derive_subsystem_assignment(scenario, horizon)
+    assignment = derive_subsystem_assignment(trajectory)
     if assignment is None:
         return _skipped(
             name, INAPPLICABLE, "followers do not split into one leader group each (betas overlap or vanish)"
         )
     # cross-subsystem contact scan on the joint run
     label = part.group_of.copy()  # subsystem of every agent: a leader's group, a follower's assignment
-    label[part.follower_ids] = [assignment[i] for i in part.follower_ids.tolist()]
-    for state in joint.states:
+    assigned = np.asarray(list(assignment.values()), dtype=np.int64)  # in follower-id order
+    label[part.follower_ids] = assigned
+    for state in trajectory.states:
         message = _crosstalk(state, scenario, label)
         if message:
             return _skipped(name, CROSSTALK, message)
-    series = series or measure(joint)
+    series = measure(trajectory)
 
-    report = CheckReport(name, tolerance=tol, params={"consensus_tol": consensus_tol, "cross_contacts": 0})
+    report = CheckReport(name, params={"consensus_tol": CONSENSUS_TOL, "cross_contacts": 0})
     x0 = scenario.initial_state.opinions
-    final_joint = joint.final_state.opinions
+    final_joint = trajectory.final_state.opinions
     for k in range(1, scenario.m + 1):
-        followers_k = np.asarray([i for i, a in assignment.items() if a == k], dtype=np.int64)
+        mine = assigned == k
+        followers_k = part.follower_ids[mine]
         members = np.union1d(followers_k, part.leader_ids[k - 1])
         g = scenario.target(k)
         delta_k = float(distances_to(x0[members], g).max())
@@ -874,26 +839,26 @@ def check_subsystem_independence(
                 f"subsystem {k} starts at radius {delta_k:.6g}, not inside the epsilon ball",
             )
         gamma_k = 0.0
-        for s, alpha in enumerate(series.max_alpha[k - 1]):
-            rest = 1.0 - realized_betas(scenario, s)[followers_k, k - 1]
+        for alpha, betas in zip(series.max_alpha[k - 1], series.betas):
+            rest = 1.0 - betas[mine, k - 1]
             gamma_k = max(gamma_k, float(rest.max(initial=0.0)), alpha)
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
         report.params[f"delta_{k}"] = delta_k
         report.params[f"gamma_{k}"] = gamma_k
 
-        if scenario.m == 1 and joint.fault is None and joint.stop_tol is None:
-            alone = joint
+        if scenario.m == 1 and trajectory.fault is None and trajectory.stop_tol is None:
+            alone = trajectory
         else:
             alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
         dists = distances_to(alone.final_state.opinions, g)  # a subsystem's agents are its members in id order
         for new, orig in enumerate(members.tolist()):
             report.records.append(
-                StepRecord(alone.horizon, f"standalone agent {orig}", float(dists[new]), consensus_tol)
+                StepRecord(alone.horizon, f"standalone agent {orig}", float(dists[new]), CONSENSUS_TOL)
             )
         joint_dists = distances_to(final_joint[members], g)
         for pos, i in enumerate(members.tolist()):
             report.records.append(
-                StepRecord(horizon, f"joint agent {i}", float(joint_dists[pos]), consensus_tol)
+                StepRecord(horizon, f"joint agent {i}", float(joint_dists[pos]), CONSENSUS_TOL)
             )
     return report

@@ -18,6 +18,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,7 +94,7 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
     write_trajectory_csv(trajectory, out_dir / "trajectory.csv", record_every)
     written = time.perf_counter()
     series = analysis.measure(trajectory)
-    write_metrics_csv(analysis.metrics_rows(trajectory, series), scenario, out_dir / "metrics.csv")
+    write_metrics_csv(analysis.metrics_rows(trajectory), scenario, out_dir / "metrics.csv")
     timings = {"trajectory_csv_s": written - started, "metrics_s": time.perf_counter() - written}
     (out_dir / "scenario.canonical.json").write_text(dump_canonical(scenario), encoding="utf-8")
     gamma, delta = analysis.measured_degree_bounds(series)
@@ -142,17 +143,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_checks(scenario: Scenario, trajectory, tokens) -> dict:
-    series = analysis.measure(trajectory)
+def _run_checks(trajectory, tokens) -> dict:
     checks = {
-        "lemma1": lambda: analysis.check_contraction(trajectory),
-        "thm2": lambda: analysis.check_target_envelope_all(trajectory, series=series),
-        "lemma3": lambda: analysis.check_ball_invariance(trajectory, series=series),
-        "thm4": lambda: analysis.check_consensus_bound(trajectory, series=series),
-        "cor1": lambda: analysis.check_mixture_limit(trajectory, series=series),
-        "cor2": lambda: analysis.check_subsystem_independence(scenario, joint=trajectory, series=series),
+        "lemma1": analysis.check_contraction,
+        "thm2": analysis.check_target_envelope_all,
+        "lemma3": analysis.check_ball_invariance,
+        "thm4": analysis.check_consensus_bound,
+        "cor1": analysis.check_mixture_limit,
+        "cor2": analysis.check_subsystem_independence,
     }
-    return {token: checks[token]() for token in tokens}
+    return {token: checks[token](trajectory) for token in tokens}
 
 
 def _cmd_check(args) -> int:
@@ -165,7 +165,7 @@ def _cmd_check(args) -> int:
     if scenario is None:
         return 2
     trajectory = run(scenario, args.horizon, fault=args.inject_fault)
-    reports = _run_checks(scenario, trajectory, tokens)
+    reports = _run_checks(trajectory, tokens)
     payload = {
         "scenario": args.scenario,
         "horizon": trajectory.horizon,
@@ -233,6 +233,8 @@ def _parse_vary(spec: str):
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {', '.join(_SWEEP_PARAMS)}")
     if steps < 1:
         raise ValueError(f"bad --vary spec {spec!r}; steps must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bad --vary spec {spec!r}; lo and hi must be finite")
     if steps == 1:
         values = [lo]
     else:

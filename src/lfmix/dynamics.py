@@ -58,15 +58,16 @@ class StepDigest:
     neighbor_pairs: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States for t = 0..T, how the run ended, and the injected fault and
-    tolerance stop (None when off) it ran with."""
+    tolerance stop (None when off) it ran with. Immutable and compared by
+    identity, so measurements of it can be cached against it."""
 
     scenario: Scenario
-    states: list[SystemState]
+    states: tuple[SystemState, ...]
     stop_reason: str
-    step_digests: list[StepDigest]
+    step_digests: tuple[StepDigest, ...]
     fault: str | None
     stop_tol: float | None
 
@@ -250,4 +251,4 @@ def run(
         if tol is None and disp == 0.0:
             reason = STOP_STAGNATED
             break
-    return Trajectory(scenario, states, reason, digests, fault, tol)
+    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol)

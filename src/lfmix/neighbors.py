@@ -2,15 +2,16 @@
 
 * ``compute_neighbors``: the engine's search. It returns every ordered pair
   (i, j) with ||x_i - x_j||^2 <= epsilon^2 as two int32 arrays sorted by
-  (i, j); every agent is its own neighbor. Candidates come from
-  ``neighbors_grid``, a grid of cells of side just over epsilon (d <= 6 and
-  N >= 64) whose 3^d block around an agent's cell covers every point within
-  epsilon of it, or else from a scan over all agents. Only N and d choose;
+  (i, j); every agent is its own neighbor. For d <= 6 and N >= 64 the
+  candidates come from ``neighbors_grid``, a grid of cells of side just over
+  epsilon whose 3^d block around an agent's cell covers every point within
+  epsilon of it; otherwise it is ``neighbors_naive``. Only N and d choose;
   both yield the same pairs.
 * ``neighbors_naive``: the same pairs in the same format from an exact
-  O(N^2) scan of every agent against all agents, the reference the tests
-  hold ``compute_neighbors`` to. The checks scan only the pairs they need
-  and call it just to name a cross-talk contact they found.
+  O(N^2) scan of every agent against all agents, in blocks of rows, the
+  reference the tests hold the grid to (and check themselves against a
+  per-pair loop). The checks scan only the pairs they need and call it just
+  to name a cross-talk contact they found.
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
 is the cols of its rows, split by group where a caller needs that. Both
@@ -29,7 +30,7 @@ import numpy as np
 
 from .model import Scenario, SystemState
 
-_CHUNK = 128  # rows per block of the reference and the grid search
+_CHUNK = 128  # rows per block of the grid search
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
 _GRID_MIN_AGENTS = 64
 _GRID_MAX_DIM = 6
@@ -37,40 +38,29 @@ _GRID_MAX_DIM = 6
 
 def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row,
-    col), from a scan of every agent against all agents; the reference."""
+    col), from a scan of every agent against all agents, a block of rows at
+    a time."""
     x = state.opinions
     eps2 = scenario.epsilon * scenario.epsilon
-    rows, cols = [], []
-    for start in range(0, x.shape[0], _CHUNK):
-        diff = x[start:start + _CHUNK, None, :] - x[None, :, :]
-        r, c = np.nonzero((diff * diff).sum(axis=2) <= eps2)
-        rows.append(r + start)
-        cols.append(c)
-    return np.concatenate(rows).astype(np.int32), np.concatenate(cols).astype(np.int32)
-
-
-def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
-    x = state.opinions
-    n, d = x.shape
-    search = neighbors_grid if n >= _GRID_MIN_AGENTS and d <= _GRID_MAX_DIM else _scan_pairs
-    rows, cols = zip(*search(x, scenario.epsilon))
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _scan_pairs(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every agent against all agents, a block of rows at a time."""
-    eps2 = eps * eps
     ids = np.arange(x.shape[0], dtype=np.int32)
-    parts = []
+    rows, cols = [], []
     block = max(1, _SCAN_FLOATS // x.size)
     for start in range(0, x.shape[0], block):
         diff = x[start:start + block, None, :] - x[None, :, :]
         diff *= diff
         within = diff.sum(axis=2) <= eps2
-        rows = np.repeat(ids[start:start + block], within.sum(axis=1))
-        parts.append((rows, np.broadcast_to(ids, within.shape)[within]))
-    return parts
+        rows.append(np.repeat(ids[start:start + block], within.sum(axis=1)))
+        cols.append(np.broadcast_to(ids, within.shape)[within])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
+    n, d = state.opinions.shape
+    if n < _GRID_MIN_AGENTS or d > _GRID_MAX_DIM:
+        return neighbors_naive(state, scenario)
+    rows, cols = zip(*neighbors_grid(state.opinions, scenario.epsilon))
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:

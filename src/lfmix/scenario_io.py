@@ -101,7 +101,10 @@ def read_metrics_csv(path) -> list[dict]:
             raise ValueError(f"{path}: expected header t,group,metric,value")
         for rec in reader:
             try:
-                # a truncated row has None in its missing fields, the last being value
+                # a truncated row has None in its missing fields, the last
+                # being value; an overlong row keeps its extra fields under None
+                if None in rec:
+                    raise ValueError
                 out.append(
                     {
                         "t": int(rec["t"]),

@@ -154,6 +154,3 @@ class RemappedAgents(Schedule):
 
     def to_spec(self) -> dict:
         raise TypeError("remapped schedules are internal and not serializable")
-
-
-SCHEDULE_KINDS = ("constant", "table", "geometric_decay", "seeded_random")

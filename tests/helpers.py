@@ -140,6 +140,16 @@ def pairs_match_naive(sc: Scenario, state=None) -> bool:
             and np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols))
 
 
+def pairs_oracle(sc: Scenario, state=None) -> list[tuple[int, int]]:
+    """Every ordered pair (i, j) with ``np.sum((x_i - x_j) ** 2) <= eps ** 2``,
+    tested one pair at a time in (i, j) order: the reference the scan of
+    ``neighbors_naive`` is held to."""
+    x = (sc.initial_state if state is None else state).opinions
+    eps = sc.epsilon
+    n = x.shape[0]
+    return [(i, j) for i in range(n) for j in range(n) if np.sum((x[i] - x[j]) ** 2) <= eps**2]
+
+
 def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
     """Every agent's ``neighbors_naive`` pairs split by group: entry i is
     ``(own, leaders)``, the ascending ids of i's neighbors in its own group

@@ -83,9 +83,9 @@ def test_criterion_2_target_envelope():
             horizon=horizon,
         )
         traj = run(build_scenario(cfg))
-        rep = check_target_envelope(traj, 1, 0.9, tol=1e-12, target_tol=1e-9)
+        rep = check_target_envelope(traj, 1, 0.9)
         final = rep.params["final_value"]
-        ok = ok and rep.passed and final <= 1e-9
+        ok = ok and rep.worst_slack >= -1e-12 and final <= 1e-9
         details.append(f"C0 {c0:.3f}: T {horizon}, final {final:.2e}")
 
     # vanishing-degree clause: agent 0 decays 0.5^t among stubborn alpha = 1 peers
@@ -170,7 +170,7 @@ def test_criterion_5_mixture_limit():
 def test_criterion_6_subsystems():
     """Well-separated subsystems reach their own targets; zero cross contacts."""
     sc = load_scenario(SCENARIOS / "subsystems_demo.json")
-    rep = check_subsystem_independence(sc)
+    rep = check_subsystem_independence(run(sc))
     ok = rep.passed and rep.params["cross_contacts"] == 0
     # record slack is consensus_tol - distance, so the worst distance is:
     worst_distance = 1e-6 - rep.worst_slack if rep.worst_slack is not None else math.nan

@@ -458,14 +458,14 @@ def test_envelope_certifies_at_197_steps():
         horizon=197,
     )
     traj = run(sc)
-    rep = check_target_envelope(traj, 1, 0.9, target_tol=1e-9)
+    rep = check_target_envelope(traj, 1, 0.9)
     assert rep.params["needed_horizon"] == 197
     final = [r for r in rep.records if r.label == "final_target"]
     assert len(final) == 1 and final[0].lhs <= 1e-9
     assert rep.passed
 
     short = run(sc, 196)
-    rep_short = check_target_envelope(short, 1, 0.9, target_tol=1e-9)
+    rep_short = check_target_envelope(short, 1, 0.9)
     assert not any(r.label == "final_target" for r in rep_short.records)
     assert "note" in rep_short.params
 
@@ -543,7 +543,7 @@ def test_per_agent_vanishing_degree_reaches_target():
 def test_ball_invariance_from_start():
     sc = consensus_demo()
     traj = run(sc)
-    rep = check_ball_invariance(traj, sc.target(1), 0.3)
+    rep = check_ball_invariance(traj, 0.3)
     assert rep.passed and rep.params["t0"] == 0
 
 
@@ -556,7 +556,7 @@ def test_ball_invariance_never_entered_is_vacuous():
         follower_betas=[constant(0.0)],
         horizon=5,
     )
-    rep = check_ball_invariance(run(sc), sc.target(1), 0.5)
+    rep = check_ball_invariance(run(sc), 0.5)
     assert rep.passed and rep.params["t0"] == "never"
 
 
@@ -567,7 +567,7 @@ def test_ball_invariance_requires_single_leader_group():
         initial=[[0.0], [0.1]],
         horizon=2,
     )
-    rep = check_ball_invariance(run(sc), sc.target(1), 1.0)
+    rep = check_ball_invariance(run(sc), 1.0)
     assert rep.status == "skipped" and rep.reason.startswith(INAPPLICABLE)
 
 
@@ -575,15 +575,9 @@ def test_ball_invariance_defaults_to_target_and_initial_radius():
     sc = consensus_demo()
     traj = run(sc)
     radius = float(distances_to(sc.initial_state.opinions, sc.target(1)).max())
-    explicit = check_ball_invariance(traj, sc.target(1), radius)
+    explicit = check_ball_invariance(traj, radius)
     assert check_ball_invariance(traj).to_dict() == explicit.to_dict()
     assert explicit.params["radius"] == 0.3 and explicit.status == "pass"
-
-
-def test_ball_invariance_center_must_be_target():
-    sc = consensus_demo()
-    rep = check_ball_invariance(run(sc, 5), np.asarray([0.05]), 0.5)
-    assert rep.status == "skipped"
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +750,7 @@ def subsystem_config(epsilon=1.0, targets=(0.0, 10.0)):
 
 def test_subsystems_converge_to_own_targets():
     sc = build_scenario(subsystem_config())
-    rep = check_subsystem_independence(sc)
+    rep = check_subsystem_independence(run(sc))
     assert rep.passed, rep.reason
     assert rep.params["cross_contacts"] == 0
     assert rep.params["delta_1"] < sc.epsilon and rep.params["delta_2"] < sc.epsilon
@@ -765,7 +759,7 @@ def test_subsystems_converge_to_own_targets():
 
 def test_subsystems_crosstalk_when_everything_visible():
     sc = build_scenario(subsystem_config(epsilon=5.0, targets=(0.0, 1.0)))
-    rep = check_subsystem_independence(sc)
+    rep = check_subsystem_independence(run(sc))
     assert rep.status == "skipped"
     assert rep.reason.startswith(CROSSTALK)
 
@@ -806,10 +800,10 @@ def test_crosstalk_reason_equals_naive_oracle():
         m = int(rng.integers(2, 5))
         sc = build_scenario(assigned_subsystem_config(rng, m, separated=trial % 2 == 0))
         joint = run(sc, stop_tol=None)
-        assignment = derive_subsystem_assignment(sc, joint.horizon)
+        assignment = derive_subsystem_assignment(joint)
         assert assignment is not None
         expected = crosstalk_oracle(sc, joint, assignment)
-        rep = check_subsystem_independence(sc, joint=joint)
+        rep = check_subsystem_independence(joint)
         if expected is None:
             assert not (rep.reason or "").startswith(CROSSTALK)
             kinds.append("none")
@@ -822,7 +816,7 @@ def test_crosstalk_reason_equals_naive_oracle():
 def test_single_subsystem_reduces_to_consensus_check():
     sc = consensus_demo()
     joint = run(sc)
-    rep = check_subsystem_independence(sc, joint=joint)
+    rep = check_subsystem_independence(joint)
     consensus = check_consensus_bound(joint)
     assert rep.passed and consensus.passed
 
@@ -831,7 +825,7 @@ def test_subsystem_assignment_fails_on_overlapping_betas():
     cfg = subsystem_config()
     cfg["schedules"]["crowd"]["betas"] = [constant(0.2), constant(0.2)]
     del cfg["schedules"]["crowd"]["per_agent"]
-    rep = check_subsystem_independence(build_scenario(cfg))
+    rep = check_subsystem_independence(run(build_scenario(cfg)))
     assert rep.status == "skipped"
     assert rep.reason.startswith(INAPPLICABLE)
 
@@ -893,24 +887,41 @@ def test_one_group_cor2_reuses_the_joint_run(analysis_runs):
     sc = ball_scenario()
     joint = run(sc)
     assert joint.fault is None and joint.stop_tol is None
-    rep = check_subsystem_independence(sc, joint=joint)
+    rep = check_subsystem_independence(joint)
     assert rep.status == "pass" and len(rep.records) == 2 * sc.n_agents
     assert analysis_runs == []
 
 
 def test_cor2_reads_leader_degrees_from_the_series(monkeypatch):
     sc = build_scenario(subsystem_config())
+    expected = report_bits(check_subsystem_independence(run(sc)))
     joint = run(sc)
-    series = measure(joint)
-    expected = report_bits(check_subsystem_independence(sc, joint=joint))
+    measure(joint)
     monkeypatch.setattr(analysis, "realized_alpha", lambda *a: pytest.fail("cor2 re-queried the alphas"))
-    rep = check_subsystem_independence(sc, joint=joint, series=series)
+    rep = check_subsystem_independence(joint)
     assert rep.status == "pass" and report_bits(rep) == expected
+
+
+def test_checks_on_a_measured_run_query_no_schedule(monkeypatch, analysis_runs):
+    traj = run(ball_scenario())
+    measure(traj)
+    from lfmix import dynamics
+
+    for module in (analysis, dynamics):
+        for name in ("realized_alpha", "realized_betas"):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail("a check queried a schedule"))
+    reports = [check(traj) for check in (
+        check_contraction, check_target_envelope_all, check_ball_invariance,
+        check_consensus_bound, check_mixture_limit, check_subsystem_independence,
+    )]
+    assert [r.status for r in reports] == ["pass"] * 6
+    assert target_envelope_along(traj, 1, 0.7, range(traj.horizon)).status == "pass"
+    assert analysis_runs == []
 
 
 def test_two_group_cor2_reruns_each_subsystem(analysis_runs):
     sc = build_scenario(subsystem_config())
-    rep = check_subsystem_independence(sc, joint=run(sc))
+    rep = check_subsystem_independence(run(sc))
     assert rep.status == "pass"
     assert len(analysis_runs) == 2
 
@@ -919,7 +930,7 @@ def test_one_group_cor2_reruns_a_faulty_joint_run(analysis_runs):
     sc = ball_scenario()
     joint = run(sc, fault="mean-shift")
     assert joint.fault == "mean-shift"
-    rep = check_subsystem_independence(sc, joint=joint)
+    rep = check_subsystem_independence(joint)
     assert rep.status == "fail"
     assert len(analysis_runs) == 1
 
@@ -928,7 +939,7 @@ def test_one_group_cor2_reruns_a_joint_run_with_a_stop_tol(analysis_runs):
     sc = ball_scenario(horizon=200, stop_tol=1e-9)
     joint = run(sc)
     assert joint.stop_tol == 1e-9 and joint.stop_reason == STOP_CONVERGED
-    check_subsystem_independence(sc, joint=joint)
+    check_subsystem_independence(joint)
     assert len(analysis_runs) == 1
 
 
@@ -940,8 +951,8 @@ def test_reused_report_equals_rerun_report_bitwise(analysis_runs):
     rerun_joint = run(sc, stop_tol=5e-324)
     assert all(np.array_equal(a.opinions, b.opinions) for a, b in zip(joint.states, rerun_joint.states))
     assert len(joint.states) == len(rerun_joint.states)
-    reused = check_subsystem_independence(sc, joint=joint)
+    reused = check_subsystem_independence(joint)
     assert analysis_runs == []
-    rerun = check_subsystem_independence(sc, joint=rerun_joint)
+    rerun = check_subsystem_independence(rerun_joint)
     assert len(analysis_runs) == 1
     assert report_bits(reused) == report_bits(rerun)

@@ -260,6 +260,36 @@ def test_check_report_to_stdout(tmp_path, capsys):
     assert json.loads(out)["checks"]["lemma1"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("cfg", [
+    demo_config(stop_tol=None, horizon=40),
+    config(
+        followers=2,
+        leader_groups=[("a", 1, [0.0], constant(0.5)), ("b", 1, [1.0], constant(0.5))],
+        initial=[[0.4], [0.6], [0.0], [1.0]],
+        follower_betas=[constant(0.2), constant(0.2)],
+        horizon=20,
+    ),
+], ids=["one_group", "two_groups"])
+def test_check_measures_the_run_once(tmp_path, monkeypatch, cfg):
+    # one Series per `lfmix check`, and the analysis layer's only schedule
+    # queries are the ones that measurement makes: one of each per step
+    built, queries = [], []
+    real_series = lfmix.analysis.Series
+    monkeypatch.setattr(lfmix.analysis, "Series", lambda *a: built.append(a) or real_series(*a))
+    for name in ("realized_alpha", "realized_betas"):
+        real = getattr(lfmix.analysis, name)
+        monkeypatch.setattr(lfmix.analysis, name,
+                            lambda sc, t, real=real, name=name: queries.append((name, t)) or real(sc, t))
+    path = write_config(tmp_path, cfg)
+    report_path = tmp_path / "report.json"
+    assert main(["check", "--scenario", str(path), "--report", str(report_path)]) == 0
+    horizon = json.loads(report_path.read_text())["horizon"]
+    assert horizon > 1
+    assert len(built) == 1
+    assert sorted(queries) == sorted((name, t) for name in ("realized_alpha", "realized_betas")
+                                     for t in range(horizon))
+
+
 # ---------------------------------------------------------------------------
 # plot
 # ---------------------------------------------------------------------------
@@ -314,6 +344,10 @@ def test_plot_empty_metrics_exits_2(tmp_path, capsys):
     truncated.write_text("t,group,metric,value\n0,all,diameter\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["plot", "--metrics", str(truncated), "--out", str(tmp_path / "x.svg")]) == 2
+    assert "line 2" in capsys.readouterr().err
+    overlong = tmp_path / "overlong.csv"
+    overlong.write_text("t,group,metric,value\n0,all,diameter,0.5,9\n", encoding="utf-8")
+    assert main(["plot", "--metrics", str(overlong), "--out", str(tmp_path / "x.svg")]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
 
@@ -447,6 +481,17 @@ def test_sweep_bad_spec_exits_2(tmp_path, capsys):
         assert main(
             ["sweep", "--scenario", str(path), "--vary", bad, "--out", str(tmp_path / "s")]
         ) == 2
+
+
+def test_sweep_non_finite_bounds_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    for bad in ("n=inf:inf:1", "n=nan:nan:1", "n=2:-inf:3", "epsilon=0.1:inf:3", "alpha=nan:1:2"):
+        capsys.readouterr()
+        assert main(
+            ["sweep", "--scenario", str(path), "--vary", bad, "--out", str(tmp_path / "s")]
+        ) == 2
+        assert f"bad --vary spec {bad!r}; lo and hi must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_invalid_point_exits_2(tmp_path, capsys):

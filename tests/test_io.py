@@ -121,6 +121,10 @@ def test_metrics_csv_rejects_garbage(tmp_path):
     truncated.write_text("t,group,metric,value\n0,all,diameter,0.5\n0,all,diameter\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 3"):
         read_metrics_csv(truncated)
+    overlong = tmp_path / "overlong.csv"
+    overlong.write_text("t,group,metric,value\n0,all,diameter,0.4\n0,all,diameter,0.5,9\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3"):
+        read_metrics_csv(overlong)
 
 
 def test_group_names_with_commas_are_quoted(tmp_path):
@@ -158,7 +162,7 @@ def awkward_trajectory(horizon: int) -> Trajectory:
     for t in range(horizon + 1):
         values[t] = np.roll(values[t], t)
     states = [SystemState(t, values[t]) for t in range(horizon + 1)]
-    return Trajectory(sc, states, "horizon", [], None, None)
+    return Trajectory(sc, tuple(states), "horizon", (), None, None)
 
 
 @pytest.mark.parametrize("horizon, record_every", [(0, 1), (7, 1), (7, 3), (7, 8), (6, 3)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import config, constant, neighbor_sets, pairs_match_naive
+from helpers import config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
 from lfmix import build_scenario, compute_neighbors, neighbors_naive
 
 
@@ -110,6 +110,51 @@ def test_self_membership_and_symmetry():
         assert len(pairs) == rows.size
         assert all((i, i) in pairs for i in range(sc.n_agents))
         assert pairs == {(j, i) for i, j in pairs}
+
+
+def oracle_cases(rng, d):
+    """(opinions, epsilon) clouds in d dimensions: uniform points, points on
+    an epsilon lattice (ties at exactly epsilon, exact at 0.5 and rounded at
+    0.1), lattice points whose zero coordinates are -0.0, and clouds scaled
+    to 1e150 and 1e-150."""
+    cloud = rng.uniform(-1.0, 1.0, size=(40, d))
+    near = 0.6 * d**0.5  # below the typical pair distance of the cloud, about 0.8 sqrt(d)
+    cases = [(cloud, near)]
+    # 20 lattice points, each with a copy one lattice step away along one axis
+    base = rng.integers(-2, 3, size=(20, d))
+    step = np.zeros((20, d), dtype=np.int64)
+    step[np.arange(20), rng.integers(0, d, size=20)] = rng.choice([-1, 1], size=20)
+    lattice = np.vstack([base, base + step])
+    for eps in (0.5, 0.1):
+        cases.append((eps * lattice, eps))
+    signed = 0.5 * lattice
+    signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
+    cases.append((signed, 0.5))
+    for scale in (1e150, 1e-150):
+        cases.append((scale * cloud, scale * near))
+    return cases
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_naive_equals_per_pair_oracle(d):
+    rng = np.random.default_rng(600 + d)
+    for opinions, eps in oracle_cases(rng, d):
+        sc = follower_only(opinions.tolist(), eps, d=d)
+        rows, cols = neighbors_naive(sc.initial_state, sc)
+        assert rows.dtype == cols.dtype == np.int32
+        expected = pairs_oracle(sc)
+        assert pair_list(rows, cols) == expected, (eps, opinions[:2])
+        assert len(expected) > sc.n_agents  # some pairs besides the agents themselves
+
+
+def test_naive_equals_per_pair_oracle_on_both_sides_of_the_grid_choice():
+    rng = np.random.default_rng(66)
+    for d in (2, 6):
+        for opinions, eps in oracle_cases(rng, d)[1:3]:
+            sc = follower_only(np.vstack([opinions, opinions[:30] + eps]).tolist(), eps, d=d)
+            assert sc.n_agents >= 64
+            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == pairs_oracle(sc)
+            assert pairs_match_naive(sc)
 
 
 def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
