@@ -327,14 +327,16 @@ def _cmd_sweep(args) -> int:
         except (ValueError, ScenarioValidationError) as exc:
             _err(f"sweep point {index} is invalid: {exc}")
             return 2
+        started = time.perf_counter()
         try:
             trajectory = run(scenario, args.horizon)
         except (ScheduleViolation, NonFiniteState) as exc:
             raise type(exc)(f"sweep point {index}: {exc}") from None
+        wall = time.perf_counter() - started
         point_dir = out_root / f"point_{index:04d}"
         _write_outputs(
             point_dir, scenario, trajectory, args.record_every,
-            {"threads": args.threads, "sweep_point": index, "sweep_params": assignments},
+            {"wall_time_seconds": wall, "threads": args.threads, "sweep_point": index, "sweep_params": assignments},
         )
         final = trajectory.final_state.opinions
         if scenario.m >= 1:

@@ -19,7 +19,11 @@ neighbor pairs that carry the set's group; no per-agent object is built.
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
 only the time-t state, so results are bit-identical to a per-agent loop
-that computes each agent from its own id arrays (the tests keep one).
+that computes each agent from its own id arrays (the tests keep one). That
+sum adds rows left to right for d >= 2, which a reduction over axis 0 of
+the sets of one size laid out as (size, sets, d) repeats; for d = 1 it is a
+1-D sum, which numpy adds pairwise, and the sets are laid out as
+(sets, size) and reduced along axis 1, which numpy also adds pairwise.
 """
 
 from __future__ import annotations
@@ -126,19 +130,24 @@ def _set_means(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shift: float):
     """Size and mean of each agent's set, the set of agent i being the cols
     of the pairs whose row is i (pairs sorted by row, then col).
 
-    A set's sum is ``np.sum(x[ids], axis=0)``; sets of equal size are summed
-    together along axis 1 of one gathered block, which keeps numpy's
-    per-set summation order bit for bit in every dimension. The mean of an
-    empty set is 0.
+    A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
+    sets of one size together from one ``np.take`` gather, laid out as
+    (size, sets, d) for d >= 2 and as (sets, size) for d = 1 so that the
+    reduction adds in numpy's per-set order (see the module docstring). The
+    mean of an empty set is 0.
     """
-    size = np.bincount(rows, minlength=len(x))
+    n, d = x.shape
+    size = np.bincount(rows, minlength=n)
     first = np.cumsum(size) - size
     sums = np.zeros_like(x)
     for k in np.unique(size[size > 0]).tolist():
         agents = np.flatnonzero(size == k)
-        block = max(1, _GATHER_FLOATS // (k * x.shape[1]))
+        block = max(1, _GATHER_FLOATS // (k * d))
         for part in np.split(agents, range(block, agents.size, block)):
-            sums[part] = np.sum(x[cols[first[part, None] + np.arange(k)]], axis=1)
+            if d == 1:
+                sums[part, 0] = np.take(x[:, 0], cols[first[part, None] + np.arange(k)]).sum(axis=1)
+            else:
+                sums[part] = np.take(x, cols[first[part] + np.arange(k)[:, None]], axis=0).sum(axis=0)
     mean = sums / np.maximum(size, 1)[:, None]
     if shift:
         mean = mean + shift

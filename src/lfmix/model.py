@@ -33,6 +33,7 @@ exception escapes, however malformed the input.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -169,6 +170,11 @@ class _Issues:
 
     def __bool__(self):
         return bool(self.items)
+
+
+# the largest float whose square is finite; the neighbor test compares
+# squared distances with epsilon**2
+_MAX_EPSILON = math.sqrt(sys.float_info.max)
 
 
 def _is_number(x) -> bool:
@@ -478,8 +484,10 @@ def build_scenario(raw: Any) -> Scenario:
         raise ScenarioValidationError(issues.items)
 
     eps = raw.get("epsilon")
-    if not _is_number(eps) or not math.isfinite(eps) or eps <= 0:
+    if not _is_number(eps) or not 0 < eps < math.inf:
         issues.add(EPSILON_NONPOSITIVE, f"epsilon must be a finite positive number, got {eps!r}")
+    elif eps > _MAX_EPSILON:
+        issues.add(NON_FINITE, f"epsilon {eps!r} is too large: epsilon**2 overflows to inf")
 
     entries, n = _parse_groups(raw.get("groups"), issues)
     if entries is None:

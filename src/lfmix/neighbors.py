@@ -15,9 +15,13 @@
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
 is the cols of its rows, split by group where a caller needs that. Both
-keep a pair by the same test on the same arithmetic, squared distance
-against epsilon squared, so the boundary rule (distance exactly epsilon
-counts) is the same everywhere. The scenario's ``neighbor_strategy`` and
+keep a pair by one test, ``_within``: its verdict is that of the reference
+``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so the boundary
+rule (distance exactly epsilon counts) is the same everywhere. It adds the
+squared coordinate differences column by column, a few whole-array numpy
+calls, and re-tests with the reference expression only the pairs whose sum
+lies within a rounding slack of epsilon**2, where numpy's summation order
+could decide the verdict. The scenario's ``neighbor_strategy`` and
 ``grid_dim_cap`` are validated and kept in canonical files but select
 nothing: the output is exact either way.
 """
@@ -25,6 +29,7 @@ nothing: the output is exact either way.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -34,6 +39,59 @@ _CHUNK = 128  # rows per block of the grid search
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
 _GRID_MIN_AGENTS = 64
 _GRID_MAX_DIM = 6
+# _within decides by its column sums only for epsilon^2 in this range, where
+# its bounds stay normal and far from overflow; outside it every pair gets
+# the reference test
+_BANDED_EPS2 = (2.0**-1000, 2.0**1000)
+
+
+def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: float) -> np.ndarray:
+    """Boolean array, of the broadcast shape of the index arrays ``i`` and
+    ``j``: whether ``(diff * diff).sum(axis=-1) <= eps2`` for
+    ``diff = x[i] - x[j]``, the reference test, whatever order numpy sums in.
+
+    ``xt`` is ``x.T`` made contiguous. Each coordinate is gathered with
+    ``np.take``, squared, and the squares are added column by column.
+    """
+    d = x.shape[1]
+    total = None
+    for k in range(d):
+        col = np.take(xt[k], i) - np.take(xt[k], j)
+        col *= col
+        if total is None:
+            total = col
+        else:
+            total += col
+    # Both the column sum C and the reference sum R add the same d computed
+    # squares, which are nonnegative, so in any order each is within a
+    # relative gamma = (d - 1) u / (1 - (d - 1) u) of their exact sum S, with
+    # u = 2^-53 the unit roundoff (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 4.2): an addition of nonnegatives that does
+    # not overflow rounds with relative error at most u, also at subnormal
+    # results, which are exact. Take s = 4 d u and eps2 in _BANDED_EPS2, so
+    # that lo = eps2 (1 - s) and hi = eps2 (1 + s) round with relative error
+    # at most u (1 - s and 1 + s are exact) and are far below overflow. As
+    # (1 + gamma) / (1 - gamma) < 1 + 2.01 (d - 1) u:
+    # * C <= lo: S <= C / (1 - gamma) and R <= S (1 + gamma), so
+    #   R <= eps2 (1 - s)(1 + u)(1 + gamma) / (1 - gamma) <= eps2.
+    # * C > hi, C finite: S >= C / (1 + gamma) and R >= S (1 - gamma) (or
+    #   R = inf), so R >= eps2 (1 + s)(1 - u)(1 - gamma) / (1 + gamma) > eps2.
+    # * C = inf: an addition overflowed, so S >= Omega / (1 + gamma), Omega
+    #   the largest float, and R > eps2 by the same bound.
+    # The pairs with lo < C <= hi are left, and the reference test decides
+    # them. A NaN fails all three tests, as it fails the reference's.
+    lo_eps2, hi_eps2 = _BANDED_EPS2
+    if lo_eps2 <= eps2 <= hi_eps2:
+        slack = 4 * d * 2.0**-53
+        lo, hi = eps2 * (1.0 - slack), eps2 * (1.0 + slack)
+    else:
+        lo, hi = -1.0, math.inf
+    keep = total <= lo
+    band = (total <= hi) ^ keep
+    if band.any():
+        diff = x[np.broadcast_to(i, band.shape)[band]] - x[np.broadcast_to(j, band.shape)[band]]
+        keep[band] = (diff * diff).sum(axis=-1) <= eps2
+    return keep
 
 
 def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -41,15 +99,15 @@ def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray,
     col), from a scan of every agent against all agents, a block of rows at
     a time."""
     x = state.opinions
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
     eps2 = scenario.epsilon * scenario.epsilon
-    ids = np.arange(x.shape[0], dtype=np.int32)
+    ids = np.arange(n, dtype=np.int32)
     rows, cols = [], []
-    block = max(1, _SCAN_FLOATS // x.size)
-    for start in range(0, x.shape[0], block):
-        diff = x[start:start + block, None, :] - x[None, :, :]
-        diff *= diff
-        within = diff.sum(axis=2) <= eps2
-        rows.append(np.repeat(ids[start:start + block], within.sum(axis=1)))
+    block = max(1, _SCAN_FLOATS // n)  # each coordinate's tile is (block, n)
+    for start in range(0, n, block):
+        within = _within(x, xt, ids[start:start + block, None], ids[None, :], eps2)
+        rows.append(np.repeat(ids[start:start + block], np.count_nonzero(within, axis=1)))
         cols.append(np.broadcast_to(ids, within.shape)[within])
     return np.concatenate(rows), np.concatenate(cols)
 
@@ -73,6 +131,7 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
     candidates, which the distance test then drops, and loses none.
     """
     n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
     eps2 = eps * eps
     # the distance test keeps pairs a few ulps more than epsilon apart (-1e-17
     # and 0.5 at epsilon 0.5) and x / side rounds; this margin keeps them adjacent
@@ -99,9 +158,8 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
         rows = np.repeat(owner, lengths)
         ends = np.cumsum(lengths)
         cols = order[np.arange(ends[-1]) + np.repeat(first[cell] - ends + lengths, lengths)]
-        diff = x[rows] - x[cols]
-        keep = (diff * diff).sum(axis=1) <= eps2
-        pairs = rows[keep].astype(np.int64) * n + cols[keep]
+        keep = _within(x, xt, rows, cols, eps2)
+        pairs = (rows[keep].astype(np.int64) << 32) | cols[keep]
         pairs.sort(kind="stable")  # the runs from each cell are already ascending
-        parts.append(((pairs // n).astype(np.int32), (pairs % n).astype(np.int32)))
+        parts.append(((pairs >> 32).astype(np.int32), (pairs & 0xFFFFFFFF).astype(np.int32)))
     return parts

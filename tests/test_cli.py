@@ -448,6 +448,7 @@ def test_sweep_cartesian_product_and_n_scaling(tmp_path):
     run0 = json.loads((out / "point_0000" / "run.json").read_text())
     run2 = json.loads((out / "point_0002" / "run.json").read_text())
     assert run0["n_agents"] == 5 and run2["n_agents"] == 20
+    assert all(run["wall_time_seconds"] > 0.0 for run in (run0, run2))
 
 
 def test_sweep_writes_integer_point_seeds(tmp_path):
@@ -492,6 +493,26 @@ def test_sweep_non_finite_bounds_exit_2(tmp_path, capsys):
         ) == 2
         assert f"bad --vary spec {bad!r}; lo and hi must be finite" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_epsilon_whose_square_overflows_exits_2(tmp_path, capsys):
+    # epsilon**2 = inf made every pair a neighbor of the scan, but not of the grid
+    cfg = config(
+        epsilon=1e199,
+        followers=100,
+        leader_groups=[("brand", 20, [0.0], constant(0.5))],
+        random_init={"distribution": "uniform_box", "low": -1e200, "high": 1e200, "seed": 1},
+        follower_betas=[constant(0.3)],
+        horizon=2,
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "NonFinite: epsilon 1e+199 is too large: epsilon**2 overflows to inf" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    path = write_config(tmp_path, demo_config())
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=1e199:1e200:2",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "sweep point 0 is invalid" in capsys.readouterr().err
 
 
 def test_sweep_invalid_point_exits_2(tmp_path, capsys):

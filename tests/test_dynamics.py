@@ -209,7 +209,7 @@ def dense_mixed_scenario(rng, d, n_followers, leader_sizes, epsilon, spread):
                                  initial=opinions.tolist(), follower_betas=betas))
 
 
-@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
 def test_step_equals_per_agent_references_bitwise(d):
     rng = np.random.default_rng(100 + d)
     cases = [

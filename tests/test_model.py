@@ -1,6 +1,7 @@
 """Domain types, validation, and degree schedules."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_epsilon_zero_rejected():
     with pytest.raises(ScenarioValidationError) as exc:
         build_scenario(cfg)
     assert "EpsilonNonpositive" in issue_kinds(exc.value)
+
+
+def test_epsilon_whose_square_overflows_rejected():
+    # with epsilon**2 = inf every pair would pass the neighbor test
+    cfg = well_formed()
+    for eps in (1e199, 1.35e154, 10**200, 10**400):
+        cfg["epsilon"] = eps
+        with pytest.raises(ScenarioValidationError) as exc:
+            build_scenario(cfg)
+        assert issue_kinds(exc.value) == {"NonFinite"}
+        assert "epsilon**2 overflows" in str(exc.value)
+    cfg["epsilon"] = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+    assert math.isfinite(build_scenario(cfg).epsilon ** 2)
 
 
 def test_beta_sum_exceeds_one():

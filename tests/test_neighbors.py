@@ -1,6 +1,9 @@
 """Neighbor search: the exact reference, and the engine's pair search against it
 on both sides of its grid/scan choice."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +158,48 @@ def test_naive_equals_per_pair_oracle_on_both_sides_of_the_grid_choice():
             assert sc.n_agents >= 64
             assert pair_list(*neighbors_naive(sc.initial_state, sc)) == pairs_oracle(sc)
             assert pairs_match_naive(sc)
+
+
+def epsilon_with_square(target):
+    """A float e whose square rounds to ``target``, or None if none does."""
+    e = math.sqrt(target)
+    for _ in range(4):
+        e = math.nextafter(e, -math.inf)
+    for _ in range(9):
+        if e * e == target and e**2 == target:
+            return e
+        e = math.nextafter(e, math.inf)
+    return None
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_pairs_at_and_one_ulp_around_epsilon_squared_equal_per_pair_oracle(d):
+    # epsilon^2 is set to the reference squared distance R of a pair of
+    # agent 0, and to one ulp below and above R; pairs whose squares, added
+    # column by column, give a sum other than R come first (numpy adds 8 or
+    # more contiguous values pairwise, so d = 8 always has some)
+    rng = np.random.default_rng(800 + d)
+    cloud = rng.uniform(-1.0, 1.0, size=(70, d)) * 2.0 ** rng.integers(-3, 4, size=(70, d))
+    diff = cloud[0] - cloud[1:]
+    squares = diff * diff
+    ref = squares.sum(axis=-1)
+    by_columns = functools.reduce(np.add, squares.T)
+    if d == 8:
+        assert (ref != by_columns).sum() >= 4
+    cases = 0
+    for j in np.argsort(ref == by_columns, kind="stable")[:4].tolist():
+        for target, kept in ((ref[j], True), (math.nextafter(ref[j], -math.inf), False),
+                             (math.nextafter(ref[j], math.inf), True)):
+            eps = epsilon_with_square(target)
+            if eps is None:
+                continue
+            sc = follower_only(cloud.tolist(), eps, d=d)
+            expected = pairs_oracle(sc)
+            assert ((0, j + 1) in expected) == kept
+            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (j, target)
+            assert pair_list(*compute_neighbors(sc.initial_state, sc)) == expected, (j, target)
+            cases += 1
+    assert cases >= 6
 
 
 def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
