@@ -336,7 +336,8 @@ def _cmd_sweep(args) -> int:
         point_dir = out_root / f"point_{index:04d}"
         _write_outputs(
             point_dir, scenario, trajectory, args.record_every,
-            {"wall_time_seconds": wall, "threads": args.threads, "sweep_point": index, "sweep_params": assignments},
+            {"wall_time_seconds": wall, "threads": args.threads, "sweep_point": index,
+             "sweep_params": assignments},
         )
         final = trajectory.final_state.opinions
         if scenario.m >= 1:

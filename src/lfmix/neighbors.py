@@ -39,10 +39,6 @@ _CHUNK = 128  # rows per block of the grid search
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
 _GRID_MIN_AGENTS = 64
 _GRID_MAX_DIM = 6
-# _within decides by its column sums only for epsilon^2 in this range, where
-# its bounds stay normal and far from overflow; outside it every pair gets
-# the reference test
-_BANDED_EPS2 = (2.0**-1000, 2.0**1000)
 
 
 def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: float) -> np.ndarray:
@@ -68,10 +64,10 @@ def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: f
     # u = 2^-53 the unit roundoff (Higham, Accuracy and Stability of
     # Numerical Algorithms, sec. 4.2): an addition of nonnegatives that does
     # not overflow rounds with relative error at most u, also at subnormal
-    # results, which are exact. Take s = 4 d u and eps2 in _BANDED_EPS2, so
-    # that lo = eps2 (1 - s) and hi = eps2 (1 + s) round with relative error
-    # at most u (1 - s and 1 + s are exact) and are far below overflow. As
-    # (1 + gamma) / (1 - gamma) < 1 + 2.01 (d - 1) u:
+    # results, which are exact. Take s = 4 d u and 2^-1000 <= eps2 <= 2^1000,
+    # so that lo = eps2 (1 - s) and hi = eps2 (1 + s) round with relative
+    # error at most u (1 - s and 1 + s are exact) and are far below
+    # overflow. As (1 + gamma) / (1 - gamma) < 1 + 2.01 (d - 1) u:
     # * C <= lo: S <= C / (1 - gamma) and R <= S (1 + gamma), so
     #   R <= eps2 (1 - s)(1 + u)(1 + gamma) / (1 - gamma) <= eps2.
     # * C > hi, C finite: S >= C / (1 + gamma) and R >= S (1 - gamma) (or
@@ -80,11 +76,10 @@ def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: f
     #   the largest float, and R > eps2 by the same bound.
     # The pairs with lo < C <= hi are left, and the reference test decides
     # them. A NaN fails all three tests, as it fails the reference's.
-    lo_eps2, hi_eps2 = _BANDED_EPS2
-    if lo_eps2 <= eps2 <= hi_eps2:
+    if 2.0**-1000 <= eps2 <= 2.0**1000:
         slack = 4 * d * 2.0**-53
         lo, hi = eps2 * (1.0 - slack), eps2 * (1.0 + slack)
-    else:
+    else:  # every pair gets the reference test
         lo, hi = -1.0, math.inf
     keep = total <= lo
     band = (total <= hi) ^ keep
