@@ -19,20 +19,22 @@ Scenario configs are JSON-shaped dicts with top-level keys::
     schedules         per group name: {"alpha": spec} for leader groups,
                       {"betas": [spec per leader group]} for the follower
                       group, optional {"per_agent": {id: {...}}} overrides
-    engine            {"neighbor_strategy": "naive"|"grid"|"auto",
-                       "horizon", "stop": {"tol", "window"}, "grid_dim_cap"}
-                      neighbor_strategy and grid_dim_cap are validated and
-                      kept in the canonical form but select nothing; the
-                      engine's neighbor search is exact either way.
+    engine            {"horizon", "stop": {"tol", "window"}}; its keys
+                      "neighbor_strategy" ("naive"|"grid"|"auto") and
+                      "grid_dim_cap" (positive int) are validated and kept in
+                      the canonical form but select nothing
 
 ``build_scenario`` validates everything and either returns a ``Scenario`` or
 raises ``ScenarioValidationError`` carrying the full list of issues; no other
-exception escapes, however malformed the input.
+exception escapes, however malformed the input. Every number must be a finite
+JSON number: NaN, Infinity and an integer too large for a float are issues.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -113,11 +115,9 @@ class SystemState:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    neighbor_strategy: str = "auto"  # "naive" | "grid" | "auto"; kept, selects nothing
     horizon: int = 1000
     stop_tol: float | None = None
     stop_window: int = 1
-    grid_dim_cap: int = 6  # kept, selects nothing
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,16 @@ class _Issues:
 _MAX_EPSILON = math.sqrt(sys.float_info.max)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _finite(x) -> float | None:
+    """A raw JSON number as a finite float, else None. A bool is not a number,
+    and an int too large for a float counts as infinite."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return None
+    try:
+        v = float(x)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
 
 
 def _is_int(x) -> bool:
@@ -191,81 +199,62 @@ def _check_keys(d: dict, allowed: set, where: str, issues: _Issues):
             issues.add(BAD_CONFIG, f"{where}: unknown key {key!r}")
 
 
+# the keys holding each schedule kind's degrees; a table's one key holds a list
+_DEGREE_KEYS = {"constant": ("value",), "table": ("values",), "geometric_decay": ("initial", "ratio"),
+                "seeded_random": ("low", "high")}
+
+
+def _degrees(spec: dict, keys: tuple, where: str, issues: _Issues) -> list[float] | None:
+    """The degrees under ``keys`` as floats in [0, 1], or None after one issue."""
+    raw = spec.get("values") if spec["kind"] == "table" else [spec.get(k) for k in keys]
+    vals = [_finite(v) for v in raw] if isinstance(raw, list) and raw else [None]
+    names = " and ".join(repr(k) for k in keys)
+    if None in vals:
+        issues.add(BAD_CONFIG, f"{where}: {spec['kind']} needs finite numbers {names}")
+        return None
+    if not all(0.0 <= v <= 1.0 for v in vals):
+        issues.add(DEGREE_OUT_OF_RANGE, f"{where}: {spec['kind']} {names} must lie in [0, 1]")
+        return None
+    return vals
+
+
 def _parse_schedule(spec, where: str, issues: _Issues) -> sched.Schedule | None:
     if not isinstance(spec, dict):
         issues.add(BAD_CONFIG, f"{where}: schedule spec must be an object")
         return None
     kind = spec.get("kind")
+    keys = _DEGREE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        issues.add(BAD_CONFIG, f"{where}: unknown schedule kind {kind!r}")
+        return None
+    _check_keys(spec, {"kind", "seed", *keys} if kind == "seeded_random" else {"kind", *keys}, where, issues)
+    if kind == "seeded_random" and not _is_int(spec.get("seed")):
+        issues.add(BAD_CONFIG, f"{where}: seeded_random needs an integer 'seed'")
+        return None
+    degrees = _degrees(spec, keys, where, issues)
+    if degrees is None:
+        return None
     if kind == "constant":
-        _check_keys(spec, {"kind", "value"}, where, issues)
-        v = spec.get("value")
-        if not _is_number(v) or not math.isfinite(v):
-            issues.add(BAD_CONFIG, f"{where}: constant schedule needs a finite 'value'")
-            return None
-        if not 0.0 <= v <= 1.0:
-            issues.add(DEGREE_OUT_OF_RANGE, f"{where}: constant value {v} outside [0, 1]")
-            return None
-        return sched.Constant(float(v))
+        return sched.Constant(*degrees)
     if kind == "table":
-        _check_keys(spec, {"kind", "values"}, where, issues)
-        vals = spec.get("values")
-        if not isinstance(vals, list) or not vals or not all(_is_number(v) for v in vals):
-            issues.add(BAD_CONFIG, f"{where}: table schedule needs a nonempty list 'values'")
-            return None
-        if any(not math.isfinite(v) or not 0.0 <= v <= 1.0 for v in vals):
-            issues.add(DEGREE_OUT_OF_RANGE, f"{where}: table values must lie in [0, 1]")
-            return None
-        return sched.Table(tuple(float(v) for v in vals))
+        return sched.Table(tuple(degrees))
     if kind == "geometric_decay":
-        _check_keys(spec, {"kind", "initial", "ratio"}, where, issues)
-        a, r = spec.get("initial"), spec.get("ratio")
-        if not (_is_number(a) and _is_number(r)):
-            issues.add(BAD_CONFIG, f"{where}: geometric_decay needs numbers 'initial' and 'ratio'")
-            return None
-        if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-            issues.add(DEGREE_OUT_OF_RANGE, f"{where}: initial {a} outside [0, 1]")
-            return None
-        if not (math.isfinite(r) and 0.0 <= r <= 1.0):
-            issues.add(DEGREE_OUT_OF_RANGE, f"{where}: ratio {r} outside [0, 1]")
-            return None
-        return sched.GeometricDecay(float(a), float(r))
-    if kind == "seeded_random":
-        _check_keys(spec, {"kind", "seed", "low", "high"}, where, issues)
-        s, lo, hi = spec.get("seed"), spec.get("low"), spec.get("high")
-        if not _is_int(s):
-            issues.add(BAD_CONFIG, f"{where}: seeded_random needs an integer 'seed'")
-            return None
-        if not (_is_number(lo) and _is_number(hi)) or not (math.isfinite(lo) and math.isfinite(hi)):
-            issues.add(BAD_CONFIG, f"{where}: seeded_random needs finite 'low' and 'high'")
-            return None
-        if not (0.0 <= lo <= hi <= 1.0):
-            issues.add(DEGREE_OUT_OF_RANGE, f"{where}: interval [{lo}, {hi}] not inside [0, 1]")
-            return None
-        return sched.SeededRandom(int(s), float(lo), float(hi))
-    issues.add(BAD_CONFIG, f"{where}: unknown schedule kind {kind!r}")
-    return None
+        return sched.GeometricDecay(*degrees)
+    if degrees[0] > degrees[1]:
+        issues.add(DEGREE_OUT_OF_RANGE, f"{where}: seeded_random low {degrees[0]} exceeds high {degrees[1]}")
+        return None
+    return sched.SeededRandom(spec["seed"], *degrees)
 
 
 def _beta_sum_violation(betas: Sequence[sched.Schedule]) -> float | None:
-    """Largest achievable sum over leader groups if it can exceed 1, else None.
+    """Largest sum of the betas' peaks over one step if it exceeds 1, else None.
 
-    Agent-independent kinds are evaluated exactly per step; seeded_random
-    contributes its upper bound (which its draws approach). All kinds are
-    nonincreasing past the longest table, so a finite scan is exhaustive.
+    Every kind's peak is nonincreasing past the longest table, so a scan to
+    its end is exhaustive. Peaks add left to right, not by ``sum``, whose
+    compensated float sum (Python 3.12 on) could move a verdict at 1.
     """
-    if not betas:
-        return None
-    horizon = 1
-    for b in betas:
-        if isinstance(b, sched.Table):
-            horizon = max(horizon, len(b.values))
-    worst = 0.0
-    for t in range(horizon):
-        total = 0.0
-        for b in betas:
-            v = b.exact_at(t)
-            total += b.upper_bound() if v is None else v
-        worst = max(worst, total)
+    steps = max((len(b.values) for b in betas if isinstance(b, sched.Table)), default=1)
+    worst = max(functools.reduce(operator.add, [b.peak(t) for b in betas], 0.0) for t in range(steps))
     return worst if worst > 1.0 else None
 
 
@@ -300,7 +289,7 @@ def _parse_groups(raw_groups, issues: _Issues):
             if "target" in g:
                 issues.add(BAD_CONFIG, f"{where}: follower group cannot have a target")
         members = g.get("members")
-        if _is_int(members) and members >= 0:
+        if _is_int(members) and 0 <= members <= sys.maxsize:  # a count a list can hold
             uses_counts = True
             entry_members = members
         elif isinstance(members, list) and all(_is_int(i) and i >= 0 for i in members):
@@ -333,8 +322,10 @@ def _parse_groups(raw_groups, issues: _Issues):
                 seen.add(i)
             e["ids"] = sorted(e["members"])
         n = len(seen)
-        if seen and seen != set(range(max(seen) + 1)):
+        # distinct ids >= 0 cover 0..max exactly when there are max + 1 of them
+        if seen and len(seen) != max(seen) + 1:
             issues.add(PARTITION_INCOMPLETE, "explicit ids must cover 0..N-1 with no gaps")
+            return None, 0  # an id past N - 1 may not even fit an int64 id array
 
     if n == 0:
         issues.add(PARTITION_INCOMPLETE, "scenario has no agents")
@@ -349,27 +340,23 @@ def _parse_target(target, d: int, name: str, issues: _Issues) -> np.ndarray | No
     if target is None:
         issues.add(BAD_CONFIG, f"leader group {name!r} needs a 'target'")
         return None
-    if not isinstance(target, list) or not all(_is_number(v) for v in target):
+    if not isinstance(target, list) or not all(_is_int(v) or isinstance(v, float) for v in target):
         issues.add(BAD_CONFIG, f"leader group {name!r}: target must be a list of numbers")
         return None
     if len(target) != d:
         issues.add(DIMENSION_MISMATCH, f"leader group {name!r}: target has length {len(target)}, expected {d}")
         return None
-    if any(not math.isfinite(v) for v in target):
+    coords = [_finite(v) for v in target]
+    if None in coords:
         issues.add(NON_FINITE, f"leader group {name!r}: target has non-finite coordinates")
         return None
-    return np.asarray(target, dtype=np.float64)
+    return np.asarray(coords, dtype=np.float64)
 
 
 def _broadcast_bounds(value, d: int, what: str, issues: _Issues) -> list[float] | None:
-    if _is_number(value) and math.isfinite(value):
-        return [float(value)] * d
-    if (
-        isinstance(value, list)
-        and len(value) == d
-        and all(_is_number(v) and math.isfinite(v) for v in value)
-    ):
-        return [float(v) for v in value]
+    bounds = [_finite(v) for v in value] if isinstance(value, list) and len(value) == d else [_finite(value)] * d
+    if None not in bounds:
+        return bounds
     issues.add(BAD_CONFIG, f"initial_opinions.random: {what} must be a finite number or list of {d} numbers")
     return None
 
@@ -388,14 +375,14 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
         ):
             issues.add(DIMENSION_MISMATCH, f"initial_opinions.explicit: need an {n} x {d} matrix")
             return None, None, 0
-        if not all(_is_number(v) for row in matrix for v in row):
+        if not all(_is_int(v) or isinstance(v, float) for row in matrix for v in row):
             issues.add(BAD_CONFIG, "initial_opinions.explicit: entries must be numbers")
             return None, None, 0
-        arr = np.asarray(matrix, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        rows = [[_finite(v) for v in row] for row in matrix]
+        if any(None in row for row in rows):
             issues.add(NON_FINITE, "initial_opinions.explicit: entries must be finite")
             return None, None, 0
-        return arr, {"explicit": [[float(v) for v in row] for row in matrix]}, 0
+        return np.array(rows, dtype=np.float64), {"explicit": rows}, 0
     if "random" in raw:
         spec = raw["random"]
         if not isinstance(spec, dict):
@@ -423,12 +410,15 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
     return None, None, 0
 
 
-def _parse_engine(raw, issues: _Issues) -> EngineOptions:
+def _parse_engine(raw, issues: _Issues) -> tuple[EngineOptions, dict]:
+    """The engine options and their canonical dict. ``neighbor_strategy`` and
+    ``grid_dim_cap`` select nothing: they are validated and written back only
+    so that canonical files keep their bytes."""
     if raw is None:
-        return EngineOptions()
-    if not isinstance(raw, dict):
+        raw = {}
+    elif not isinstance(raw, dict):
         issues.add(BAD_CONFIG, "engine: must be an object")
-        return EngineOptions()
+        raw = {}
     _check_keys(raw, {"neighbor_strategy", "horizon", "stop", "grid_dim_cap"}, "engine", issues)
     strategy = raw.get("neighbor_strategy", "auto")
     if strategy not in ("naive", "grid", "auto"):
@@ -450,16 +440,17 @@ def _parse_engine(raw, issues: _Issues) -> EngineOptions:
         else:
             _check_keys(stop, {"tol", "window"}, "engine.stop", issues)
             tol = stop.get("tol")
-            if tol is not None and (not _is_number(tol) or not math.isfinite(tol) or tol <= 0):
+            stop_tol = None if tol is None else _finite(tol)
+            if tol is not None and (stop_tol is None or stop_tol <= 0):
                 issues.add(BAD_CONFIG, "engine.stop: tol must be null or a positive number")
-                tol = None
-            stop_tol = None if tol is None else float(tol)
-            window = stop.get("window", 1)
-            if not _is_int(window) or window < 1:
+                stop_tol = None
+            stop_window = stop.get("window", 1)
+            if not _is_int(stop_window) or stop_window < 1:
                 issues.add(BAD_CONFIG, "engine.stop: window must be an integer >= 1")
-                window = 1
-            stop_window = window
-    return EngineOptions(strategy, int(horizon), stop_tol, int(stop_window), int(cap))
+                stop_window = 1
+    engine = EngineOptions(int(horizon), stop_tol, int(stop_window))
+    return engine, {"neighbor_strategy": strategy, "horizon": engine.horizon,
+                    "stop": {"tol": stop_tol, "window": engine.stop_window}, "grid_dim_cap": int(cap)}
 
 
 def build_scenario(raw: Any) -> Scenario:
@@ -479,15 +470,16 @@ def build_scenario(raw: Any) -> Scenario:
     )
 
     d = raw.get("dimension")
-    if not _is_int(d) or d < 1:
-        issues.add(DIMENSION_MISMATCH, f"dimension must be a positive integer, got {d!r}")
+    if not _is_int(d) or not 1 <= d <= sys.maxsize:
+        issues.add(DIMENSION_MISMATCH, f"dimension must be an integer in [1, sys.maxsize], got {d!r}")
         raise ScenarioValidationError(issues.items)
 
-    eps = raw.get("epsilon")
-    if not _is_number(eps) or not 0 < eps < math.inf:
-        issues.add(EPSILON_NONPOSITIVE, f"epsilon must be a finite positive number, got {eps!r}")
-    elif eps > _MAX_EPSILON:
-        issues.add(NON_FINITE, f"epsilon {eps!r} is too large: epsilon**2 overflows to inf")
+    raw_eps = raw.get("epsilon")
+    eps = _finite(raw_eps)
+    if not (eps is not None and eps > 0 or _is_int(raw_eps) and raw_eps > 0):
+        issues.add(EPSILON_NONPOSITIVE, f"epsilon must be a finite positive number, got {raw_eps!r}")
+    elif raw_eps > _MAX_EPSILON:  # exact for an int, even one beyond float range
+        issues.add(NON_FINITE, f"epsilon {raw_eps!r} is too large: epsilon**2 overflows to inf")
 
     entries, n = _parse_groups(raw.get("groups"), issues)
     if entries is None:
@@ -603,7 +595,7 @@ def build_scenario(raw: Any) -> Scenario:
                 norm = dict(norm, per_agent=norm_overrides)
             schedules_norm[name] = norm
 
-    engine = _parse_engine(raw.get("engine"), issues)
+    engine, engine_norm = _parse_engine(raw.get("engine"), issues)
 
     if issues:
         raise ScenarioValidationError(issues.items)
@@ -624,7 +616,7 @@ def build_scenario(raw: Any) -> Scenario:
 
     canonical = {
         "dimension": d,
-        "epsilon": float(eps),
+        "epsilon": eps,
         "groups": [
             dict(
                 {"name": e["name"], "kind": e["kind"], "members": [int(i) for i in e["ids"]]},
@@ -634,17 +626,12 @@ def build_scenario(raw: Any) -> Scenario:
         ],
         "initial_opinions": initial_norm,
         "schedules": schedules_norm,
-        "engine": {
-            "neighbor_strategy": engine.neighbor_strategy,
-            "horizon": engine.horizon,
-            "stop": {"tol": engine.stop_tol, "window": engine.stop_window},
-            "grid_dim_cap": engine.grid_dim_cap,
-        },
+        "engine": engine_norm,
     }
 
     return Scenario(
         dimension=d,
-        epsilon=float(eps),
+        epsilon=eps,
         partition=partition,
         targets=target_matrix,
         initial_state=SystemState(0, opinions),

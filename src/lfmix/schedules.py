@@ -19,7 +19,7 @@ Built-in kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,12 @@ from .seeding import unit_uniform
 
 
 class Schedule:
-    """Base class for degree schedules."""
+    """Base class for degree schedules.
+
+    A schedule needs only ``at``. The built-in kinds are dataclasses that
+    also give ``peak``, which the load-time beta-sum check reads, and
+    inherit ``to_spec``.
+    """
 
     kind = "abstract"
 
@@ -36,16 +41,15 @@ class Schedule:
         always in [0, 1], broadcasting to the shape of ``agent``."""
         raise NotImplementedError
 
-    def upper_bound(self) -> float:
-        """Supremum of ``at`` over all agents and times."""
+    def peak(self, t: int) -> float:
+        """The largest degree ``at`` can return for any agent at step ``t``."""
         raise NotImplementedError
-
-    def exact_at(self, t: int) -> float | None:
-        """Agent-independent value at ``t``, or None if agent-dependent."""
-        return None
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        """The scenario-file spec of this schedule: its kind and its fields,
+        tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"kind": self.kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}}
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,8 @@ class Constant(Schedule):
     def at(self, agent, t: int):
         return self.value
 
-    def upper_bound(self) -> float:
+    def peak(self, t: int) -> float:
         return self.value
-
-    def exact_at(self, t: int) -> float | None:
-        return self.value
-
-    def to_spec(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,8 @@ class Table(Schedule):
     def at(self, agent, t: int):
         return self.values[min(t, len(self.values) - 1)]
 
-    def upper_bound(self) -> float:
-        return max(self.values)
-
-    def exact_at(self, t: int) -> float | None:
-        return self.values[min(t, len(self.values) - 1)]
-
-    def to_spec(self) -> dict:
-        return {"kind": "table", "values": list(self.values)}
+    def peak(self, t: int) -> float:
+        return self.at(0, t)
 
 
 @dataclass(frozen=True)
@@ -98,15 +90,8 @@ class GeometricDecay(Schedule):
     def at(self, agent, t: int):
         return min(1.0, max(0.0, self.initial * self.ratio**t))
 
-    def upper_bound(self) -> float:
-        # ratio is validated to [0, 1], so the peak is at t = 0
-        return min(1.0, max(0.0, self.initial))
-
-    def exact_at(self, t: int) -> float | None:
+    def peak(self, t: int) -> float:
         return self.at(0, t)
-
-    def to_spec(self) -> dict:
-        return {"kind": "geometric_decay", "initial": self.initial, "ratio": self.ratio}
 
 
 @dataclass(frozen=True)
@@ -122,11 +107,8 @@ class SeededRandom(Schedule):
     def at(self, agent, t: int):
         return self.low + (self.high - self.low) * unit_uniform(self.seed, agent, t)
 
-    def upper_bound(self) -> float:
+    def peak(self, t: int) -> float:
         return self.high
-
-    def to_spec(self) -> dict:
-        return {"kind": "seeded_random", "seed": self.seed, "low": self.low, "high": self.high}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +117,8 @@ class RemappedAgents(Schedule):
 
     Used when a subsystem is extracted from a larger scenario so that
     agent-keyed draws keep their original streams; ``original_ids[new]`` is
-    the original id of agent ``new``. Not serializable.
+    the original id of agent ``new``. Subsystems are only run, so it has
+    only ``at``.
     """
 
     inner: Schedule
@@ -145,12 +128,3 @@ class RemappedAgents(Schedule):
 
     def at(self, agent, t: int):
         return self.inner.at(self.original_ids[agent], t)
-
-    def upper_bound(self) -> float:
-        return self.inner.upper_bound()
-
-    def exact_at(self, t: int) -> float | None:
-        return self.inner.exact_at(t)
-
-    def to_spec(self) -> dict:
-        raise TypeError("remapped schedules are internal and not serializable")

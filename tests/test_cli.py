@@ -515,6 +515,20 @@ def test_epsilon_whose_square_overflows_exits_2(tmp_path, capsys):
     assert "sweep point 0 is invalid" in capsys.readouterr().err
 
 
+def test_integer_beyond_float_range_exits_2_without_traceback(tmp_path):
+    cfg = demo_config()
+    cfg["schedules"]["brand"]["alpha"] = constant(10**400)
+    path = write_config(tmp_path, cfg)
+    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lfmix.cli", "simulate", "--scenario", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "BadConfig: schedules.brand.alpha: constant needs finite numbers 'value'" in done.stderr
+
+
 def test_sweep_invalid_point_exits_2(tmp_path, capsys):
     # two leader groups: broadcasting beta = 0.6 to both would sum to 1.2
     cfg = config(

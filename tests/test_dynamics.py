@@ -244,9 +244,6 @@ def test_schedule_violation_detected_at_runtime():
         def at(self, agent, t):
             return 1.5
 
-        def upper_bound(self):
-            return 1.5
-
     (constant_alpha, _), = sc.alphas
     bad = dataclasses.replace(sc, alphas=((constant_alpha, np.array([0])), (Lying(), np.array([1]))))
     with pytest.raises(ScheduleViolation, match=r"agent 1 at t=0 returned 1\.5"):

@@ -32,6 +32,20 @@ def sample_config():
     )
 
 
+def every_kind_config():
+    """All four schedule kinds, and a per-agent override."""
+    return config(
+        followers=3,
+        leader_groups=[
+            ("a", 1, [0.0], {"kind": "table", "values": [0.4, 0.2, 0.1]}),
+            ("b", 1, [1.0], {"kind": "geometric_decay", "initial": 0.9, "ratio": 0.5}),
+        ],
+        initial=[[0.1], [0.5], [0.9], [0.0], [1.0]],
+        follower_betas=[constant(0.2), {"kind": "seeded_random", "seed": 7, "low": 0.1, "high": 0.4}],
+        per_agent_betas={1: [{"kind": "table", "values": [0.3, 0.0]}, constant(0.5)]},
+    )
+
+
 def test_canonical_round_trip_is_identity():
     sc = build_scenario(sample_config())
     canon = canonical_dict(sc)
@@ -40,6 +54,15 @@ def test_canonical_round_trip_is_identity():
     # canonical form resolves member counts to explicit ids
     assert canon["groups"][0]["members"] == [0, 1, 2]
     assert canon["groups"][1]["members"] == [3, 4]
+    sc = build_scenario(every_kind_config())
+    assert dump_canonical(build_scenario(canonical_dict(sc))) == dump_canonical(sc)
+    # to_spec turns a table's tuple into a list
+    assert sc.canonical["schedules"]["a"]["alpha"] == {"kind": "table", "values": [0.4, 0.2, 0.1]}
+    override = sc.canonical["schedules"]["crowd"]["per_agent"]["1"]["betas"]
+    assert override == [{"kind": "table", "values": [0.3, 0.0]}, {"kind": "constant", "value": 0.5}]
+    assert sc.canonical["schedules"]["b"]["alpha"] == {"kind": "geometric_decay", "initial": 0.9, "ratio": 0.5}
+    assert sc.canonical["schedules"]["crowd"]["betas"][1] == {"kind": "seeded_random", "seed": 7, "low": 0.1,
+                                                              "high": 0.4}
 
 
 def test_canonical_rerun_reproduces_trajectory():

@@ -163,6 +163,18 @@ def test_partition_gap_rejected():
     assert "PartitionIncomplete" in issue_kinds(exc.value)
 
 
+@pytest.mark.parametrize("huge", [10**18, 2**63])
+def test_partition_gap_with_huge_id_rejected(huge):
+    # the gap test must not build range(huge), and 2**63 fits no int64 id array
+    cfg = well_formed()
+    cfg["initial_opinions"] = {"explicit": [[0.3], [0.1], [0.2]]}
+    cfg["groups"][0]["members"] = [0, 1]
+    cfg["groups"][1]["members"] = [huge]
+    with pytest.raises(ScenarioValidationError) as exc:
+        build_scenario(cfg)
+    assert issue_kinds(exc.value) == {"PartitionIncomplete"}
+
+
 def test_partition_overlap_rejected():
     cfg = well_formed()
     cfg["groups"][0]["members"] = [0, 1]
@@ -214,6 +226,37 @@ def test_missing_leader_schedule_rejected():
     assert "MissingSchedule" in issue_kinds(exc.value)
 
 
+HUGE = 10**400  # a JSON integer that float() cannot hold
+
+
+def _set_initial(cfg, spec):
+    cfg["initial_opinions"] = spec
+
+
+@pytest.mark.parametrize("edit, kind", [
+    (lambda c: c["schedules"]["brand"].update(alpha=constant(HUGE)), "BadConfig"),
+    (lambda c: c["schedules"]["brand"].update(alpha={"kind": "table", "values": [0.5, HUGE]}), "BadConfig"),
+    (lambda c: c["schedules"]["brand"].update(alpha={"kind": "geometric_decay", "initial": HUGE, "ratio": 0.5}),
+     "BadConfig"),
+    (lambda c: c["schedules"]["crowd"].update(
+        betas=[{"kind": "seeded_random", "seed": 1, "low": 0.0, "high": HUGE}]), "BadConfig"),
+    (lambda c: c["groups"][1].update(target=[HUGE]), "NonFinite"),
+    (lambda c: _set_initial(c, {"explicit": [[0.3], [HUGE]]}), "NonFinite"),
+    (lambda c: _set_initial(c, {"random": {"distribution": "uniform_box", "low": 0.0, "high": HUGE, "seed": 0}}),
+     "BadConfig"),
+    (lambda c: c["engine"]["stop"].update(tol=HUGE), "BadConfig"),
+    (lambda c: c.update(dimension=HUGE), "DimensionMismatch"),
+    (lambda c: c["groups"][0].update(members=HUGE), "BadConfig"),
+], ids=["constant", "table", "geometric_decay", "seeded_random", "target", "explicit", "random", "stop_tol",
+        "dimension", "member_count"])
+def test_integer_beyond_float_range_rejected(edit, kind):
+    cfg = well_formed()
+    edit(cfg)
+    with pytest.raises(ScenarioValidationError) as exc:
+        build_scenario(cfg)
+    assert issue_kinds(exc.value) == {kind}
+
+
 def test_errors_are_collected_not_first_only():
     cfg = well_formed()
     cfg["epsilon"] = -1
@@ -228,6 +271,7 @@ _json_scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-10, 10),
+    st.integers(2**1024, HUGE) | st.integers(-HUGE, -(2**1024)),  # beyond float range
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["follower", "leader", "constant", "members", "x", ""]),
 )
@@ -311,7 +355,7 @@ def test_schedules_stay_in_unit_interval(kind, agent, t, seed):
     v = s.at(agent, t)
     assert 0.0 <= v <= 1.0
     assert v == s.at(agent, t)
-    assert v <= s.upper_bound() + 1e-15
+    assert v <= s.peak(t) + 1e-15
 
 
 # (seed, *counters), derive_key, unit_uniform: values of the pure-int
