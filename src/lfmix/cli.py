@@ -111,6 +111,8 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
                 "last": pairs[-1] if pairs else None,
             },
         },
+        # how the steps got their neighbor pairs: fresh searches, pair-list rebuilds and reuses
+        "pair_search": trajectory.pair_counts,
         "stop_reason": trajectory.stop_reason,
         "converged": trajectory.stop_reason == STOP_CONVERGED,
         "steps": trajectory.horizon,

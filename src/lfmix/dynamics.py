@@ -15,6 +15,9 @@ one query per schedule block, one sum per neighbor set, taken for all sets of
 one size together, then elementwise array expressions for the mix and for the
 ``StepDigest`` of the realized weights. An agent's set is the cols of its
 neighbor pairs that carry the set's group; no per-agent object is built.
+The grouping of the pairs into sets (sizes and gather indices) depends on
+the pairs alone, so it is kept on the ``Pairs`` object for as long as a
+run's ``PairTracker`` hands that object out.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
@@ -31,13 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteState, ScheduleViolation
 from .model import Scenario, SystemState
-from .neighbors import compute_neighbors
+from .neighbors import PairTracker, Pairs, compute_neighbors
 
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
@@ -64,9 +67,10 @@ class StepDigest:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States for t = 0..T, how the run ended, and the injected fault and
-    tolerance stop (None when off) it ran with. Immutable and compared by
-    identity, so measurements of it can be cached against it."""
+    """States for t = 0..T, how the run ended, the injected fault and
+    tolerance stop (None when off) it ran with, and how its steps got their
+    neighbor pairs. Immutable and compared by identity, so measurements of
+    it can be cached against it."""
 
     scenario: Scenario
     states: tuple[SystemState, ...]
@@ -74,6 +78,7 @@ class Trajectory:
     step_digests: tuple[StepDigest, ...]
     fault: str | None
     stop_tol: float | None
+    pair_counts: dict = field(default_factory=dict)  # how each step got its pairs: PairTracker.counts
 
     @property
     def horizon(self) -> int:
@@ -126,32 +131,59 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
     return betas
 
 
-def _set_means(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shift: float):
-    """Size and mean of each agent's set, the set of agent i being the cols
-    of the pairs whose row is i (pairs sorted by row, then col).
-
-    A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
-    sets of one size together from one ``np.take`` gather, laid out as
-    (size, sets, d) for d >= 2 and as (sets, size) for d = 1 so that the
-    reduction adds in numpy's per-set order (see the module docstring). The
-    mean of an empty set is 0.
-    """
-    n, d = x.shape
-    size = np.bincount(rows, minlength=n)
+def _grouping(size: np.ndarray, cols: np.ndarray, d: int):
+    """``size``, each agent's set size, and the gather index of each block of
+    equal-size sets, the set of agent i being the ``cols`` of its pairs
+    (pairs sorted by row, then col): (agents, their cols laid out as (size,
+    agents) for d >= 2 and as (agents, size) for d = 1)."""
     first = np.cumsum(size) - size
-    sums = np.zeros_like(x)
+    index = np.empty_like(cols)  # the cols regrouped block by block, one allocation for all blocks
+    blocks, end = [], 0
     for k in np.unique(size[size > 0]).tolist():
         agents = np.flatnonzero(size == k)
         block = max(1, _GATHER_FLOATS // (k * d))
         for part in np.split(agents, range(block, agents.size, block)):
-            if d == 1:
-                sums[part, 0] = np.take(x[:, 0], cols[first[part, None] + np.arange(k)]).sum(axis=1)
-            else:
-                sums[part] = np.take(x, cols[first[part] + np.arange(k)[:, None]], axis=0).sum(axis=0)
+            at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
+            view = index[end:end + at.size].reshape(at.shape)
+            np.take(cols, at, out=view)
+            blocks.append((part, view))
+            end += at.size
+    return size, blocks
+
+
+def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
+    """Mean of each agent's set of a ``_grouping``; 0 for an empty set.
+
+    A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
+    sets of one size together from one ``np.take`` gather, whose layout
+    makes the reduction add in numpy's per-set order (see the module
+    docstring).
+    """
+    size, blocks = grouping
+    sums = np.zeros_like(x)
+    for part, index in blocks:
+        if x.shape[1] == 1:
+            sums[part, 0] = np.take(x[:, 0], index).sum(axis=1)
+        else:
+            sums[part] = np.take(x, index, axis=0).sum(axis=0)
     mean = sums / np.maximum(size, 1)[:, None]
     if shift:
         mean = mean + shift
-    return size, mean
+    return mean
+
+
+def _groupings(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The ``_grouping`` of every agent's own set, then of each follower's
+    group-k leader set for k = 1..m."""
+    n = scenario.n_agents
+    codes = scenario.partition.group_of.astype(np.min_scalar_type(scenario.m))
+    row_code, col_code = codes[rows], codes[cols]
+    groupings = []
+    for k in range(scenario.m + 1):
+        # an agent's own set holds its own group; a leader's pairs with other groups are not used
+        keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
+        groupings.append(_grouping(np.bincount(rows[keep], minlength=n), cols[keep], d))
+    return groupings
 
 
 def step(
@@ -160,18 +192,24 @@ def step(
     t: int,
     *,
     fault: str | None = None,
+    pairs: Pairs | None = None,
 ) -> tuple[SystemState, StepDigest]:
     """Apply one synchronous update to every agent.
 
-    Neighbor pairs are found once on ``state``; every new opinion depends
-    only on ``state``. Raises ScheduleViolation if a schedule leaves its
-    declared range.
+    Neighbor pairs are found once on ``state``: ``pairs`` if given (``run``
+    passes its ``PairTracker``'s), else by a fresh ``compute_neighbors``.
+    Every new opinion depends only on ``state``. Raises ScheduleViolation
+    if a schedule leaves its declared range.
     """
     if fault is not None and fault not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {fault!r}")
     shift = _MEAN_SHIFT if fault == FAULT_MEAN_SHIFT else 0.0
-    rows, cols = compute_neighbors(state, scenario)
     x = state.opinions
+    if pairs is None:
+        pairs = Pairs(*compute_neighbors(state, scenario))
+    if pairs.grouping is None:
+        pairs.grouping = _groupings(scenario, x.shape[1], pairs.rows, pairs.cols)
+    own, *leader_sets = pairs.grouping
     n = x.shape[0]
     group_of = scenario.partition.group_of
     lead = group_of > 0
@@ -179,20 +217,14 @@ def step(
     alpha = realized_alpha(scenario, t)
     betas = realized_betas(scenario, t)
 
-    # an agent's own set holds its own group; a follower's set k its
-    # group-k leaders; a leader's pairs with other groups are not used
-    codes = group_of.astype(np.min_scalar_type(scenario.m))
-    row_code, col_code = codes[rows], codes[cols]
-    same = row_code == col_code
-    n_own, own_mean = _set_means(x, rows[same], cols[same], shift)
+    n_own, own_mean = own[0], _set_means(x, own, shift)
     leader_terms = []
     total = np.zeros(n)
-    for k in range(1, scenario.m + 1):
-        keep = (row_code == 0) & (col_code == k)
-        size, mean = _set_means(x, rows[keep], cols[keep], shift)
-        b = np.where(size > 0, betas[:, k - 1], 0.0)  # masked beta
+    for k, grouping in enumerate(leader_sets):
+        size = grouping[0]
+        b = np.where(size > 0, betas[:, k], 0.0)  # masked beta
         total = total + b
-        leader_terms.append((b, size, mean))
+        leader_terms.append((b, size, _set_means(x, grouping, shift)))
 
     # own-set weight: alpha for a leader, 1 - (sum of masked betas) for a follower
     w_own = np.where(lead, alpha, 1.0 - total)
@@ -200,20 +232,20 @@ def step(
     w_each = w_own / n_own
     sum_w = w_each * n_own
     min_w = np.where(w_own > 0.0, w_each, math.inf)
-    pairs = int(n_own.sum())
+    counted = int(n_own.sum())
     for b, size, mean in leader_terms:
         used = b != 0.0
         new = np.where(used[:, None], new + b[:, None] * mean, new)
         w_each = b / np.maximum(size, 1)
         sum_w = np.where(used, sum_w + w_each * size, sum_w)
         min_w = np.where(used, np.minimum(min_w, w_each), min_w)
-        pairs += int(size[used].sum())
+        counted += int(size[used].sum())
     w_target = np.where(lead, 1.0 - alpha, 0.0)
     new[lead] += w_target[lead, None] * scenario.targets[group_of[lead] - 1]
     sum_w += w_target
     min_w = np.where(w_target > 0.0, np.minimum(min_w, w_target), min_w)
 
-    digest = StepDigest(t, float(min_w.min(initial=math.inf)), float(np.abs(1.0 - sum_w).max(initial=0.0)), pairs)
+    digest = StepDigest(t, float(min_w.min(initial=math.inf)), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted)
     return SystemState(t + 1, new), digest
 
 
@@ -231,6 +263,14 @@ def run(
     trailing ``stop_window`` steps), ``stagnated`` (exact fixed point reached
     while no tolerance-based stop is configured). Raises NonFiniteState as
     soon as a new state holds an infinite or NaN coordinate.
+
+    Each state's neighbor pairs come from one ``PairTracker``: a Verlet skin
+    list once a step moved every agent by less than a quarter of the skin,
+    which re-tests only the pairs near epsilon that the agents' moves since
+    its rebuild could have carried across, and otherwise a fresh search.
+    The pairs are exactly a fresh search's either way (the proof is in
+    ``PairTracker._reuse``). How the steps got them is the trajectory's
+    ``pair_counts``.
     """
     opts = scenario.engine
     if horizon is None:
@@ -243,8 +283,11 @@ def run(
     digests: list[StepDigest] = []
     reason = STOP_HORIZON
     recent: deque[float] = deque(maxlen=opts.stop_window)
+    tracker = PairTracker(scenario)
+    disp = math.inf
     for t in range(horizon):
-        nxt, digest = step(states[-1], scenario, t, fault=fault)
+        pairs = tracker.pairs(states[-1], disp)
+        nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs)
         finite = np.isfinite(nxt.opinions).all(axis=1)
         if not finite.all():
             i = int(finite.argmin())
@@ -260,4 +303,4 @@ def run(
         if tol is None and disp == 0.0:
             reason = STOP_STAGNATED
             break
-    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol)
+    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol, dict(tracker.counts))

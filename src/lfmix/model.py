@@ -258,8 +258,10 @@ def _beta_sum_violation(betas: Sequence[sched.Schedule]) -> float | None:
     return worst if worst > 1.0 else None
 
 
-def _parse_groups(raw_groups, issues: _Issues):
-    """Returns (entries, n_agents) where each entry is a dict with resolved ids."""
+def _parse_groups(raw_groups, explicit_rows: int | None, issues: _Issues):
+    """Returns (entries, n_agents) where each entry is a dict with its sorted
+    int64 ``ids``. Member counts are checked against ``explicit_rows``, the
+    row count of an explicit opinion matrix, before any id is allocated."""
     if not isinstance(raw_groups, list) or not raw_groups:
         issues.add(BAD_CONFIG, "groups: must be a nonempty list")
         return None, 0
@@ -306,32 +308,36 @@ def _parse_groups(raw_groups, issues: _Issues):
         issues.add(PARTITION_INCOMPLETE, "groups must all use counts or all use explicit id lists")
         return None, 0
 
-    if uses_counts or not uses_ids:
-        next_id = 0
-        for e in entries:
-            count = e["members"]
-            e["ids"] = list(range(next_id, next_id + count))
-            next_id += count
-        n = next_id
-    else:
+    if uses_ids:
         seen: set[int] = set()
         for e in entries:
             for i in e["members"]:
                 if i in seen:
                     issues.add(PARTITION_INCOMPLETE, f"agent {i} assigned to more than one group")
                 seen.add(i)
-            e["ids"] = sorted(e["members"])
         n = len(seen)
         # distinct ids >= 0 cover 0..max exactly when there are max + 1 of them
         if seen and len(seen) != max(seen) + 1:
             issues.add(PARTITION_INCOMPLETE, "explicit ids must cover 0..N-1 with no gaps")
             return None, 0  # an id past N - 1 may not even fit an int64 id array
+        for e in entries:
+            e["ids"] = np.array(sorted(e["members"]), dtype=np.int64)
+    else:
+        n = sum(e["members"] for e in entries)
+        if explicit_rows is not None and n != explicit_rows:
+            issues.add(DIMENSION_MISMATCH,
+                       f"initial_opinions.explicit: {explicit_rows} rows, the groups have {n} agents")
+            return None, 0
+        next_id = 0
+        for e in entries:
+            e["ids"] = np.arange(next_id, next_id + e["members"], dtype=np.int64)
+            next_id += e["members"]
 
     if n == 0:
         issues.add(PARTITION_INCOMPLETE, "scenario has no agents")
         return None, 0
     for e in entries:
-        if e["kind"] == LEADER and not e["ids"]:
+        if e["kind"] == LEADER and not e["ids"].size:
             issues.add(PARTITION_INCOMPLETE, f"leader group {e['name']!r} is empty")
     return entries, n
 
@@ -481,7 +487,9 @@ def build_scenario(raw: Any) -> Scenario:
     elif raw_eps > _MAX_EPSILON:  # exact for an int, even one beyond float range
         issues.add(NON_FINITE, f"epsilon {raw_eps!r} is too large: epsilon**2 overflows to inf")
 
-    entries, n = _parse_groups(raw.get("groups"), issues)
+    raw_initial = raw.get("initial_opinions")
+    explicit = raw_initial.get("explicit") if isinstance(raw_initial, dict) else None
+    entries, n = _parse_groups(raw.get("groups"), len(explicit) if isinstance(explicit, list) else None, issues)
     if entries is None:
         raise ScenarioValidationError(issues.items)
 
@@ -491,16 +499,17 @@ def build_scenario(raw: Any) -> Scenario:
     follower_entry = next((e for e in entries if e["kind"] == FOLLOWER), None)
     m = len(leader_entries)
     for k, e in enumerate(leader_entries, start=1):
-        for i in e["ids"]:
-            if i < n:
-                group_of[i] = k
+        group_of[e["ids"]] = k
+        e["code"] = k
+    if follower_entry is not None:
+        follower_entry["code"] = 0
 
     targets = []
     for e in leader_entries:
         tgt = _parse_target(e.get("target"), d, e["name"], issues)
         targets.append(tgt if tgt is not None else np.zeros(d))
 
-    opinions, initial_norm, base_seed = _parse_initial(raw.get("initial_opinions"), n, d, issues)
+    opinions, initial_norm, base_seed = _parse_initial(raw_initial, n, d, issues)
 
     # Schedules
     raw_schedules = raw.get("schedules", {})
@@ -571,22 +580,23 @@ def build_scenario(raw: Any) -> Scenario:
         norm_overrides = {}
         own: dict[int, Any] = {}  # agent -> its override
         if overrides:
-            id_set = set(e["ids"])
             for key, sub in overrides.items():
                 try:
                     agent = int(key)
                 except (TypeError, ValueError):
+                    agent = None
+                if agent is None or str(agent) != key:  # only a plain decimal id, as the canonical form writes it
                     issues.add(BAD_CONFIG, f"schedules.{name}.per_agent: bad agent id {key!r}")
                     continue
-                if agent not in id_set:
+                if not (0 <= agent < n and group_of[agent] == e["code"]):
                     issues.add(BAD_CONFIG, f"schedules.{name}.per_agent: agent {agent} not in group")
                     continue
                 sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]")
-                if sub_base is None or agent >= n:
+                if sub_base is None:
                     continue
                 own[agent] = sub_base
                 norm_overrides[str(agent)] = sub_norm
-        ids = np.asarray(e["ids"], dtype=np.int64)
+        ids = e["ids"]
         blocks = [(base, ids[~np.isin(ids, list(own))])]
         blocks += [(s, np.array([i], dtype=np.int64)) for i, s in own.items()]
         (alphas if e["kind"] == LEADER else betas).extend((s, _frozen(b)) for s, b in blocks if b.size)
@@ -602,10 +612,8 @@ def build_scenario(raw: Any) -> Scenario:
 
     partition = Partition(
         group_of=_frozen(group_of),
-        follower_ids=_frozen(
-            np.asarray(follower_entry["ids"], dtype=np.int64) if follower_entry else _EMPTY_IDS.copy()
-        ),
-        leader_ids=tuple(_frozen(np.asarray(e["ids"], dtype=np.int64)) for e in leader_entries),
+        follower_ids=_frozen(follower_entry["ids"] if follower_entry else _EMPTY_IDS.copy()),
+        leader_ids=tuple(_frozen(e["ids"]) for e in leader_entries),
         leader_names=tuple(e["name"] for e in leader_entries),
         follower_name=follower_entry["name"] if follower_entry else None,
     )
@@ -619,7 +627,7 @@ def build_scenario(raw: Any) -> Scenario:
         "epsilon": eps,
         "groups": [
             dict(
-                {"name": e["name"], "kind": e["kind"], "members": [int(i) for i in e["ids"]]},
+                {"name": e["name"], "kind": e["kind"], "members": e["ids"].tolist()},
                 **({"target": [float(v) for v in e["target"]]} if e["kind"] == LEADER else {}),
             )
             for e in entries

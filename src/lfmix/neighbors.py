@@ -12,9 +12,25 @@
   reference the tests hold the grid to (and check themselves against a
   per-pair loop). The checks scan only the pairs they need and call it just
   to name a cross-talk contact they found.
+* ``PairTracker``: the pairs of one run's successive states, which
+  ``dynamics.run`` feeds it, as a Verlet skin list (L. Verlet, Phys. Rev.
+  159, 98, 1967) over the same searches. After a step in which no agent
+  moved more than ``_QUIET`` of the skin s = ``_SKIN`` * epsilon, it
+  searches once within epsilon + s and keeps these candidates, their
+  verdicts at epsilon, and, sorted, the gaps | distance - epsilon | of the
+  band of candidates whose gap is at most s. At a later state, with D_i
+  the displacement of agent i since then, only a band pair whose gap is at
+  most D_i + D_j plus a rounding margin can have crossed epsilon, and only
+  those are re-tested; every other candidate has its verdict at the
+  rebuild, and no other pair can have come within epsilon. ``_reuse``
+  proves the margin. Once the two largest D_i sum past s the list is
+  dropped; the next state rebuilds it, or, after a larger step, gets a
+  fresh search, as every state of a run that keeps moving does. While the
+  pairs hold, the tracker hands out the same ``Pairs`` object, which
+  carries ``dynamics.step``'s grouping of them.
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
-is the cols of its rows, split by group where a caller needs that. Both
+is the cols of its rows, split by group where a caller needs that. All
 keep a pair by one test, ``_within``: its verdict is that of the reference
 ``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so the boundary
 rule (distance exactly epsilon counts) is the same everywhere. It adds the
@@ -30,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +56,37 @@ _CHUNK = 128  # rows per block of the grid search
 _SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
 _GRID_MIN_AGENTS = 64
 _GRID_MAX_DIM = 6
+_SKIN = 0.25  # a pair list's skin, as a fraction of epsilon
+_QUIET = 0.25  # build a list only after a step that moved no agent more than this fraction of the skin
+_MARGIN = 2.0**-30  # rounding margin of a pair list, as a fraction of epsilon + skin
 
 
-def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: float) -> np.ndarray:
-    """Boolean array, of the broadcast shape of the index arrays ``i`` and
-    ``j``: whether ``(diff * diff).sum(axis=-1) <= eps2`` for
-    ``diff = x[i] - x[j]``, the reference test, whatever order numpy sums in.
-
-    ``xt`` is ``x.T`` made contiguous. Each coordinate is gathered with
-    ``np.take``, squared, and the squares are added column by column.
-    """
-    d = x.shape[1]
+def _column_sums(xt: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``sum_k (x[i, k] - x[j, k])**2`` added column by column, of the
+    broadcast shape of the index arrays; ``xt`` is ``x.T`` made contiguous."""
     total = None
-    for k in range(d):
-        col = np.take(xt[k], i) - np.take(xt[k], j)
+    for row in xt:
+        col = np.take(row, i) - np.take(row, j)
         col *= col
         if total is None:
             total = col
         else:
             total += col
+    return total
+
+
+def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: float,
+            total: np.ndarray | None = None) -> np.ndarray:
+    """Boolean array, of the broadcast shape of the index arrays ``i`` and
+    ``j``: whether ``(diff * diff).sum(axis=-1) <= eps2`` for
+    ``diff = x[i] - x[j]``, the reference test, whatever order numpy sums in.
+
+    ``xt`` is ``x.T`` made contiguous; ``total`` is the pairs'
+    ``_column_sums``, computed here when not given.
+    """
+    d = x.shape[1]
+    if total is None:
+        total = _column_sums(xt, i, j)
     # Both the column sum C and the reference sum R add the same d computed
     # squares, which are nonnegative, so in any order each is within a
     # relative gamma = (d - 1) u / (1 - (d - 1) u) of their exact sum S, with
@@ -89,31 +118,44 @@ def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: f
     return keep
 
 
+def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every agent against all agents, one ``(rows, cols)`` part per block of
+    rows, each part sorted by (row, col)."""
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    eps2 = eps * eps
+    ids = np.arange(n, dtype=np.int32)
+    parts = []
+    block = max(1, _SCAN_FLOATS // n)  # each coordinate's tile is (block, n)
+    for start in range(0, n, block):
+        within = _within(x, xt, ids[start:start + block, None], ids[None, :], eps2)
+        parts.append((np.repeat(ids[start:start + block], np.count_nonzero(within, axis=1)),
+                      np.broadcast_to(ids, within.shape)[within]))
+    return parts
+
+
+def _joined(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = zip(*parts)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _uses_grid(x: np.ndarray) -> bool:
+    n, d = x.shape
+    return n >= _GRID_MIN_AGENTS and d <= _GRID_MAX_DIM
+
+
 def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row,
     col), from a scan of every agent against all agents, a block of rows at
     a time."""
-    x = state.opinions
-    n = x.shape[0]
-    xt = np.ascontiguousarray(x.T)
-    eps2 = scenario.epsilon * scenario.epsilon
-    ids = np.arange(n, dtype=np.int32)
-    rows, cols = [], []
-    block = max(1, _SCAN_FLOATS // n)  # each coordinate's tile is (block, n)
-    for start in range(0, n, block):
-        within = _within(x, xt, ids[start:start + block, None], ids[None, :], eps2)
-        rows.append(np.repeat(ids[start:start + block], np.count_nonzero(within, axis=1)))
-        cols.append(np.broadcast_to(ids, within.shape)[within])
-    return np.concatenate(rows), np.concatenate(cols)
+    return _joined(_scan(state.opinions, scenario.epsilon))
 
 
 def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
-    n, d = state.opinions.shape
-    if n < _GRID_MIN_AGENTS or d > _GRID_MAX_DIM:
+    if not _uses_grid(state.opinions):
         return neighbors_naive(state, scenario)
-    rows, cols = zip(*neighbors_grid(state.opinions, scenario.epsilon))
-    return np.concatenate(rows), np.concatenate(cols)
+    return _joined(neighbors_grid(state.opinions, scenario.epsilon))
 
 
 def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -158,3 +200,138 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
         pairs.sort(kind="stable")  # the runs from each cell are already ascending
         parts.append(((pairs >> 32).astype(np.int32), (pairs & 0xFFFFFFFF).astype(np.int32)))
     return parts
+
+
+@dataclass(eq=False)
+class Pairs:
+    """Sorted int32 ``(rows, cols)`` neighbor pairs of a state, and the
+    ``grouping`` that ``dynamics.step`` derives from them alone, filled in by
+    the first step that uses them. A ``PairTracker`` hands out the same
+    object for as long as its pairs hold, so a grouping is never stale."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    grouping: object = None
+
+
+class PairTracker:
+    """The neighbor pairs of one run's successive states, kept in a Verlet
+    skin list while the agents move little (see the module docstring).
+
+    ``counts`` tells how each state got its pairs: ``searches`` (the caller
+    searched afresh), ``rebuilds``, ``reuses``, and ``retested``, the pairs
+    of the band that reuses re-tested.
+    """
+
+    def __init__(self, scenario: Scenario):
+        eps = scenario.epsilon
+        self.eps, self.eps2 = eps, eps * eps
+        self.skin = _SKIN * eps
+        self.reach = eps + self.skin
+        self.margin = _MARGIN * self.reach
+        # the bounds the rounding argument in _reuse assumes
+        self.usable = 2.0**-400 <= eps <= 2.0**400 and scenario.dimension <= 4096
+        self.counts = {"searches": 0, "rebuilds": 0, "reuses": 0, "retested": 0}
+        self._ref = None
+
+    def pairs(self, state: SystemState, moved: float) -> Pairs | None:
+        """The pairs of ``state``, or None where the caller should search
+        afresh. ``moved`` is the largest displacement of any agent in the
+        step that led to ``state`` (inf for the first state)."""
+        x = state.opinions
+        if self._ref is not None:
+            pairs = self._reuse(x)
+            if pairs is not None:
+                self.counts["reuses"] += 1
+                return pairs
+            self._ref = self._pairs = self._rows = self._cols = self._keep = self._keep0 = None
+            self._band = self._gap = None
+        if self.usable and moved <= _QUIET * self.skin:
+            self._rebuild(x)
+            self.counts["rebuilds"] += 1
+            return self._pairs
+        self.counts["searches"] += 1
+        return None
+
+    def _rebuild(self, x: np.ndarray) -> None:
+        """Candidates within eps + skin, their verdicts at eps, and the band of
+        candidates whose distance is within the skin of eps, by that gap."""
+        xt = np.ascontiguousarray(x.T)
+        rows, cols, keep, band, gap = [], [], [], [], []
+        count = 0
+        for r, c in neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach):
+            total = _column_sums(xt, r, c)
+            keep.append(_within(x, xt, r, c, self.eps2, total))
+            g = np.abs(np.sqrt(total) - self.eps)
+            near = np.flatnonzero(g <= self.skin)
+            band.append(near + count)
+            gap.append(g[near])
+            rows.append(r)
+            cols.append(c)
+            count += r.size
+        self._rows, self._cols = np.concatenate(rows), np.concatenate(cols)
+        self._keep = self._keep0 = np.concatenate(keep)  # the verdicts now, and at the rebuild
+        gap = np.concatenate(gap)
+        order = np.argsort(gap, kind="stable")
+        self._band, self._gap = np.concatenate(band)[order], gap[order]
+        self._pairs = self._kept()
+        self._ref = x
+
+    def _kept(self) -> Pairs:
+        if self._keep.all():  # no copy where every candidate is a pair
+            return Pairs(self._rows, self._cols)
+        return Pairs(self._rows[self._keep], self._cols[self._keep])
+
+    def _reuse(self, x: np.ndarray) -> Pairs | None:
+        """The list's pairs of ``x``, or None once it no longer covers them.
+
+        With D_i each agent's displacement since the rebuild and T the sum of
+        the two largest, the list holds while T + m <= skin, m = 2^-30 (eps +
+        skin); only band pairs with gap <= D_i + D_j + m are re-tested.
+        """
+        # Exactness. Let u = 2^-53, d <= 4096 and 2^-400 <= eps <= 2^400.
+        # A computed squared distance C of two points t apart, summed in any
+        # order, has |C - t^2| <= g t^2 + a, g = (d + 2) u / (1 - (d + 2) u)
+        # and a = d 2^-1074 (Higham sec. 4.2; a difference rounds with
+        # relative error u or is exact, a square with u plus an absolute
+        # 2^-1075 on underflow). So a computed distance fl(sqrt(C)), here a
+        # gap's distance or a D_i, is within 2^-40 t + 2^-530 of t. With
+        # k = 2^-39 > g + u + a / eps^2, t <= eps (1 - k) makes every such C,
+        # the reference row sum among them, <= fl(eps^2), and t >= eps (1 + k)
+        # makes it > fl(eps^2); the same holds at eps + skin.
+        # * A candidate pair i != j that is not re-tested has a computed gap
+        #   above fl(fl(D_i + D_j) + m): the band is sorted by gap, and a
+        #   candidate outside it has gap > skin >= fl(T + m). Let t0 and t1
+        #   be its exact distances at the rebuild and now, and E_i the exact
+        #   displacements, so |t1 - t0| <= E_i + E_j. The rounding of the
+        #   gap, of the D and of the sums is below 2^-38 (eps + skin) +
+        #   2^-528 < m / 2, so |t0 - eps| > E_i + E_j + m / 2. Then t0 and t1
+        #   lie on one side of eps, more than m / 2 > k eps from it, and the
+        #   verdict now is the one at the rebuild.
+        # * A pair i = j is always a pair.
+        # * A pair that was not a candidate has t0 > (eps + skin)(1 - k).
+        #   With t1 >= t0 - (E_i + E_j) and T + m <= skin, up to the same
+        #   rounding, t1 > eps + m / 2 > eps (1 + k): it is no pair now.
+        with np.errstate(over="ignore"):
+            delta = x - self._ref
+            moved = np.sqrt((delta * delta).sum(axis=1))
+        top = max(moved.size - 2, 0)
+        top = float(np.partition(moved, top)[top:].sum())
+        if not top + self.margin <= self.skin:
+            return None
+        ahead = int(np.searchsorted(self._gap, top + self.margin, side="right"))
+        band = self._band[:ahead]
+        i, j = self._rows[band], self._cols[band]
+        near = self._gap[:ahead] <= moved[i] + moved[j] + self.margin
+        band, i, j = band[near], i[near], j[near]
+        if not band.size and self._keep is self._keep0:
+            return self._pairs
+        # a pair not re-tested now has its verdict at the rebuild, whatever
+        # an earlier re-test found on the way
+        keep = self._keep0.copy()
+        keep[band] = _within(x, np.ascontiguousarray(x.T), i, j, self.eps2)
+        self.counts["retested"] += band.size
+        if not np.array_equal(keep, self._keep):
+            self._keep = self._keep0 if np.array_equal(keep, self._keep0) else keep
+            self._pairs = self._kept()
+        return self._pairs

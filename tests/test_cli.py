@@ -117,6 +117,65 @@ def test_simulate_does_not_import_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_simulate_reports_how_steps_got_their_pairs(tmp_path):
+    path = write_config(tmp_path, demo_config(stop_tol=None, horizon=40))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "run.json").read_text())
+    counts = payload["pair_search"]
+    assert set(counts) == {"searches", "rebuilds", "reuses", "retested"}
+    assert counts["searches"] + counts["rebuilds"] + counts["reuses"] == payload["steps"] == 40
+    assert counts["reuses"] > 0
+    report = tmp_path / "report.json"
+    assert main(["check", "--scenario", str(path), "--report", str(report)]) == 0
+    assert "pair_search" not in report.read_text()
+
+
+def run_in_child(code: str, tmp_path, address_space: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter limited to ``address_space`` bytes,
+    so that an allocation sized by a raw input fails there, not here."""
+    preamble = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", preamble + code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=300)
+
+
+@pytest.mark.parametrize("count", [3_000_000, 2_000_000_000])
+def test_member_count_checked_against_explicit_matrix_before_allocating(count, tmp_path):
+    cfg = config(leader_groups=[("brand", count, [0.0], constant(0.5))], initial=[[0.1]])
+    path = write_config(tmp_path, cfg)
+    code = (
+        "import tracemalloc\n"
+        "from lfmix.cli import main\n"
+        "tracemalloc.start()\n"
+        f"code = main(['simulate', '--scenario', {str(path)!r}, '--out', 'out'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1])\n"
+    )
+    done = run_in_child(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 2
+    assert peak < 1 << 20  # bytes; no id of the count is allocated
+    assert f"DimensionMismatch: initial_opinions.explicit: 1 rows, the groups have {count} agents" in done.stderr
+    assert "MemoryError" not in done.stderr
+
+
+@pytest.mark.parametrize("key", ["1_0", " 10 ", "+10", "010"])
+def test_per_agent_key_other_than_plain_decimal_id_exits_2(key, tmp_path, capsys):
+    cfg = config(
+        followers=11,
+        leader_groups=[("brand", 1, [0.0], constant(0.5))],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 3},
+        follower_betas=[constant(0.2)],
+    )
+    cfg["schedules"]["crowd"]["per_agent"] = {key: {"betas": [constant(0.7)]}}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"BadConfig: schedules.crowd.per_agent: bad agent id {key!r}" in capsys.readouterr().err
+    cfg["schedules"]["crowd"]["per_agent"] = {"10": {"betas": [constant(0.7)]}}
+    assert build_scenario(cfg).canonical["schedules"]["crowd"]["per_agent"] == {"10": {"betas": [constant(0.7)]}}
+
+
 def test_simulate_schedule_violation_exits_3(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, demo_config())
 

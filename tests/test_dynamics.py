@@ -1,6 +1,7 @@
 """Update rules, synchronous stepping, trajectories, and determinism."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from helpers import (
     random_mixed_config,
     scenario,
 )
-from lfmix import ScheduleViolation, build_scenario, run
+from lfmix import ScheduleViolation, build_scenario, compute_neighbors, load_scenario, run
+from lfmix import dynamics
 from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
 from lfmix.errors import NonFiniteState
 from lfmix.schedules import Constant
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def two_leader_scenario(alpha=0.5):
@@ -394,6 +398,53 @@ def test_mean_shift_fault_breaks_fixed_point():
     assert not np.array_equal(clean.final_state.opinions, faulty.final_state.opinions)
     with pytest.raises(ValueError):
         run(sc, 2, fault="nonsense")
+
+
+@pytest.mark.parametrize("fault", [None, "mean-shift"])
+def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
+    real_step = dynamics.step
+    listed = []
+
+    def checking_step(state, sc, t, *, fault=None, pairs=None):
+        if pairs is not None:
+            rows, cols = compute_neighbors(state, sc)
+            assert pairs.rows.dtype == pairs.cols.dtype == np.int32
+            assert np.array_equal(pairs.rows, rows) and np.array_equal(pairs.cols, cols)
+            listed.append(t)
+        return real_step(state, sc, t, fault=fault, pairs=pairs)
+
+    monkeypatch.setattr(dynamics, "step", checking_step)
+    rng = np.random.default_rng(41)
+    counts = dict.fromkeys(("searches", "rebuilds", "reuses", "retested"), 0)
+    for _ in range(30):
+        sc = build_scenario(random_mixed_config(rng, n_followers_hi=120, leader_size_hi=20, horizon=80))
+        for key, value in run(sc, fault=fault).pair_counts.items():
+            counts[key] += value
+    assert len(listed) == counts["rebuilds"] + counts["reuses"]
+    # the lists were built, reused, and re-tested pairs near epsilon
+    assert counts["rebuilds"] >= 5 and counts["reuses"] >= 100 and counts["retested"] > 0
+
+
+def test_first_ten_steps_of_perf_10k_search_afresh():
+    # its agents move 0.03 to 0.07 a step, far more than the skin allows
+    sc = load_scenario(SCENARIOS / "perf_10k.json")
+    assert run(sc, 10).pair_counts == {"searches": 10, "rebuilds": 0, "reuses": 0, "retested": 0}
+
+
+def test_settled_ball_reuses_one_pair_list_for_most_steps():
+    # the benchmark's check_ball shape: every agent starts within epsilon of the target
+    sc = scenario(
+        dimension=2,
+        epsilon=0.2,
+        followers=380,
+        leader_groups=[("brand", 20, [0.5, 0.5], {"kind": "seeded_random", "seed": 5, "low": 0.3, "high": 0.7})],
+        random_init={"distribution": "uniform_box", "low": 0.4, "high": 0.6, "seed": 7},
+        follower_betas=[constant(0.5)],
+        horizon=40,
+    )
+    counts = run(sc).pair_counts
+    assert counts["rebuilds"] == 1
+    assert counts["reuses"] >= 30
 
 
 # ---------------------------------------------------------------------------

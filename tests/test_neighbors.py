@@ -1,5 +1,5 @@
-"""Neighbor search: the exact reference, and the engine's pair search against it
-on both sides of its grid/scan choice."""
+"""Neighbor search: the exact reference, the engine's pair search against it
+on both sides of its grid/scan choice, and the pair list a run keeps."""
 
 import functools
 import math
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
-from lfmix import build_scenario, compute_neighbors, neighbors_naive
+from lfmix import SystemState, build_scenario, compute_neighbors, neighbors_naive
+from lfmix.neighbors import PairTracker
 
 
 def pair_list(rows, cols):
@@ -270,3 +271,61 @@ def test_strategy_dispatch_matches():
             first = (rows, cols)
         assert np.array_equal(rows, first[0]) and np.array_equal(cols, first[1])
 
+
+
+def states_of(rows):
+    return [SystemState(t, np.array(r, dtype=np.float64)) for t, r in enumerate(rows)]
+
+
+def test_pair_list_follows_pairs_across_epsilon_while_reused():
+    # epsilon 1: agent 1 drifts in toward agent 0 and lands exactly on
+    # epsilon, then inside; agent 2 sits exactly on epsilon from agent 0,
+    # then drifts out; agent 4 starts inside, crosses out, and comes back
+    # close enough to its start that its pair with agent 0 is no longer
+    # re-tested; agent 3 stays put. Every position is a multiple of 1/32, so
+    # each distance is exact, and no agent drifts further than the skin
+    # allows, so the one list is reused throughout.
+    path = states_of([
+        [[0.0], [1.03125], [-1.0], [0.5], [0.9375]],
+        [[0.0], [1.0], [-1.0], [0.5], [1.03125]],
+        [[0.0], [1.0], [-1.03125], [0.5], [1.03125]],
+        [[0.0], [0.96875], [-1.0625], [0.5], [0.96875]],
+    ])
+    sc = follower_only(path[0].opinions.tolist(), 1.0)
+    tracker = PairTracker(sc)
+    expected_partners = [[0, 2, 3, 4], [0, 1, 2, 3], [0, 1, 3], [0, 1, 3, 4]]
+    for state, partners in zip(path, expected_partners):
+        pairs = tracker.pairs(state, 0.0)
+        assert pairs is not None
+        assert pair_list(pairs.rows, pairs.cols) == pair_list(*compute_neighbors(state, sc))
+        assert pairs.rows.dtype == pairs.cols.dtype == np.int32
+        assert pairs.cols[pairs.rows == 0].tolist() == partners
+    # the band holds (0, 1), (0, 2) and (0, 4) both ways; the last reuse
+    # re-tests only the first two
+    assert tracker.counts == {"searches": 0, "rebuilds": 1, "reuses": 3, "retested": 16}
+
+
+def test_pair_list_hands_out_the_same_pairs_while_they_hold():
+    sc = follower_only([[0.0], [0.3], [0.9], [2.0]], 0.5)
+    first, moved, stays = states_of([[[0.0], [0.3], [0.9], [2.0]], [[0.0], [0.31], [0.9], [2.0]],
+                                     [[0.0], [0.31], [0.9], [2.0]]])
+    tracker = PairTracker(sc)
+    pairs = tracker.pairs(first, 0.0)
+    pairs.grouping = "derived"
+    assert tracker.pairs(moved, 0.01) is pairs
+    assert tracker.pairs(stays, 0.0) is pairs
+    assert pairs.grouping == "derived"
+
+
+def test_pair_list_falls_back_to_fresh_search():
+    sc = follower_only([[0.0], [0.3], [0.9], [2.0]], 0.5)
+    start, far = states_of([[[0.0], [0.3], [0.9], [2.0]], [[0.0], [0.3], [0.9], [1.2]]])
+    tracker = PairTracker(sc)
+    assert tracker.pairs(start, math.inf) is None  # the first state: no move is known
+    assert tracker.pairs(start, 0.5) is None  # the last step moved more than the skin allows
+    assert tracker.pairs(start, 0.0) is not None
+    assert tracker.pairs(far, 0.8) is None  # agent 3 moved 0.8, past the skin: the list is dropped
+    assert tracker.counts == {"searches": 3, "rebuilds": 1, "reuses": 0, "retested": 0}
+    # where the rounding argument's bounds do not hold, every state is searched afresh
+    tiny = follower_only([[0.0], [1e-125]], 1e-124)
+    assert PairTracker(tiny).pairs(tiny.initial_state, 0.0) is None
