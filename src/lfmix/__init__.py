@@ -13,7 +13,6 @@ from .analysis import (
     check_ball_invariance,
     check_consensus_bound,
     check_contraction,
-    check_contraction_step,
     check_mixture_limit,
     check_subsystem_independence,
     check_target_envelope,
@@ -61,7 +60,6 @@ __all__ = [
     "check_ball_invariance",
     "check_consensus_bound",
     "check_contraction",
-    "check_contraction_step",
     "check_mixture_limit",
     "check_subsystem_independence",
     "check_target_envelope",

@@ -112,24 +112,23 @@ class CheckReport:
 
     @property
     def status(self) -> str:
-        if not self.applicable:
-            return "skipped"
-        return "pass" if self.passed else "fail"
+        return "skipped" if not self.applicable else "pass" if self.passed else "fail"
 
     def failures(self) -> list[StepRecord]:
         return [r for r in self.records if r.slack < -self.tolerance]
 
     def to_dict(self) -> dict:
+        passed = self.passed  # walks every record, so once
         out = {
             "name": self.name,
-            "status": self.status,
+            "status": "skipped" if not self.applicable else "pass" if passed else "fail",
             "records": len(self.records),
             "worst_slack": self.worst_slack,
             "params": dict(self.params),
         }
         if self.reason:
             out["reason"] = self.reason
-        if not self.passed:
+        if not passed:
             out["failures"] = [
                 {"t": r.t, "label": r.label, "lhs": r.lhs, "rhs": r.rhs} for r in self.failures()[:20]
             ]
@@ -330,54 +329,39 @@ def metrics_rows(trajectory: Trajectory) -> list[MetricsRow]:
 # ---------------------------------------------------------------------------
 
 
-def check_contraction_step(state_t: SystemState, state_t1: SystemState, alphas_t, scenario: Scenario) -> CheckReport:
-    """One step of the leader contraction bound.
+def check_contraction(trajectory: Trajectory) -> CheckReport:
+    """Contraction bound at every step of a trajectory.
 
     For every leader i with degree alpha: the new distance to the target is
     at most alpha times the worst distance at time t among i's own-group
     neighbors, i included; per group, the max distance contracts by the
-    group's max degree. Each group's leaders are scanned against that group
-    only.
-    """
-    report = CheckReport("contraction")
-    part = scenario.partition
-    eps2 = scenario.epsilon * scenario.epsilon
-    for k in range(1, scenario.m + 1):
-        g = scenario.target(k)
-        ids = part.leader_ids[k - 1]
-        x = state_t.opinions[ids]
-        dist0 = distances_to(x, g)
-        dist1 = distances_to(state_t1.opinions[ids], g)
-        worst = np.empty_like(dist0)
-        for start, block in _squared_distances(x, x):
-            worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
-        group_alpha = 0.0
-        for i, d1, w in zip(ids.tolist(), dist1.tolist(), worst.tolist()):
-            alpha = float(alphas_t[i])
-            group_alpha = max(group_alpha, alpha)
-            report.records.append(StepRecord(state_t.t, f"agent {i}", d1, alpha * w))
-        c0 = float(dist0.max())
-        c1 = float(dist1.max())
-        report.records.append(
-            StepRecord(state_t.t, f"group {part.leader_names[k - 1]}", c1, group_alpha * c0)
-        )
-    return report
-
-
-def check_contraction(trajectory: Trajectory) -> CheckReport:
-    """Contraction bound at every step of a trajectory.
-
-    Own-group neighbors are recomputed from the raw states, and the degrees
-    are the series' re-queried ones, independently of whatever the engine did.
+    group's max degree. Own-group neighbors are recomputed from the raw
+    states, each group's leaders scanned against that group only, and the
+    degrees are the series' re-queried ones, independently of whatever the
+    engine did.
     """
     scenario = trajectory.scenario
     report = CheckReport("contraction")
     if scenario.m == 0:
         report.params["note"] = "no leader groups; nothing to check"
         return report
+    part = scenario.partition
+    eps2 = scenario.epsilon * scenario.epsilon
+    states = trajectory.states
     for t, alphas in enumerate(measure(trajectory).alphas):
-        sub = check_contraction_step(trajectory.states[t], trajectory.states[t + 1], alphas, scenario)
-        report.records.extend(sub.records)
+        for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names), start=1):
+            g = scenario.target(k)
+            x = states[t].opinions[ids]
+            dist0 = distances_to(x, g)
+            dist1 = distances_to(states[t + 1].opinions[ids], g)
+            worst = np.empty_like(dist0)
+            for start, block in _squared_distances(x, x):
+                worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
+            alpha = alphas[ids]
+            report.records += [StepRecord(t, f"agent {i}", d1, r)
+                               for i, d1, r in zip(ids.tolist(), dist1.tolist(), (alpha * worst).tolist())]
+            group_alpha = max([0.0, *alpha.tolist()])  # from 0.0, so a -0.0 degree gives a 0.0 bound
+            report.records.append(StepRecord(t, f"group {name}", float(dist1.max()), group_alpha * float(dist0.max())))
     report.params["steps"] = trajectory.horizon
     return report
 

@@ -167,15 +167,15 @@ def _cmd_check(args) -> int:
     if scenario is None:
         return 2
     trajectory = run(scenario, args.horizon, fault=args.inject_fault)
-    reports = _run_checks(trajectory, tokens)
+    checks = {token: report.to_dict() for token, report in _run_checks(trajectory, tokens).items()}
     payload = {
         "scenario": args.scenario,
         "horizon": trajectory.horizon,
         "stop_reason": trajectory.stop_reason,
         "fault": args.inject_fault,
-        "checks": {token: report.to_dict() for token, report in reports.items()},
+        "checks": checks,
     }
-    failed = [t for t, r in reports.items() if r.status == "fail"]
+    failed = [t for t, c in checks.items() if c["status"] == "fail"]
     payload["all_passed"] = not failed
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.report:
@@ -183,10 +183,10 @@ def _cmd_check(args) -> int:
         Path(args.report).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    for token, report in reports.items():
-        line = f"{token}: {report.status}"
-        if report.status == "skipped":
-            line += f" ({report.reason})"
+    for token, c in checks.items():
+        line = f"{token}: {c['status']}"
+        if c["status"] == "skipped":
+            line += f" ({c.get('reason')})"
         print(line, file=sys.stderr)
     if failed:
         _err(f"failed checks: {', '.join(failed)}")

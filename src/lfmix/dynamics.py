@@ -10,14 +10,16 @@ pairs found once on the state at t:
   to zero whenever the corresponding leader-neighbor set is empty (the freed
   weight flows to the follower term, with no renormalization).
 
-``step`` computes this for all agents at once: neighbor pairs, degrees from
-one query per schedule block, one sum per neighbor set, taken for all sets of
-one size together, then elementwise array expressions for the mix and for the
-``StepDigest`` of the realized weights. An agent's set is the cols of its
-neighbor pairs that carry the set's group; no per-agent object is built.
-The grouping of the pairs into sets (sizes and gather indices) depends on
-the pairs alone, so it is kept on the ``Pairs`` object for as long as a
-run's ``PairTracker`` hands that object out.
+``step`` computes this for all agents at once over (1 + m)·N neighbor sets:
+set k·N + i is agent i's own-group set for k = 0 and follower i's group-k
+leader set for k >= 1, the cols of i's pairs that carry that group. One pass
+sums every set, all sets of one size together, into (1 + m, N, d) means; one
+(1 + m, N) weight matrix, row 0 the own weight and rows 1..m the masked
+betas, mixes them, and its reductions over axis 0 give the ``StepDigest``.
+Degrees come from one query per schedule block; no per-agent object is
+built. The grouping of the pairs into sets (sizes and gather indices)
+depends on the pairs alone, so it is kept on the ``Pairs`` object for as
+long as a run's ``PairTracker`` hands that object out.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
@@ -131,18 +133,30 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
     return betas
 
 
-def _grouping(size: np.ndarray, cols: np.ndarray, d: int):
-    """``size``, each agent's set size, and the gather index of each block of
-    equal-size sets, the set of agent i being the ``cols`` of its pairs
-    (pairs sorted by row, then col): (agents, their cols laid out as (size,
-    agents) for d >= 2 and as (agents, size) for d = 1)."""
+def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
+    """The sizes of all (1 + m)·N sets, laid out as the module docstring says,
+    each set's ids ascending as its pairs are sorted by row, then col; and
+    the gather index of each block of equal-size sets: (sets, their cols laid
+    out as (size, sets) for d >= 2 and as (sets, size) for d = 1)."""
+    n = scenario.n_agents
+    codes = scenario.partition.group_of.astype(np.min_scalar_type(scenario.m))
+    row_code, col_code = codes[rows], codes[cols]
+    sizes, members = [], []
+    for k in range(scenario.m + 1):
+        # an agent's own set holds its own group; a leader's pairs with other groups are not used
+        keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
+        sizes.append(np.bincount(rows[keep], minlength=n))
+        members.append(cols[keep])
+    size = np.concatenate(sizes)
+    cols = np.concatenate(members)
+    del members
     first = np.cumsum(size) - size
     index = np.empty_like(cols)  # the cols regrouped block by block, one allocation for all blocks
     blocks, end = [], 0
     for k in np.unique(size[size > 0]).tolist():
-        agents = np.flatnonzero(size == k)
+        sets = np.flatnonzero(size == k)
         block = max(1, _GATHER_FLOATS // (k * d))
-        for part in np.split(agents, range(block, agents.size, block)):
+        for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
             view = index[end:end + at.size].reshape(at.shape)
             np.take(cols, at, out=view)
@@ -152,7 +166,8 @@ def _grouping(size: np.ndarray, cols: np.ndarray, d: int):
 
 
 def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
-    """Mean of each agent's set of a ``_grouping``; 0 for an empty set.
+    """The (1 + m, N, d) means of the sets of a ``_grouping``; 0 for an empty
+    set.
 
     A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
     sets of one size together from one ``np.take`` gather, whose layout
@@ -160,30 +175,16 @@ def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
     docstring).
     """
     size, blocks = grouping
-    sums = np.zeros_like(x)
+    sums = np.zeros((size.size, x.shape[1]))
     for part, index in blocks:
         if x.shape[1] == 1:
             sums[part, 0] = np.take(x[:, 0], index).sum(axis=1)
         else:
             sums[part] = np.take(x, index, axis=0).sum(axis=0)
-    mean = sums / np.maximum(size, 1)[:, None]
+    sums /= np.maximum(size, 1)[:, None]
     if shift:
-        mean = mean + shift
-    return mean
-
-
-def _groupings(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray) -> list:
-    """The ``_grouping`` of every agent's own set, then of each follower's
-    group-k leader set for k = 1..m."""
-    n = scenario.n_agents
-    codes = scenario.partition.group_of.astype(np.min_scalar_type(scenario.m))
-    row_code, col_code = codes[rows], codes[cols]
-    groupings = []
-    for k in range(scenario.m + 1):
-        # an agent's own set holds its own group; a leader's pairs with other groups are not used
-        keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
-        groupings.append(_grouping(np.bincount(rows[keep], minlength=n), cols[keep], d))
-    return groupings
+        sums += shift
+    return sums.reshape(-1, *x.shape)
 
 
 def step(
@@ -208,44 +209,32 @@ def step(
     if pairs is None:
         pairs = Pairs(*compute_neighbors(state, scenario))
     if pairs.grouping is None:
-        pairs.grouping = _groupings(scenario, x.shape[1], pairs.rows, pairs.cols)
-    own, *leader_sets = pairs.grouping
-    n = x.shape[0]
+        pairs.grouping = _grouping(scenario, x.shape[1], pairs.rows, pairs.cols)
     group_of = scenario.partition.group_of
     lead = group_of > 0
-
     alpha = realized_alpha(scenario, t)
     betas = realized_betas(scenario, t)
+    means = _set_means(x, pairs.grouping, shift)
+    size = pairs.grouping[0].reshape(means.shape[:2])
 
-    n_own, own_mean = own[0], _set_means(x, own, shift)
-    leader_terms = []
-    total = np.zeros(n)
-    for k, grouping in enumerate(leader_sets):
-        size = grouping[0]
-        b = np.where(size > 0, betas[:, k], 0.0)  # masked beta
-        total = total + b
-        leader_terms.append((b, size, _set_means(x, grouping, shift)))
+    # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
+    # for a follower; row k: the beta toward group k, masked where its set is empty
+    w = np.empty(size.shape)
+    w[1:] = np.where(size[1:] > 0, betas.T, 0.0)
+    w[0] = np.where(lead, alpha, 1.0 - beta_sums(w[1:].T))
+    w_target = np.where(lead, 1.0 - w[0], 0.0)
 
-    # own-set weight: alpha for a leader, 1 - (sum of masked betas) for a follower
-    w_own = np.where(lead, alpha, 1.0 - total)
-    new = w_own[:, None] * own_mean
-    w_each = w_own / n_own
-    sum_w = w_each * n_own
-    min_w = np.where(w_own > 0.0, w_each, math.inf)
-    counted = int(n_own.sum())
-    for b, size, mean in leader_terms:
-        used = b != 0.0
-        new = np.where(used[:, None], new + b[:, None] * mean, new)
-        w_each = b / np.maximum(size, 1)
-        sum_w = np.where(used, sum_w + w_each * size, sum_w)
-        min_w = np.where(used, np.minimum(min_w, w_each), min_w)
-        counted += int(size[used].sum())
-    w_target = np.where(lead, 1.0 - alpha, 0.0)
+    new = w[0, :, None] * means[0]
+    for k in range(1, len(w)):
+        # a masked set's mean stays out: an overflowed mean times 0 is NaN
+        new = np.where(w[k, :, None] != 0.0, new + w[k, :, None] * means[k], new)
     new[lead] += w_target[lead, None] * scenario.targets[group_of[lead] - 1]
-    sum_w += w_target
-    min_w = np.where(w_target > 0.0, np.minimum(min_w, w_target), min_w)
 
-    digest = StepDigest(t, float(min_w.min(initial=math.inf)), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted)
+    each = w / np.maximum(size, 1)
+    sum_w = beta_sums((each * size).T) + w_target
+    min_w = min(each[w > 0.0].min(initial=math.inf), w_target[w_target > 0.0].min(initial=math.inf))
+    counted = int(size[0].sum() + size[1:][w[1:] != 0.0].sum())  # the own set always counts
+    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted)
     return SystemState(t + 1, new), digest
 
 

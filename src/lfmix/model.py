@@ -324,6 +324,9 @@ def _parse_groups(raw_groups, explicit_rows: int | None, issues: _Issues):
             e["ids"] = np.array(sorted(e["members"]), dtype=np.int64)
     else:
         n = sum(e["members"] for e in entries)
+        if n > 2**31 - 1:  # neighbor pairs hold int32 ids
+            issues.add(BAD_CONFIG, f"groups: {n} agents, more than the 2147483647 that int32 neighbor ids can number")
+            return None, 0
         if explicit_rows is not None and n != explicit_rows:
             issues.add(DIMENSION_MISMATCH,
                        f"initial_opinions.explicit: {explicit_rows} rows, the groups have {n} agents")

@@ -23,7 +23,6 @@ from lfmix import (
     check_ball_invariance,
     check_consensus_bound,
     check_contraction,
-    check_contraction_step,
     check_mixture_limit,
     check_subsystem_independence,
     check_target_envelope,
@@ -344,8 +343,7 @@ def test_detect_convergence_agrees_with_run_stop():
 
 def test_contraction_step_hand_example():
     sc = two_leader_scenario()
-    traj = run(sc, 1)
-    rep = check_contraction_step(traj.states[0], traj.states[1], {0: 0.5, 1: 0.5}, sc)
+    rep = check_contraction(run(sc, 1))
     assert rep.passed
     by_label = {r.label: r for r in rep.records}
     agent0 = by_label["agent 0"]

@@ -41,9 +41,9 @@ def test_public_api():
         "CheckReport", "EngineOptions", "MetricsRow", "NonFiniteState", "Partition", "Scenario",
         "ScenarioValidationError", "ScheduleViolation", "SystemState", "Trajectory", "ValidationIssue",
         "build_scenario", "check_ball_invariance", "check_consensus_bound", "check_contraction",
-        "check_contraction_step", "check_mixture_limit", "check_subsystem_independence",
-        "check_target_envelope", "check_target_envelope_all", "compute_neighbors", "load_scenario",
-        "max_target_distance", "metrics_rows", "neighbors_naive", "opinion_diameter", "run", "step",
+        "check_mixture_limit", "check_subsystem_independence", "check_target_envelope",
+        "check_target_envelope_all", "compute_neighbors", "load_scenario", "max_target_distance",
+        "metrics_rows", "neighbors_naive", "opinion_diameter", "run", "step",
     ]
     assert all(hasattr(lfmix, name) for name in lfmix.__all__)
 
@@ -140,9 +140,13 @@ def run_in_child(code: str, tmp_path, address_space: int = 1 << 30) -> subproces
                           cwd=tmp_path, timeout=300)
 
 
-@pytest.mark.parametrize("count", [3_000_000, 2_000_000_000])
+@pytest.mark.parametrize("count", [3_000_000, 2_000_000_000, 3_000_000_000, 10**12])
 def test_member_count_checked_against_explicit_matrix_before_allocating(count, tmp_path):
-    cfg = config(leader_groups=[("brand", count, [0.0], constant(0.5))], initial=[[0.1]])
+    # past the int32 id bound a count is rejected by itself, even with random opinions
+    past_bound = count > 2**31 - 1
+    random = {"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 3}
+    opinions = {"random_init": random} if past_bound else {"initial": [[0.1]]}
+    cfg = config(leader_groups=[("brand", count, [0.0], constant(0.5))], **opinions)
     path = write_config(tmp_path, cfg)
     code = (
         "import tracemalloc\n"
@@ -156,7 +160,10 @@ def test_member_count_checked_against_explicit_matrix_before_allocating(count, t
     code, peak = map(int, done.stdout.split())
     assert code == 2
     assert peak < 1 << 20  # bytes; no id of the count is allocated
-    assert f"DimensionMismatch: initial_opinions.explicit: 1 rows, the groups have {count} agents" in done.stderr
+    if past_bound:
+        assert f"BadConfig: groups: {count} agents, more than the 2147483647 that int32" in done.stderr
+    else:
+        assert f"DimensionMismatch: initial_opinions.explicit: 1 rows, the groups have {count} agents" in done.stderr
     assert "MemoryError" not in done.stderr
 
 

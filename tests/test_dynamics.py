@@ -224,8 +224,16 @@ def test_step_equals_per_agent_references_bitwise(d):
         build_scenario(random_mixed_config(rng, n_followers_hi=80, leader_size_hi=20, d_lo=d, d_hi=d, horizon=3))
         for _ in range(20)
     ]
+    # signed zeros: a -0.0 degree and target, betas of 0.0 and -0.0 toward reachable groups, opinions of both signs
+    cases.append(scenario(
+        dimension=d,
+        followers=3,
+        leader_groups=[("a", 2, [-0.0] * d, constant(-0.0)), ("b", 2, [0.0] * d, constant(0.5))],
+        initial=[[-0.0] * d, [-0.0] * d, [0.0] * d, [0.0] * d, [-0.0] * d, [-0.0] * d, [0.0] * d],
+        follower_betas=[constant(0.0), constant(-0.0)],
+    ))
     sizes = []
-    unreachable = 0
+    unreachable = negative_zeros = 0
     for sc in cases:
         state = sc.initial_state
         for t in range(3):
@@ -234,11 +242,12 @@ def test_step_equals_per_agent_references_bitwise(d):
             unreachable += sum(ids.size == 0 for i in sc.partition.follower_ids.tolist() for ids in sets[i][1])
             nxt, digest = step(state, sc, t)
             expected, pairs = reference_step(state, sc, t)
-            assert np.array_equal(nxt.opinions, expected)
+            assert nxt.opinions.tobytes() == expected.tobytes()  # -0.0 too: trajectory.csv writes repr
             assert digest.neighbor_pairs == pairs
+            negative_zeros += int((np.signbit(nxt.opinions) & (nxt.opinions == 0.0)).sum())
             state = nxt
     assert max(sizes) >= 129 and any(8 <= s < 129 for s in sizes)
-    assert unreachable > 0
+    assert unreachable > 0 and negative_zeros > 0
 
 
 def test_schedule_violation_detected_at_runtime():
