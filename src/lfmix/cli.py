@@ -111,8 +111,9 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
                 "last": pairs[-1] if pairs else None,
             },
         },
-        # how the steps got their neighbor pairs: fresh searches, pair-list rebuilds and reuses
-        "pair_search": trajectory.pair_counts,
+        # how the steps got their neighbor pairs: fresh searches, pair-list rebuilds
+        # and reuses, and the seconds that took
+        "pair_search": {**trajectory.pair_counts, "seconds": trajectory.pair_seconds},
         "stop_reason": trajectory.stop_reason,
         "converged": trajectory.stop_reason == STOP_CONVERGED,
         "steps": trajectory.horizon,

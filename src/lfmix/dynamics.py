@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -81,6 +82,7 @@ class Trajectory:
     fault: str | None
     stop_tol: float | None
     pair_counts: dict = field(default_factory=dict)  # how each step got its pairs: PairTracker.counts
+    pair_seconds: float = 0.0  # time spent getting them
 
     @property
     def horizon(self) -> int:
@@ -259,7 +261,7 @@ def run(
     its rebuild could have carried across, and otherwise a fresh search.
     The pairs are exactly a fresh search's either way (the proof is in
     ``PairTracker._reuse``). How the steps got them is the trajectory's
-    ``pair_counts``.
+    ``pair_counts``, and the time that took its ``pair_seconds``.
     """
     opts = scenario.engine
     if horizon is None:
@@ -274,9 +276,15 @@ def run(
     recent: deque[float] = deque(maxlen=opts.stop_window)
     tracker = PairTracker(scenario)
     disp = math.inf
+    searching = 0.0
     for t in range(horizon):
+        started = time.perf_counter()
         pairs = tracker.pairs(states[-1], disp)
+        if pairs is None:
+            pairs = Pairs(*compute_neighbors(states[-1], scenario))
+        searching += time.perf_counter() - started
         nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs)
+        del pairs  # a fresh search's pairs die with their step, not during the next search
         finite = np.isfinite(nxt.opinions).all(axis=1)
         if not finite.all():
             i = int(finite.argmin())
@@ -292,4 +300,4 @@ def run(
         if tol is None and disp == 0.0:
             reason = STOP_STAGNATED
             break
-    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol, dict(tracker.counts))
+    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol, dict(tracker.counts), searching)

@@ -10,8 +10,11 @@
 * ``neighbors_naive``: the same pairs in the same format from an exact
   O(N^2) scan of every agent against all agents, in blocks of rows, the
   reference the tests hold the grid to (and check themselves against a
-  per-pair loop). The checks scan only the pairs they need and call it just
-  to name a cross-talk contact they found.
+  per-pair loop). The scan screens each block with one matrix product,
+  whose entries are the squared distances less a per-row term; the pairs
+  it cannot place beyond a proven rounding slack on either side of epsilon,
+  the band, go to ``_within``. The checks scan only the pairs they need and
+  call it just to name a cross-talk contact they found.
 * ``PairTracker``: the pairs of one run's successive states, which
   ``dynamics.run`` feeds it, as a Verlet skin list (L. Verlet, Phys. Rev.
   159, 98, 1967) over the same searches. After a step in which no agent
@@ -31,15 +34,16 @@
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
 is the cols of its rows, split by group where a caller needs that. All
-keep a pair by one test, ``_within``: its verdict is that of the reference
-``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so the boundary
-rule (distance exactly epsilon counts) is the same everywhere. It adds the
-squared coordinate differences column by column, a few whole-array numpy
-calls, and re-tests with the reference expression only the pairs whose sum
-lies within a rounding slack of epsilon**2, where numpy's summation order
-could decide the verdict. The scenario's ``neighbor_strategy`` and
-``grid_dim_cap`` are validated and kept in canonical files but select
-nothing: the output is exact either way.
+keep a pair by one test, ``_within``, past the scan's screen, which decides
+only the pairs it can prove: the verdict is that of the reference
+``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so the
+boundary rule (distance exactly epsilon counts) is the same everywhere.
+``_within`` adds the squared coordinate differences column by column, a
+few whole-array numpy calls, and re-tests with the reference expression
+only the pairs whose sum lies within a rounding slack of epsilon**2, where
+numpy's summation order could decide the verdict. The scenario's
+``neighbor_strategy`` and ``grid_dim_cap`` are validated and kept in
+canonical files but select nothing: the output is exact either way.
 """
 
 from __future__ import annotations
@@ -118,19 +122,94 @@ def _within(x: np.ndarray, xt: np.ndarray, i: np.ndarray, j: np.ndarray, eps2: f
     return keep
 
 
+def _screen(q: np.ndarray, base: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of a tile of screening values ``q``, one row per agent of the tile:
+    ``keep``, the pairs certainly within epsilon, and ``band``, the pairs the
+    reference test must decide. Row i's thresholds are ``base[i]`` -+ 2
+    ``sigma[i]``; ``_scan`` proves them. A NaN lands in the band."""
+    keep = q <= (base - 2 * sigma)[:, None]
+    band = keep | (q > (base + 2 * sigma)[:, None])
+    np.logical_not(band, out=band)
+    return keep, band
+
+
 def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every agent against all agents, one ``(rows, cols)`` part per block of
-    rows, each part sorted by (row, col)."""
-    n = x.shape[0]
+    rows, each part sorted by (row, col).
+
+    A block is screened by one matrix product, whose entries are the
+    squared distances up to a per-row term; only the pairs that this
+    product cannot place on one side of epsilon get ``_within``.
+    """
+    n, d = x.shape
     xt = np.ascontiguousarray(x.T)
     eps2 = eps * eps
     ids = np.arange(n, dtype=np.int32)
+    # The screen. Let u = 2^-53, E = eps2, N_i = |x_i|^2 and S = |x_i - x_j|^2
+    # = N_i + N_j - 2 x_i . x_j exactly, R the reference's computed S, n_i
+    # the computed N_i and M the largest n_i. The product gives q =
+    # fl([x_i, 1] . [-2 x_j, n_j]), computed from that row and column by
+    # multiplications and additions in any order, with or without fused
+    # multiply-adds, as BLAS dgemm does. Row i's thresholds are lo, hi =
+    # fl(fl(E - n_i) -+ 2 sigma_i), sigma_i = fl(c (n_i + M + E) + A), c =
+    # 4 (d + 2) u and A = (d + 1) 2^-1071, where M, E <= 2^1020 and d <= 2^20;
+    # otherwise sigma is NaN and every pair lands in the band. Then no value
+    # here overflows (each is below 4 * 2^1020), and g_k = k u / (1 - k u)
+    # <= k u (1 + 2^-30) for k <= d + 2. We show that for any q' within
+    # sigma_i + u |q'| of q, such as fl(q -+ p) with |p| <= sigma_i, q' <= lo
+    # implies R <= E and q' > hi implies R > E, so every verdict is the
+    # reference's whatever the rounding of q, n and the thresholds.
+    # * A dot product of length k is within g_k sum |a_l b_l| + k 2^-1075 of
+    #   its exact value in any order of its additions, with or without fused
+    #   multiply-adds (Higham, Accuracy and Stability of Numerical
+    #   Algorithms, sec. 3.1; a product or fused step that underflows is off
+    #   by at most 2^-1075 more, and an addition with a subnormal result is
+    #   exact). -2 x_j and 1 * n_j are exact. So |n_i - N_i| <= g_d N_i +
+    #   d 2^-1075, and, as 2 |a b| <= a^2 + b^2, q is within g_{d+1} (N_i +
+    #   N_j + n_j) + d 2^-1075 of Q = n_j - 2 x_i . x_j. As S = Q + n_i +
+    #   (N_i - n_i) + (N_j - n_j) and N <= (n + d 2^-1075) / (1 - g_d),
+    #   |S - (q + n_i)| <= D = (3 d + 2) u' (n_i + M) + 3 d 2^-1074, with
+    #   u' = u (1 + 2^-29), and |q'| <= (n_i + 2 M + sigma_i) (1 + 2^-30) +
+    #   d 2^-1074.
+    # * The reference adds d rounded squares of rounded differences, so
+    #   |R - S| <= g_{d+2} S + d 2^-1074 (as in _reuse); R <= E once S <=
+    #   E (1 - g_{d+2}) - d 2^-1074, and R > E once S >= E (1 + 2 g_{d+2}) +
+    #   2 d 2^-1074.
+    # * fl(E - n_i) is within u (E + n_i) of E - n_i, and lo and hi within
+    #   T = 2.01 u (E + n_i) + 2 u sigma_i of E - n_i -+ 2 sigma_i. The
+    #   computed sigma_i, of nonnegative terms, is at least (1 - 4 u) times
+    #   c (n_i + M + E), plus A - 2^-1074.
+    # * If q' <= lo: S <= q + n_i + D <= q' + sigma_i + u |q'| + n_i + D <=
+    #   E - sigma_i + T + u |q'| + D. If q' > hi, likewise S >= E + sigma_i -
+    #   T - u |q'| - D. In both cases the reference's bound above holds as
+    #   sigma_i >= T + u |q'| + D + 2 g_{d+2} E + 2 d 2^-1074: that sum is at
+    #   most (3 d + 5.01) u' (n_i + M) + (2 d + 6.01) u' E + (5 d + 1)
+    #   2^-1074 + 3.01 u sigma_i, and (1 - 3.01 u) sigma_i >= (1 - 8 u) c
+    #   (n_i + M + E) + (8 d + 6) 2^-1074 exceeds the rest for d <= 2^20.
+    # The thresholds stand 2 sigma_i from E - n_i, though sigma_i covers all
+    # rounding, so that a test can move every q by up to sigma_i and find
+    # the same pairs: the verdicts rest on this bound, not on how small the
+    # rounding of this machine's BLAS happens to be.
     parts = []
-    block = max(1, _SCAN_FLOATS // n)  # each coordinate's tile is (block, n)
-    for start in range(0, n, block):
-        within = _within(x, xt, ids[start:start + block, None], ids[None, :], eps2)
-        parts.append((np.repeat(ids[start:start + block], np.count_nonzero(within, axis=1)),
-                      np.broadcast_to(ids, within.shape)[within]))
+    block = max(1, _SCAN_FLOATS // n)  # each tile is (block, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", x, x)
+        top = float(norms.max())
+        left = np.hstack([x, np.ones((n, 1))])
+        right = np.hstack([-2.0 * x, norms[:, None]])
+        base = eps2 - norms
+        sigma = 4 * (d + 2) * 2.0**-53 * (norms + (top + eps2)) + (d + 1) * 2.0**-1071
+        if not (top <= 2.0**1020 and eps2 <= 2.0**1020 and d <= 2**20):
+            sigma[:] = math.nan
+        cols = np.tile(ids, min(block, n))  # a full tile's cols, row after row
+        for start in range(0, n, block):
+            tile = slice(start, start + block)
+            keep, band = _screen(left[tile] @ right.T, base[tile], sigma[tile])
+            if band.any():
+                i, j = np.nonzero(band)
+                keep[i, j] = _within(x, xt, i + start, j, eps2)
+            parts.append((np.repeat(ids[tile], np.count_nonzero(keep, axis=1)),
+                          np.compress(keep.ravel(), cols[:keep.size])))
     return parts
 
 

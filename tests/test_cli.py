@@ -123,9 +123,10 @@ def test_simulate_reports_how_steps_got_their_pairs(tmp_path):
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "run.json").read_text())
     counts = payload["pair_search"]
-    assert set(counts) == {"searches", "rebuilds", "reuses", "retested"}
+    assert set(counts) == {"searches", "rebuilds", "reuses", "retested", "seconds"}
     assert counts["searches"] + counts["rebuilds"] + counts["reuses"] == payload["steps"] == 40
     assert counts["reuses"] > 0
+    assert 0.0 < counts["seconds"] < payload["wall_time_seconds"]
     report = tmp_path / "report.json"
     assert main(["check", "--scenario", str(path), "--report", str(report)]) == 0
     assert "pair_search" not in report.read_text()

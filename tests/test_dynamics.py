@@ -415,11 +415,10 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
     listed = []
 
     def checking_step(state, sc, t, *, fault=None, pairs=None):
-        if pairs is not None:
-            rows, cols = compute_neighbors(state, sc)
-            assert pairs.rows.dtype == pairs.cols.dtype == np.int32
-            assert np.array_equal(pairs.rows, rows) and np.array_equal(pairs.cols, cols)
-            listed.append(t)
+        rows, cols = compute_neighbors(state, sc)
+        assert pairs.rows.dtype == pairs.cols.dtype == np.int32
+        assert np.array_equal(pairs.rows, rows) and np.array_equal(pairs.cols, cols)
+        listed.append(t)
         return real_step(state, sc, t, fault=fault, pairs=pairs)
 
     monkeypatch.setattr(dynamics, "step", checking_step)
@@ -429,7 +428,8 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
         sc = build_scenario(random_mixed_config(rng, n_followers_hi=120, leader_size_hi=20, horizon=80))
         for key, value in run(sc, fault=fault).pair_counts.items():
             counts[key] += value
-    assert len(listed) == counts["rebuilds"] + counts["reuses"]
+    # run hands every step its pairs, from the list or from a fresh search
+    assert len(listed) == counts["searches"] + counts["rebuilds"] + counts["reuses"]
     # the lists were built, reused, and re-tested pairs near epsilon
     assert counts["rebuilds"] >= 5 and counts["reuses"] >= 100 and counts["retested"] > 0
 

@@ -3,6 +3,7 @@ on both sides of its grid/scan choice, and the pair list a run keeps."""
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
 from lfmix import SystemState, build_scenario, compute_neighbors, neighbors_naive
+from lfmix import neighbors
 from lfmix.neighbors import PairTracker
 
 
@@ -173,12 +175,13 @@ def epsilon_with_square(target):
     return None
 
 
-@pytest.mark.parametrize("d", range(1, 9))
-def test_pairs_at_and_one_ulp_around_epsilon_squared_equal_per_pair_oracle(d):
-    # epsilon^2 is set to the reference squared distance R of a pair of
-    # agent 0, and to one ulp below and above R; pairs whose squares, added
-    # column by column, give a sum other than R come first (numpy adds 8 or
-    # more contiguous values pairwise, so d = 8 always has some)
+def tie_cases(d):
+    """(opinions, epsilon, j, kept) clouds of 70 agents in d dimensions whose
+    epsilon^2 is the reference squared distance R of the pair (0, j), or one
+    ulp below or above R; kept tells whether the pair counts. Pairs whose
+    squares, added column by column, give a sum other than R come first
+    (numpy adds 8 or more contiguous values pairwise, so d = 8 always has
+    some)."""
     rng = np.random.default_rng(800 + d)
     cloud = rng.uniform(-1.0, 1.0, size=(70, d)) * 2.0 ** rng.integers(-3, 4, size=(70, d))
     diff = cloud[0] - cloud[1:]
@@ -187,20 +190,89 @@ def test_pairs_at_and_one_ulp_around_epsilon_squared_equal_per_pair_oracle(d):
     by_columns = functools.reduce(np.add, squares.T)
     if d == 8:
         assert (ref != by_columns).sum() >= 4
-    cases = 0
+    cases = []
     for j in np.argsort(ref == by_columns, kind="stable")[:4].tolist():
         for target, kept in ((ref[j], True), (math.nextafter(ref[j], -math.inf), False),
                              (math.nextafter(ref[j], math.inf), True)):
             eps = epsilon_with_square(target)
-            if eps is None:
-                continue
-            sc = follower_only(cloud.tolist(), eps, d=d)
+            if eps is not None:
+                cases.append((cloud, eps, j + 1, kept))
+    return cases
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_pairs_at_and_one_ulp_around_epsilon_squared_equal_per_pair_oracle(d):
+    cases = tie_cases(d)
+    assert len(cases) >= 6
+    for cloud, eps, j, kept in cases:
+        sc = follower_only(cloud.tolist(), eps, d=d)
+        expected = pairs_oracle(sc)
+        assert ((0, j) in expected) == kept
+        assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (j, eps)
+        assert pair_list(*compute_neighbors(sc.initial_state, sc)) == expected, (j, eps)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_scan_verdicts_stand_with_every_screening_value_moved_by_its_slack(d, monkeypatch):
+    # the scan's proof lets each screening value move by up to its row's
+    # slack sigma; moving every one by almost that much, either way, must
+    # leave every verdict the reference's, so a BLAS that rounds otherwise
+    # cannot change one
+    screen = neighbors._screen
+    ties = [(cloud, eps) for cloud, eps, _, _ in tie_cases(d)]
+    assert len(ties) >= 4
+    for opinions, eps in ties + oracle_cases(np.random.default_rng(900 + d), d)[1:4]:
+        sc = follower_only(opinions.tolist(), eps, d=d)
+        expected = pairs_oracle(sc)
+        for sign in (-1.0, 1.0):
+            def moved(q, base, sigma, sign=sign):
+                return screen(q + sign * (1 - 2.0**-10) * sigma[:, None], base, sigma)
+
+            monkeypatch.setattr(neighbors, "_screen", moved)
+            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (sign, eps)
+
+
+def hostile_cases(rng):
+    """(opinions, epsilon, all in the band) clouds at magnitudes the screen
+    cannot separate, or that overflow it."""
+    d = 3
+    cases = []
+    # norms near and past the largest float: every pair goes to the band
+    cloud = rng.uniform(-1.0, 1.0, size=(40, d))
+    cases.append((1e154 * np.vstack([cloud, cloud[:10] + 0.1]), 0.3e154, True))
+    huge = 1e300 * rng.choice([-1.0, 0.5, 1.0], size=(20, d))
+    cases.append((np.vstack([huge, cloud, cloud[:10] * 0.999]), 0.2, True))
+    # a common offset dwarfs the spread: the slack covers every pair
+    cases.append((1e8 + 1e-3 * cloud, 1e-3, True))
+    # epsilon^2 near the smallest normal float
+    cases.append((2.0**-510 * np.vstack([cloud, cloud[:10] * 0.99]), 2.0**-510, False))
+    # zeros of both signs on an epsilon lattice
+    signed = 0.5 * rng.integers(-1, 2, size=(40, d)).astype(float)
+    signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
+    cases.append((signed, 0.5, False))
+    return cases
+
+
+def test_scan_on_hostile_magnitudes_equals_per_pair_oracle(monkeypatch):
+    screen = neighbors._screen
+    banded = []
+
+    def spy(q, base, sigma):
+        keep, band = screen(q, base, sigma)
+        banded.append(bool(band.all()))
+        return keep, band
+
+    monkeypatch.setattr(neighbors, "_screen", spy)
+    for opinions, eps, all_banded in hostile_cases(np.random.default_rng(77)):
+        sc = follower_only(opinions.tolist(), eps, d=opinions.shape[1])
+        with np.errstate(over="ignore"):  # the per-pair oracle's own squares overflow
             expected = pairs_oracle(sc)
-            assert ((0, j + 1) in expected) == kept
-            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (j, target)
-            assert pair_list(*compute_neighbors(sc.initial_state, sc)) == expected, (j, target)
-            cases += 1
-    assert cases >= 6
+        assert len(expected) > sc.n_agents
+        banded.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, eps
+        assert banded and all(banded) == all_banded, eps
 
 
 def random_state_scenario(rng, n, d, m_max=3, strategy="auto"):
