@@ -6,9 +6,10 @@ concrete trajectories, with measured slack:
 * ``check_contraction``: each leader's distance to its target is bounded by
   its degree times the worst neighbor distance, per agent and per group, at
   every step.
-* ``check_target_envelope``: with degrees uniformly below delta < 1, the max
-  leader-target distance decays inside the geometric envelope delta^t, and
-  falls below a target tolerance by the derivable horizon.
+* ``check_target_envelope`` (Theorem 2): with a leader group's degrees at
+  most delta < 1 at designated steps (by default every step), its max target
+  distance stays inside delta^(designated steps so far) times its start, and
+  falls below a target tolerance once enough steps are designated.
 * ``check_ball_invariance``: once all opinions lie in a ball around the
   target, they never leave it.
 * ``check_consensus_bound``: for one leader group, after the system enters a
@@ -348,7 +349,8 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     part = scenario.partition
     eps2 = scenario.epsilon * scenario.epsilon
     states = trajectory.states
-    for t, alphas in enumerate(measure(trajectory).alphas):
+    series = measure(trajectory)
+    for t, alphas in enumerate(series.alphas):
         for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names), start=1):
             g = scenario.target(k)
             x = states[t].opinions[ids]
@@ -357,10 +359,9 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
             worst = np.empty_like(dist0)
             for start, block in _squared_distances(x, x):
                 worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
-            alpha = alphas[ids]
             report.records += [StepRecord(t, f"agent {i}", d1, r)
-                               for i, d1, r in zip(ids.tolist(), dist1.tolist(), (alpha * worst).tolist())]
-            group_alpha = max([0.0, *alpha.tolist()])  # from 0.0, so a -0.0 degree gives a 0.0 bound
+                               for i, d1, r in zip(ids.tolist(), dist1.tolist(), (alphas[ids] * worst).tolist())]
+            group_alpha = max(0.0, series.max_alpha[k - 1][t])  # 0.0 first, so a -0.0 degree gives a 0.0 bound
             report.records.append(StepRecord(t, f"group {name}", float(dist1.max()), group_alpha * float(dist0.max())))
     report.params["steps"] = trajectory.horizon
     return report
@@ -371,20 +372,14 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_above(trajectory: Trajectory, k: int, t: int, delta: float) -> str:
-    """Names the first leader of group k whose degree at t exceeds delta."""
-    ids = trajectory.scenario.partition.leader_ids[k - 1]
-    alpha = measure(trajectory).alphas[t][ids]
-    i = (alpha > delta).argmax()
-    return f"degree {float(alpha[i])} of agent {ids[i]}"
+def check_target_envelope(trajectory: Trajectory, k: int, delta: float, steps=None) -> CheckReport:
+    """Theorem 2: geometric decay of leader group k's max target distance.
 
-
-def check_target_envelope(trajectory: Trajectory, k: int, delta: float) -> CheckReport:
-    """Geometric decay of leader group k's max target distance.
-
-    Requires delta in [0, 1) with every realized degree of the group bounded
-    by delta; then C_t <= delta^t * C_0 at every step, and C_T <= TARGET_TOL
-    once the horizon passes log(TARGET_TOL / C_0) / log(delta).
+    Requires delta in [0, 1) with every degree of the group bounded by delta
+    at each designated step in ``steps`` (every step by default). C_t never
+    grows, and it shrinks by a factor delta at each designated step, so
+    C_t <= delta^(designated steps before t) * C_0; C_T <= TARGET_TOL once
+    the designated steps number log(TARGET_TOL / C_0) / log(delta).
     """
     scenario = trajectory.scenario
     name = "target_envelope"
@@ -392,16 +387,24 @@ def check_target_envelope(trajectory: Trajectory, k: int, delta: float) -> Check
         return _skipped(name, INAPPLICABLE, f"no leader group {k}")
     if not 0.0 <= delta < 1.0:
         return _skipped(name, INAPPLICABLE, f"delta {delta} outside [0, 1)")
+    horizon = trajectory.horizon
+    steps = sorted({int(s) for s in (range(horizon) if steps is None else steps)})
+    if any(not 0 <= s < horizon for s in steps):
+        return _skipped(name, INAPPLICABLE, "designated steps outside the trajectory")
     series = measure(trajectory)
-    for t, alpha in enumerate(series.max_alpha[k - 1]):
-        if alpha > delta:
-            above = _alpha_above(trajectory, k, t, delta)
-            return _skipped(name, INAPPLICABLE, f"{above} at t={t} exceeds delta {delta}", delta=delta, k=k)
+    t = next((s for s in steps if series.max_alpha[k - 1][s] > delta), None)
+    if t is not None:
+        ids = scenario.partition.leader_ids[k - 1]
+        alpha = series.alphas[t][ids]
+        i = (alpha > delta).argmax()
+        message = f"degree {float(alpha[i])} of agent {ids[i]} at t={t} exceeds delta {delta}"
+        return _skipped(name, INAPPLICABLE, message, delta=delta, k=k)
     curve = series.target_distances[k - 1]
     c0 = curve[0]
     report = CheckReport(name, params={"k": k, "delta": delta, "c0": c0})
     for t, ct in enumerate(curve):
-        report.records.append(StepRecord(t, "envelope", ct, delta**t * c0))
+        # one delta factor per designated step before t: delta**t for every step
+        report.records.append(StepRecord(t, "envelope", ct, delta ** bisect.bisect_left(steps, t) * c0))
     if c0 <= TARGET_TOL:
         needed = 0
     elif delta == 0.0:
@@ -411,8 +414,8 @@ def check_target_envelope(trajectory: Trajectory, k: int, delta: float) -> Check
     report.params["target_tol"] = TARGET_TOL
     report.params["needed_horizon"] = needed
     report.params["final_value"] = curve[-1]
-    if trajectory.horizon >= needed:
-        report.records.append(StepRecord(trajectory.horizon, "final_target", curve[-1], TARGET_TOL))
+    if len(steps) >= needed:
+        report.records.append(StepRecord(horizon, "final_target", curve[-1], TARGET_TOL))
     else:
         report.params["note"] = "horizon below certification threshold; envelope only"
     return report
@@ -448,36 +451,6 @@ def check_target_envelope_all(trajectory: Trajectory) -> CheckReport:
     if not eligible:
         return _skipped(name, INAPPLICABLE, "every leader group has measured delta at 1")
     return merged
-
-
-def target_envelope_along(trajectory: Trajectory, k: int, delta: float, steps) -> CheckReport:
-    """Envelope applied only along designated contraction steps.
-
-    At every step the group's max target distance is nonincreasing; at each
-    step in ``steps`` the group's degrees must be bounded by delta, so the
-    bound gains one delta factor there: C_t <= delta^(count of designated
-    steps before t) * C_0.
-    """
-    scenario = trajectory.scenario
-    name = "target_envelope_subsequence"
-    if not 1 <= k <= scenario.m:
-        return _skipped(name, INAPPLICABLE, f"no leader group {k}")
-    if not 0.0 <= delta < 1.0:
-        return _skipped(name, INAPPLICABLE, f"delta {delta} outside [0, 1)")
-    steps = sorted(set(int(s) for s in steps))
-    if any(s < 0 or s >= trajectory.horizon for s in steps):
-        return _skipped(name, INAPPLICABLE, "designated steps outside the trajectory")
-    series = measure(trajectory)
-    for s in steps:
-        if series.max_alpha[k - 1][s] > delta:
-            above = _alpha_above(trajectory, k, s, delta)
-            return _skipped(name, INAPPLICABLE, f"{above} at designated step {s} exceeds {delta}")
-    curve = series.target_distances[k - 1]
-    report = CheckReport(name, params={"k": k, "delta": delta, "steps": len(steps)})
-    for t, ct in enumerate(curve):
-        # one delta factor per designated step before t
-        report.records.append(StepRecord(t, "envelope", ct, delta ** bisect.bisect_left(steps, t) * curve[0]))
-    return report
 
 
 # ---------------------------------------------------------------------------

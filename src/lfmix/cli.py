@@ -289,10 +289,8 @@ def _point_config(base: dict, assignments: dict, index: int, base_seed: int) -> 
             scaled = _scaled_counts(counts, kinds, int(value))
             if scaled is None:
                 raise ValueError(f"cannot scale agent count to {value}")
-            next_id = 0
             for g, count in zip(config["groups"], scaled):
-                g["members"] = list(range(next_id, next_id + count))
-                next_id += count
+                g["members"] = count  # build_scenario gives counts consecutive ids and bounds their sum
     if "random" in config["initial_opinions"]:
         config["initial_opinions"]["random"]["seed"] = int(derive_key(base_seed, index)) % (1 << 62)
     return config

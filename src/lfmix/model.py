@@ -401,6 +401,10 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
         if spec.get("distribution") != "uniform_box":
             issues.add(BAD_CONFIG, "initial_opinions.random: only 'uniform_box' is supported")
             return None, None, 0
+        if n * d > 2**31 - 1:  # the agent bound, for coordinates: one state of them is 16 GiB
+            issues.add(BAD_CONFIG,
+                       f"initial_opinions.random: {n} agents x {d} dimensions, more than 2147483647 coordinates")
+            return None, None, 0
         low = _broadcast_bounds(spec.get("low"), d, "low", issues)
         high = _broadcast_bounds(spec.get("high"), d, "high", issues)
         seed = spec.get("seed")
@@ -507,10 +511,7 @@ def build_scenario(raw: Any) -> Scenario:
     if follower_entry is not None:
         follower_entry["code"] = 0
 
-    targets = []
-    for e in leader_entries:
-        tgt = _parse_target(e.get("target"), d, e["name"], issues)
-        targets.append(tgt if tgt is not None else np.zeros(d))
+    targets = [_parse_target(e.get("target"), d, e["name"], issues) for e in leader_entries]  # None means an issue
 
     opinions, initial_norm, base_seed = _parse_initial(raw_initial, n, d, issues)
 

@@ -1,14 +1,19 @@
-"""Shared scenario builders for the test suite, and the per-agent oracles
-the package's array code is tested against."""
+"""Shared scenario builders for the test suite, the per-agent oracles the
+package's array code is tested against, and a memory-capped child runner."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import lfmix
 from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, neighbors_naive
 from lfmix.analysis import StepRecord, _squared_distances, distances_to
 from lfmix.dynamics import realized_alpha
@@ -316,3 +321,12 @@ def trajectory_csv_oracle(trajectory, path, record_every: int = 1) -> None:
                 continue
             for i in range(scenario.n_agents):
                 writer.writerow([state.t, i, names[i]] + [repr(float(v)) for v in state.opinions[i]])
+
+
+def run_in_child(code: str, tmp_path, address_space: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter limited to ``address_space`` bytes,
+    so that an allocation sized by a raw input fails there, not here."""
+    preamble = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", preamble + code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=300)

@@ -40,7 +40,6 @@ from lfmix.analysis import (
     derive_subsystem_assignment,
     distances_to,
     measure,
-    target_envelope_along,
 )
 from lfmix.dynamics import STOP_CONVERGED, beta_sums, realized_alpha, realized_betas
 from lfmix.model import SystemState
@@ -496,23 +495,65 @@ def test_envelope_all_measures_delta():
     assert rep.params["delta_brand"] == 0.5
 
 
-def test_envelope_along_subsequence():
-    # degrees alternate 1.0 and 0.5; contraction is only claimed on the 0.5 steps
-    table = {"kind": "table", "values": [1.0, 0.5] * 10}
+def alternating_envelope_run(horizon):
+    # degrees alternate 1.0 and 0.5; contraction is only claimed on the 0.5 steps.
+    # A step at 1.0 leaves the state as it is, so a 2-step stop window keeps
+    # the run going to its horizon.
+    table = {"kind": "table", "values": [1.0, 0.5] * 40}
     sc = scenario(
         epsilon=1.0,
         leader_groups=[("brand", 1, [0.0], table)],
         initial=[[1.0]],
-        horizon=20,
+        horizon=horizon,
+        stop_tol=1e-300,
+        stop_window=2,
     )
     traj = run(sc)
-    designated = [t for t in range(20) if t % 2 == 1]
-    rep = target_envelope_along(traj, 1, 0.5, designated)
+    assert traj.horizon == horizon
+    return traj
+
+
+def test_envelope_along_subsequence():
+    traj = alternating_envelope_run(20)
+    odd = [t for t in range(20) if t % 2 == 1]
+    rep = check_target_envelope(traj, 1, 0.5, odd)
     assert rep.passed
     env = [r for r in rep.records if r.label == "envelope"]
     assert all(r.slack == 0.0 for r in env)  # bound is tight on this run
-    bad = target_envelope_along(traj, 1, 0.5, [0])  # degree there is 1.0
+    # c0 = 1 needs ceil(log(1e-9) / log(0.5)) = 30 designated steps; 10 is too few
+    assert rep.params["needed_horizon"] == 30
+    assert not any(r.label == "final_target" for r in rep.records)
+    assert "note" in rep.params
+    bad = check_target_envelope(traj, 1, 0.5, [0])  # degree there is 1.0
     assert bad.status == "skipped"
+    assert bad.reason == f"{INAPPLICABLE}: degree 1.0 of agent 0 at t=0 exceeds delta 0.5"
+    assert check_target_envelope(traj, 1, 0.5, [20]).status == "skipped"  # past the last step
+    assert check_target_envelope(traj, 1, 0.5).status == "skipped"  # every step includes t = 0
+
+
+def test_envelope_certifies_along_designated_steps():
+    traj = alternating_envelope_run(80)
+    rep = check_target_envelope(traj, 1, 0.5, range(1, 80, 2))  # 40 designated steps
+    final = [r for r in rep.records if r.label == "final_target"]
+    assert len(final) == 1 and final[0].t == 80 and final[0].lhs <= 1e-9
+    assert "note" not in rep.params
+    assert rep.passed
+
+
+def test_envelope_default_steps_are_every_step():
+    rng = np.random.default_rng(29)
+    eligible = 0
+    for _ in range(20):
+        traj = run(build_scenario(random_mixed_config(rng, horizon=25)))
+        series = measure(traj)
+        for k in range(1, traj.scenario.m + 1):
+            delta = max([0.0] + series.max_alpha[k - 1])
+            if delta >= 1.0:
+                continue
+            eligible += 1
+            default = check_target_envelope(traj, k, delta)
+            assert report_bits(default) == report_bits(check_target_envelope(traj, k, delta, range(traj.horizon)))
+    assert eligible > 0
 
 
 def test_per_agent_vanishing_degree_reaches_target():
@@ -913,7 +954,7 @@ def test_checks_on_a_measured_run_query_no_schedule(monkeypatch, analysis_runs):
         check_consensus_bound, check_mixture_limit, check_subsystem_independence,
     )]
     assert [r.status for r in reports] == ["pass"] * 6
-    assert target_envelope_along(traj, 1, 0.7, range(traj.horizon)).status == "pass"
+    assert check_target_envelope(traj, 1, 0.7, range(1, traj.horizon, 2)).status == "pass"
     assert analysis_runs == []
 
 

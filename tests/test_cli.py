@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import lfmix
-from helpers import config, constant
+from helpers import config, constant, run_in_child
 from lfmix import build_scenario, run
 from lfmix.cli import main
 from lfmix.errors import ScheduleViolation
 from lfmix.seeding import derive_key
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -103,7 +105,7 @@ def test_simulate_demo_converges(tmp_path):
 
 
 def test_simulate_does_not_import_scipy(tmp_path):
-    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "perf_10k.json"
+    scenario = SCENARIOS / "perf_10k.json"
     code = (
         "import sys\n"
         "from lfmix.cli import main\n"
@@ -132,15 +134,6 @@ def test_simulate_reports_how_steps_got_their_pairs(tmp_path):
     assert "pair_search" not in report.read_text()
 
 
-def run_in_child(code: str, tmp_path, address_space: int = 1 << 30) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter limited to ``address_space`` bytes,
-    so that an allocation sized by a raw input fails there, not here."""
-    preamble = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
-    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", preamble + code], capture_output=True, text=True, env=env,
-                          cwd=tmp_path, timeout=300)
-
-
 @pytest.mark.parametrize("count", [3_000_000, 2_000_000_000, 3_000_000_000, 10**12])
 def test_member_count_checked_against_explicit_matrix_before_allocating(count, tmp_path):
     # past the int32 id bound a count is rejected by itself, even with random opinions
@@ -166,6 +159,30 @@ def test_member_count_checked_against_explicit_matrix_before_allocating(count, t
     else:
         assert f"DimensionMismatch: initial_opinions.explicit: 1 rows, the groups have {count} agents" in done.stderr
     assert "MemoryError" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["ball_consensus.json", "hk_crowd.json"])
+def test_dimension_past_the_coordinate_bound_exits_2(name, tmp_path):
+    # random opinions of N x d coordinates share the agents' int32 bound
+    cfg = json.loads((SCENARIOS / name).read_text())
+    cfg["dimension"] = 10**12
+    path = write_config(tmp_path, cfg)
+    code = f"from lfmix.cli import main\nprint(main(['simulate', '--scenario', {str(path)!r}, '--out', 'out']))\n"
+    done = run_in_child(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+    assert " agents x 1000000000000 dimensions, more than 2147483647 coordinates" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_n_past_the_agent_bound_exits_2(tmp_path):
+    path = SCENARIOS / "ball_consensus.json"
+    code = ("from lfmix.cli import main\n"
+            f"print(main(['sweep', '--scenario', {str(path)!r}, '--vary', 'n=1e12:1e12:1', '--out', 'sweep']))\n")
+    done = run_in_child(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+    assert "sweep point 0 is invalid: BadConfig: groups: 1000000000000 agents, more than the 2147483647" in done.stderr
 
 
 @pytest.mark.parametrize("key", ["1_0", " 10 ", "+10", "010"])

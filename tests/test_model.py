@@ -1,14 +1,16 @@
 """Domain types, validation, and degree schedules."""
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DimensionMismatch, config, constant, distance, scenario
+from helpers import DimensionMismatch, config, constant, distance, run_in_child, scenario
 from lfmix import ScenarioValidationError, build_scenario
 from lfmix.dynamics import realized_alpha, realized_betas
 from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, SeededRandom, Table
@@ -300,6 +302,55 @@ def test_validation_is_total(raw):
         build_scenario(raw)
     except ScenarioValidationError:
         pass
+
+
+# Puts each hostile value at every key path of every file in scenarios/ (the
+# first 4 entries of a list) and prints the configs that neither build nor
+# raise the validation error.
+_STRUCTURE_WALK = """
+import copy, json
+from pathlib import Path
+from lfmix import ScenarioValidationError, build_scenario
+
+HOSTILE = [True, None, "x", [], [[]], {}, 10**400, -1, 2**63, 10**12, float("nan"), [None]]
+
+def paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node[:4]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, path + (key,))
+
+def put(raw, path, value):
+    if not path:
+        return value
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+crashes = []
+for file in sorted(Path(SCENARIOS).glob("*.json")):
+    base = json.loads(file.read_text())
+    for path in paths(base):
+        for value in HOSTILE:
+            try:
+                build_scenario(put(base, path, copy.deepcopy(value)))
+            except ScenarioValidationError:
+                pass
+            except Exception as exc:
+                crashes.append(f"{file.name} {list(path)} = {value!r}: {type(exc).__name__}: {exc}")
+print(json.dumps(crashes))
+"""
+
+
+def test_validation_is_total_over_structure(tmp_path):
+    # in a child capped at 1 GiB, so that an allocation sized by a raw value fails there
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    done = run_in_child(f"SCENARIOS = {str(scenarios)!r}\n" + _STRUCTURE_WALK, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 # ---------------------------------------------------------------------------
