@@ -95,7 +95,8 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
     written = time.perf_counter()
     series = analysis.measure(trajectory)
     write_metrics_csv(analysis.metrics_rows(trajectory), scenario, out_dir / "metrics.csv")
-    timings = {"trajectory_csv_s": written - started, "metrics_s": time.perf_counter() - written}
+    timings = {"update_s": trajectory.step_seconds, "trajectory_csv_s": written - started,
+               "metrics_s": time.perf_counter() - written}
     (out_dir / "scenario.canonical.json").write_text(dump_canonical(scenario), encoding="utf-8")
     gamma, delta = analysis.measured_degree_bounds(series)
     digests = trajectory.step_digests

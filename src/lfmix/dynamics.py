@@ -12,7 +12,13 @@ pairs found once on the state at t:
 
 ``step`` computes this for all agents at once over (1 + m)·N neighbor sets:
 set k·N + i is agent i's own-group set for k = 0 and follower i's group-k
-leader set for k >= 1, the cols of i's pairs that carry that group. One pass
+leader set for k >= 1, the cols of i's pairs that carry that group. The
+pairs are sorted by (row, col) and every group is one range of ids, as
+member counts make them, so each set is one run of its row's cols, found
+by counting the row's cols below each group bound. Where explicit member
+lists interleave the groups, the cols of each row are first put in (group,
+id) order, by the agents' ranks in that order (``Partition.ranges``), and
+the runs are found the same way. One pass
 sums every set, all sets of one size together, into (1 + m, N, d) means; one
 (1 + m, N) weight matrix, row 0 the own weight and rows 1..m the masked
 betas, mixes them, and its reductions over axis 0 give the ``StepDigest``.
@@ -83,6 +89,7 @@ class Trajectory:
     stop_tol: float | None
     pair_counts: dict = field(default_factory=dict)  # how each step got its pairs: PairTracker.counts
     pair_seconds: float = 0.0  # time spent getting them
+    step_seconds: float = 0.0  # time spent in the steps' updates
 
     @property
     def horizon(self) -> int:
@@ -137,23 +144,45 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
 
 def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
     """The sizes of all (1 + m)·N sets, laid out as the module docstring says,
-    each set's ids ascending as its pairs are sorted by row, then col; and
-    the gather index of each block of equal-size sets: (sets, their cols laid
-    out as (size, sets) for d >= 2 and as (sets, size) for d = 1)."""
+    each set's ids ascending; and the gather index of each block of
+    equal-size sets: (sets, their cols laid out as (size, sets) for d >= 2 and
+    as (sets, size) for d = 1).
+
+    Each set is the run of its row's cols whose keys lie in its group's
+    range of ``Partition.ranges``: the cols themselves, or, for interleaved
+    groups, their ranks by (group, id), with each row's cols sorted by rank
+    first. Its first pair and size come from per-row counts of the keys
+    below each group bound; the blocks gather from those cols directly.
+    """
     n = scenario.n_agents
-    codes = scenario.partition.group_of.astype(np.min_scalar_type(scenario.m))
-    row_code, col_code = codes[rows], codes[cols]
-    sizes, members = [], []
-    for k in range(scenario.m + 1):
-        # an agent's own set holds its own group; a leader's pairs with other groups are not used
-        keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
-        sizes.append(np.bincount(rows[keep], minlength=n))
-        members.append(cols[keep])
-    size = np.concatenate(sizes)
-    cols = np.concatenate(members)
-    del members
-    first = np.cumsum(size) - size
-    index = np.empty_like(cols)  # the cols regrouped block by block, one allocation for all blocks
+    group_of = scenario.partition.group_of
+    key, bounds = scenario.partition.ranges
+    if key is None:
+        key = cols
+    else:  # each row's cols in (group, id) order, so that every group is one run of them
+        key = key[cols]
+        order = np.argsort(rows.astype(np.int64) * n + key, kind="stable")
+        cols, key = cols[order], key[order]
+        del order
+    starts = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype))
+    counts = np.diff(starts)
+    # reduceat below counts each row's run only if no row is empty: every
+    # agent whose opinion is finite is its own neighbor
+    if not counts.all():
+        raise NonFiniteState(f"agent {int(counts.argmin())} is not its own neighbor: its opinion is not finite")
+    below = {0: np.zeros(n, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
+    for b in np.unique(bounds).tolist():
+        if b not in below:
+            # counted in the id type, which holds N: reduceat casts the whole mask to it first
+            below[b] = np.add.reduceat(key < b, starts[:-1], dtype=rows.dtype)
+    del key
+    low, high = (np.array([below[b] for b in bound]) for bound in bounds.T)
+    agents = np.arange(n)
+    own = low[group_of, agents]
+    # an agent's own set is its group's run; a leader's runs of other groups are not used
+    first = (starts[:-1] + np.vstack((own, low[1:]))).ravel()
+    size = np.vstack((high[group_of, agents] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
+    index = np.empty(size.sum(), dtype=cols.dtype)  # the sets' cols block by block, one allocation for all blocks
     blocks, end = [], 0
     for k in np.unique(size[size > 0]).tolist():
         sets = np.flatnonzero(size == k)
@@ -261,7 +290,8 @@ def run(
     its rebuild could have carried across, and otherwise a fresh search.
     The pairs are exactly a fresh search's either way (the proof is in
     ``PairTracker._reuse``). How the steps got them is the trajectory's
-    ``pair_counts``, and the time that took its ``pair_seconds``.
+    ``pair_counts``, and the time that took its ``pair_seconds``; the time
+    its ``step`` calls took is its ``step_seconds``.
     """
     opts = scenario.engine
     if horizon is None:
@@ -276,14 +306,16 @@ def run(
     recent: deque[float] = deque(maxlen=opts.stop_window)
     tracker = PairTracker(scenario)
     disp = math.inf
-    searching = 0.0
+    searching = updating = 0.0
     for t in range(horizon):
         started = time.perf_counter()
         pairs = tracker.pairs(states[-1], disp)
         if pairs is None:
             pairs = Pairs(*compute_neighbors(states[-1], scenario))
         searching += time.perf_counter() - started
+        started = time.perf_counter()
         nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs)
+        updating += time.perf_counter() - started
         del pairs  # a fresh search's pairs die with their step, not during the next search
         finite = np.isfinite(nxt.opinions).all(axis=1)
         if not finite.all():
@@ -300,4 +332,5 @@ def run(
         if tol is None and disp == 0.0:
             reason = STOP_STAGNATED
             break
-    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol, dict(tracker.counts), searching)
+    return Trajectory(scenario, tuple(states), reason, tuple(digests), fault, tol, dict(tracker.counts), searching,
+                      updating)

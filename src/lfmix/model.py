@@ -92,6 +92,21 @@ class Partition:
             return self.follower_name if self.follower_name is not None else FOLLOWER
         return self.leader_names[code - 1]
 
+    @functools.cached_property
+    def ranges(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(key, bounds)``: group k (0 the followers) holds the agents i whose
+        key lies in ``[bounds[k, 0], bounds[k, 1])``. The key is the id itself
+        (``key`` is None) where every group is one id range, as member counts
+        make them; otherwise it is ``key[i]``, i's rank in the order by
+        (group, id)."""
+        groups = (self.follower_ids, *self.leader_ids)
+        if all(ids.size == 0 or ids[-1] - ids[0] + 1 == ids.size for ids in groups):
+            return None, np.array([(ids[0], ids[-1] + 1) if ids.size else (0, 0) for ids in groups])
+        ends = np.cumsum([0] + [ids.size for ids in groups])
+        key = np.empty(self.n_agents, dtype=np.int32)
+        key[np.concatenate(groups)] = np.arange(self.n_agents, dtype=np.int32)
+        return key, np.column_stack((ends[:-1], ends[1:]))
+
 
 @dataclass(frozen=True)
 class SystemState:

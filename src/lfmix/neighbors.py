@@ -285,8 +285,11 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
 class Pairs:
     """Sorted int32 ``(rows, cols)`` neighbor pairs of a state, and the
     ``grouping`` that ``dynamics.step`` derives from them alone, filled in by
-    the first step that uses them. A ``PairTracker`` hands out the same
-    object for as long as its pairs hold, so a grouping is never stale."""
+    the first step that uses them: each of its neighbor sets is a run of one
+    row's cols within one group's id range (within its range of ranks by
+    (group, id) where explicit member lists interleave the groups). A
+    ``PairTracker`` hands out the same object for as long as its pairs hold,
+    so a grouping is never stale."""
 
     rows: np.ndarray
     cols: np.ndarray

@@ -16,7 +16,7 @@ import numpy as np
 import lfmix
 from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, neighbors_naive
 from lfmix.analysis import StepRecord, _squared_distances, distances_to
-from lfmix.dynamics import realized_alpha
+from lfmix.dynamics import _GATHER_FLOATS, realized_alpha
 
 
 def config(
@@ -169,6 +169,33 @@ def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.n
         codes = group_of[hits]
         out.append((hits[codes == group_of[i]], tuple(hits[codes == k] for k in range(1, sc.m + 1))))
     return out
+
+
+def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
+    """``dynamics._grouping`` from one mask per set kind over every pair: the
+    sizes of all (1 + m)·N sets and the ``(part, index)`` gather blocks of
+    equal-size sets, each set's cols taken in pair order from a copy of the
+    cols that carry its kind."""
+    n = sc.n_agents
+    codes = sc.partition.group_of
+    row_code, col_code = codes[rows], codes[cols]
+    sizes, members = [], []
+    for k in range(sc.m + 1):
+        # an agent's own set holds its own group; a leader's pairs with other groups are not used
+        keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
+        sizes.append(np.bincount(rows[keep], minlength=n))
+        members.append(cols[keep])
+    size = np.concatenate(sizes)
+    cols = np.concatenate(members)
+    first = np.cumsum(size) - size
+    blocks = []
+    for k in np.unique(size[size > 0]).tolist():
+        sets = np.flatnonzero(size == k)
+        block = max(1, _GATHER_FLOATS // (k * d))
+        for part in np.split(sets, range(block, sets.size, block)):
+            at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
+            blocks.append((part, cols[at]))
+    return size, blocks
 
 
 def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -92,8 +92,9 @@ def test_simulate_demo_converges(tmp_path):
     assert payload["measured_gamma"] == 0.5
     assert (out / "scenario.canonical.json").exists()
     assert (out / "metrics.csv").exists()
-    assert set(payload["timings"]) == {"trajectory_csv_s", "metrics_s"}
+    assert set(payload["timings"]) == {"update_s", "trajectory_csv_s", "metrics_s"}
     assert all(isinstance(v, float) and v >= 0.0 for v in payload["timings"].values())
+    assert 0.0 < payload["timings"]["update_s"] < payload["wall_time_seconds"]
     digests = run(build_scenario(demo_config())).step_digests
     pairs = [d.neighbor_pairs for d in digests]
     assert payload["step_digest"] == {

@@ -1,5 +1,6 @@
 """Update rules, synchronous stepping, trajectories, and determinism."""
 
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from helpers import (
     config,
     constant,
     follower_update,
+    grouping_oracle,
     hk_reference_step,
     leader_update,
     neighbor_sets,
@@ -195,7 +197,7 @@ def reference_step(state, sc, t):
     return new, pairs
 
 
-def dense_mixed_scenario(rng, d, n_followers, leader_sizes, epsilon, spread):
+def dense_mixed_config(rng, d, n_followers, leader_sizes, epsilon, spread):
     """Followers and leaders packed so that sets reach numpy's pairwise-sum
     thresholds (8 and 129), plus one far follower that sees no leader."""
     leader_groups = [
@@ -209,21 +211,57 @@ def dense_mixed_scenario(rng, d, n_followers, leader_sizes, epsilon, spread):
     betas = [{"kind": "seeded_random", "seed": int(rng.integers(0, 2**31)), "low": 0.0, "high": 0.9 / len(leader_sizes)}
              for _ in leader_sizes]
     betas[-1] = constant(0.0)
-    return build_scenario(config(dimension=d, epsilon=epsilon, followers=n_followers, leader_groups=leader_groups,
-                                 initial=opinions.tolist(), follower_betas=betas))
+    return config(dimension=d, epsilon=epsilon, followers=n_followers, leader_groups=leader_groups,
+                  initial=opinions.tolist(), follower_betas=betas)
+
+
+PARTITION_KINDS = ("interleaved", "leaders_first", "no_followers")
+
+
+def regrouped(cfg, rng, kind):
+    """``cfg``, whose groups are member counts with the followers first, with
+    its groups laid out another way: ``interleaved`` gives each group an
+    explicit list of ids drawn at random, ``leaders_first`` lists the leader
+    groups before the follower group, and ``no_followers`` drops the
+    follower group and, for explicit opinions, its rows."""
+    cfg = copy.deepcopy(cfg)
+    followers = [g for g in cfg["groups"] if g["kind"] == "follower"]
+    leaders = [g for g in cfg["groups"] if g["kind"] == "leader"]
+    if kind == "interleaved":
+        ids = rng.permutation(sum(g["members"] for g in cfg["groups"])).tolist()
+        for g in cfg["groups"]:
+            g["members"], ids = sorted(ids[:g["members"]]), ids[g["members"]:]
+    elif kind == "leaders_first":
+        cfg["groups"] = leaders + followers
+    else:
+        cfg["groups"] = leaders
+        for g in followers:
+            del cfg["schedules"][g["name"]]
+            if "explicit" in cfg["initial_opinions"]:
+                del cfg["initial_opinions"]["explicit"][:g["members"]]
+    return cfg
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
 def test_step_equals_per_agent_references_bitwise(d):
     rng = np.random.default_rng(100 + d)
     cases = [
-        dense_mixed_scenario(rng, d, 180, [12, 140], epsilon=0.5 * np.sqrt(d), spread=1.0),
-        dense_mixed_scenario(rng, d, 40, [9, 3, 20], epsilon=0.3 * np.sqrt(d), spread=1.0),
+        build_scenario(dense_mixed_config(rng, d, 180, [12, 140], epsilon=0.5 * np.sqrt(d), spread=1.0)),
+        build_scenario(dense_mixed_config(rng, d, 40, [9, 3, 20], epsilon=0.3 * np.sqrt(d), spread=1.0)),
     ]
     cases += [
         build_scenario(random_mixed_config(rng, n_followers_hi=80, leader_size_hi=20, d_lo=d, d_hi=d, horizon=3))
         for _ in range(20)
     ]
+    # groups that are not followers-first member counts
+    for kind in PARTITION_KINDS:
+        cases.append(build_scenario(regrouped(
+            dense_mixed_config(rng, d, 40, [9, 3, 20], epsilon=0.3 * np.sqrt(d), spread=1.0), rng, kind)))
+        cases += [
+            build_scenario(regrouped(
+                random_mixed_config(rng, n_followers_hi=40, leader_size_hi=20, d_lo=d, d_hi=d, horizon=3), rng, kind))
+            for _ in range(3)
+        ]
     # signed zeros: a -0.0 degree and target, betas of 0.0 and -0.0 toward reachable groups, opinions of both signs
     cases.append(scenario(
         dimension=d,
@@ -248,6 +286,40 @@ def test_step_equals_per_agent_references_bitwise(d):
             state = nxt
     assert max(sizes) >= 129 and any(8 <= s < 129 for s in sizes)
     assert unreachable > 0 and negative_zeros > 0
+    assert sum(sc.partition.ranges[0] is not None for sc in cases) >= 4  # the interleaved ones take the relabel
+
+
+def test_grouping_equals_mask_oracle():
+    """The sets read as runs of each row's pairs have the sizes and gather
+    blocks of one mask per set kind, whatever the group layout."""
+    rng = np.random.default_rng(8)
+    relabeled = 0
+    for i in range(60):
+        cfg = random_mixed_config(rng, n_followers_hi=60, leader_size_hi=12, d_hi=4, m_lo=0, horizon=3)
+        if i % 4 < 3 and any(g["kind"] == "leader" for g in cfg["groups"]):
+            cfg = regrouped(cfg, rng, PARTITION_KINDS[i % 4])
+        sc = build_scenario(cfg)
+        relabeled += sc.partition.ranges[0] is not None
+        for state in run(sc).states:
+            rows, cols = compute_neighbors(state, sc)
+            size, blocks = dynamics._grouping(sc, sc.dimension, rows, cols)
+            ref_size, ref_blocks = grouping_oracle(sc, sc.dimension, rows, cols)
+            assert np.array_equal(size, ref_size)
+            assert len(blocks) == len(ref_blocks)
+            for (part, index), (ref_part, ref_index) in zip(blocks, ref_blocks):
+                assert np.array_equal(part, ref_part)
+                assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
+    assert relabeled >= 10
+
+
+@pytest.mark.parametrize("agent", [1, 4])
+def test_step_rejects_an_agent_that_is_not_its_own_neighbor(agent):
+    sc = scenario(followers=3, leader_groups=[("a", 2, [0.0], constant(0.5))],
+                  initial=[[0.1], [0.2], [0.3], [0.4], [0.5]], follower_betas=[constant(0.3)])
+    x = sc.initial_state.opinions.copy()
+    x[agent] = np.nan
+    with pytest.raises(NonFiniteState, match=f"agent {agent} is not its own neighbor"):
+        step(dataclasses.replace(sc.initial_state, opinions=x), sc, 0)
 
 
 def test_schedule_violation_detected_at_runtime():
