@@ -239,13 +239,19 @@ def _parse_vary(spec: str):
         raise ValueError(f"bad --vary spec {spec!r}; steps must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bad --vary spec {spec!r}; lo and hi must be finite")
-    if steps == 1:
-        values = [lo]
-    else:
-        values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    if param == "n":
-        values = [int(round(v)) for v in values]
-    return param, values
+    return param, lo, hi, steps
+
+
+def _point_values(varies: list, index: int) -> list:
+    """The values of sweep point ``index``: the points run through the
+    Cartesian product of the grids, the last ``--vary`` fastest, and each
+    value is computed from its grid index, so no grid is ever listed."""
+    combo = []
+    for param, lo, hi, steps in reversed(varies):
+        index, i = divmod(index, steps)
+        value = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
+        combo.append(int(round(value)) if param == "n" else value)
+    return combo[::-1]
 
 
 def _scaled_counts(counts: list[int], kinds: list[str], target: int) -> list[int] | None:
@@ -303,11 +309,16 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
+    params = [p for p, *_ in varies]
+    repeated = next((p for p in params if params.count(p) > 1), None)
+    if repeated is not None:
+        _err(f"--vary {repeated} given more than once; vary each parameter once")
+        return 2
     base_scenario = _load(args.scenario, None)
     if base_scenario is None:
         return 2
     base = base_scenario.canonical
-    if any(p == "n" for p, _ in varies):
+    if "n" in params:
         if "random" not in base["initial_opinions"]:
             _err("varying n requires random initial opinions")
             return 2
@@ -318,10 +329,9 @@ def _cmd_sweep(args) -> int:
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    params = [p for p, _ in varies]
-    grids = [vals for _, vals in varies]
     summary_rows = []
-    for index, combo in enumerate(itertools.product(*grids)):
+    for index in range(math.prod(steps for *_, steps in varies)):
+        combo = _point_values(varies, index)
         assignments = dict(zip(params, combo))
         try:
             config = _point_config(base, assignments, index, base_seed)

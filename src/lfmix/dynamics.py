@@ -286,10 +286,10 @@ def run(
 
     Each state's neighbor pairs come from one ``PairTracker``: a Verlet skin
     list once a step moved every agent by less than a quarter of the skin,
-    which re-tests only the pairs near epsilon that the agents' moves since
-    its rebuild could have carried across, and otherwise a fresh search.
-    The pairs are exactly a fresh search's either way (the proof is in
-    ``PairTracker._reuse``). How the steps got them is the trajectory's
+    held while the agents' moves since its rebuild can have carried no pair
+    across epsilon and dropped once they could, and otherwise a fresh
+    search. The pairs are exactly a fresh search's either way (the proof is
+    in ``PairTracker._holds``). How the steps got them is the trajectory's
     ``pair_counts``, and the time that took its ``pair_seconds``; the time
     its ``step`` calls took is its ``step_seconds``.
     """

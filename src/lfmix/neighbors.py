@@ -19,17 +19,16 @@
   ``dynamics.run`` feeds it, as a Verlet skin list (L. Verlet, Phys. Rev.
   159, 98, 1967) over the same searches. After a step in which no agent
   moved more than ``_QUIET`` of the skin s = ``_SKIN`` * epsilon, it
-  searches once within epsilon + s and keeps these candidates, their
-  verdicts at epsilon, and, sorted, the gaps | distance - epsilon | of the
-  band of candidates whose gap is at most s. At a later state, with D_i
-  the displacement of agent i since then, only a band pair whose gap is at
-  most D_i + D_j plus a rounding margin can have crossed epsilon, and only
-  those are re-tested; every other candidate has its verdict at the
-  rebuild, and no other pair can have come within epsilon. ``_reuse``
-  proves the margin. Once the two largest D_i sum past s the list is
-  dropped; the next state rebuilds it, or, after a larger step, gets a
-  fresh search, as every state of a run that keeps moving does. While the
-  pairs hold, the tracker hands out the same ``Pairs`` object, which
+  searches once within epsilon + s and keeps the pairs within epsilon and,
+  sorted by gap | distance - epsilon |, the band of candidates whose gap is
+  at most s. At a later state, with D_i the displacement of agent i since
+  then, the list holds while the two largest D_i sum to at most s and no
+  band pair has a gap of at most D_i + D_j plus a rounding margin: every
+  candidate then has its verdict at the rebuild, and no other pair can
+  have come within epsilon. ``_holds`` proves the margin. Otherwise the
+  list is dropped, and the state rebuilds it or, after a larger step, gets
+  a fresh search, as every state of a run that keeps moving does. While
+  the list holds, the tracker hands out the same ``Pairs`` object, which
   carries ``dynamics.step``'s grouping of them.
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
@@ -172,7 +171,7 @@ def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     #   u' = u (1 + 2^-29), and |q'| <= (n_i + 2 M + sigma_i) (1 + 2^-30) +
     #   d 2^-1074.
     # * The reference adds d rounded squares of rounded differences, so
-    #   |R - S| <= g_{d+2} S + d 2^-1074 (as in _reuse); R <= E once S <=
+    #   |R - S| <= g_{d+2} S + d 2^-1074 (as in _holds); R <= E once S <=
     #   E (1 - g_{d+2}) - d 2^-1074, and R > E once S >= E (1 + 2 g_{d+2}) +
     #   2 d 2^-1074.
     # * fl(E - n_i) is within u (E + n_i) of E - n_i, and lo and hi within
@@ -301,8 +300,7 @@ class PairTracker:
     skin list while the agents move little (see the module docstring).
 
     ``counts`` tells how each state got its pairs: ``searches`` (the caller
-    searched afresh), ``rebuilds``, ``reuses``, and ``retested``, the pairs
-    of the band that reuses re-tested.
+    searched afresh), ``rebuilds`` and ``reuses``.
     """
 
     def __init__(self, scenario: Scenario):
@@ -311,9 +309,9 @@ class PairTracker:
         self.skin = _SKIN * eps
         self.reach = eps + self.skin
         self.margin = _MARGIN * self.reach
-        # the bounds the rounding argument in _reuse assumes
+        # the bounds the rounding argument in _holds assumes
         self.usable = 2.0**-400 <= eps <= 2.0**400 and scenario.dimension <= 4096
-        self.counts = {"searches": 0, "rebuilds": 0, "reuses": 0, "retested": 0}
+        self.counts = {"searches": 0, "rebuilds": 0, "reuses": 0}
         self._ref = None
 
     def pairs(self, state: SystemState, moved: float) -> Pairs | None:
@@ -322,12 +320,10 @@ class PairTracker:
         step that led to ``state`` (inf for the first state)."""
         x = state.opinions
         if self._ref is not None:
-            pairs = self._reuse(x)
-            if pairs is not None:
+            if self._holds(x):
                 self.counts["reuses"] += 1
-                return pairs
-            self._ref = self._pairs = self._rows = self._cols = self._keep = self._keep0 = None
-            self._band = self._gap = None
+                return self._pairs
+            self._ref = self._pairs = self._band = None
         if self.usable and moved <= _QUIET * self.skin:
             self._rebuild(x)
             self.counts["rebuilds"] += 1
@@ -336,40 +332,30 @@ class PairTracker:
         return None
 
     def _rebuild(self, x: np.ndarray) -> None:
-        """Candidates within eps + skin, their verdicts at eps, and the band of
-        candidates whose distance is within the skin of eps, by that gap."""
+        """The pairs within eps, from the candidates within eps + skin, and the
+        band of candidates whose distance is within the skin of eps as ``(i,
+        j, gap)``, sorted by gap."""
         xt = np.ascontiguousarray(x.T)
-        rows, cols, keep, band, gap = [], [], [], [], []
-        count = 0
+        pairs, band = [], []
         for r, c in neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach):
             total = _column_sums(xt, r, c)
-            keep.append(_within(x, xt, r, c, self.eps2, total))
-            g = np.abs(np.sqrt(total) - self.eps)
-            near = np.flatnonzero(g <= self.skin)
-            band.append(near + count)
-            gap.append(g[near])
-            rows.append(r)
-            cols.append(c)
-            count += r.size
-        self._rows, self._cols = np.concatenate(rows), np.concatenate(cols)
-        self._keep = self._keep0 = np.concatenate(keep)  # the verdicts now, and at the rebuild
-        gap = np.concatenate(gap)
+            keep = _within(x, xt, r, c, self.eps2, total)
+            pairs.append((r, c) if keep.all() else (r[keep], c[keep]))  # no copy of a part that is all pairs
+            gap = np.abs(np.sqrt(total) - self.eps)
+            near = gap <= self.skin
+            band.append((r[near], c[near], gap[near]))
+        i, j, gap = map(np.concatenate, zip(*band))
         order = np.argsort(gap, kind="stable")
-        self._band, self._gap = np.concatenate(band)[order], gap[order]
-        self._pairs = self._kept()
+        self._band = i[order], j[order], gap[order]
+        self._pairs = Pairs(*_joined(pairs))
         self._ref = x
 
-    def _kept(self) -> Pairs:
-        if self._keep.all():  # no copy where every candidate is a pair
-            return Pairs(self._rows, self._cols)
-        return Pairs(self._rows[self._keep], self._cols[self._keep])
-
-    def _reuse(self, x: np.ndarray) -> Pairs | None:
-        """The list's pairs of ``x``, or None once it no longer covers them.
+    def _holds(self, x: np.ndarray) -> bool:
+        """Whether the list's pairs are those of ``x``.
 
         With D_i each agent's displacement since the rebuild and T the sum of
         the two largest, the list holds while T + m <= skin, m = 2^-30 (eps +
-        skin); only band pairs with gap <= D_i + D_j + m are re-tested.
+        skin), and no band pair has gap <= D_i + D_j + m.
         """
         # Exactness. Let u = 2^-53, d <= 4096 and 2^-400 <= eps <= 2^400.
         # A computed squared distance C of two points t apart, summed in any
@@ -381,9 +367,11 @@ class PairTracker:
         # k = 2^-39 > g + u + a / eps^2, t <= eps (1 - k) makes every such C,
         # the reference row sum among them, <= fl(eps^2), and t >= eps (1 + k)
         # makes it > fl(eps^2); the same holds at eps + skin.
-        # * A candidate pair i != j that is not re-tested has a computed gap
-        #   above fl(fl(D_i + D_j) + m): the band is sorted by gap, and a
-        #   candidate outside it has gap > skin >= fl(T + m). Let t0 and t1
+        # * When the list holds, a candidate pair i != j has a computed gap
+        #   above fl(fl(D_i + D_j) + m): the band's prefix up to fl(T + m) is
+        #   tested against it, and any other candidate has gap > fl(T + m)
+        #   (past the prefix, or outside the band, gap > skin), which is at
+        #   least fl(fl(D_i + D_j) + m) as rounding is monotone. Let t0 and t1
         #   be its exact distances at the rebuild and now, and E_i the exact
         #   displacements, so |t1 - t0| <= E_i + E_j. The rounding of the
         #   gap, of the D and of the sums is below 2^-38 (eps + skin) +
@@ -400,20 +388,7 @@ class PairTracker:
         top = max(moved.size - 2, 0)
         top = float(np.partition(moved, top)[top:].sum())
         if not top + self.margin <= self.skin:
-            return None
-        ahead = int(np.searchsorted(self._gap, top + self.margin, side="right"))
-        band = self._band[:ahead]
-        i, j = self._rows[band], self._cols[band]
-        near = self._gap[:ahead] <= moved[i] + moved[j] + self.margin
-        band, i, j = band[near], i[near], j[near]
-        if not band.size and self._keep is self._keep0:
-            return self._pairs
-        # a pair not re-tested now has its verdict at the rebuild, whatever
-        # an earlier re-test found on the way
-        keep = self._keep0.copy()
-        keep[band] = _within(x, np.ascontiguousarray(x.T), i, j, self.eps2)
-        self.counts["retested"] += band.size
-        if not np.array_equal(keep, self._keep):
-            self._keep = self._keep0 if np.array_equal(keep, self._keep0) else keep
-            self._pairs = self._kept()
-        return self._pairs
+            return False
+        i, j, gap = self._band
+        ahead = int(np.searchsorted(gap, top + self.margin, side="right"))
+        return not (gap[:ahead] <= moved[i[:ahead]] + moved[j[:ahead]] + self.margin).any()

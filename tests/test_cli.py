@@ -126,7 +126,7 @@ def test_simulate_reports_how_steps_got_their_pairs(tmp_path):
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "run.json").read_text())
     counts = payload["pair_search"]
-    assert set(counts) == {"searches", "rebuilds", "reuses", "retested", "seconds"}
+    assert set(counts) == {"searches", "rebuilds", "reuses", "seconds"}
     assert counts["searches"] + counts["rebuilds"] + counts["reuses"] == payload["steps"] == 40
     assert counts["reuses"] > 0
     assert 0.0 < counts["seconds"] < payload["wall_time_seconds"]
@@ -184,6 +184,19 @@ def test_sweep_n_past_the_agent_bound_exits_2(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2"]
     assert "sweep point 0 is invalid: BadConfig: groups: 1000000000000 agents, more than the 2147483647" in done.stderr
+
+
+def test_sweep_of_a_hundred_million_points_lists_no_grid(tmp_path):
+    # each point's values come from its index, so point 0 is checked at once
+    path = SCENARIOS / "ball_consensus.json"
+    code = ("from lfmix.cli import main\n"
+            f"print(main(['sweep', '--scenario', {str(path)!r}, '--vary', 'epsilon=-1:-1:100000000',"
+            " '--out', 'sweep']))\n")
+    done = run_in_child(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+    assert "sweep point 0 is invalid" in done.stderr
+    assert "MemoryError" not in done.stderr
 
 
 @pytest.mark.parametrize("key", ["1_0", " 10 ", "+10", "010"])
@@ -567,6 +580,15 @@ def test_sweep_bad_spec_exits_2(tmp_path, capsys):
         assert main(
             ["sweep", "--scenario", str(path), "--vary", bad, "--out", str(tmp_path / "s")]
         ) == 2
+
+
+def test_sweep_parameter_varied_twice_exits_2(tmp_path, capsys):
+    # only the last value would reach the scenario, while summary.csv showed the first
+    path = write_config(tmp_path, demo_config())
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.3:2",
+                 "--vary", "epsilon=0.5:0.6:2", "--out", str(tmp_path / "s")]) == 2
+    assert "--vary epsilon given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_non_finite_bounds_exit_2(tmp_path, capsys):

@@ -349,14 +349,14 @@ def states_of(rows):
     return [SystemState(t, np.array(r, dtype=np.float64)) for t, r in enumerate(rows)]
 
 
-def test_pair_list_follows_pairs_across_epsilon_while_reused():
+def test_pair_list_follows_pairs_across_epsilon_by_rebuilding():
     # epsilon 1: agent 1 drifts in toward agent 0 and lands exactly on
     # epsilon, then inside; agent 2 sits exactly on epsilon from agent 0,
-    # then drifts out; agent 4 starts inside, crosses out, and comes back
-    # close enough to its start that its pair with agent 0 is no longer
-    # re-tested; agent 3 stays put. Every position is a multiple of 1/32, so
-    # each distance is exact, and no agent drifts further than the skin
-    # allows, so the one list is reused throughout.
+    # then drifts out; agent 4 starts inside, crosses out, and comes back;
+    # agent 3 stays put. Every position is a multiple of 1/32, so each
+    # distance is exact, and no agent drifts further than the skin allows.
+    # Yet each move could carry a band pair of agent 0 across epsilon, so
+    # the list is dropped and, after a quiet step, rebuilt at every state.
     path = states_of([
         [[0.0], [1.03125], [-1.0], [0.5], [0.9375]],
         [[0.0], [1.0], [-1.0], [0.5], [1.03125]],
@@ -372,9 +372,7 @@ def test_pair_list_follows_pairs_across_epsilon_while_reused():
         assert pair_list(pairs.rows, pairs.cols) == pair_list(*compute_neighbors(state, sc))
         assert pairs.rows.dtype == pairs.cols.dtype == np.int32
         assert pairs.cols[pairs.rows == 0].tolist() == partners
-    # the band holds (0, 1), (0, 2) and (0, 4) both ways; the last reuse
-    # re-tests only the first two
-    assert tracker.counts == {"searches": 0, "rebuilds": 1, "reuses": 3, "retested": 16}
+    assert tracker.counts == {"searches": 0, "rebuilds": 4, "reuses": 0}
 
 
 def test_pair_list_hands_out_the_same_pairs_while_they_hold():
@@ -397,7 +395,7 @@ def test_pair_list_falls_back_to_fresh_search():
     assert tracker.pairs(start, 0.5) is None  # the last step moved more than the skin allows
     assert tracker.pairs(start, 0.0) is not None
     assert tracker.pairs(far, 0.8) is None  # agent 3 moved 0.8, past the skin: the list is dropped
-    assert tracker.counts == {"searches": 3, "rebuilds": 1, "reuses": 0, "retested": 0}
+    assert tracker.counts == {"searches": 3, "rebuilds": 1, "reuses": 0}
     # where the rounding argument's bounds do not hold, every state is searched afresh
     tiny = follower_only([[0.0], [1e-125]], 1e-124)
     assert PairTracker(tiny).pairs(tiny.initial_state, 0.0) is None
