@@ -658,7 +658,7 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     """
     part = scenario.partition
     follower_ids = np.asarray(follower_ids, dtype=np.int64)
-    originals = np.union1d(follower_ids, part.leader_ids[k - 1])
+    originals = np.sort(np.concatenate((follower_ids, part.leader_ids[k - 1])))  # the two id sets are disjoint
     new_id = np.full(scenario.n_agents, -1, dtype=np.int64)
     new_id[originals] = np.arange(originals.size)
 
@@ -787,7 +787,7 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     for k in range(1, scenario.m + 1):
         mine = assigned == k
         followers_k = part.follower_ids[mine]
-        members = np.union1d(followers_k, part.leader_ids[k - 1])
+        members = np.sort(np.concatenate((followers_k, part.leader_ids[k - 1])))  # disjoint id sets
         g = scenario.target(k)
         delta_k = float(distances_to(x0[members], g).max())
         if delta_k >= scenario.epsilon:

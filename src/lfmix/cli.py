@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import itertools
 import json
 import math
@@ -101,6 +102,7 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
     gamma, delta = analysis.measured_degree_bounds(series)
     digests = trajectory.step_digests
     pairs = [d.neighbor_pairs for d in digests]
+    classes = [d.classes for d in digests]
     payload = {
         "timings": timings,
         "step_digest": {
@@ -110,6 +112,12 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
                 "min": min(pairs, default=None),
                 "max": max(pairs, default=None),
                 "last": pairs[-1] if pairs else None,
+            },
+            # the (opinion bytes, group) classes whose sets each step summed, at most N
+            "classes": {
+                "first": classes[0] if classes else None,
+                "min": min(classes, default=None),
+                "last": classes[-1] if classes else None,
             },
         },
         # how the steps got their neighbor pairs: fresh searches, pair-list rebuilds
@@ -328,8 +336,7 @@ def _cmd_sweep(args) -> int:
     base_seed = args.seed if args.seed is not None else base_scenario.base_seed
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    summary = out_root / "summary.csv"
     for index in range(math.prod(steps for *_, steps in varies)):
         combo = _point_values(varies, index)
         assignments = dict(zip(params, combo))
@@ -339,6 +346,10 @@ def _cmd_sweep(args) -> int:
         except (ValueError, ScenarioValidationError) as exc:
             _err(f"sweep point {index} is invalid: {exc}")
             return 2
+        if index == 0:  # the output exists only once a point builds; each row is appended as its point ends
+            out_root.mkdir(parents=True, exist_ok=True)
+            with open(summary, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerow(["point"] + params + ["stop_reason", "converged", "steps", "final_max_distance"])
         started = time.perf_counter()
         try:
             trajectory = run(scenario, args.horizon)
@@ -357,18 +368,13 @@ def _cmd_sweep(args) -> int:
         else:
             reference = final.mean(axis=0)
         final_max = float(analysis.distances_to(final, reference).max())
-        summary_rows.append(
-            [index]
-            + [repr(float(v)) if isinstance(v, float) else v for v in combo]
-            + [trajectory.stop_reason, trajectory.stop_reason == STOP_CONVERGED,
-               trajectory.horizon, repr(final_max)]
-        )
-    import csv as _csv
-
-    with open(out_root / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["point"] + params + ["stop_reason", "converged", "steps", "final_max_distance"])
-        writer.writerows(summary_rows)
+        with open(summary, "a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(
+                [index]
+                + [repr(float(v)) if isinstance(v, float) else v for v in combo]
+                + [trajectory.stop_reason, trajectory.stop_reason == STOP_CONVERGED,
+                   trajectory.horizon, repr(final_max)]
+            )
     return 0
 
 

@@ -10,27 +10,40 @@ pairs found once on the state at t:
   to zero whenever the corresponding leader-neighbor set is empty (the freed
   weight flows to the follower term, with no renormalization).
 
-``step`` computes this for all agents at once over (1 + m)·N neighbor sets:
-set k·N + i is agent i's own-group set for k = 0 and follower i's group-k
-leader set for k >= 1, the cols of i's pairs that carry that group. The
-pairs are sorted by (row, col) and every group is one range of ids, as
-member counts make them, so each set is one run of its row's cols, found
-by counting the row's cols below each group bound. Where explicit member
-lists interleave the groups, the cols of each row are first put in (group,
-id) order, by the agents' ranks in that order (``Partition.ranges``), and
-the runs are found the same way. One pass
-sums every set, all sets of one size together, into (1 + m, N, d) means; one
-(1 + m, N) weight matrix, row 0 the own weight and rows 1..m the masked
-betas, mixes them, and its reductions over axis 0 give the ``StepDigest``.
-Degrees come from one query per schedule block; no per-agent object is
-built. The grouping of the pairs into sets (sizes and gather indices)
-depends on the pairs alone, so it is kept on the ``Pairs`` object for as
-long as a run's ``PairTracker`` hands that object out.
+``step`` computes this for all agents at once, one class of agents at a
+time. The class map (``neighbors.state_classes``) puts agents of one group
+whose opinion rows have identical bytes in one class, numbered by smallest
+member; such agents have the same computed distance to every agent, so the
+same neighbor sets (a ``PairTracker`` list keeps the classes of its rebuild
+while it holds, whose agents keep the same sets too). The pairs are
+searched among the C classes' representatives, and each pair's class is
+expanded to its members, so each class's row lists its neighbor agents in
+ascending order: a row that reaches only one-agent classes is so already,
+and one stable sort merges the others' runs. Where every row is distinct,
+or the map removes too few rows to repay its cost, every agent is its own
+class (C = N) and the pairs are the agents' own, with nothing expanded or
+gathered. There are (1 + m)·C neighbor sets: set k·C + c is class c's
+own-group set for k = 0 and follower class c's group-k leader set for k >=
+1, the cols of c's row that carry that group. Every group is one range of
+ids, as member counts make them, so each set is one run of its row's cols,
+found by counting the row's cols below each group bound. Where explicit
+member lists interleave the groups, the cols of each row are first put in
+(group, id) order, by the agents' ranks in that order
+(``Partition.ranges``), and the runs are found the same way. One pass sums
+every set, all sets of one size together, into (1 + m, C, d) means, which
+each agent reads at its class; one (1 + m, N) weight matrix, row 0 the own
+weight and rows 1..m the masked betas, mixes them per agent, and its
+reductions over axis 0 give the ``StepDigest``. Degrees come from one query
+per schedule block; no per-agent object is built. The grouping of the pairs
+into sets (sizes and gather indices) depends on the pairs and the class map
+alone, so it is kept on the ``Pairs`` object for as long as a run's
+``PairTracker`` hands that object out.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
 only the time-t state, so results are bit-identical to a per-agent loop
-that computes each agent from its own id arrays (the tests keep one). That
+that computes each agent from its own id arrays (the tests keep one); an
+agent's class has its sets, so its class's sums are those of its own. That
 sum adds rows left to right for d >= 2, which a reduction over axis 0 of
 the sets of one size laid out as (size, sets, d) repeats; for d = 1 it is a
 1-D sum, which numpy adds pairwise, and the sets are laid out as
@@ -49,7 +62,7 @@ import numpy as np
 
 from .errors import NonFiniteState, ScheduleViolation
 from .model import Scenario, SystemState
-from .neighbors import PairTracker, Pairs, compute_neighbors
+from .neighbors import PairTracker, Pairs, compute_neighbors, state_classes
 
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
@@ -72,6 +85,7 @@ class StepDigest:
     min_weight: float
     max_sum_error: float
     neighbor_pairs: int
+    classes: int  # the (row, group) classes whose sets the step summed
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,11 +156,12 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
     return betas
 
 
-def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
-    """The sizes of all (1 + m)·N sets, laid out as the module docstring says,
-    each set's ids ascending; and the gather index of each block of
-    equal-size sets: (sets, their cols laid out as (size, sets) for d >= 2 and
-    as (sets, size) for d = 1).
+def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
+    """The sizes of all (1 + m)·R sets, laid out as the module docstring says
+    with R rows, each set's ids ascending; and the gather index of each
+    block of equal-size sets: (sets, their cols laid out as (size, sets) for
+    d >= 2 and as (sets, size) for d = 1). Row r is agent ``reps[r]``'s,
+    or agent r's where ``reps`` is None; the cols are agent ids.
 
     Each set is the run of its row's cols whose keys lie in its group's
     range of ``Partition.ranges``: the cols themselves, or, for interleaved
@@ -156,6 +171,9 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
     """
     n = scenario.n_agents
     group_of = scenario.partition.group_of
+    if reps is not None:
+        group_of = group_of[reps]
+    r = group_of.size
     key, bounds = scenario.partition.ranges
     if key is None:
         key = cols
@@ -164,28 +182,33 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
         order = np.argsort(rows.astype(np.int64) * n + key, kind="stable")
         cols, key = cols[order], key[order]
         del order
-    starts = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype))
+    starts = np.searchsorted(rows, np.arange(r + 1, dtype=rows.dtype))
     counts = np.diff(starts)
     # reduceat below counts each row's run only if no row is empty: every
     # agent whose opinion is finite is its own neighbor
     if not counts.all():
-        raise NonFiniteState(f"agent {int(counts.argmin())} is not its own neighbor: its opinion is not finite")
-    below = {0: np.zeros(n, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
-    for b in np.unique(bounds).tolist():
+        empty = int(counts.argmin())
+        raise NonFiniteState(f"agent {empty if reps is None else int(reps[empty])} is not its own neighbor: "
+                             "its opinion is not finite")
+    below = {0: np.zeros(r, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
+    for b in bounds.ravel().tolist():
         if b not in below:
             # counted in the id type, which holds N: reduceat casts the whole mask to it first
             below[b] = np.add.reduceat(key < b, starts[:-1], dtype=rows.dtype)
     del key
     low, high = (np.array([below[b] for b in bound]) for bound in bounds.T)
-    agents = np.arange(n)
-    own = low[group_of, agents]
+    each = np.arange(r)
+    own = low[group_of, each]
     # an agent's own set is its group's run; a leader's runs of other groups are not used
     first = (starts[:-1] + np.vstack((own, low[1:]))).ravel()
-    size = np.vstack((high[group_of, agents] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
+    size = np.vstack((high[group_of, each] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
     index = np.empty(size.sum(), dtype=cols.dtype)  # the sets' cols block by block, one allocation for all blocks
     blocks, end = [], 0
-    for k in np.unique(size[size > 0]).tolist():
-        sets = np.flatnonzero(size == k)
+    by_size = np.argsort(size, kind="stable")  # the sets of each size ascending, the sizes ascending
+    by_size = by_size[size[by_size] > 0]
+    cuts = np.flatnonzero(np.diff(size[by_size])) + 1
+    for sets in np.split(by_size, cuts):
+        k = int(size[sets[0]])
         block = max(1, _GATHER_FLOATS // (k * d))
         for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
@@ -196,9 +219,48 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
     return size, blocks
 
 
+def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``pairs.classes``' representatives as int32 (class,
+    agent) pairs sorted by (class, agent): each neighbor class expanded to
+    its members."""
+    classes = pairs.classes
+    size = classes.size[pairs.cols]
+    rows = np.repeat(pairs.rows, size)
+    # the positions in ``members`` of each pair's run: ones to accumulate,
+    # and at each run's start the jump there from the last run's end
+    ends = np.cumsum(size)
+    first = classes.first[pairs.cols]
+    at = np.ones(rows.size, dtype=np.int32)
+    at[:1] = first[:1]
+    jump = first[1:] - first[:-1]
+    jump -= size[:-1]
+    jump += 1
+    at[ends[:-1]] = jump
+    del size, ends, first, jump
+    np.add.accumulate(at, out=at)
+    cols = np.take(classes.members, at)
+    del at
+    # each row is a run of ascending members per neighbor class, the classes
+    # in ascending order of smallest member: a row that reaches only
+    # singleton classes is ascending already, and a stable sort of the
+    # others' (row, agent) keys merges their runs
+    within = rows[1:] == rows[:-1]
+    within &= cols[1:] < cols[:-1]
+    unsorted = np.zeros(classes.reps.size, dtype=bool)
+    unsorted[rows[1:][within]] = True
+    del within
+    pick = unsorted[rows]
+    key = rows[pick].astype(np.int64)
+    key <<= 32
+    key |= cols[pick]
+    key.sort(kind="stable")
+    cols[pick] = key.astype(np.int32)  # the low 32 bits: the agent
+    return rows, cols
+
+
 def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
-    """The (1 + m, N, d) means of the sets of a ``_grouping``; 0 for an empty
-    set.
+    """The means of the sets of a ``_grouping``, one row each; 0 for an
+    empty set.
 
     A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
     sets of one size together from one ``np.take`` gather, whose layout
@@ -215,7 +277,14 @@ def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
     sums /= np.maximum(size, 1)[:, None]
     if shift:
         sums += shift
-    return sums.reshape(-1, *x.shape)
+    return sums
+
+
+def _searched(state: SystemState, scenario: Scenario) -> Pairs:
+    """A fresh search's pairs of ``state``, among the representatives of its
+    classes."""
+    classes, reps = state_classes(state, scenario)
+    return Pairs(*compute_neighbors(reps, scenario), classes=classes)
 
 
 def step(
@@ -228,8 +297,10 @@ def step(
 ) -> tuple[SystemState, StepDigest]:
     """Apply one synchronous update to every agent.
 
-    Neighbor pairs are found once on ``state``: ``pairs`` if given (``run``
-    passes its ``PairTracker``'s), else by a fresh ``compute_neighbors``.
+    Neighbor pairs are found once on ``state``, among the representatives
+    of classes of agents that have the same sets: ``pairs`` if given
+    (``run`` passes its ``PairTracker``'s, which carry their classes), else
+    by a fresh ``state_classes`` and ``compute_neighbors``.
     Every new opinion depends only on ``state``. Raises ScheduleViolation
     if a schedule leaves its declared range.
     """
@@ -238,15 +309,22 @@ def step(
     shift = _MEAN_SHIFT if fault == FAULT_MEAN_SHIFT else 0.0
     x = state.opinions
     if pairs is None:
-        pairs = Pairs(*compute_neighbors(state, scenario))
+        pairs = _searched(state, scenario)
+    classes = pairs.classes
     if pairs.grouping is None:
-        pairs.grouping = _grouping(scenario, x.shape[1], pairs.rows, pairs.cols)
+        if classes is None:
+            pairs.grouping = _grouping(scenario, x.shape[1], pairs.rows, pairs.cols)
+        else:
+            pairs.grouping = _grouping(scenario, x.shape[1], *_expanded(pairs), classes.reps)
     group_of = scenario.partition.group_of
     lead = group_of > 0
     alpha = realized_alpha(scenario, t)
     betas = realized_betas(scenario, t)
-    means = _set_means(x, pairs.grouping, shift)
+    means = _set_means(x, pairs.grouping, shift).reshape(1 + scenario.m, -1, x.shape[1])
     size = pairs.grouping[0].reshape(means.shape[:2])
+    summed = size.shape[1]
+    if classes is not None:  # each agent mixes its class's means
+        means, size = means[:, classes.of], size[:, classes.of]
 
     # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
     # for a follower; row k: the beta toward group k, masked where its set is empty
@@ -265,7 +343,7 @@ def step(
     sum_w = beta_sums((each * size).T) + w_target
     min_w = min(each[w > 0.0].min(initial=math.inf), w_target[w_target > 0.0].min(initial=math.inf))
     counted = int(size[0].sum() + size[1:][w[1:] != 0.0].sum())  # the own set always counts
-    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted)
+    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, summed)
     return SystemState(t + 1, new), digest
 
 
@@ -288,8 +366,9 @@ def run(
     list once a step moved every agent by less than a quarter of the skin,
     held while the agents' moves since its rebuild can have carried no pair
     across epsilon and dropped once they could, and otherwise a fresh
-    search. The pairs are exactly a fresh search's either way (the proof is
-    in ``PairTracker._holds``). How the steps got them is the trajectory's
+    search among the representatives of the state's classes. The pairs are
+    exactly a fresh search's either way (the proof is in
+    ``PairTracker._holds``). How the steps got them is the trajectory's
     ``pair_counts``, and the time that took its ``pair_seconds``; the time
     its ``step`` calls took is its ``step_seconds``.
     """
@@ -311,7 +390,7 @@ def run(
         started = time.perf_counter()
         pairs = tracker.pairs(states[-1], disp)
         if pairs is None:
-            pairs = Pairs(*compute_neighbors(states[-1], scenario))
+            pairs = _searched(states[-1], scenario)
         searching += time.perf_counter() - started
         started = time.perf_counter()
         nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs)

@@ -15,21 +15,34 @@
   it cannot place beyond a proven rounding slack on either side of epsilon,
   the band, go to ``_within``. The checks scan only the pairs they need and
   call it just to name a cross-talk contact they found.
+* ``row_classes``: the class map of a state, its agents whose opinion rows
+  have identical bytes (and group, where the labels are given), each class
+  numbered by its smallest member. ``state_classes`` takes it with the
+  groups as labels, and ``dynamics`` searches only the classes'
+  representatives, one row per class: every path's verdict is that of the
+  reference test below, a function of the two rows' bytes, so agents of one
+  class have the same pairs, and the pairs of the representatives give
+  every agent's. A map that would remove fewer than ``_MIN_MERGED`` rows is
+  not used: every agent is then its own class.
 * ``PairTracker``: the pairs of one run's successive states, which
   ``dynamics.run`` feeds it, as a Verlet skin list (L. Verlet, Phys. Rev.
-  159, 98, 1967) over the same searches. After a step in which no agent
-  moved more than ``_QUIET`` of the skin s = ``_SKIN`` * epsilon, it
-  searches once within epsilon + s and keeps the pairs within epsilon and,
-  sorted by gap | distance - epsilon |, the band of candidates whose gap is
-  at most s. At a later state, with D_i the displacement of agent i since
-  then, the list holds while the two largest D_i sum to at most s and no
-  band pair has a gap of at most D_i + D_j plus a rounding margin: every
-  candidate then has its verdict at the rebuild, and no other pair can
-  have come within epsilon. ``_holds`` proves the margin. Otherwise the
-  list is dropped, and the state rebuilds it or, after a larger step, gets
-  a fresh search, as every state of a run that keeps moving does. While
-  the list holds, the tracker hands out the same ``Pairs`` object, which
-  carries ``dynamics.step``'s grouping of them.
+  159, 98, 1967) over the same searches, built on the representatives.
+  After a step in which no agent moved more than ``_QUIET`` of the skin s
+  = ``_SKIN`` * epsilon, it searches once within epsilon + s and keeps the
+  pairs within epsilon and, sorted by gap | distance - epsilon |, the band
+  of candidates whose gap is at most s. At a later state, with D_i the
+  displacement of row i since then, the list holds while the two largest
+  D_i sum to at most s and no band pair has a gap of at most D_i + D_j
+  plus a rounding margin: every candidate then has its verdict at the
+  rebuild, and no other pair can have come within epsilon. ``_holds``
+  proves the margin. Otherwise the list is dropped, and the state rebuilds
+  it or, after a larger step, gets a fresh search, as every state of a run
+  that keeps moving does. While the list holds, its classes keep their
+  members, wherever they have moved since (D_i is the largest displacement
+  of row i's agents): the agents of one row still have that row's pairs,
+  which is all a step needs of a class. So the tracker hands out the same
+  ``Pairs`` object, which carries ``dynamics.step``'s grouping of them,
+  however the rows merge or split meanwhile.
 
 Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
 is the cols of its rows, split by group where a caller needs that. All
@@ -62,6 +75,10 @@ _GRID_MAX_DIM = 6
 _SKIN = 0.25  # a pair list's skin, as a fraction of epsilon
 _QUIET = 0.25  # build a list only after a step that moved no agent more than this fraction of the skin
 _MARGIN = 2.0**-30  # rounding margin of a pair list, as a fraction of epsilon + skin
+# the fewest rows a class map must remove to be used: its expansion and
+# gathers cost a step some 30 numpy calls, which a few merged rows do not
+# repay, and runs near convergence merge and split a few rows at a time
+_MIN_MERGED = 64
 
 
 def _column_sums(xt: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -256,7 +273,8 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
     strides = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2].astype(np.uint64), dtype=np.uint64)
     keys = (cells.astype(np.uint64) * strides).sum(axis=1, dtype=np.uint64)
     shifts = np.asarray(list(itertools.product((0, 1, 2), repeat=d)), dtype=np.uint64)
-    offsets = np.unique((shifts * strides).sum(axis=1, dtype=np.uint64) - strides.sum(dtype=np.uint64))
+    offsets = np.sort((shifts * strides).sum(axis=1, dtype=np.uint64) - strides.sum(dtype=np.uint64))
+    offsets = offsets[np.r_[True, offsets[1:] != offsets[:-1]]]  # offsets collide only modulo 2^64
 
     order = np.argsort(keys, kind="stable").astype(np.int32)  # agents by cell, ascending id within a cell
     cell_keys, first, size = np.unique(keys[order], return_index=True, return_counts=True)
@@ -281,18 +299,98 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
 
 
 @dataclass(eq=False)
+class Classes:
+    """The classes of a state's agents whose opinion rows have identical
+    bytes (and, where labels are given, equal labels), numbered by their
+    smallest members, ascending; see ``row_classes``."""
+
+    of: np.ndarray  # each agent's class, int32
+    reps: np.ndarray  # each class's smallest member, ascending
+    members: np.ndarray  # the agents class by class, ascending within each class
+    first: np.ndarray  # where each class's run of ``members`` starts
+    size: np.ndarray  # its length
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so that multiplying by it permutes the 64-bit words
+
+
+def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
+    """The classes of the rows of ``x`` that have the same bytes and label:
+    -0.0 and 0.0 differ, as they do in ``repr``.
+
+    Each row gets a key: the high bits of a hash of its words and label, and
+    its id in the low bits. In key order the members of a class are adjacent
+    and ascending, and a class is a run of equal rows and labels; only rows
+    whose hashes tie are compared. Two rows whose hashes tie but differ can
+    interleave and split each other's class in two, whose rows are still
+    equal: the classes are exact.
+    """
+    n, d = x.shape
+    bits = x.view(np.uint64)  # a state's opinions are C-contiguous float64
+    h = np.zeros(n, dtype=np.uint64) if labels is None else labels.astype(np.uint64)
+    for c in range(d):
+        h ^= bits[:, c]
+        h ^= h >> 32  # with the product, a bijection that carries every bit into the high ones
+        h *= _MIX
+    low = max(n - 1, 1).bit_length()
+    h >>= low
+    h <<= low
+    h |= np.arange(n, dtype=np.uint64)
+    h.sort()
+    order = (h & ((1 << low) - 1)).astype(np.int32)
+    h >>= low
+    start = np.empty(n, dtype=bool)  # where a class starts: a new hash, or a tie whose row or label differs
+    start[:1] = True
+    np.not_equal(h[1:], h[:-1], out=start[1:])
+    tied = np.flatnonzero(~start)
+    if tied.size:
+        i, j = order[tied], order[tied - 1]
+        differ = (bits[i] != bits[j]).any(axis=1)
+        if labels is not None:
+            differ |= labels[i] != labels[j]
+        start[tied] = differ
+    first = np.flatnonzero(start).astype(np.int32)
+    size = np.diff(first, append=n)
+    lead = np.zeros(n, dtype=bool)  # the smallest member of each class
+    lead[order[first]] = True
+    number = np.cumsum(lead, dtype=np.int32)[order[first]] - 1  # each run's class: its smallest member's rank
+    of = np.empty(n, dtype=np.int32)
+    of[order] = np.repeat(number, size)
+    class_first, class_size = np.empty_like(first), np.empty_like(size)
+    class_first[number], class_size[number] = first, size
+    return Classes(of, np.flatnonzero(lead), order, class_first, class_size)
+
+
+def state_classes(state: SystemState, scenario: Scenario) -> tuple[Classes | None, SystemState]:
+    """The (row bytes, group) classes of ``state``'s agents and the state of
+    their representatives' rows; None and ``state`` itself where they would
+    remove fewer than ``_MIN_MERGED`` rows, every agent its own class."""
+    n = state.opinions.shape[0]
+    if n < _MIN_MERGED:
+        return None, state
+    classes = row_classes(state.opinions, scenario.partition.group_of)
+    if n - classes.reps.size < _MIN_MERGED:
+        return None, state
+    return classes, SystemState(state.t, state.opinions[classes.reps])
+
+
+@dataclass(eq=False)
 class Pairs:
     """Sorted int32 ``(rows, cols)`` neighbor pairs of a state, and the
     ``grouping`` that ``dynamics.step`` derives from them alone, filled in by
     the first step that uses them: each of its neighbor sets is a run of one
     row's cols within one group's id range (within its range of ranks by
-    (group, id) where explicit member lists interleave the groups). A
-    ``PairTracker`` hands out the same object for as long as its pairs hold,
-    so a grouping is never stale."""
+    (group, id) where explicit member lists interleave the groups). Where
+    ``classes`` is given, the pairs are those of the classes'
+    representatives, one row per class, and each class's sets expand to its
+    neighbor classes' members. A ``PairTracker`` hands out the same object
+    for as long as its pairs and classes hold, so a grouping is never
+    stale."""
 
     rows: np.ndarray
     cols: np.ndarray
     grouping: object = None
+    classes: Classes | None = None
 
 
 class PairTracker:
@@ -312,29 +410,35 @@ class PairTracker:
         # the bounds the rounding argument in _holds assumes
         self.usable = 2.0**-400 <= eps <= 2.0**400 and scenario.dimension <= 4096
         self.counts = {"searches": 0, "rebuilds": 0, "reuses": 0}
+        self._scenario = scenario
         self._ref = None
 
     def pairs(self, state: SystemState, moved: float) -> Pairs | None:
         """The pairs of ``state``, or None where the caller should search
         afresh. ``moved`` is the largest displacement of any agent in the
-        step that led to ``state`` (inf for the first state)."""
-        x = state.opinions
+        step that led to ``state`` (inf for the first state).
+
+        A list is built among the representatives of the state's classes
+        (``state_classes``) and keeps those classes while it holds: the
+        members of one have the same pairs as long as it does, whatever rows
+        they have moved to since."""
         if self._ref is not None:
-            if self._holds(x):
+            if self._holds(state.opinions):
                 self.counts["reuses"] += 1
                 return self._pairs
             self._ref = self._pairs = self._band = None
         if self.usable and moved <= _QUIET * self.skin:
-            self._rebuild(x)
+            self._rebuild(*state_classes(state, self._scenario))
             self.counts["rebuilds"] += 1
             return self._pairs
         self.counts["searches"] += 1
         return None
 
-    def _rebuild(self, x: np.ndarray) -> None:
-        """The pairs within eps, from the candidates within eps + skin, and the
-        band of candidates whose distance is within the skin of eps as ``(i,
-        j, gap)``, sorted by gap."""
+    def _rebuild(self, classes: Classes | None, reps: SystemState) -> None:
+        """The pairs of the representatives within eps, from the candidates
+        within eps + skin, and the band of candidates whose distance is
+        within the skin of eps as ``(i, j, gap)``, sorted by gap."""
+        x = reps.opinions
         xt = np.ascontiguousarray(x.T)
         pairs, band = [], []
         for r, c in neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach):
@@ -347,15 +451,16 @@ class PairTracker:
         i, j, gap = map(np.concatenate, zip(*band))
         order = np.argsort(gap, kind="stable")
         self._band = i[order], j[order], gap[order]
-        self._pairs = Pairs(*_joined(pairs))
+        self._pairs = Pairs(*_joined(pairs), classes=classes)
         self._ref = x
 
     def _holds(self, x: np.ndarray) -> bool:
-        """Whether the list's pairs are those of ``x``.
+        """Whether the list's pairs are those of ``x``, the agents' rows.
 
-        With D_i each agent's displacement since the rebuild and T the sum of
-        the two largest, the list holds while T + m <= skin, m = 2^-30 (eps +
-        skin), and no band pair has gap <= D_i + D_j + m.
+        With D_i the largest displacement since the rebuild of an agent of
+        row i and T the sum of the two largest, the list holds while T + m <=
+        skin, m = 2^-30 (eps + skin), and no band pair has gap <= D_i + D_j +
+        m.
         """
         # Exactness. Let u = 2^-53, d <= 4096 and 2^-400 <= eps <= 2^400.
         # A computed squared distance C of two points t apart, summed in any
@@ -378,13 +483,22 @@ class PairTracker:
         #   2^-528 < m / 2, so |t0 - eps| > E_i + E_j + m / 2. Then t0 and t1
         #   lie on one side of eps, more than m / 2 > k eps from it, and the
         #   verdict now is the one at the rebuild.
-        # * A pair i = j is always a pair.
+        # * A pair i = j is always a pair: two agents of one row are at most
+        #   2 T + m < eps apart now.
         # * A pair that was not a candidate has t0 > (eps + skin)(1 - k).
         #   With t1 >= t0 - (E_i + E_j) and T + m <= skin, up to the same
         #   rounding, t1 > eps + m / 2 > eps (1 + k): it is no pair now.
+        # Here a pair is of agents a and b of rows i and j, t0 the distance of
+        # the rows at the rebuild and E_i, E_j the exact displacements of a and
+        # b, each at most D_i, D_j up to the rounding above. So the agents of
+        # one row have the pairs of that row now.
+        of = None if self._pairs.classes is None else self._pairs.classes.of
         with np.errstate(over="ignore"):
-            delta = x - self._ref
+            delta = x - (self._ref if of is None else self._ref[of])
             moved = np.sqrt((delta * delta).sum(axis=1))
+        if of is not None:  # each row's largest
+            moved, each = np.zeros(len(self._ref)), moved
+            np.maximum.at(moved, of, each)
         top = max(moved.size - 2, 0)
         top = float(np.partition(moved, top)[top:].sum())
         if not top + self.margin <= self.skin:

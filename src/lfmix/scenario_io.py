@@ -13,7 +13,11 @@ recorded step. Metrics CSV: header ``t,group,metric,value`` with metrics
 
 Both files hold exactly what ``csv.writer`` writes (excel dialect, CRLF line
 ends). The trajectory writer quotes each group name once and writes a
-recorded state as one string, one row per agent.
+recorded state as one string, one row per agent. Agents whose opinion rows
+have the same bytes share one text: each state's ``row_classes`` is taken
+and each distinct row formatted once, so a run whose clusters have merged
+calls ``repr`` per cluster, not per agent. Keying by bytes keeps -0.0 and
+0.0, which ``repr`` tells apart, in different classes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 from .analysis import MetricsRow
 from .dynamics import Trajectory
 from .model import Scenario, build_scenario
+from .neighbors import row_classes
 
 
 def load_scenario(path) -> Scenario:
@@ -70,8 +75,9 @@ def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) ->
             if state.t % record_every and state.t != last:
                 continue
             t = str(state.t)
-            fh.write("".join([t + p + ",".join(map(repr, row)) + "\r\n"
-                              for p, row in zip(prefixes, state.opinions.tolist())]))
+            classes = row_classes(state.opinions)
+            texts = [",".join(map(repr, row)) + "\r\n" for row in state.opinions[classes.reps].tolist()]
+            fh.write("".join([t + p + texts[c] for p, c in zip(prefixes, classes.of.tolist())]))
 
 
 def write_metrics_csv(rows: list[MetricsRow], scenario: Scenario, path) -> None:

@@ -65,7 +65,8 @@ def test_simulate_horizon_zero_writes_n_rows(tmp_path):
     assert {rec["t"] for rec in rows} == {"0"}
     digest = json.loads((out / "run.json").read_text())["step_digest"]
     assert digest == {"min_weight": None, "max_sum_error": None,
-                      "neighbor_pairs": {"min": None, "max": None, "last": None}}
+                      "neighbor_pairs": {"min": None, "max": None, "last": None},
+                      "classes": {"first": None, "min": None, "last": None}}
 
 
 def test_simulate_missing_file_exits_2(tmp_path, capsys):
@@ -97,12 +98,25 @@ def test_simulate_demo_converges(tmp_path):
     assert 0.0 < payload["timings"]["update_s"] < payload["wall_time_seconds"]
     digests = run(build_scenario(demo_config())).step_digests
     pairs = [d.neighbor_pairs for d in digests]
+    classes = [d.classes for d in digests]
     assert payload["step_digest"] == {
         "min_weight": min(d.min_weight for d in digests),
         "max_sum_error": max(d.max_sum_error for d in digests),
         "neighbor_pairs": {"min": min(pairs), "max": max(pairs), "last": pairs[-1]},
+        "classes": {"first": classes[0], "min": min(classes), "last": classes[-1]},
     }
     assert payload["step_digest"]["min_weight"] == 0.5
+    assert payload["step_digest"]["classes"]["first"] == 2  # too few agents to merge: one class each
+
+
+def test_run_json_counts_the_classes_a_collapsing_run_summed(tmp_path):
+    # five followers whose opinions merge into one after the first step, and 65 that start merged
+    cfg = config(followers=70, epsilon=1.0, initial=[[0.0], [0.25], [0.5], [0.75], [1.0]] + [[3.0]] * 65,
+                 horizon=3)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    payload = json.loads((out / "run.json").read_text())
+    assert payload["step_digest"]["classes"] == {"first": 6, "min": 2, "last": 2}
 
 
 def test_simulate_does_not_import_scipy(tmp_path):
@@ -116,6 +130,31 @@ def test_simulate_does_not_import_scipy(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+def test_a_command_imports_no_numpy_module_while_it_runs(command, tmp_path):
+    # np.unique and np.union1d reach numpy.ma, whose import costs a fresh
+    # process about 20 ms; modules loaded with numpy itself (numpy.ma on
+    # numpy 1.24) are in sys.modules before main already
+    scenario = str(SCENARIOS / "consensus_demo.json")
+    argv = {
+        "simulate": ["simulate", "--scenario", scenario, "--out", "out"],
+        "check": ["check", "--scenario", scenario, "--report", "report.json"],
+        "sweep": ["sweep", "--scenario", scenario, "--vary", "epsilon=0.2:0.3:2", "--out", "sweep"],
+    }[command]
+    code = (
+        "import sys\n"
+        "from lfmix.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lfmix.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -589,6 +628,26 @@ def test_sweep_parameter_varied_twice_exits_2(tmp_path, capsys):
                  "--vary", "epsilon=0.5:0.6:2", "--out", str(tmp_path / "s")]) == 2
     assert "--vary epsilon given more than once" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_sweep_whose_first_point_is_invalid_leaves_no_directory(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=-1:-1:3", "--out", str(tmp_path / "s")]) == 2
+    assert "sweep point 0 is invalid" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_that_fails_midway_keeps_the_points_it_finished(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    out = tmp_path / "s"
+    # points at epsilon 0.5, -0.25 and -1: the second is invalid
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.5:-1:3", "--out", str(out)]) == 2
+    assert "sweep point 1 is invalid" in capsys.readouterr().err
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["point", "epsilon", "stop_reason", "converged", "steps", "final_max_distance"]
+    assert [row[:2] for row in rows[1:]] == [["0", "0.5"]]
+    assert sorted(p.name for p in out.iterdir()) == ["point_0000", "summary.csv"]
 
 
 def test_sweep_non_finite_bounds_exit_2(tmp_path, capsys):

@@ -19,9 +19,10 @@ from helpers import (
     scenario,
 )
 from lfmix import ScheduleViolation, build_scenario, compute_neighbors, load_scenario, run
-from lfmix import dynamics
+from lfmix import dynamics, neighbors
 from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
 from lfmix.errors import NonFiniteState
+from lfmix.neighbors import row_classes
 from lfmix.schedules import Constant
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -270,8 +271,20 @@ def test_step_equals_per_agent_references_bitwise(d):
         initial=[[-0.0] * d, [-0.0] * d, [0.0] * d, [0.0] * d, [-0.0] * d, [-0.0] * d, [0.0] * d],
         follower_betas=[constant(0.0), constant(-0.0)],
     ))
+    # collapsed states: opinions drawn from a few rows, 0.0, -0.0 and a mix of
+    # both among them, so that rows repeat within and across groups and their
+    # classes' members interleave; seeded-random degrees split the classes of
+    # equal leader rows again after a step
+    for pool in (4, 12):
+        cfg = dense_mixed_config(rng, d, 90, [10, 4, 15], epsilon=0.4 * np.sqrt(d), spread=1.0)
+        rows = rng.uniform(0.0, 1.0, size=(pool, d)).round(3)
+        rows[:3] = 0.0
+        rows[1] = -0.0
+        rows[2, 0] = -0.0
+        cfg["initial_opinions"]["explicit"] = rows[rng.integers(0, pool, size=119)].tolist()
+        cases += [build_scenario(cfg), build_scenario(regrouped(cfg, rng, "interleaved"))]
     sizes = []
-    unreachable = negative_zeros = 0
+    unreachable = negative_zeros = collapsed = splits = 0
     for sc in cases:
         state = sc.initial_state
         for t in range(3):
@@ -283,10 +296,34 @@ def test_step_equals_per_agent_references_bitwise(d):
             assert nxt.opinions.tobytes() == expected.tobytes()  # -0.0 too: trajectory.csv writes repr
             assert digest.neighbor_pairs == pairs
             negative_zeros += int((np.signbit(nxt.opinions) & (nxt.opinions == 0.0)).sum())
+            collapsed += digest.classes < sc.n_agents
+            group_of = sc.partition.group_of
+            splits += row_classes(nxt.opinions, group_of).reps.size > row_classes(state.opinions, group_of).reps.size
             state = nxt
     assert max(sizes) >= 129 and any(8 <= s < 129 for s in sizes)
     assert unreachable > 0 and negative_zeros > 0
     assert sum(sc.partition.ranges[0] is not None for sc in cases) >= 4  # the interleaved ones take the relabel
+    assert collapsed >= 4 and splits >= 4
+
+
+def test_step_is_exact_when_hash_ties_split_classes(monkeypatch):
+    # with a zero multiplier every row hashes alike, so the classes are the
+    # runs of equal rows in id order: equal rows need not share a class
+    monkeypatch.setattr(neighbors, "_MIX", np.uint64(0))
+    rng = np.random.default_rng(12)
+    cfg = dense_mixed_config(rng, 2, 100, [30, 20], epsilon=0.6, spread=1.0)
+    rows = rng.uniform(0.0, 1.0, size=(3, 2)).round(2)
+    # runs of 20 agents on rows 0, 1, 0, 2, 1, 0, 2, 1
+    cfg["initial_opinions"]["explicit"] = rows[np.repeat([0, 1, 0, 2, 1, 0, 2, 1], 20) [:150]].tolist()
+    sc = build_scenario(cfg)
+    state = sc.initial_state
+    classes = row_classes(state.opinions, sc.partition.group_of)
+    assert 7 < classes.reps.size < 15  # split, yet far fewer than the agents
+    for t in range(3):
+        nxt, digest = step(state, sc, t)
+        expected, pairs = reference_step(state, sc, t)
+        assert nxt.opinions.tobytes() == expected.tobytes() and digest.neighbor_pairs == pairs
+        state = nxt
 
 
 def test_grouping_equals_mask_oracle():
@@ -487,10 +524,21 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
     listed = []
 
     def checking_step(state, sc, t, *, fault=None, pairs=None):
+        # the pairs are over classes of agents of one group, which a fresh
+        # search takes from equal rows and a held list keeps from its
+        # rebuild: two agents are neighbors when their classes are
         rows, cols = compute_neighbors(state, sc)
         assert pairs.rows.dtype == pairs.cols.dtype == np.int32
-        assert np.array_equal(pairs.rows, rows) and np.array_equal(pairs.cols, cols)
-        listed.append(t)
+        of = np.arange(sc.n_agents) if pairs.classes is None else pairs.classes.of
+        reps = np.arange(sc.n_agents) if pairs.classes is None else pairs.classes.reps
+        group_of = sc.partition.group_of
+        assert np.array_equal(group_of[reps][of], group_of)
+        linked = np.zeros((reps.size, reps.size), dtype=bool)
+        linked[pairs.rows, pairs.cols] = True
+        expected = np.zeros((sc.n_agents, sc.n_agents), dtype=bool)
+        expected[rows, cols] = True
+        assert np.array_equal(linked[np.ix_(of, of)], expected)
+        listed.append(reps.size < sc.n_agents)
         return real_step(state, sc, t, fault=fault, pairs=pairs)
 
     monkeypatch.setattr(dynamics, "step", checking_step)
@@ -502,6 +550,7 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
             counts[key] += value
     # run hands every step its pairs, from the list or from a fresh search
     assert len(listed) == counts["searches"] + counts["rebuilds"] + counts["reuses"]
+    assert sum(listed) >= 200  # steps that ran on fewer classes than agents
     # the lists were built and reused
     assert counts["rebuilds"] >= 5 and counts["reuses"] >= 100
 

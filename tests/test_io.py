@@ -200,3 +200,20 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, horizon, record_every):
     with open(tmp_path / "fast.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert {rec["group"] for rec in rows} == set(AWKWARD_NAMES)
+
+
+def test_trajectory_csv_of_repeated_rows_matches_per_row_repr(tmp_path):
+    # rows that repeat within and across groups, and rows equal in value but
+    # not in bytes: 0.0 and -0.0, which repr tells apart
+    sc = build_scenario(config(dimension=2, followers=4, leader_groups=[("brand", 3, [0.0, 0.0], constant(0.5))],
+                               follower_betas=[constant(0.5)], horizon=2))
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.5, 0.25], [0.0, 1.0], [-0.0, 1.0], [0.5, 0.25]])
+    states = [SystemState(0, rows), SystemState(1, rows[::-1]), SystemState(2, np.zeros((7, 2)) * [1.0, -1.0])]
+    traj = Trajectory(sc, tuple(states), "horizon", (), None, None)
+    write_trajectory_csv(traj, tmp_path / "fast.csv")
+    trajectory_csv_oracle(traj, tmp_path / "oracle.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "oracle.csv").read_bytes()
+    for row in (b"0,0,crowd,0.0,1.0\r\n", b"0,1,crowd,-0.0,1.0\r\n", b"0,2,crowd,0.0,-0.0\r\n",
+                b"2,6,brand,0.0,-0.0\r\n"):
+        assert row in fast

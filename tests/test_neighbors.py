@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
 from lfmix import SystemState, build_scenario, compute_neighbors, neighbors_naive
 from lfmix import neighbors
-from lfmix.neighbors import PairTracker
+from lfmix.neighbors import PairTracker, row_classes
 
 
 def pair_list(rows, cols):
@@ -399,3 +399,50 @@ def test_pair_list_falls_back_to_fresh_search():
     # where the rounding argument's bounds do not hold, every state is searched afresh
     tiny = follower_only([[0.0], [1e-125]], 1e-124)
     assert PairTracker(tiny).pairs(tiny.initial_state, 0.0) is None
+
+
+def test_row_classes_key_rows_by_bytes_and_label():
+    # rows drawn from a few, 0.0 and -0.0 among them; a class is numbered by
+    # its smallest member, which is the order of first occurrence
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n, d = int(rng.integers(1, 80)), int(rng.integers(1, 5))
+        pool = rng.integers(-2, 3, size=(6, d)) * 0.5
+        pool[rng.random(pool.shape) < 0.3] = -0.0
+        x = pool[rng.integers(0, 6, size=n)]
+        labels = rng.integers(0, 3, size=n) if trial % 2 else None
+        seen = {}
+        expected = [seen.setdefault((x[i].tobytes(), None if labels is None else int(labels[i])), len(seen))
+                    for i in range(n)]
+        classes = row_classes(x, labels)
+        assert classes.of.tolist() == expected
+        assert classes.reps.tolist() == [expected.index(c) for c in range(len(seen))]
+        for c in range(len(seen)):
+            run = classes.members[classes.first[c]:classes.first[c] + classes.size[c]]
+            assert run.tolist() == np.flatnonzero(classes.of == c).tolist()
+
+
+def test_pair_list_keeps_its_classes_while_their_members_part():
+    # 70 followers on one row and one at 1.1, outside epsilon 1 but within
+    # the skin of it. Agent 69 then leaves its row toward agent 70: by 0.01
+    # the list still holds, and by 0.12 it must drop, though the row's
+    # smallest member has not moved
+    start = [[0.0]] * 70 + [[1.1]]
+    sc = follower_only(start, 1.0)
+    tracker = PairTracker(sc)
+    held = tracker.pairs(sc.initial_state, 0.0)
+    assert held.classes.reps.tolist() == [0, 70]
+    for t, (x69, kept) in enumerate([(0.01, True), (0.12, False)], start=1):
+        x = np.array(start)
+        x[69] = x69
+        state = SystemState(t, x)
+        pairs = tracker.pairs(state, x69)
+        assert (pairs is held) == kept
+        rows, cols = compute_neighbors(state, sc)
+        assert ((rows == 69) & (cols == 70)).any() == (not kept)
+        if kept:  # two agents are neighbors when their classes are
+            of = held.classes.of
+            linked = np.zeros((2, 2), dtype=bool)
+            linked[held.rows, held.cols] = True
+            assert pair_list(*np.nonzero(linked[np.ix_(of, of)])) == pair_list(rows, cols)
+    assert tracker.counts == {"searches": 1, "rebuilds": 1, "reuses": 1}
