@@ -596,12 +596,10 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     weights = tail[-1] / total[:, None]
 
     t_star = delta = center_group = None
+    target_reach = [float(distances_to(scenario.targets, target).max()) for target in scenario.targets]
     for t, state in enumerate(trajectory.states):
         for j in range(1, m + 1):
-            r = max(
-                float(distances_to(state.opinions, scenario.target(j)).max()),
-                float(distances_to(scenario.targets, scenario.target(j)).max()),
-            )
+            r = max(float(distances_to(state.opinions, scenario.target(j)).max()), target_reach[j - 1])
             if r < scenario.epsilon:
                 t_star, delta, center_group = t, r, j
                 break

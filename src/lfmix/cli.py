@@ -80,10 +80,11 @@ def _load(path: str, seed: int | None) -> Scenario | None:
             print(f"  {issue}", file=sys.stderr)
         return None
     if seed is not None:
-        canon = copy.deepcopy(scenario.canonical)
-        if "random" in canon["initial_opinions"]:
-            canon["initial_opinions"]["random"]["seed"] = seed
-            scenario = build_scenario(canon)
+        initial = scenario.canonical["initial_opinions"]
+        if "random" in initial:
+            # a new dict on the path to the seed; the rest, member lists too, is shared and left as it is
+            random = dict(initial["random"], seed=seed)
+            scenario = build_scenario({**scenario.canonical, "initial_opinions": {**initial, "random": random}})
         else:
             _err("--seed ignored: scenario has explicit initial opinions")
     return scenario

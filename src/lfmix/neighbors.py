@@ -44,18 +44,20 @@
   ``Pairs`` object, which carries ``dynamics.step``'s grouping of them,
   however the rows merge or split meanwhile.
 
-Sorted ``(rows, cols)`` pairs are the only neighbor format; an agent's set
-is the cols of its rows, split by group where a caller needs that. All
-keep a pair by one test, ``_within``, past the scan's screen, which decides
-only the pairs it can prove: the verdict is that of the reference
-``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so the
-boundary rule (distance exactly epsilon counts) is the same everywhere.
-``_within`` adds the squared coordinate differences column by column, a
-few whole-array numpy calls, and re-tests with the reference expression
-only the pairs whose sum lies within a rounding slack of epsilon**2, where
-numpy's summation order could decide the verdict. The scenario's
-``neighbor_strategy`` and ``grid_dim_cap`` are validated and kept in
-canonical files but select nothing: the output is exact either way.
+Sorted int32 ``(rows, cols)`` pairs are the only neighbor format: every
+search, ``_scan`` and ``neighbors_grid`` too, joins its blocks of rows into
+one such pair before it returns, and the pair tracker filters that one
+array. An agent's set is the cols of its rows, split by group where a
+caller needs that. All keep a pair by one test, ``_within``, past the
+scan's screen, which decides only the pairs it can prove: the verdict is
+that of the reference ``(diff * diff).sum(axis=-1) <= epsilon**2`` for
+every pair, so the boundary rule (distance exactly epsilon counts) is the
+same everywhere. ``_within`` adds the squared coordinate differences column
+by column, a few whole-array numpy calls, and re-tests with the reference
+expression only the pairs whose sum lies within a rounding slack of
+epsilon**2, where numpy's summation order could decide the verdict. The
+scenario's ``neighbor_strategy`` and ``grid_dim_cap`` are validated and
+kept in canonical files but select nothing: the output is exact either way.
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ def _screen(q: np.ndarray, base: np.ndarray, sigma: np.ndarray) -> tuple[np.ndar
     return keep, band
 
 
-def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every agent against all agents, one ``(rows, cols)`` part per block of
-    rows, each part sorted by (row, col).
+def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent against all agents: the pairs within ``eps`` as int32
+    ``(rows, cols)`` sorted by (row, col), joined from one block of rows at
+    a time.
 
     A block is screened by one matrix product, whose entries are the
     squared distances up to a per-row term; only the pairs that this
@@ -206,7 +209,7 @@ def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     # rounding, so that a test can move every q by up to sigma_i and find
     # the same pairs: the verdicts rest on this bound, not on how small the
     # rounding of this machine's BLAS happens to be.
-    parts = []
+    rows, cols = [], []
     block = max(1, _SCAN_FLOATS // n)  # each tile is (block, n)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", x, x)
@@ -217,20 +220,15 @@ def _scan(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
         sigma = 4 * (d + 2) * 2.0**-53 * (norms + (top + eps2)) + (d + 1) * 2.0**-1071
         if not (top <= 2.0**1020 and eps2 <= 2.0**1020 and d <= 2**20):
             sigma[:] = math.nan
-        cols = np.tile(ids, min(block, n))  # a full tile's cols, row after row
+        tiled = np.tile(ids, min(block, n))  # a full tile's cols, row after row
         for start in range(0, n, block):
             tile = slice(start, start + block)
             keep, band = _screen(left[tile] @ right.T, base[tile], sigma[tile])
             if band.any():
                 i, j = np.nonzero(band)
                 keep[i, j] = _within(x, xt, i + start, j, eps2)
-            parts.append((np.repeat(ids[tile], np.count_nonzero(keep, axis=1)),
-                          np.compress(keep.ravel(), cols[:keep.size])))
-    return parts
-
-
-def _joined(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = zip(*parts)
+            rows.append(np.repeat(ids[tile], np.count_nonzero(keep, axis=1)))
+            cols.append(np.compress(keep.ravel(), tiled[:keep.size]))
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -243,19 +241,20 @@ def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray,
     """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row,
     col), from a scan of every agent against all agents, a block of rows at
     a time."""
-    return _joined(_scan(state.opinions, scenario.epsilon))
+    return _scan(state.opinions, scenario.epsilon)
 
 
 def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
     if not _uses_grid(state.opinions):
         return neighbors_naive(state, scenario)
-    return _joined(neighbors_grid(state.opinions, scenario.epsilon))
+    return neighbors_grid(state.opinions, scenario.epsilon)
 
 
-def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every agent against the agents in the 3^d cells around its own, one
-    ``(rows, cols)`` part per block of rows; ``compute_neighbors`` joins them.
+def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent against the agents in the 3^d cells around its own: the
+    pairs within ``eps`` as int32 ``(rows, cols)`` sorted by (row, col),
+    joined from one block of rows at a time.
 
     A cell is keyed by its mixed-radix index taken modulo 2^64, so the key of
     a neighboring cell is the agent's key plus a fixed offset. Keys can only
@@ -278,7 +277,7 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
 
     order = np.argsort(keys, kind="stable").astype(np.int32)  # agents by cell, ascending id within a cell
     cell_keys, first, size = np.unique(keys[order], return_index=True, return_counts=True)
-    parts = []
+    found_rows, found_cols = [], []
     for start in range(0, n, _CHUNK):
         block = np.arange(start, min(start + _CHUNK, n), dtype=np.int32)
         wanted = (keys[block, None] + offsets).ravel()
@@ -294,8 +293,9 @@ def neighbors_grid(x: np.ndarray, eps: float) -> list[tuple[np.ndarray, np.ndarr
         keep = _within(x, xt, rows, cols, eps2)
         pairs = (rows[keep].astype(np.int64) << 32) | cols[keep]
         pairs.sort(kind="stable")  # the runs from each cell are already ascending
-        parts.append(((pairs >> 32).astype(np.int32), (pairs & 0xFFFFFFFF).astype(np.int32)))
-    return parts
+        found_rows.append((pairs >> 32).astype(np.int32))
+        found_cols.append((pairs & 0xFFFFFFFF).astype(np.int32))
+    return np.concatenate(found_rows), np.concatenate(found_cols)
 
 
 @dataclass(eq=False)
@@ -320,8 +320,8 @@ def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
 
     Each row gets a key: the high bits of a hash of its words and label, and
     its id in the low bits. In key order the members of a class are adjacent
-    and ascending, and a class is a run of equal rows and labels; only rows
-    whose hashes tie are compared. Two rows whose hashes tie but differ can
+    and ascending, and a class starts wherever a row's bytes or label differ
+    from the previous row's. Two rows whose hashes tie but differ can
     interleave and split each other's class in two, whose rows are still
     equal: the classes are exact.
     """
@@ -338,17 +338,13 @@ def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
     h |= np.arange(n, dtype=np.uint64)
     h.sort()
     order = (h & ((1 << low) - 1)).astype(np.int32)
-    h >>= low
-    start = np.empty(n, dtype=bool)  # where a class starts: a new hash, or a tie whose row or label differs
+    ranked = bits[order]
+    start = np.empty(n, dtype=bool)  # where a class starts: a row or label unlike the previous one's
     start[:1] = True
-    np.not_equal(h[1:], h[:-1], out=start[1:])
-    tied = np.flatnonzero(~start)
-    if tied.size:
-        i, j = order[tied], order[tied - 1]
-        differ = (bits[i] != bits[j]).any(axis=1)
-        if labels is not None:
-            differ |= labels[i] != labels[j]
-        start[tied] = differ
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=start[1:])
+    if labels is not None:
+        tags = labels[order]
+        start[1:] |= tags[1:] != tags[:-1]
     first = np.flatnonzero(start).astype(np.int32)
     size = np.diff(first, append=n)
     lead = np.zeros(n, dtype=bool)  # the smallest member of each class
@@ -435,23 +431,20 @@ class PairTracker:
         return None
 
     def _rebuild(self, classes: Classes | None, reps: SystemState) -> None:
-        """The pairs of the representatives within eps, from the candidates
-        within eps + skin, and the band of candidates whose distance is
-        within the skin of eps as ``(i, j, gap)``, sorted by gap."""
+        """The pairs of the representatives within eps and the band, the
+        candidates whose distance is within the skin of eps, as ``(i, j,
+        gap)`` stably sorted by gap: both in one pass over the candidates
+        within eps + skin."""
         x = reps.opinions
         xt = np.ascontiguousarray(x.T)
-        pairs, band = [], []
-        for r, c in neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach):
-            total = _column_sums(xt, r, c)
-            keep = _within(x, xt, r, c, self.eps2, total)
-            pairs.append((r, c) if keep.all() else (r[keep], c[keep]))  # no copy of a part that is all pairs
-            gap = np.abs(np.sqrt(total) - self.eps)
-            near = gap <= self.skin
-            band.append((r[near], c[near], gap[near]))
-        i, j, gap = map(np.concatenate, zip(*band))
-        order = np.argsort(gap, kind="stable")
-        self._band = i[order], j[order], gap[order]
-        self._pairs = Pairs(*_joined(pairs), classes=classes)
+        rows, cols = neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach)
+        total = _column_sums(xt, rows, cols)
+        keep = _within(x, xt, rows, cols, self.eps2, total)
+        gap = np.abs(np.sqrt(total) - self.eps)
+        near = np.flatnonzero(gap <= self.skin)
+        near = near[np.argsort(gap[near], kind="stable")]
+        self._band = rows[near], cols[near], gap[near]
+        self._pairs = Pairs(rows[keep], cols[keep], classes=classes)
         self._ref = x
 
     def _holds(self, x: np.ndarray) -> bool:

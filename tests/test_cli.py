@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, and file outputs."""
 
+import copy
 import csv
 import json
 import os
@@ -13,9 +14,10 @@ import pytest
 
 import lfmix
 from helpers import config, constant, run_in_child
-from lfmix import build_scenario, run
+from lfmix import build_scenario, cli, run
 from lfmix.cli import main
 from lfmix.errors import ScheduleViolation
+from lfmix.scenario_io import load_scenario
 from lfmix.seeding import derive_key
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -339,6 +341,46 @@ def test_run_json_records_no_seed_when_it_is_ignored(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", "7"]) == 0
     assert "--seed ignored" in capsys.readouterr().err
     assert json.loads((out / "run.json").read_text())["seed"] is None
+
+
+def test_seed_override_of_a_file_whose_own_seed_is_invalid_exits_2(tmp_path, capsys):
+    cfg = config(
+        followers=6,
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 1.5},
+        epsilon=0.2,
+        horizon=0,
+    )
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", "7"]) == 2
+    assert "needs an integer 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_override_leaves_the_loaded_canonical_unmutated(tmp_path, monkeypatch):
+    loaded = []
+
+    def load_and_keep(path):
+        scenario = load_scenario(path)
+        loaded.append((scenario, copy.deepcopy(scenario.canonical)))
+        return scenario
+
+    monkeypatch.setattr(cli, "load_scenario", load_and_keep)
+    cfg = config(
+        dimension=2,
+        followers=8,
+        leader_groups=[("brand", 3, [0.5, 0.5], constant(0.5))],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 1},
+        follower_betas=[constant(0.5)],
+        epsilon=0.2,
+        horizon=0,
+    )
+    seeded = cli._load(str(write_config(tmp_path, cfg)), 9)
+    [(first, before)] = loaded
+    assert first.canonical == before and before["initial_opinions"]["random"]["seed"] == 1
+    before["initial_opinions"]["random"]["seed"] = 9
+    assert seeded.canonical == before
+    assert not np.array_equal(seeded.initial_state.opinions, first.initial_state.opinions)
 
 
 # ---------------------------------------------------------------------------

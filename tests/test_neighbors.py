@@ -1,6 +1,7 @@
 """Neighbor search: the exact reference, the engine's pair search against it
 on both sides of its grid/scan choice, and the pair list a run keeps."""
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -401,25 +402,66 @@ def test_pair_list_falls_back_to_fresh_search():
     assert PairTracker(tiny).pairs(tiny.initial_state, 0.0) is None
 
 
-def test_row_classes_key_rows_by_bytes_and_label():
+def classes_oracle(x, labels, every_hash_ties):
+    """Each row's class, numbered by its smallest member: the rows of one
+    label and bytes, grouped in a dict. Where every hash ties, the key order
+    is id order, and a class is a run of such rows in it."""
+    seen, runs, last = {}, 0, None
+    of = []
+    for i in range(x.shape[0]):
+        key = (None if labels is None else int(labels[i]), x[i].tobytes())
+        runs += key != last
+        last = key
+        of.append(seen.setdefault((runs, key) if every_hash_ties else key, len(seen)))
+    return of
+
+
+def test_row_classes_key_rows_by_bytes_and_label(monkeypatch):
     # rows drawn from a few, 0.0 and -0.0 among them; a class is numbered by
-    # its smallest member, which is the order of first occurrence
-    rng = np.random.default_rng(5)
-    for trial in range(60):
-        n, d = int(rng.integers(1, 80)), int(rng.integers(1, 5))
-        pool = rng.integers(-2, 3, size=(6, d)) * 0.5
-        pool[rng.random(pool.shape) < 0.3] = -0.0
-        x = pool[rng.integers(0, 6, size=n)]
-        labels = rng.integers(0, 3, size=n) if trial % 2 else None
-        seen = {}
-        expected = [seen.setdefault((x[i].tobytes(), None if labels is None else int(labels[i])), len(seen))
-                    for i in range(n)]
-        classes = row_classes(x, labels)
-        assert classes.of.tolist() == expected
-        assert classes.reps.tolist() == [expected.index(c) for c in range(len(seen))]
-        for c in range(len(seen)):
-            run = classes.members[classes.first[c]:classes.first[c] + classes.size[c]]
-            assert run.tolist() == np.flatnonzero(classes.of == c).tolist()
+    # its smallest member, which is the order of first occurrence. Then once
+    # more with a zero multiplier, under which every row hashes alike
+    for every_hash_ties in (False, True):
+        if every_hash_ties:
+            monkeypatch.setattr(neighbors, "_MIX", np.uint64(0))
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 300)), int(rng.integers(1, 5))
+            pool = rng.integers(-2, 3, size=(6, d)) * 0.5
+            pool[rng.random(pool.shape) < 0.3] = -0.0
+            x = pool[rng.integers(0, 6, size=n)]
+            labels = rng.integers(0, 3, size=n) if trial % 2 else None
+            expected = classes_oracle(x, labels, every_hash_ties)
+            classes = row_classes(x, labels)
+            assert classes.of.tolist() == expected
+            assert classes.reps.tolist() == [expected.index(c) for c in range(max(expected) + 1)]
+            for c in range(max(expected) + 1):
+                run = classes.members[classes.first[c]:classes.first[c] + classes.size[c]]
+                assert run.tolist() == [i for i, k in enumerate(expected) if k == c]
+
+
+@pytest.mark.parametrize("n, d, pool", [(40, 2, None), (150, 3, None), (150, 7, None), (300, 2, 100), (200, 7, 20)])
+def test_rebuilt_pair_list_equals_a_search_and_a_per_pair_band(n, d, pool):
+    # every agent its own class (N < 64 and N >= 64, d <= 6 and d = 7), and
+    # classes whose representatives take the grid (100 rows in 2-D) or the scan
+    rng = np.random.default_rng(n + d)
+    x = rng.uniform(0.0, 1.0, size=(n if pool is None else pool, d))
+    if pool is not None:
+        x = x[rng.integers(0, pool, size=n)]
+    sc = follower_only(x.tolist(), 0.3 * math.sqrt(d), d=d)
+    tracker = PairTracker(sc)
+    held = tracker.pairs(sc.initial_state, 0.0)
+    assert (held.classes is None) == (pool is None)
+    reps = sc.initial_state if held.classes is None else SystemState(0, x[held.classes.reps])
+    assert pair_list(held.rows, held.cols) == pair_list(*compute_neighbors(reps, sc))
+    assert held.rows.dtype == held.cols.dtype == np.int32
+    y = reps.opinions
+    candidates = pair_list(*neighbors_naive(reps, dataclasses.replace(sc, epsilon=tracker.reach)))
+    gaps = [abs(math.sqrt(float(((y[i] - y[j]) * (y[i] - y[j])).sum())) - tracker.eps) for i, j in candidates]
+    band = sorted(((gap, i, j) for (i, j), gap in zip(candidates, gaps) if gap <= tracker.skin),
+                  key=lambda entry: entry[0])
+    i, j, gap = tracker._band
+    assert list(zip(gap.tolist(), i.tolist(), j.tolist())) == band
+    assert len(band) > 0
 
 
 def test_pair_list_keeps_its_classes_while_their_members_part():
