@@ -103,7 +103,11 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
     gamma, delta = analysis.measured_degree_bounds(series)
     digests = trajectory.step_digests
     pairs = [d.neighbor_pairs for d in digests]
-    classes = [d.classes for d in digests]
+
+    def first_min_last(values):
+        return {"first": values[0] if values else None, "min": min(values, default=None),
+                "last": values[-1] if values else None}
+
     payload = {
         "timings": timings,
         "step_digest": {
@@ -115,11 +119,9 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
                 "last": pairs[-1] if pairs else None,
             },
             # the (opinion bytes, group) classes whose sets each step summed, at most N
-            "classes": {
-                "first": classes[0] if classes else None,
-                "min": min(classes, default=None),
-                "last": classes[-1] if classes else None,
-            },
+            "classes": first_min_last([d.classes for d in digests]),
+            # the sets each step gathered and summed, after the full sets' copies
+            "summed_sets": first_min_last([d.summed_sets for d in digests]),
         },
         # how the steps got their neighbor pairs: fresh searches, pair-list rebuilds
         # and reuses, and the seconds that took

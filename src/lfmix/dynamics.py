@@ -29,15 +29,19 @@ ids, as member counts make them, so each set is one run of its row's cols,
 found by counting the row's cols below each group bound. Where explicit
 member lists interleave the groups, the cols of each row are first put in
 (group, id) order, by the agents' ranks in that order
-(``Partition.ranges``), and the runs are found the same way. One pass sums
-every set, all sets of one size together, into (1 + m, C, d) means, which
-each agent reads at its class; one (1 + m, N) weight matrix, row 0 the own
-weight and rows 1..m the masked betas, mixes them per agent, and its
-reductions over axis 0 give the ``StepDigest``. Degrees come from one query
-per schedule block; no per-agent object is built. The grouping of the pairs
-into sets (sizes and gather indices) depends on the pairs and the class map
-alone, so it is kept on the ``Pairs`` object for as long as a run's
-``PairTracker`` hands that object out.
+(``Partition.ranges``), and the runs are found the same way. A set whose
+size is its group's member count is full: it holds the whole group, so its
+ids are the group's in ascending order, as in a consensus, where every set
+of a group is full. Only the first full set of each group is summed, and
+the others copy its sum. One pass sums every other set, all sets of one
+size together, into (1 + m, C, d) means, which each agent reads at its
+class; one (1 + m, N) weight matrix, row 0 the own weight and rows 1..m the
+masked betas, mixes them per agent, and its reductions over axis 0 give
+the ``StepDigest``. Degrees come from one query per schedule block; no
+per-agent object is built. The grouping of the pairs into sets (sizes,
+gather indices and copies) depends on the pairs and the class map alone, so
+it is kept on the ``Pairs`` object for as long as a run's ``PairTracker``
+hands that object out.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
@@ -48,6 +52,10 @@ sum adds rows left to right for d >= 2, which a reduction over axis 0 of
 the sets of one size laid out as (size, sets, d) repeats; for d = 1 it is a
 1-D sum, which numpy adds pairwise, and the sets are laid out as
 (sets, size) and reduced along axis 1, which numpy also adds pairwise.
+Either way a set's sum does not depend on the block it is gathered in or
+on the other sets there, and a full set's copy rests on the same fact: the
+full sets of one group have the same ids in the same order, so each has
+the sum of the first, bit for bit.
 """
 
 from __future__ import annotations
@@ -86,6 +94,7 @@ class StepDigest:
     max_sum_error: float
     neighbor_pairs: int
     classes: int  # the (row, group) classes whose sets the step summed
+    summed_sets: int  # the sets it gathered and summed; the others were empty or copied a full set's sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +167,20 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
 
 def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
     """The sizes of all (1 + m)·R sets, laid out as the module docstring says
-    with R rows, each set's ids ascending; and the gather index of each
-    block of equal-size sets: (sets, their cols laid out as (size, sets) for
-    d >= 2 and as (sets, size) for d = 1). Row r is agent ``reps[r]``'s,
-    or agent r's where ``reps`` is None; the cols are agent ids.
+    with R rows, each set's ids ascending; the gather index of each block of
+    equal-size sets that are summed: (sets, their cols laid out as (size,
+    sets) for d >= 2 and as (sets, size) for d = 1); and the copies
+    ``(target, source)``, the full sets that take the sum of their group's
+    first full set. Row r is agent ``reps[r]``'s, or agent r's where
+    ``reps`` is None; the cols are agent ids.
 
     Each set is the run of its row's cols whose keys lie in its group's
     range of ``Partition.ranges``: the cols themselves, or, for interleaved
     groups, their ranks by (group, id), with each row's cols sorted by rank
     first. Its first pair and size come from per-row counts of the keys
-    below each group bound; the blocks gather from those cols directly.
+    below each group bound; the blocks gather from those cols directly. A
+    set is full when its size is its group's member count, the width of its
+    range: its ids are then all of the group's.
     """
     n = scenario.n_agents
     group_of = scenario.partition.group_of
@@ -202,10 +215,20 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     # an agent's own set is its group's run; a leader's runs of other groups are not used
     first = (starts[:-1] + np.vstack((own, low[1:]))).ravel()
     size = np.vstack((high[group_of, each] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
-    index = np.empty(size.sum(), dtype=cols.dtype)  # the sets' cols block by block, one allocation for all blocks
-    blocks, end = [], 0
+    # the first full set of each group is gathered, and the others copy its sum
+    gathered = size > 0
+    members = bounds[:, 1] - bounds[:, 0]  # each group's count
+    full = np.flatnonzero(gathered & (size == np.concatenate((members[group_of], np.repeat(members[1:], r)))))
+    group = np.where(full < r, group_of[full % r], full // r)
+    _, firsts, which = np.unique(group, return_index=True, return_inverse=True)
+    source = full[firsts][which]
+    copied = source != full
+    copies = full[copied], source[copied]
+    gathered[copies[0]] = False
     by_size = np.argsort(size, kind="stable")  # the sets of each size ascending, the sizes ascending
-    by_size = by_size[size[by_size] > 0]
+    by_size = by_size[gathered[by_size]]
+    index = np.empty(size[by_size].sum(), dtype=cols.dtype)  # the gathered sets' cols block by block, one allocation
+    blocks, end = [], 0
     cuts = np.flatnonzero(np.diff(size[by_size])) + 1
     for sets in np.split(by_size, cuts):
         k = int(size[sets[0]])
@@ -216,7 +239,7 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
             np.take(cols, at, out=view)
             blocks.append((part, view))
             end += at.size
-    return size, blocks
+    return size, blocks, copies
 
 
 def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -263,17 +286,19 @@ def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
     empty set.
 
     A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
-    sets of one size together from one ``np.take`` gather, whose layout
-    makes the reduction add in numpy's per-set order (see the module
-    docstring).
+    gathered sets of one size together from one ``np.take`` gather, whose
+    layout makes the reduction add in numpy's per-set order (see the module
+    docstring). After the blocks, each copied full set takes its source's
+    sum in one assignment: the same ids in the same order.
     """
-    size, blocks = grouping
+    size, blocks, (target, source) = grouping
     sums = np.zeros((size.size, x.shape[1]))
     for part, index in blocks:
         if x.shape[1] == 1:
             sums[part, 0] = np.take(x[:, 0], index).sum(axis=1)
         else:
             sums[part] = np.take(x, index, axis=0).sum(axis=0)
+    sums[target] = sums[source]
     sums /= np.maximum(size, 1)[:, None]
     if shift:
         sums += shift
@@ -323,6 +348,7 @@ def step(
     means = _set_means(x, pairs.grouping, shift).reshape(1 + scenario.m, -1, x.shape[1])
     size = pairs.grouping[0].reshape(means.shape[:2])
     summed = size.shape[1]
+    summed_sets = sum(part.size for part, _ in pairs.grouping[1])
     if classes is not None:  # each agent mixes its class's means
         means, size = means[:, classes.of], size[:, classes.of]
 
@@ -343,7 +369,8 @@ def step(
     sum_w = beta_sums((each * size).T) + w_target
     min_w = min(each[w > 0.0].min(initial=math.inf), w_target[w_target > 0.0].min(initial=math.inf))
     counted = int(size[0].sum() + size[1:][w[1:] != 0.0].sum())  # the own set always counts
-    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, summed)
+    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, summed,
+                        summed_sets)
     return SystemState(t + 1, new), digest
 
 

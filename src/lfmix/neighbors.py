@@ -153,8 +153,9 @@ def _screen(q: np.ndarray, base: np.ndarray, sigma: np.ndarray) -> tuple[np.ndar
 
 def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Every agent against all agents: the pairs within ``eps`` as int32
-    ``(rows, cols)`` sorted by (row, col), joined from one block of rows at
-    a time.
+    ``(rows, cols)`` sorted by (row, col), found one block of rows at a
+    time. Each block records its rows' pair counts and its cols; the rows
+    are built once from all the counts, and the blocks' cols are joined.
 
     A block is screened by one matrix product, whose entries are the
     squared distances up to a per-row term; only the pairs that this
@@ -209,7 +210,7 @@ def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # rounding, so that a test can move every q by up to sigma_i and find
     # the same pairs: the verdicts rest on this bound, not on how small the
     # rounding of this machine's BLAS happens to be.
-    rows, cols = [], []
+    counts, cols = np.empty(n, dtype=np.intp), []  # each row's pairs, and each tile's cols
     block = max(1, _SCAN_FLOATS // n)  # each tile is (block, n)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", x, x)
@@ -227,9 +228,9 @@ def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
             if band.any():
                 i, j = np.nonzero(band)
                 keep[i, j] = _within(x, xt, i + start, j, eps2)
-            rows.append(np.repeat(ids[tile], np.count_nonzero(keep, axis=1)))
+            counts[tile] = np.count_nonzero(keep, axis=1)
             cols.append(np.compress(keep.ravel(), tiled[:keep.size]))
-    return np.concatenate(rows), np.concatenate(cols)
+    return np.repeat(ids, counts), np.concatenate(cols)
 
 
 def _uses_grid(x: np.ndarray) -> bool:
@@ -376,8 +377,9 @@ class Pairs:
     ``grouping`` that ``dynamics.step`` derives from them alone, filled in by
     the first step that uses them: each of its neighbor sets is a run of one
     row's cols within one group's id range (within its range of ranks by
-    (group, id) where explicit member lists interleave the groups). Where
-    ``classes`` is given, the pairs are those of the classes'
+    (group, id) where explicit member lists interleave the groups), and a
+    set that holds its whole group is a copy of the first such set of that
+    group. Where ``classes`` is given, the pairs are those of the classes'
     representatives, one row per class, and each class's sets expand to its
     neighbor classes' members. A ``PairTracker`` hands out the same object
     for as long as its pairs and classes hold, so a grouping is never

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 import lfmix
-from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, neighbors_naive
+from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, dynamics, neighbors_naive
 from lfmix.analysis import StepRecord, _squared_distances, distances_to
-from lfmix.dynamics import _GATHER_FLOATS, realized_alpha
+from lfmix.dynamics import realized_alpha
 
 
 def config(
@@ -171,31 +171,48 @@ def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.n
     return out
 
 
-def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray):
+def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
     """``dynamics._grouping`` from one mask per set kind over every pair: the
-    sizes of all (1 + m)·N sets and the ``(part, index)`` gather blocks of
-    equal-size sets, each set's cols taken in pair order from a copy of the
-    cols that carry its kind."""
-    n = sc.n_agents
+    sizes of all (1 + m)·R sets, the ``(part, index)`` gather blocks of the
+    equal-size sets that copy no other set, the copies as ``(target,
+    source)``, and each set's ids, taken in pair order from a copy of the
+    cols that carry its kind. Row r is agent ``reps[r]``'s, or agent r's
+    where ``reps`` is None. A set whose ids are its group's ids is full; the
+    first full set of each group is gathered, and every later one copies it."""
     codes = sc.partition.group_of
-    row_code, col_code = codes[rows], codes[cols]
+    row_group = codes if reps is None else codes[reps]
+    r = row_group.size
+    row_code, col_code = row_group[rows], codes[cols]
     sizes, members = [], []
     for k in range(sc.m + 1):
         # an agent's own set holds its own group; a leader's pairs with other groups are not used
         keep = row_code == col_code if k == 0 else (row_code == 0) & (col_code == k)
-        sizes.append(np.bincount(rows[keep], minlength=n))
+        sizes.append(np.bincount(rows[keep], minlength=r))
         members.append(cols[keep])
     size = np.concatenate(sizes)
     cols = np.concatenate(members)
     first = np.cumsum(size) - size
+    ids = [cols[a:a + k] for a, k in zip(first.tolist(), size.tolist())]
+    groups = (sc.partition.follower_ids, *sc.partition.leader_ids)
+    set_group = np.concatenate([row_group] + [np.full(r, k) for k in range(1, sc.m + 1)])
+    sources, copies = {}, []
+    for s, g in enumerate(set_group.tolist()):
+        if ids[s].size and np.array_equal(ids[s], groups[g]):
+            if g in sources:
+                copies.append((s, sources[g]))
+            else:
+                sources[g] = s
+    target, source = np.array(copies, dtype=np.int64).reshape(-1, 2).T
+    gathered = size > 0
+    gathered[target] = False
     blocks = []
-    for k in np.unique(size[size > 0]).tolist():
-        sets = np.flatnonzero(size == k)
-        block = max(1, _GATHER_FLOATS // (k * d))
+    for k in np.unique(size[gathered]).tolist():
+        sets = np.flatnonzero(gathered & (size == k))
+        block = max(1, dynamics._GATHER_FLOATS // (k * d))
         for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
             blocks.append((part, cols[at]))
-    return size, blocks
+    return size, blocks, (target, source), ids
 
 
 def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:

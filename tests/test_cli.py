@@ -68,7 +68,8 @@ def test_simulate_horizon_zero_writes_n_rows(tmp_path):
     digest = json.loads((out / "run.json").read_text())["step_digest"]
     assert digest == {"min_weight": None, "max_sum_error": None,
                       "neighbor_pairs": {"min": None, "max": None, "last": None},
-                      "classes": {"first": None, "min": None, "last": None}}
+                      "classes": {"first": None, "min": None, "last": None},
+                      "summed_sets": {"first": None, "min": None, "last": None}}
 
 
 def test_simulate_missing_file_exits_2(tmp_path, capsys):
@@ -101,11 +102,13 @@ def test_simulate_demo_converges(tmp_path):
     digests = run(build_scenario(demo_config())).step_digests
     pairs = [d.neighbor_pairs for d in digests]
     classes = [d.classes for d in digests]
+    summed = [d.summed_sets for d in digests]
     assert payload["step_digest"] == {
         "min_weight": min(d.min_weight for d in digests),
         "max_sum_error": max(d.max_sum_error for d in digests),
         "neighbor_pairs": {"min": min(pairs), "max": max(pairs), "last": pairs[-1]},
         "classes": {"first": classes[0], "min": min(classes), "last": classes[-1]},
+        "summed_sets": {"first": summed[0], "min": min(summed), "last": summed[-1]},
     }
     assert payload["step_digest"]["min_weight"] == 0.5
     assert payload["step_digest"]["classes"]["first"] == 2  # too few agents to merge: one class each
@@ -119,6 +122,18 @@ def test_run_json_counts_the_classes_a_collapsing_run_summed(tmp_path):
     assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
     payload = json.loads((out / "run.json").read_text())
     assert payload["step_digest"]["classes"] == {"first": 6, "min": 2, "last": 2}
+    assert payload["step_digest"]["summed_sets"] == {"first": 6, "min": 2, "last": 2}  # no set holds all 70
+
+
+def test_run_json_counts_one_summed_set_where_every_set_holds_its_whole_group(tmp_path):
+    # 70 distinct followers within epsilon of each other: 70 classes whose
+    # sets all hold the whole group, so one set is summed and 69 copy it
+    cfg = config(followers=70, epsilon=1.0, initial=[[i / 100] for i in range(70)], horizon=3)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    digest = json.loads((out / "run.json").read_text())["step_digest"]
+    assert digest["classes"]["first"] == 70
+    assert digest["summed_sets"] == {"first": 1, "min": 1, "last": 1}
 
 
 def test_simulate_does_not_import_scipy(tmp_path):

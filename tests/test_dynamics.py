@@ -326,11 +326,34 @@ def test_step_is_exact_when_hash_ties_split_classes(monkeypatch):
         state = nxt
 
 
+def assert_grouping_equals_oracle(sc, x, rows, cols, reps=None):
+    """``_grouping`` of the pairs has the oracle's sizes, gathered blocks and
+    copies, and ``_set_means`` gives every set the mean of its oracle ids bit
+    for bit (a 1-D sum for d = 1). Returns the oracle's sizes and copies."""
+    d = x.shape[1]
+    grouping = dynamics._grouping(sc, d, rows, cols, reps)
+    size, blocks, copies = grouping
+    ref_size, ref_blocks, ref_copies, ids = grouping_oracle(sc, d, rows, cols, reps)
+    assert np.array_equal(size, ref_size)
+    assert len(blocks) == len(ref_blocks)
+    for (part, index), (ref_part, ref_index) in zip(blocks, ref_blocks):
+        assert np.array_equal(part, ref_part)
+        assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
+    assert all(np.array_equal(a, b) for a, b in zip(copies, ref_copies))
+    expected = np.zeros((len(ids), d))
+    for s, members in enumerate(ids):
+        if members.size:
+            expected[s] = (np.sum(x[members, 0]) if d == 1 else np.sum(x[members], axis=0)) / members.size
+    assert dynamics._set_means(x, grouping, 0.0).tobytes() == expected.tobytes()
+    return ref_size, ref_copies
+
+
 def test_grouping_equals_mask_oracle():
-    """The sets read as runs of each row's pairs have the sizes and gather
-    blocks of one mask per set kind, whatever the group layout."""
+    """The sets read as runs of each row's pairs have the sizes, gather
+    blocks, copies and sums of one mask per set kind, whatever the group
+    layout."""
     rng = np.random.default_rng(8)
-    relabeled = 0
+    relabeled = copied = 0
     for i in range(60):
         cfg = random_mixed_config(rng, n_followers_hi=60, leader_size_hi=12, d_hi=4, m_lo=0, horizon=3)
         if i % 4 < 3 and any(g["kind"] == "leader" for g in cfg["groups"]):
@@ -338,15 +361,55 @@ def test_grouping_equals_mask_oracle():
         sc = build_scenario(cfg)
         relabeled += sc.partition.ranges[0] is not None
         for state in run(sc).states:
-            rows, cols = compute_neighbors(state, sc)
-            size, blocks = dynamics._grouping(sc, sc.dimension, rows, cols)
-            ref_size, ref_blocks = grouping_oracle(sc, sc.dimension, rows, cols)
-            assert np.array_equal(size, ref_size)
-            assert len(blocks) == len(ref_blocks)
-            for (part, index), (ref_part, ref_index) in zip(blocks, ref_blocks):
-                assert np.array_equal(part, ref_part)
-                assert index.dtype == ref_index.dtype and np.array_equal(index, ref_index)
-    assert relabeled >= 10
+            _, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *compute_neighbors(state, sc))
+            copied += target.size > 0
+    assert relabeled >= 10 and copied >= 10
+
+
+@pytest.mark.parametrize("gather", [None, 1, 300])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkeypatch):
+    """Every full set of a group, one that holds the whole group, gets the
+    sum of the group's first full set, on the per-agent and the class path,
+    for interleaved member lists and a leader group of one member; a set one
+    agent short of its group is gathered. A small ``_GATHER_FLOATS`` puts a
+    source and the sets it stands for in different blocks."""
+    if gather is not None:
+        monkeypatch.setattr(dynamics, "_GATHER_FLOATS", gather)
+    rng = np.random.default_rng(40 + d)
+    opinions = rng.uniform(-1.0, 1.0, size=(113, d)).round(2)
+    opinions[rng.random(opinions.shape) < 0.3] = -0.0
+    # 100 followers and leader groups of 1 and 12, all within epsilon of each other
+    cfg = config(dimension=d, epsilon=2.5 * np.sqrt(d), followers=100, initial=opinions.tolist(),
+                 leader_groups=[("a", 1, [0.0] * d, constant(0.5)), ("b", 12, [-0.0] * d, constant(0.3))],
+                 follower_betas=[constant(0.2), constant(0.3)])
+    short = copy.deepcopy(cfg)
+    short["initial_opinions"]["explicit"][0] = [50.0] * d  # the other followers' own sets miss it
+    pooled = copy.deepcopy(cfg)
+    rows = opinions[:4].copy()
+    rows[0] = -0.0
+    pooled["initial_opinions"]["explicit"] = rows[rng.integers(0, 4, size=113)].tolist()
+    cases = {"complete": cfg, "interleaved": regrouped(cfg, rng, "interleaved"), "short": short,
+             "pooled": pooled, "pooled interleaved": regrouped(pooled, rng, "interleaved")}
+    for name, cfg in cases.items():
+        sc = build_scenario(cfg)
+        state = sc.initial_state
+        pairs = dynamics._searched(state, sc)
+        assert (pairs.classes is not None) == name.startswith("pooled")
+        if pairs.classes is None:
+            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, pairs.rows, pairs.cols)
+        else:
+            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *dynamics._expanded(pairs),
+                                                              pairs.classes.reps)
+        if name == "short":
+            assert (size[1:100] == 99).all() and not np.isin(np.arange(1, 100), target).any()
+            assert target.size == 13 + 2 * 99 - 2  # the leaders' own sets and the other followers' leader sets
+        else:
+            assert target.size == (size > 0).sum() - 3  # one source per group
+        nxt, digest = step(state, sc, 0)
+        expected, _ = reference_step(state, sc, 0)
+        assert nxt.opinions.tobytes() == expected.tobytes()
+        assert digest.summed_sets == (size > 0).sum() - target.size
 
 
 @pytest.mark.parametrize("agent", [1, 4])

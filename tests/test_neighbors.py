@@ -233,6 +233,21 @@ def test_scan_verdicts_stand_with_every_screening_value_moved_by_its_slack(d, mo
             assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (sign, eps)
 
 
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_scan_across_tile_boundaries_equals_per_pair_oracle(d, monkeypatch):
+    # tiles of 1, 2 and 7 rows; a copy of agent 0 makes N prime (41 or 71),
+    # so the last tile of 2 or 7 rows is short
+    rng = np.random.default_rng(700 + d)
+    ties = [(cloud, eps) for cloud, eps, _, _ in tie_cases(d)]
+    for opinions, eps in oracle_cases(rng, d) + ties:
+        x = np.vstack([opinions, opinions[:1]])
+        sc = follower_only(x.tolist(), eps, d=d)
+        expected = pairs_oracle(sc)
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(neighbors, "_SCAN_FLOATS", rows * len(x))
+            assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (rows, eps)
+
+
 def hostile_cases(rng):
     """(opinions, epsilon, all in the band) clouds at magnitudes the screen
     cannot separate, or that overflow it."""
