@@ -10,52 +10,20 @@ pairs found once on the state at t:
   to zero whenever the corresponding leader-neighbor set is empty (the freed
   weight flows to the follower term, with no renormalization).
 
-``step`` computes this for all agents at once, one class of agents at a
-time. The class map (``neighbors.state_classes``) puts agents of one group
-whose opinion rows have identical bytes in one class, numbered by smallest
-member; such agents have the same computed distance to every agent, so the
-same neighbor sets (a ``PairTracker`` list keeps the classes of its rebuild
-while it holds, whose agents keep the same sets too). The pairs are
-searched among the C classes' representatives, and each pair's class is
-expanded to its members, so each class's row lists its neighbor agents in
-ascending order: a row that reaches only one-agent classes is so already,
-and one stable sort merges the others' runs. Where every row is distinct,
-or the map removes too few rows to repay its cost, every agent is its own
-class (C = N) and the pairs are the agents' own, with nothing expanded or
-gathered. There are (1 + m)·C neighbor sets: set k·C + c is class c's
-own-group set for k = 0 and follower class c's group-k leader set for k >=
-1, the cols of c's row that carry that group. Every group is one range of
-ids, as member counts make them, so each set is one run of its row's cols,
-found by counting the row's cols below each group bound. Where explicit
-member lists interleave the groups, the cols of each row are first put in
-(group, id) order, by the agents' ranks in that order
-(``Partition.ranges``), and the runs are found the same way. A set whose
-size is its group's member count is full: it holds the whole group, so its
-ids are the group's in ascending order, as in a consensus, where every set
-of a group is full. Only the first full set of each group is summed, and
-the others copy its sum. One pass sums every other set, all sets of one
-size together, into (1 + m, C, d) means, which each agent reads at its
-class; one (1 + m, N) weight matrix, row 0 the own weight and rows 1..m the
-masked betas, mixes them per agent, and its reductions over axis 0 give
-the ``StepDigest``. Degrees come from one query per schedule block; no
-per-agent object is built. The grouping of the pairs into sets (sizes,
-gather indices and copies) depends on the pairs and the class map alone, so
-it is kept on the ``Pairs`` object for as long as a run's ``PairTracker``
-hands that object out.
+``step`` computes this for all agents at once. ``Pairs.set_means`` gives
+each agent's (1 + m) neighbor-set means, its own-group set and a
+follower's set of each leader group, and their sizes; the ``neighbors``
+module docstring says how the pairs become those sets. One (1 + m, N)
+weight matrix, row 0 the own weight and rows 1..m the masked betas, mixes
+them per agent, and its reductions over axis 0 give the ``StepDigest``.
+Degrees come from one query per schedule block; no per-agent object is
+built.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
-order exactly as ``np.sum(x[ids], axis=0)`` does, and each new opinion reads
-only the time-t state, so results are bit-identical to a per-agent loop
-that computes each agent from its own id arrays (the tests keep one); an
-agent's class has its sets, so its class's sums are those of its own. That
-sum adds rows left to right for d >= 2, which a reduction over axis 0 of
-the sets of one size laid out as (size, sets, d) repeats; for d = 1 it is a
-1-D sum, which numpy adds pairwise, and the sets are laid out as
-(sets, size) and reduced along axis 1, which numpy also adds pairwise.
-Either way a set's sum does not depend on the block it is gathered in or
-on the other sets there, and a full set's copy rests on the same fact: the
-full sets of one group have the same ids in the same order, so each has
-the sum of the first, bit for bit.
+order exactly as ``np.sum(x[ids], axis=0)`` does (``neighbors`` says how
+its gathers keep that order), and each new opinion reads only the time-t
+state, so results are bit-identical to a per-agent loop that computes each
+agent from its own id arrays (the tests keep one).
 """
 
 from __future__ import annotations
@@ -75,8 +43,6 @@ from .neighbors import PairTracker, Pairs, compute_neighbors, state_classes
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
 _MEAN_SHIFT = 0.05
-# a block of equal-size sets gathers at most this many coordinates
-_GATHER_FLOATS = 1 << 17
 
 STOP_HORIZON = "horizon"
 STOP_CONVERGED = "converged"
@@ -165,146 +131,6 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
     return betas
 
 
-def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
-    """The sizes of all (1 + m)·R sets, laid out as the module docstring says
-    with R rows, each set's ids ascending; the gather index of each block of
-    equal-size sets that are summed: (sets, their cols laid out as (size,
-    sets) for d >= 2 and as (sets, size) for d = 1); and the copies
-    ``(target, source)``, the full sets that take the sum of their group's
-    first full set. Row r is agent ``reps[r]``'s, or agent r's where
-    ``reps`` is None; the cols are agent ids.
-
-    Each set is the run of its row's cols whose keys lie in its group's
-    range of ``Partition.ranges``: the cols themselves, or, for interleaved
-    groups, their ranks by (group, id), with each row's cols sorted by rank
-    first. Its first pair and size come from per-row counts of the keys
-    below each group bound; the blocks gather from those cols directly. A
-    set is full when its size is its group's member count, the width of its
-    range: its ids are then all of the group's.
-    """
-    n = scenario.n_agents
-    group_of = scenario.partition.group_of
-    if reps is not None:
-        group_of = group_of[reps]
-    r = group_of.size
-    key, bounds = scenario.partition.ranges
-    if key is None:
-        key = cols
-    else:  # each row's cols in (group, id) order, so that every group is one run of them
-        key = key[cols]
-        order = np.argsort(rows.astype(np.int64) * n + key, kind="stable")
-        cols, key = cols[order], key[order]
-        del order
-    starts = np.searchsorted(rows, np.arange(r + 1, dtype=rows.dtype))
-    counts = np.diff(starts)
-    # reduceat below counts each row's run only if no row is empty: every
-    # agent whose opinion is finite is its own neighbor
-    if not counts.all():
-        empty = int(counts.argmin())
-        raise NonFiniteState(f"agent {empty if reps is None else int(reps[empty])} is not its own neighbor: "
-                             "its opinion is not finite")
-    below = {0: np.zeros(r, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
-    for b in bounds.ravel().tolist():
-        if b not in below:
-            # counted in the id type, which holds N: reduceat casts the whole mask to it first
-            below[b] = np.add.reduceat(key < b, starts[:-1], dtype=rows.dtype)
-    del key
-    low, high = (np.array([below[b] for b in bound]) for bound in bounds.T)
-    each = np.arange(r)
-    own = low[group_of, each]
-    # an agent's own set is its group's run; a leader's runs of other groups are not used
-    first = (starts[:-1] + np.vstack((own, low[1:]))).ravel()
-    size = np.vstack((high[group_of, each] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
-    # the first full set of each group is gathered, and the others copy its sum
-    gathered = size > 0
-    members = bounds[:, 1] - bounds[:, 0]  # each group's count
-    full = np.flatnonzero(gathered & (size == np.concatenate((members[group_of], np.repeat(members[1:], r)))))
-    group = np.where(full < r, group_of[full % r], full // r)
-    _, firsts, which = np.unique(group, return_index=True, return_inverse=True)
-    source = full[firsts][which]
-    copied = source != full
-    copies = full[copied], source[copied]
-    gathered[copies[0]] = False
-    by_size = np.argsort(size, kind="stable")  # the sets of each size ascending, the sizes ascending
-    by_size = by_size[gathered[by_size]]
-    index = np.empty(size[by_size].sum(), dtype=cols.dtype)  # the gathered sets' cols block by block, one allocation
-    blocks, end = [], 0
-    cuts = np.flatnonzero(np.diff(size[by_size])) + 1
-    for sets in np.split(by_size, cuts):
-        k = int(size[sets[0]])
-        block = max(1, _GATHER_FLOATS // (k * d))
-        for part in np.split(sets, range(block, sets.size, block)):
-            at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
-            view = index[end:end + at.size].reshape(at.shape)
-            np.take(cols, at, out=view)
-            blocks.append((part, view))
-            end += at.size
-    return size, blocks, copies
-
-
-def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of ``pairs.classes``' representatives as int32 (class,
-    agent) pairs sorted by (class, agent): each neighbor class expanded to
-    its members."""
-    classes = pairs.classes
-    size = classes.size[pairs.cols]
-    rows = np.repeat(pairs.rows, size)
-    # the positions in ``members`` of each pair's run: ones to accumulate,
-    # and at each run's start the jump there from the last run's end
-    ends = np.cumsum(size)
-    first = classes.first[pairs.cols]
-    at = np.ones(rows.size, dtype=np.int32)
-    at[:1] = first[:1]
-    jump = first[1:] - first[:-1]
-    jump -= size[:-1]
-    jump += 1
-    at[ends[:-1]] = jump
-    del size, ends, first, jump
-    np.add.accumulate(at, out=at)
-    cols = np.take(classes.members, at)
-    del at
-    # each row is a run of ascending members per neighbor class, the classes
-    # in ascending order of smallest member: a row that reaches only
-    # singleton classes is ascending already, and a stable sort of the
-    # others' (row, agent) keys merges their runs
-    within = rows[1:] == rows[:-1]
-    within &= cols[1:] < cols[:-1]
-    unsorted = np.zeros(classes.reps.size, dtype=bool)
-    unsorted[rows[1:][within]] = True
-    del within
-    pick = unsorted[rows]
-    key = rows[pick].astype(np.int64)
-    key <<= 32
-    key |= cols[pick]
-    key.sort(kind="stable")
-    cols[pick] = key.astype(np.int32)  # the low 32 bits: the agent
-    return rows, cols
-
-
-def _set_means(x: np.ndarray, grouping, shift: float) -> np.ndarray:
-    """The means of the sets of a ``_grouping``, one row each; 0 for an
-    empty set.
-
-    A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
-    gathered sets of one size together from one ``np.take`` gather, whose
-    layout makes the reduction add in numpy's per-set order (see the module
-    docstring). After the blocks, each copied full set takes its source's
-    sum in one assignment: the same ids in the same order.
-    """
-    size, blocks, (target, source) = grouping
-    sums = np.zeros((size.size, x.shape[1]))
-    for part, index in blocks:
-        if x.shape[1] == 1:
-            sums[part, 0] = np.take(x[:, 0], index).sum(axis=1)
-        else:
-            sums[part] = np.take(x, index, axis=0).sum(axis=0)
-    sums[target] = sums[source]
-    sums /= np.maximum(size, 1)[:, None]
-    if shift:
-        sums += shift
-    return sums
-
-
 def _searched(state: SystemState, scenario: Scenario) -> Pairs:
     """A fresh search's pairs of ``state``, among the representatives of its
     classes."""
@@ -325,32 +151,23 @@ def step(
     Neighbor pairs are found once on ``state``, among the representatives
     of classes of agents that have the same sets: ``pairs`` if given
     (``run`` passes its ``PairTracker``'s, which carry their classes), else
-    by a fresh ``state_classes`` and ``compute_neighbors``.
-    Every new opinion depends only on ``state``. Raises ScheduleViolation
-    if a schedule leaves its declared range.
+    by a fresh ``state_classes`` and ``compute_neighbors``. Every new
+    opinion depends only on ``state``. Raises NonFiniteState for an agent
+    that is not its own neighbor (its opinion is not finite),
+    ScheduleViolation if a schedule leaves its declared range, and
+    ValueError for an unknown fault.
     """
     if fault is not None and fault not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {fault!r}")
-    shift = _MEAN_SHIFT if fault == FAULT_MEAN_SHIFT else 0.0
-    x = state.opinions
     if pairs is None:
         pairs = _searched(state, scenario)
-    classes = pairs.classes
-    if pairs.grouping is None:
-        if classes is None:
-            pairs.grouping = _grouping(scenario, x.shape[1], pairs.rows, pairs.cols)
-        else:
-            pairs.grouping = _grouping(scenario, x.shape[1], *_expanded(pairs), classes.reps)
+    means, size, *summed = pairs.set_means(scenario, state.opinions)
+    if fault == FAULT_MEAN_SHIFT:
+        means += _MEAN_SHIFT
     group_of = scenario.partition.group_of
     lead = group_of > 0
     alpha = realized_alpha(scenario, t)
     betas = realized_betas(scenario, t)
-    means = _set_means(x, pairs.grouping, shift).reshape(1 + scenario.m, -1, x.shape[1])
-    size = pairs.grouping[0].reshape(means.shape[:2])
-    summed = size.shape[1]
-    summed_sets = sum(part.size for part, _ in pairs.grouping[1])
-    if classes is not None:  # each agent mixes its class's means
-        means, size = means[:, classes.of], size[:, classes.of]
 
     # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
     # for a follower; row k: the beta toward group k, masked where its set is empty
@@ -369,8 +186,7 @@ def step(
     sum_w = beta_sums((each * size).T) + w_target
     min_w = min(each[w > 0.0].min(initial=math.inf), w_target[w_target > 0.0].min(initial=math.inf))
     counted = int(size[0].sum() + size[1:][w[1:] != 0.0].sum())  # the own set always counts
-    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, summed,
-                        summed_sets)
+    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, *summed)
     return SystemState(t + 1, new), digest
 
 

@@ -1,4 +1,5 @@
-"""Fixed-radius neighbor search over opinion space.
+"""Fixed-radius neighbor search over opinion space, and the neighbor sets
+that the update reads from its pairs.
 
 * ``compute_neighbors``: the engine's search. It returns every ordered pair
   (i, j) with ||x_i - x_j||^2 <= epsilon^2 as two int32 arrays sorted by
@@ -24,6 +25,26 @@
   class have the same pairs, and the pairs of the representatives give
   every agent's. A map that would remove fewer than ``_MIN_MERGED`` rows is
   not used: every agent is then its own class.
+* ``Pairs.set_means``: every agent's neighbor-set means. With R rows, one
+  per class, there are (1 + m)·R sets: set k·R + r is row r's own-group set
+  for k = 0 and follower row r's group-k leader set for k >= 1, the cols of
+  r's pairs that carry that group. Where the pairs have classes,
+  ``_expanded`` first expands each pair's class to its members, so each row
+  lists its neighbor agents in ascending order: a row that reaches only
+  one-agent classes is so already, and one stable sort merges the others'
+  runs. Every group is one range of ids, as member counts make them, so
+  ``_grouping`` finds each set as one run of its row's cols by counting the
+  row's cols below each group bound. Where explicit member lists
+  interleave the groups, the cols of each row are first put in (group, id)
+  order, by the agents' ranks in that order (``Partition.ranges``), and the
+  runs are found the same way. A set whose size is its group's member
+  count is full: it holds the whole group, so its ids are the group's in
+  ascending order, as in a consensus, where every set of a group is full.
+  Only the first full set of each group is summed, and the others copy its
+  sum. ``_set_means`` sums every other set in one pass, all sets of one
+  size together, and each agent reads its row's means. The grouping, the
+  sets' sizes, gather indices and copies, depends on the pairs and the
+  class map alone, so the ``Pairs`` object keeps it.
 * ``PairTracker``: the pairs of one run's successive states, which
   ``dynamics.run`` feeds it, as a Verlet skin list (L. Verlet, Phys. Rev.
   159, 98, 1967) over the same searches, built on the representatives.
@@ -41,23 +62,33 @@
   members, wherever they have moved since (D_i is the largest displacement
   of row i's agents): the agents of one row still have that row's pairs,
   which is all a step needs of a class. So the tracker hands out the same
-  ``Pairs`` object, which carries ``dynamics.step``'s grouping of them,
-  however the rows merge or split meanwhile.
+  ``Pairs`` object, with the grouping it keeps, however the rows merge or
+  split meanwhile.
 
 Sorted int32 ``(rows, cols)`` pairs are the only neighbor format: every
 search, ``_scan`` and ``neighbors_grid`` too, joins its blocks of rows into
 one such pair before it returns, and the pair tracker filters that one
-array. An agent's set is the cols of its rows, split by group where a
-caller needs that. All keep a pair by one test, ``_within``, past the
-scan's screen, which decides only the pairs it can prove: the verdict is
-that of the reference ``(diff * diff).sum(axis=-1) <= epsilon**2`` for
-every pair, so the boundary rule (distance exactly epsilon counts) is the
-same everywhere. ``_within`` adds the squared coordinate differences column
-by column, a few whole-array numpy calls, and re-tests with the reference
-expression only the pairs whose sum lies within a rounding slack of
-epsilon**2, where numpy's summation order could decide the verdict. The
-scenario's ``neighbor_strategy`` and ``grid_dim_cap`` are validated and
-kept in canonical files but select nothing: the output is exact either way.
+array. All keep a pair by one test, ``_within``, past the scan's screen,
+which decides only the pairs it can prove: the verdict is that of the
+reference ``(diff * diff).sum(axis=-1) <= epsilon**2`` for every pair, so
+the boundary rule (distance exactly epsilon counts) is the same everywhere.
+``_within`` adds the squared coordinate differences column by column, a few
+whole-array numpy calls, and re-tests with the reference expression only
+the pairs whose sum lies within a rounding slack of epsilon**2, where
+numpy's summation order could decide the verdict. The scenario's
+``neighbor_strategy`` and ``grid_dim_cap`` are validated and kept in
+canonical files but select nothing: the output is exact either way.
+
+Every set sum adds the set's opinions in ascending id order exactly as
+``np.sum(x[ids], axis=0)`` does; an agent's class has its sets, so its
+class's sums are those of its own. That sum adds rows left to right for d
+>= 2, which a reduction over axis 0 of the sets of one size laid out as
+(size, sets, d) repeats; for d = 1 it is a 1-D sum, which numpy adds
+pairwise, and the sets are laid out as (sets, size) and reduced along axis
+1, which numpy also adds pairwise. Either way a set's sum does not depend
+on the block it is gathered in or on the other sets there, and a full
+set's copy rests on the same fact: the full sets of one group have the
+same ids in the same order, so each has the sum of the first, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteState
 from .model import Scenario, SystemState
 
 _CHUNK = 128  # rows per block of the grid search
@@ -81,6 +113,8 @@ _MARGIN = 2.0**-30  # rounding margin of a pair list, as a fraction of epsilon +
 # gathers cost a step some 30 numpy calls, which a few merged rows do not
 # repay, and runs near convergence merge and split a few rows at a time
 _MIN_MERGED = 64
+# a block of equal-size sets gathers at most this many coordinates
+_GATHER_FLOATS = 1 << 17
 
 
 def _column_sums(xt: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -371,24 +405,176 @@ def state_classes(state: SystemState, scenario: Scenario) -> tuple[Classes | Non
     return classes, SystemState(state.t, state.opinions[classes.reps])
 
 
+def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
+    """The sizes of all (1 + m)·R sets, laid out as the module docstring says
+    with R rows, each set's ids ascending; the gather index of each block of
+    equal-size sets that are summed: (sets, their cols laid out as (size,
+    sets) for d >= 2 and as (sets, size) for d = 1); and the copies
+    ``(target, source)``, the full sets that take the sum of their group's
+    first full set. Row r is agent ``reps[r]``'s, or agent r's where
+    ``reps`` is None; the cols are agent ids.
+
+    Each set is the run of its row's cols whose keys lie in its group's
+    range of ``Partition.ranges``: the cols themselves, or, for interleaved
+    groups, their ranks by (group, id), with each row's cols sorted by rank
+    first. Its first pair and size come from per-row counts of the keys
+    below each group bound; the blocks gather from those cols directly. A
+    set is full when its size is its group's member count, the width of its
+    range: its ids are then all of the group's.
+    """
+    n = scenario.n_agents
+    group_of = scenario.partition.group_of
+    if reps is not None:
+        group_of = group_of[reps]
+    r = group_of.size
+    key, bounds = scenario.partition.ranges
+    if key is None:
+        key = cols
+    else:  # each row's cols in (group, id) order, so that every group is one run of them
+        key = key[cols]
+        order = np.argsort(rows.astype(np.int64) * n + key, kind="stable")
+        cols, key = cols[order], key[order]
+        del order
+    starts = np.searchsorted(rows, np.arange(r + 1, dtype=rows.dtype))
+    counts = np.diff(starts)
+    # reduceat below counts each row's run only if no row is empty: every
+    # agent whose opinion is finite is its own neighbor
+    if not counts.all():
+        empty = int(counts.argmin())
+        raise NonFiniteState(f"agent {empty if reps is None else int(reps[empty])} is not its own neighbor: "
+                             "its opinion is not finite")
+    below = {0: np.zeros(r, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
+    for b in bounds.ravel().tolist():
+        if b not in below:
+            # counted in the id type, which holds N: reduceat casts the whole mask to it first
+            below[b] = np.add.reduceat(key < b, starts[:-1], dtype=rows.dtype)
+    del key
+    low, high = (np.array([below[b] for b in bound]) for bound in bounds.T)
+    each = np.arange(r)
+    own = low[group_of, each]
+    # an agent's own set is its group's run; a leader's runs of other groups are not used
+    first = (starts[:-1] + np.vstack((own, low[1:]))).ravel()
+    size = np.vstack((high[group_of, each] - own, np.where(group_of == 0, high[1:] - low[1:], 0))).ravel()
+    # the first full set of each group is gathered, and the others copy its sum
+    gathered = size > 0
+    members = bounds[:, 1] - bounds[:, 0]  # each group's count
+    full = np.flatnonzero(gathered & (size == np.concatenate((members[group_of], np.repeat(members[1:], r)))))
+    group = np.where(full < r, group_of[full % r], full // r)
+    _, firsts, which = np.unique(group, return_index=True, return_inverse=True)
+    source = full[firsts][which]
+    copied = source != full
+    copies = full[copied], source[copied]
+    gathered[copies[0]] = False
+    by_size = np.argsort(size, kind="stable")  # the sets of each size ascending, the sizes ascending
+    by_size = by_size[gathered[by_size]]
+    index = np.empty(size[by_size].sum(), dtype=cols.dtype)  # the gathered sets' cols block by block, one allocation
+    blocks, end = [], 0
+    cuts = np.flatnonzero(np.diff(size[by_size])) + 1
+    for sets in np.split(by_size, cuts):
+        k = int(size[sets[0]])
+        block = max(1, _GATHER_FLOATS // (k * d))
+        for part in np.split(sets, range(block, sets.size, block)):
+            at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
+            view = index[end:end + at.size].reshape(at.shape)
+            np.take(cols, at, out=view)
+            blocks.append((part, view))
+            end += at.size
+    return size, blocks, copies
+
+
+def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``pairs.classes``' representatives as int32 (class,
+    agent) pairs sorted by (class, agent): each neighbor class expanded to
+    its members."""
+    classes = pairs.classes
+    size = classes.size[pairs.cols]
+    rows = np.repeat(pairs.rows, size)
+    # the positions in ``members`` of each pair's run: ones to accumulate,
+    # and at each run's start the jump there from the last run's end
+    ends = np.cumsum(size)
+    first = classes.first[pairs.cols]
+    at = np.ones(rows.size, dtype=np.int32)
+    at[:1] = first[:1]
+    jump = first[1:] - first[:-1]
+    jump -= size[:-1]
+    jump += 1
+    at[ends[:-1]] = jump
+    del size, ends, first, jump
+    np.add.accumulate(at, out=at)
+    cols = np.take(classes.members, at)
+    del at
+    # each row is a run of ascending members per neighbor class, the classes
+    # in ascending order of smallest member: a row that reaches only
+    # singleton classes is ascending already, and a stable sort of the
+    # others' (row, agent) keys merges their runs
+    within = rows[1:] == rows[:-1]
+    within &= cols[1:] < cols[:-1]
+    unsorted = np.zeros(classes.reps.size, dtype=bool)
+    unsorted[rows[1:][within]] = True
+    del within
+    pick = unsorted[rows]
+    key = rows[pick].astype(np.int64)
+    key <<= 32
+    key |= cols[pick]
+    key.sort(kind="stable")
+    cols[pick] = key.astype(np.int32)  # the low 32 bits: the agent
+    return rows, cols
+
+
+def _set_means(x: np.ndarray, grouping) -> np.ndarray:
+    """The means of the sets of a ``_grouping``, one row each; 0 for an
+    empty set.
+
+    A set's sum is bit for bit ``np.sum(x[ids], axis=0)``, taken for all
+    gathered sets of one size together from one ``np.take`` gather, whose
+    layout makes the reduction add in numpy's per-set order (see the module
+    docstring). After the blocks, each copied full set takes its source's
+    sum in one assignment: the same ids in the same order.
+    """
+    size, blocks, (target, source) = grouping
+    sums = np.zeros((size.size, x.shape[1]))
+    for part, index in blocks:
+        if x.shape[1] == 1:
+            sums[part, 0] = np.take(x[:, 0], index).sum(axis=1)
+        else:
+            sums[part] = np.take(x, index, axis=0).sum(axis=0)
+    sums[target] = sums[source]
+    sums /= np.maximum(size, 1)[:, None]
+    return sums
+
+
 @dataclass(eq=False)
 class Pairs:
-    """Sorted int32 ``(rows, cols)`` neighbor pairs of a state, and the
-    ``grouping`` that ``dynamics.step`` derives from them alone, filled in by
-    the first step that uses them: each of its neighbor sets is a run of one
-    row's cols within one group's id range (within its range of ranks by
-    (group, id) where explicit member lists interleave the groups), and a
-    set that holds its whole group is a copy of the first such set of that
-    group. Where ``classes`` is given, the pairs are those of the classes'
-    representatives, one row per class, and each class's sets expand to its
-    neighbor classes' members. A ``PairTracker`` hands out the same object
-    for as long as its pairs and classes hold, so a grouping is never
-    stale."""
+    """Sorted int32 ``(rows, cols)`` neighbor pairs of a state: where
+    ``classes`` is given, those of the classes' representatives, one row per
+    class. ``set_means`` groups them into neighbor sets on first use and
+    keeps that ``grouping``, which depends on the pairs and classes alone; a
+    ``PairTracker`` hands out the same object for as long as both hold, so a
+    grouping is never stale."""
 
     rows: np.ndarray
     cols: np.ndarray
-    grouping: object = None
     classes: Classes | None = None
+    grouping: tuple | None = None
+
+    def set_means(self, scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Each agent's (1 + m, N, d) set means at the opinions ``x``, 0 for
+        an empty set, and its (1 + m, N) set sizes: row 0 its own-group set,
+        row k a follower's group-k leader set. Then how many rows (classes)
+        had their sets summed, and how many sets were gathered and summed;
+        the others were empty or copied a full set's sum. Raises
+        NonFiniteState for an agent that is not its own neighbor."""
+        classes = self.classes
+        if self.grouping is None:
+            pairs = (self.rows, self.cols) if classes is None else (*_expanded(self), classes.reps)
+            self.grouping = _grouping(scenario, x.shape[1], *pairs)
+        size, blocks, _ = self.grouping
+        means = _set_means(x, self.grouping).reshape(1 + scenario.m, -1, x.shape[1])
+        size = size.reshape(means.shape[:2])
+        summed = size.shape[1], sum(part.size for part, _ in blocks)
+        if classes is not None:  # each agent reads its class's sets
+            means, size = means[:, classes.of], size[:, classes.of]
+        return means, size, *summed
 
 
 class PairTracker:

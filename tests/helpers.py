@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import lfmix
-from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, dynamics, neighbors_naive
+from lfmix import CheckReport, Scenario, Trajectory, build_scenario, compute_neighbors, neighbors, neighbors_naive
 from lfmix.analysis import StepRecord, _squared_distances, distances_to
 from lfmix.dynamics import realized_alpha
 
@@ -172,7 +172,7 @@ def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.n
 
 
 def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
-    """``dynamics._grouping`` from one mask per set kind over every pair: the
+    """``neighbors._grouping`` from one mask per set kind over every pair: the
     sizes of all (1 + m)·R sets, the ``(part, index)`` gather blocks of the
     equal-size sets that copy no other set, the copies as ``(target,
     source)``, and each set's ids, taken in pair order from a copy of the
@@ -208,7 +208,7 @@ def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     blocks = []
     for k in np.unique(size[gathered]).tolist():
         sets = np.flatnonzero(gathered & (size == k))
-        block = max(1, dynamics._GATHER_FLOATS // (k * d))
+        block = max(1, neighbors._GATHER_FLOATS // (k * d))
         for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
             blocks.append((part, cols[at]))

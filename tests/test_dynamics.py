@@ -331,7 +331,7 @@ def assert_grouping_equals_oracle(sc, x, rows, cols, reps=None):
     copies, and ``_set_means`` gives every set the mean of its oracle ids bit
     for bit (a 1-D sum for d = 1). Returns the oracle's sizes and copies."""
     d = x.shape[1]
-    grouping = dynamics._grouping(sc, d, rows, cols, reps)
+    grouping = neighbors._grouping(sc, d, rows, cols, reps)
     size, blocks, copies = grouping
     ref_size, ref_blocks, ref_copies, ids = grouping_oracle(sc, d, rows, cols, reps)
     assert np.array_equal(size, ref_size)
@@ -344,7 +344,7 @@ def assert_grouping_equals_oracle(sc, x, rows, cols, reps=None):
     for s, members in enumerate(ids):
         if members.size:
             expected[s] = (np.sum(x[members, 0]) if d == 1 else np.sum(x[members], axis=0)) / members.size
-    assert dynamics._set_means(x, grouping, 0.0).tobytes() == expected.tobytes()
+    assert neighbors._set_means(x, grouping).tobytes() == expected.tobytes()
     return ref_size, ref_copies
 
 
@@ -375,7 +375,7 @@ def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkey
     agent short of its group is gathered. A small ``_GATHER_FLOATS`` puts a
     source and the sets it stands for in different blocks."""
     if gather is not None:
-        monkeypatch.setattr(dynamics, "_GATHER_FLOATS", gather)
+        monkeypatch.setattr(neighbors, "_GATHER_FLOATS", gather)
     rng = np.random.default_rng(40 + d)
     opinions = rng.uniform(-1.0, 1.0, size=(113, d)).round(2)
     opinions[rng.random(opinions.shape) < 0.3] = -0.0
@@ -399,7 +399,7 @@ def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkey
         if pairs.classes is None:
             size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, pairs.rows, pairs.cols)
         else:
-            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *dynamics._expanded(pairs),
+            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *neighbors._expanded(pairs),
                                                               pairs.classes.reps)
         if name == "short":
             assert (size[1:100] == 99).all() and not np.isin(np.arange(1, 100), target).any()
@@ -420,6 +420,17 @@ def test_step_rejects_an_agent_that_is_not_its_own_neighbor(agent):
     x[agent] = np.nan
     with pytest.raises(NonFiniteState, match=f"agent {agent} is not its own neighbor"):
         step(dataclasses.replace(sc.initial_state, opinions=x), sc, 0)
+
+
+def test_step_names_the_smallest_member_of_a_class_that_is_not_its_own_neighbor():
+    sc = scenario(followers=100, initial=[[0.01 * i] for i in range(100)])
+    x = sc.initial_state.opinions.copy()
+    x[:5] = 0.5  # class 0
+    x[5:80] = np.nan  # class 1, of 75 agents, whose representative has no pair
+    state = dataclasses.replace(sc.initial_state, opinions=x)
+    assert dynamics._searched(state, sc).classes is not None
+    with pytest.raises(NonFiniteState, match="agent 5 is not its own neighbor"):
+        step(state, sc, 0)
 
 
 def test_schedule_violation_detected_at_runtime():
@@ -638,6 +649,16 @@ def test_settled_ball_reuses_one_pair_list_for_most_steps():
     counts = run(sc).pair_counts
     assert counts["rebuilds"] == 1
     assert counts["reuses"] >= 30
+
+
+def test_run_groups_each_pair_object_once(monkeypatch):
+    # a held pair list is grouped into sets at its rebuild, and its reuses read that grouping
+    real, grouped = neighbors._grouping, []
+    monkeypatch.setattr(neighbors, "_grouping", lambda *args: grouped.append(args) or real(*args))
+    traj = run(load_scenario(SCENARIOS / "ball_consensus.json"))
+    assert traj.horizon == 40
+    assert traj.pair_counts == {"searches": 3, "rebuilds": 1, "reuses": 36}
+    assert len(grouped) == 4
 
 
 # ---------------------------------------------------------------------------

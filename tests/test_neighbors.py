@@ -397,10 +397,12 @@ def test_pair_list_hands_out_the_same_pairs_while_they_hold():
                                      [[0.0], [0.31], [0.9], [2.0]]])
     tracker = PairTracker(sc)
     pairs = tracker.pairs(first, 0.0)
-    pairs.grouping = "derived"
-    assert tracker.pairs(moved, 0.01) is pairs
-    assert tracker.pairs(stays, 0.0) is pairs
-    assert pairs.grouping == "derived"
+    pairs.set_means(sc, first.opinions)
+    grouping = pairs.grouping
+    for state, moved_by in ((moved, 0.01), (stays, 0.0)):
+        assert tracker.pairs(state, moved_by) is pairs
+        pairs.set_means(sc, state.opinions)
+        assert pairs.grouping is grouping
 
 
 def test_pair_list_falls_back_to_fresh_search():
