@@ -132,8 +132,9 @@ def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
 
 
 def _searched(state: SystemState, scenario: Scenario) -> Pairs:
-    """A fresh search's pairs of ``state``, among the representatives of its
-    classes."""
+    """A fresh search's pairs of ``state``: ``compute_neighbors`` on the
+    representatives of its ``state_classes``, one row per class, every agent
+    its own class where no two rows share bytes and group."""
     classes, reps = state_classes(state, scenario)
     return Pairs(*compute_neighbors(reps, scenario), classes=classes)
 
@@ -149,9 +150,11 @@ def step(
     """Apply one synchronous update to every agent.
 
     Neighbor pairs are found once on ``state``, among the representatives
-    of classes of agents that have the same sets: ``pairs`` if given
-    (``run`` passes its ``PairTracker``'s, which carry their classes), else
-    by a fresh ``state_classes`` and ``compute_neighbors``. Every new
+    of its class map, whose classes are agents of one group and opinion row
+    and so have the same sets: ``pairs`` if given (``run`` passes its
+    ``PairTracker``'s, which carry their classes), else by a fresh
+    ``state_classes`` and ``compute_neighbors``. Every state is stepped
+    through its map, one class per agent where all rows differ. Every new
     opinion depends only on ``state``. Raises NonFiniteState for an agent
     that is not its own neighbor (its opinion is not finite),
     ScheduleViolation if a schedule leaves its declared range, and

@@ -23,18 +23,19 @@ that the update reads from its pairs.
   representatives, one row per class: every path's verdict is that of the
   reference test below, a function of the two rows' bytes, so agents of one
   class have the same pairs, and the pairs of the representatives give
-  every agent's. A map that would remove fewer than ``_MIN_MERGED`` rows is
-  not used: every agent is then its own class.
+  every agent's. Every state is stepped through its map; where no two rows
+  share bytes and group, every class has one agent, class c is agent c, and
+  the representatives' pairs are the agents'.
 * ``Pairs.set_means``: every agent's neighbor-set means. With R rows, one
   per class, there are (1 + m)·R sets: set k·R + r is row r's own-group set
   for k = 0 and follower row r's group-k leader set for k >= 1, the cols of
-  r's pairs that carry that group. Where the pairs have classes,
-  ``_expanded`` first expands each pair's class to its members, so each row
-  lists its neighbor agents in ascending order: a row that reaches only
-  one-agent classes is so already, and one stable sort merges the others'
-  runs. Every group is one range of ids, as member counts make them, so
-  ``_grouping`` finds each set as one run of its row's cols by counting the
-  row's cols below each group bound. Where explicit member lists
+  r's pairs that carry that group. ``_expanded`` first expands each pair's
+  class to its members, so each row lists its neighbor agents in ascending
+  order: a row that reaches only one-agent classes is so already, and one
+  stable sort merges the others' runs; where every class has one agent,
+  the pairs are returned as they are. Every group is one range of ids, as
+  member counts make them, so ``_grouping`` finds each set as one run of
+  its row's cols by counting the row's cols below each group bound. Where explicit member lists
   interleave the groups, the cols of each row are first put in (group, id)
   order, by the agents' ranks in that order (``Partition.ranges``), and the
   runs are found the same way. A set whose size is its group's member
@@ -109,10 +110,6 @@ _GRID_MAX_DIM = 6
 _SKIN = 0.25  # a pair list's skin, as a fraction of epsilon
 _QUIET = 0.25  # build a list only after a step that moved no agent more than this fraction of the skin
 _MARGIN = 2.0**-30  # rounding margin of a pair list, as a fraction of epsilon + skin
-# the fewest rows a class map must remove to be used: its expansion and
-# gathers cost a step some 30 numpy calls, which a few merged rows do not
-# repay, and runs near convergence merge and split a few rows at a time
-_MIN_MERGED = 64
 # a block of equal-size sets gathers at most this many coordinates
 _GATHER_FLOATS = 1 << 17
 
@@ -392,27 +389,21 @@ def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
     return Classes(of, np.flatnonzero(lead), order, class_first, class_size)
 
 
-def state_classes(state: SystemState, scenario: Scenario) -> tuple[Classes | None, SystemState]:
+def state_classes(state: SystemState, scenario: Scenario) -> tuple[Classes, SystemState]:
     """The (row bytes, group) classes of ``state``'s agents and the state of
-    their representatives' rows; None and ``state`` itself where they would
-    remove fewer than ``_MIN_MERGED`` rows, every agent its own class."""
-    n = state.opinions.shape[0]
-    if n < _MIN_MERGED:
-        return None, state
+    their representatives' rows, one row per class; where no two agents
+    share a class, that state has ``state``'s rows."""
     classes = row_classes(state.opinions, scenario.partition.group_of)
-    if n - classes.reps.size < _MIN_MERGED:
-        return None, state
     return classes, SystemState(state.t, state.opinions[classes.reps])
 
 
-def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
+def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray):
     """The sizes of all (1 + m)·R sets, laid out as the module docstring says
     with R rows, each set's ids ascending; the gather index of each block of
     equal-size sets that are summed: (sets, their cols laid out as (size,
     sets) for d >= 2 and as (sets, size) for d = 1); and the copies
     ``(target, source)``, the full sets that take the sum of their group's
-    first full set. Row r is agent ``reps[r]``'s, or agent r's where
-    ``reps`` is None; the cols are agent ids.
+    first full set. Row r is agent ``reps[r]``'s; the cols are agent ids.
 
     Each set is the run of its row's cols whose keys lie in its group's
     range of ``Partition.ranges``: the cols themselves, or, for interleaved
@@ -423,9 +414,7 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     range: its ids are then all of the group's.
     """
     n = scenario.n_agents
-    group_of = scenario.partition.group_of
-    if reps is not None:
-        group_of = group_of[reps]
+    group_of = scenario.partition.group_of[reps]
     r = group_of.size
     key, bounds = scenario.partition.ranges
     if key is None:
@@ -441,7 +430,7 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     # agent whose opinion is finite is its own neighbor
     if not counts.all():
         empty = int(counts.argmin())
-        raise NonFiniteState(f"agent {empty if reps is None else int(reps[empty])} is not its own neighbor: "
+        raise NonFiniteState(f"agent {int(reps[empty])} is not its own neighbor: "
                              "its opinion is not finite")
     below = {0: np.zeros(r, dtype=starts.dtype), n: counts}  # b: how many of each row's keys are below b
     for b in bounds.ravel().tolist():
@@ -487,6 +476,8 @@ def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
     agent) pairs sorted by (class, agent): each neighbor class expanded to
     its members."""
     classes = pairs.classes
+    if classes.reps.size == classes.of.size:  # every class is one agent, class c agent c
+        return pairs.rows, pairs.cols
     size = classes.size[pairs.cols]
     rows = np.repeat(pairs.rows, size)
     # the positions in ``members`` of each pair's run: ones to accumulate,
@@ -545,16 +536,15 @@ def _set_means(x: np.ndarray, grouping) -> np.ndarray:
 
 @dataclass(eq=False)
 class Pairs:
-    """Sorted int32 ``(rows, cols)`` neighbor pairs of a state: where
-    ``classes`` is given, those of the classes' representatives, one row per
-    class. ``set_means`` groups them into neighbor sets on first use and
-    keeps that ``grouping``, which depends on the pairs and classes alone; a
-    ``PairTracker`` hands out the same object for as long as both hold, so a
-    grouping is never stale."""
+    """Sorted int32 ``(rows, cols)`` neighbor pairs of the representatives
+    of a state's ``classes``, one row per class. ``set_means`` groups them
+    into neighbor sets on first use and keeps that ``grouping``, which
+    depends on the pairs and classes alone; a ``PairTracker`` hands out the
+    same object for as long as both hold, so a grouping is never stale."""
 
     rows: np.ndarray
     cols: np.ndarray
-    classes: Classes | None = None
+    classes: Classes
     grouping: tuple | None = None
 
     def set_means(self, scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -564,17 +554,13 @@ class Pairs:
         had their sets summed, and how many sets were gathered and summed;
         the others were empty or copied a full set's sum. Raises
         NonFiniteState for an agent that is not its own neighbor."""
-        classes = self.classes
+        of = self.classes.of  # each agent reads its class's sets
         if self.grouping is None:
-            pairs = (self.rows, self.cols) if classes is None else (*_expanded(self), classes.reps)
-            self.grouping = _grouping(scenario, x.shape[1], *pairs)
+            self.grouping = _grouping(scenario, x.shape[1], *_expanded(self), self.classes.reps)
         size, blocks, _ = self.grouping
         means = _set_means(x, self.grouping).reshape(1 + scenario.m, -1, x.shape[1])
         size = size.reshape(means.shape[:2])
-        summed = size.shape[1], sum(part.size for part, _ in blocks)
-        if classes is not None:  # each agent reads its class's sets
-            means, size = means[:, classes.of], size[:, classes.of]
-        return means, size, *summed
+        return means[:, of], size[:, of], size.shape[1], sum(part.size for part, _ in blocks)
 
 
 class PairTracker:
@@ -618,7 +604,7 @@ class PairTracker:
         self.counts["searches"] += 1
         return None
 
-    def _rebuild(self, classes: Classes | None, reps: SystemState) -> None:
+    def _rebuild(self, classes: Classes, reps: SystemState) -> None:
         """The pairs of the representatives within eps and the band, the
         candidates whose distance is within the skin of eps, as ``(i, j,
         gap)`` stably sorted by gap: both in one pass over the candidates
@@ -673,13 +659,12 @@ class PairTracker:
         # the rows at the rebuild and E_i, E_j the exact displacements of a and
         # b, each at most D_i, D_j up to the rounding above. So the agents of
         # one row have the pairs of that row now.
-        of = None if self._pairs.classes is None else self._pairs.classes.of
+        of = self._pairs.classes.of
         with np.errstate(over="ignore"):
-            delta = x - (self._ref if of is None else self._ref[of])
-            moved = np.sqrt((delta * delta).sum(axis=1))
-        if of is not None:  # each row's largest
-            moved, each = np.zeros(len(self._ref)), moved
-            np.maximum.at(moved, of, each)
+            delta = x - self._ref[of]
+            each = np.sqrt((delta * delta).sum(axis=1))
+        moved = np.zeros(len(self._ref))  # each row's largest
+        np.maximum.at(moved, of, each)
         top = max(moved.size - 2, 0)
         top = float(np.partition(moved, top)[top:].sum())
         if not top + self.margin <= self.skin:

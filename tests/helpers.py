@@ -171,16 +171,26 @@ def neighbor_sets(sc: Scenario, state=None) -> list[tuple[np.ndarray, tuple[np.n
     return out
 
 
-def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray | None = None):
+def agent_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The agent pairs that ``Pairs`` over its classes' representatives
+    stand for, sorted by (row, col): two agents are neighbors when their
+    classes are."""
+    of, r = pairs.classes.of, pairs.classes.reps.size
+    linked = np.zeros((r, r), dtype=bool)
+    linked[pairs.rows, pairs.cols] = True
+    return np.nonzero(linked[np.ix_(of, of)])
+
+
+def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, reps: np.ndarray):
     """``neighbors._grouping`` from one mask per set kind over every pair: the
     sizes of all (1 + m)·R sets, the ``(part, index)`` gather blocks of the
     equal-size sets that copy no other set, the copies as ``(target,
     source)``, and each set's ids, taken in pair order from a copy of the
-    cols that carry its kind. Row r is agent ``reps[r]``'s, or agent r's
-    where ``reps`` is None. A set whose ids are its group's ids is full; the
-    first full set of each group is gathered, and every later one copies it."""
+    cols that carry its kind. Row r is agent ``reps[r]``'s. A set whose ids
+    are its group's ids is full; the first full set of each group is
+    gathered, and every later one copies it."""
     codes = sc.partition.group_of
-    row_group = codes if reps is None else codes[reps]
+    row_group = codes[reps]
     r = row_group.size
     row_code, col_code = row_group[rows], codes[cols]
     sizes, members = [], []
@@ -215,28 +225,31 @@ def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     return size, blocks, (target, source), ids
 
 
-def _mean_rows(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return np.sum(x[ids], axis=0) / len(ids)
+def _mean_rows(x: np.ndarray, ids: np.ndarray, shift: float | None = None) -> np.ndarray:
+    mean = np.sum(x[ids], axis=0) / len(ids)
+    return mean if shift is None else mean + shift
 
 
-def leader_update(x: np.ndarray, own: np.ndarray, alpha: float, target: np.ndarray) -> np.ndarray:
+def leader_update(x: np.ndarray, own: np.ndarray, alpha: float, target: np.ndarray,
+                  shift: float | None = None) -> np.ndarray:
     """Next opinion of a leader: the mean of its own-group neighbors ``own``
-    mixed with the target."""
-    return alpha * _mean_rows(x, own) + (1.0 - alpha) * target
+    mixed with the target. ``shift``, where given, is added to the mean, as
+    the mean-shift fault does."""
+    return alpha * _mean_rows(x, own, shift) + (1.0 - alpha) * target
 
 
-def follower_update(x: np.ndarray, own: np.ndarray, leaders, betas) -> np.ndarray:
+def follower_update(x: np.ndarray, own: np.ndarray, leaders, betas, shift: float | None = None) -> np.ndarray:
     """Next opinion of a follower from its follower neighbors ``own`` and its
     group-k leader neighbors ``leaders[k - 1]``; betas toward unreachable
-    groups are masked."""
+    groups are masked. ``shift``, where given, is added to every mean."""
     masked = tuple(b if leaders[k].size else 0.0 for k, b in enumerate(betas))
     total = 0.0
     for b in masked:
         total += b
-    out = (1.0 - total) * _mean_rows(x, own)
+    out = (1.0 - total) * _mean_rows(x, own, shift)
     for k, b in enumerate(masked):
         if b != 0.0:
-            out = out + b * _mean_rows(x, leaders[k])
+            out = out + b * _mean_rows(x, leaders[k], shift)
     return out
 
 

@@ -111,7 +111,18 @@ def test_simulate_demo_converges(tmp_path):
         "summed_sets": {"first": summed[0], "min": min(summed), "last": summed[-1]},
     }
     assert payload["step_digest"]["min_weight"] == 0.5
-    assert payload["step_digest"]["classes"]["first"] == 2  # too few agents to merge: one class each
+    assert payload["step_digest"]["classes"]["first"] == 2  # two distinct rows: one class each
+
+
+def test_run_json_counts_the_classes_of_fewer_than_64_agents(tmp_path):
+    # twelve followers on four rows, in two pairs of rows that merge after the first step
+    initial = [[0.0], [0.0625], [1.0], [1.0625]] * 3
+    cfg = config(followers=12, epsilon=0.125, initial=initial, horizon=5)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    digest = json.loads((out / "run.json").read_text())["step_digest"]
+    assert digest["classes"] == {"first": 4, "min": 2, "last": 2}
+    assert digest["summed_sets"] == {"first": 4, "min": 2, "last": 2}
 
 
 def test_run_json_counts_the_classes_a_collapsing_run_summed(tmp_path):

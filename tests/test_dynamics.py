@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
+    agent_pairs,
     config,
     constant,
     follower_update,
@@ -18,9 +20,17 @@ from helpers import (
     random_mixed_config,
     scenario,
 )
-from lfmix import ScheduleViolation, build_scenario, compute_neighbors, load_scenario, run
+from lfmix import ScheduleViolation, SystemState, build_scenario, compute_neighbors, load_scenario, run
 from lfmix import dynamics, neighbors
-from lfmix.dynamics import STOP_CONVERGED, STOP_HORIZON, STOP_STAGNATED, realized_alpha, realized_betas, step
+from lfmix.dynamics import (
+    FAULT_MEAN_SHIFT,
+    STOP_CONVERGED,
+    STOP_HORIZON,
+    STOP_STAGNATED,
+    realized_alpha,
+    realized_betas,
+    step,
+)
 from lfmix.errors import NonFiniteState
 from lfmix.neighbors import row_classes
 from lfmix.schedules import Constant
@@ -177,25 +187,55 @@ def test_step_weights_invariants_random_scenarios():
             state = nxt
 
 
-def reference_step(state, sc, t):
+def reference_step(state, sc, t, fault=None):
     """Per-agent step from the naive neighbor pairs split per agent and the
     references, and the neighbor-pair count the digest reports: own-group
     sets of all agents plus the leader sets a follower mixes with a nonzero
-    beta."""
+    beta. ``fault`` is ``step``'s."""
     x = state.opinions
     new = np.empty_like(x)
     alphas, all_betas = realized_alpha(sc, t).tolist(), realized_betas(sc, t).tolist()
+    shift = dynamics._MEAN_SHIFT if fault == FAULT_MEAN_SHIFT else None
     pairs = 0
     for i, (own, leaders) in enumerate(neighbor_sets(sc, state)):
         code = sc.partition.group_of[i]
         pairs += own.size
         if code:
-            new[i] = leader_update(x, own, alphas[i], sc.target(code))
+            new[i] = leader_update(x, own, alphas[i], sc.target(code), shift)
         else:
             betas = all_betas[i]
-            new[i] = follower_update(x, own, leaders, betas)
+            new[i] = follower_update(x, own, leaders, betas, shift)
             pairs += sum(ids.size for ids, b in zip(leaders, betas) if ids.size and b != 0.0)
     return new, pairs
+
+
+def reference_weights(state, sc, t):
+    """The digest's ``min_weight`` and ``max_sum_error``, agent by agent from
+    the naive sets. An agent puts its degree (alpha, or 1 less its masked
+    betas) on each member of its own set, each unmasked beta on each member
+    of that group's set, and, a leader, 1 - alpha on its target; the error
+    is |1 - the sum of those weights|, added set by set, the target last."""
+    alphas, all_betas = realized_alpha(sc, t).tolist(), realized_betas(sc, t).tolist()
+    smallest, error = math.inf, 0.0
+    for i, (own, leaders) in enumerate(neighbor_sets(sc, state)):
+        if sc.partition.group_of[i]:
+            sets, target = [(alphas[i], own.size)], 1.0 - alphas[i]
+        else:
+            masked = [b if ids.size else 0.0 for ids, b in zip(leaders, all_betas[i])]
+            total = 0.0
+            for b in masked:
+                total += b
+            sets, target = [(1.0 - total, own.size)] + [(b, ids.size) for b, ids in zip(masked, leaders)], 0.0
+        total = 0.0
+        for w, size in sets:
+            each = w / max(size, 1)
+            total += each * size
+            if w > 0.0:
+                smallest = min(smallest, each)
+        if target > 0.0:
+            smallest = min(smallest, target)
+        error = max(error, abs(1.0 - (total + target)))
+    return smallest, error
 
 
 def dense_mixed_config(rng, d, n_followers, leader_sizes, epsilon, spread):
@@ -326,7 +366,7 @@ def test_step_is_exact_when_hash_ties_split_classes(monkeypatch):
         state = nxt
 
 
-def assert_grouping_equals_oracle(sc, x, rows, cols, reps=None):
+def assert_grouping_equals_oracle(sc, x, rows, cols, reps):
     """``_grouping`` of the pairs has the oracle's sizes, gathered blocks and
     copies, and ``_set_means`` gives every set the mean of its oracle ids bit
     for bit (a 1-D sum for d = 1). Returns the oracle's sizes and copies."""
@@ -361,7 +401,8 @@ def test_grouping_equals_mask_oracle():
         sc = build_scenario(cfg)
         relabeled += sc.partition.ranges[0] is not None
         for state in run(sc).states:
-            _, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *compute_neighbors(state, sc))
+            _, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *compute_neighbors(state, sc),
+                                                           np.arange(sc.n_agents))
             copied += target.size > 0
     assert relabeled >= 10 and copied >= 10
 
@@ -370,10 +411,11 @@ def test_grouping_equals_mask_oracle():
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkeypatch):
     """Every full set of a group, one that holds the whole group, gets the
-    sum of the group's first full set, on the per-agent and the class path,
-    for interleaved member lists and a leader group of one member; a set one
-    agent short of its group is gathered. A small ``_GATHER_FLOATS`` puts a
-    source and the sets it stands for in different blocks."""
+    sum of the group's first full set, whether the class map has one agent
+    per class or pools rows, for interleaved member lists and a leader group
+    of one member; a set one agent short of its group is gathered. A small
+    ``_GATHER_FLOATS`` puts a source and the sets it stands for in different
+    blocks."""
     if gather is not None:
         monkeypatch.setattr(neighbors, "_GATHER_FLOATS", gather)
     rng = np.random.default_rng(40 + d)
@@ -395,15 +437,19 @@ def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkey
         sc = build_scenario(cfg)
         state = sc.initial_state
         pairs = dynamics._searched(state, sc)
-        assert (pairs.classes is not None) == name.startswith("pooled")
-        if pairs.classes is None:
-            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, pairs.rows, pairs.cols)
-        else:
-            size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *neighbors._expanded(pairs),
-                                                              pairs.classes.reps)
+        reps = pairs.classes.reps
+        distinct = {(g, row.tobytes()) for g, row in zip(sc.partition.group_of.tolist(), state.opinions)}
+        assert reps.size == len(distinct)
+        # the 8-D rows are all distinct, one class per agent; the 1-D and 2-D ones repeat a few
+        assert (reps.size == sc.n_agents) == (d == 8 and not name.startswith("pooled"))
+        assert (reps.size <= 3 * 4) == name.startswith("pooled")
+        size, (target, _) = assert_grouping_equals_oracle(sc, state.opinions, *neighbors._expanded(pairs), reps)
         if name == "short":
-            assert (size[1:100] == 99).all() and not np.isin(np.arange(1, 100), target).any()
-            assert target.size == 13 + 2 * 99 - 2  # the leaders' own sets and the other followers' leader sets
+            # row 0 is agent 0's, the follower far from all; the other follower rows miss it
+            others = np.flatnonzero(sc.partition.group_of[reps] == 0)[1:]
+            assert (size[others] == 99).all() and not np.isin(others, target).any()
+            # the leader rows' own sets and the other follower rows' leader sets
+            assert target.size == (reps.size - 1 - others.size) + 2 * others.size - 2
         else:
             assert target.size == (size > 0).sum() - 3  # one source per group
         nxt, digest = step(state, sc, 0)
@@ -428,7 +474,7 @@ def test_step_names_the_smallest_member_of_a_class_that_is_not_its_own_neighbor(
     x[:5] = 0.5  # class 0
     x[5:80] = np.nan  # class 1, of 75 agents, whose representative has no pair
     state = dataclasses.replace(sc.initial_state, opinions=x)
-    assert dynamics._searched(state, sc).classes is not None
+    assert dynamics._searched(state, sc).classes.reps[:3].tolist() == [0, 5, 80]
     with pytest.raises(NonFiniteState, match="agent 5 is not its own neighbor"):
         step(state, sc, 0)
 
@@ -603,15 +649,11 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
         # rebuild: two agents are neighbors when their classes are
         rows, cols = compute_neighbors(state, sc)
         assert pairs.rows.dtype == pairs.cols.dtype == np.int32
-        of = np.arange(sc.n_agents) if pairs.classes is None else pairs.classes.of
-        reps = np.arange(sc.n_agents) if pairs.classes is None else pairs.classes.reps
+        of, reps = pairs.classes.of, pairs.classes.reps
         group_of = sc.partition.group_of
         assert np.array_equal(group_of[reps][of], group_of)
-        linked = np.zeros((reps.size, reps.size), dtype=bool)
-        linked[pairs.rows, pairs.cols] = True
-        expected = np.zeros((sc.n_agents, sc.n_agents), dtype=bool)
-        expected[rows, cols] = True
-        assert np.array_equal(linked[np.ix_(of, of)], expected)
+        linked = agent_pairs(pairs)
+        assert np.array_equal(linked[0], rows) and np.array_equal(linked[1], cols)
         listed.append(reps.size < sc.n_agents)
         return real_step(state, sc, t, fault=fault, pairs=pairs)
 
@@ -627,6 +669,70 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
     assert sum(listed) >= 200  # steps that ran on fewer classes than agents
     # the lists were built and reused
     assert counts["rebuilds"] >= 5 and counts["reuses"] >= 100
+
+
+def class_path_config(rng, d, n_followers, repeats, interleaved=False):
+    """Followers on distinct rows but ``repeats`` of them copies of others,
+    some coordinates -0.0 (a [0.0] row's copy as [-0.0]); a leader group of
+    six on one row with seeded-random degrees, whose row splits after a
+    step; and a group of five whose agent ids mix a constant block, a
+    per-agent constant and a seeded-random override, with seeded-random and
+    constant betas and per-agent beta overrides among the followers."""
+    n = n_followers + 11
+    x = rng.uniform(0.0, 1.0, size=(n, d)).round(3)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[1] = 0.0
+    x[2] = -0.0
+    x[3:3 + repeats] = x[rng.integers(3 + repeats, n_followers, size=repeats)]
+    x[n_followers:n_followers + 6] = x[n_followers]
+    seeded = {"kind": "seeded_random", "seed": int(rng.integers(0, 2**31)), "low": 0.1, "high": 0.6}
+    cfg = config(dimension=d, epsilon=0.3 * math.sqrt(d), followers=n_followers, initial=x.tolist(),
+                 leader_groups=[("a", 6, [0.2] * d, seeded), ("b", 5, [-0.0] * d, constant(0.6))],
+                 follower_betas=[constant(0.2), constant(0.25)], horizon=40)
+    if interleaved:
+        cfg = regrouped(cfg, rng, "interleaved")
+    crowd, _, b = (g["members"] if isinstance(g["members"], list) else range(first, first + g["members"])
+                   for g, first in zip(cfg["groups"], (0, n_followers, n_followers + 6)))
+    cfg["schedules"]["crowd"]["per_agent"] = {
+        str(crowd[4]): {"betas": [constant(0.0), constant(0.5)]},
+        str(crowd[7]): {"betas": [constant(-0.0), {**seeded, "low": 0.0, "high": 0.3}]},
+    }
+    cfg["schedules"]["b"]["per_agent"] = {str(b[1]): {"alpha": constant(0.9)}, str(b[3]): {"alpha": seeded}}
+    return cfg
+
+
+def test_run_equals_per_agent_reference_steps():
+    """Every state of ``run`` and every digest's weights and pair count equal
+    per-agent reference steps, each on its own ``neighbors_naive`` search,
+    with and without the mean-shift fault: at N < 64 and where a class map
+    removes 1 to 63 rows, while classes merge and split and a held pair list
+    keeps its classes, for interleaved member lists and -0.0 rows."""
+    rng = np.random.default_rng(60)
+    small = few = merges = splits = 0
+    counts = dict.fromkeys(("searches", "rebuilds", "reuses"), 0)
+    for fault in (None, FAULT_MEAN_SHIFT):
+        for d, n_followers, repeats in ((1, 30, 4), (2, 45, 9), (2, 140, 20), (3, 110, 50)):
+            for interleaved in (False, True):
+                sc = build_scenario(class_path_config(rng, d, n_followers, repeats, interleaved))
+                traj = run(sc, fault=fault)
+                state = sc.initial_state
+                for t, digest in enumerate(traj.step_digests):
+                    expected, pairs = reference_step(state, sc, t, fault)
+                    assert traj.states[t + 1].opinions.tobytes() == expected.tobytes()
+                    assert (digest.min_weight, digest.max_sum_error) == reference_weights(state, sc, t)
+                    assert digest.neighbor_pairs == pairs
+                    removed = sc.n_agents - digest.classes
+                    small += sc.n_agents < 64 and removed > 0
+                    few += sc.n_agents >= 64 and 0 < removed < 64
+                    before, after = (row_classes(s.opinions, sc.partition.group_of).reps.size
+                                     for s in (state, traj.states[t + 1]))
+                    merges += after < before
+                    splits += after > before
+                    state = SystemState(t + 1, expected)
+                for key, value in traj.pair_counts.items():
+                    counts[key] += value
+    assert small >= 200 and few >= 16 and merges >= 100 and splits >= 10
+    assert counts["rebuilds"] >= 10 and counts["reuses"] >= 200
 
 
 def test_first_ten_steps_of_perf_10k_search_afresh():

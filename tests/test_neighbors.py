@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
+from helpers import agent_pairs, config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
 from lfmix import SystemState, build_scenario, compute_neighbors, neighbors_naive
 from lfmix import neighbors
 from lfmix.neighbors import PairTracker, row_classes
@@ -373,6 +373,7 @@ def test_pair_list_follows_pairs_across_epsilon_by_rebuilding():
     # distance is exact, and no agent drifts further than the skin allows.
     # Yet each move could carry a band pair of agent 0 across epsilon, so
     # the list is dropped and, after a quiet step, rebuilt at every state.
+    # At the last, agents 1 and 4 share a row and so one class.
     path = states_of([
         [[0.0], [1.03125], [-1.0], [0.5], [0.9375]],
         [[0.0], [1.0], [-1.0], [0.5], [1.03125]],
@@ -385,9 +386,11 @@ def test_pair_list_follows_pairs_across_epsilon_by_rebuilding():
     for state, partners in zip(path, expected_partners):
         pairs = tracker.pairs(state, 0.0)
         assert pairs is not None
-        assert pair_list(pairs.rows, pairs.cols) == pair_list(*compute_neighbors(state, sc))
+        rows, cols = agent_pairs(pairs)
+        assert pair_list(rows, cols) == pair_list(*compute_neighbors(state, sc))
         assert pairs.rows.dtype == pairs.cols.dtype == np.int32
-        assert pairs.cols[pairs.rows == 0].tolist() == partners
+        assert cols[rows == 0].tolist() == partners
+    assert pairs.classes.reps.tolist() == [0, 1, 2, 3]
     assert tracker.counts == {"searches": 0, "rebuilds": 4, "reuses": 0}
 
 
@@ -467,8 +470,8 @@ def test_rebuilt_pair_list_equals_a_search_and_a_per_pair_band(n, d, pool):
     sc = follower_only(x.tolist(), 0.3 * math.sqrt(d), d=d)
     tracker = PairTracker(sc)
     held = tracker.pairs(sc.initial_state, 0.0)
-    assert (held.classes is None) == (pool is None)
-    reps = sc.initial_state if held.classes is None else SystemState(0, x[held.classes.reps])
+    assert (held.classes.reps.size == n) == (pool is None)  # distinct rows: one class per agent
+    reps = SystemState(0, x[held.classes.reps])
     assert pair_list(held.rows, held.cols) == pair_list(*compute_neighbors(reps, sc))
     assert held.rows.dtype == held.cols.dtype == np.int32
     y = reps.opinions
@@ -499,9 +502,6 @@ def test_pair_list_keeps_its_classes_while_their_members_part():
         assert (pairs is held) == kept
         rows, cols = compute_neighbors(state, sc)
         assert ((rows == 69) & (cols == 70)).any() == (not kept)
-        if kept:  # two agents are neighbors when their classes are
-            of = held.classes.of
-            linked = np.zeros((2, 2), dtype=bool)
-            linked[held.rows, held.cols] = True
-            assert pair_list(*np.nonzero(linked[np.ix_(of, of)])) == pair_list(rows, cols)
+        if kept:
+            assert pair_list(*agent_pairs(held)) == pair_list(rows, cols)
     assert tracker.counts == {"searches": 1, "rebuilds": 1, "reuses": 1}
