@@ -35,12 +35,14 @@ steps) are measured from the realized run and reported, never assumed.
 Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
 
-``measure`` reads a trajectory once into a ``Series`` of per-state distances
-(C_t, A_t, the radius around the first target), the per-step degrees
-re-queried from the schedules and their maxima, and caches it for as long as
-the trajectory lives. ``metrics_rows``, ``measured_degree_bounds`` and every
-check read that one series; no check queries a schedule itself (cor2 reads
-step 0's betas when the run has no steps). A check takes the trajectory and
+``measure`` reads a trajectory once into a ``Series``, cached for as long as
+the trajectory lives: one pass per state and target over every agent's
+distance to it, of which each distance a check reads is an index or a max,
+and the per-step degrees re-queried from the schedules with their maxima.
+``metrics_rows``, ``measured_degree_bounds`` and every check read that one
+series; no check queries a schedule or measures a distance to a target
+itself, save cor2 on its standalone re-runs (other trajectories) and on
+step 0's betas when the run has no steps. A check takes the trajectory and
 its theorem's own inputs only: tolerances are the module constants below.
 
 ``opinion_diameter`` is exact and needs numpy only. For d >= 2 it gives the
@@ -242,21 +244,28 @@ def opinion_diameter(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Series:
-    """Per-state (t = 0..T) and per-step (t = 0..T-1) maxima of one trajectory.
+    """Per-state (t = 0..T) and per-step (t = 0..T-1) measurements of one trajectory.
 
-    Per state: C_t of group k, ``target_distances[k - 1][t]``; the followers'
-    (A_t) and all agents' max distance to target 1. Per step: group k's max
-    degree, ``max_alpha[k - 1][t]``; the max over all leaders in one reduction
-    (so a zero max keeps numpy's sign); the followers' max 1 - (sum of betas);
-    the degrees themselves, ``alphas[t]`` for all N agents (0 for followers;
-    no entries without leader groups) and ``betas[t]``, the followers' (F, m)
-    rows in follower-id order.
-    A series is None when it has no agents or no target 1.
+    Per state, indices and maxima of one array per target k, all agents'
+    distances to g_k: group k's leaders' distances in id order,
+    ``leader_distances[k - 1][t]``, and their max C_t,
+    ``target_distances[k - 1][t]``; the followers' max to target 1, A_t; all
+    agents' max, ``radii[k - 1][t]``; the whole array at t = 0 and T,
+    ``first_distances[k - 1]`` and ``last_distances[k - 1]``. Per step:
+    group k's max degree, ``max_alpha[k - 1][t]``; the max over all leaders in
+    one reduction (so a zero max keeps numpy's sign); the followers' max
+    1 - (sum of betas); the degrees themselves, ``alphas[t]`` for all N
+    agents (0 for followers; no entries without leader groups) and
+    ``betas[t]``, the followers' (F, m) rows in follower-id order. A field is
+    None, or ``()`` per target, without its agents or target 1.
     """
 
     target_distances: tuple[list[float], ...]
     follower_distances: list[float] | None
-    radii: list[float] | None
+    radii: tuple[list[float], ...]
+    leader_distances: tuple[list[np.ndarray], ...]
+    first_distances: tuple[np.ndarray, ...]
+    last_distances: tuple[np.ndarray, ...]
     max_alpha: tuple[list[float], ...]
     leader_max_alpha: list[float] | None
     max_rest: list[float] | None
@@ -281,23 +290,29 @@ def _measure(trajectory: Trajectory) -> Series:
     part = scenario.partition
     fol = part.follower_ids
     m = scenario.m
-    states = trajectory.states
     steps = range(trajectory.horizon)
     alphas = tuple(realized_alpha(scenario, t) for t in steps) if m else ()
     betas = tuple(realized_betas(scenario, t)[fol] for t in steps)
-    target_distances = tuple([max_target_distance(s, scenario, k) for s in states] for k in range(1, m + 1))
+    radii = tuple([] for _ in range(m))
+    leader_distances = tuple([] for _ in range(m))
+    follower_distances = [] if m and fol.size else None
+    for t, state in enumerate(trajectory.states):
+        # one pass per target over every agent; distances_to(x[ids], g) equals its [ids] bit for bit
+        dists = tuple(distances_to(state.opinions, g) for g in scenario.targets)
+        for dist, ids, radius, lead in zip(dists, part.leader_ids, radii, leader_distances):
+            radius.append(float(dist.max()))
+            lead.append(dist[ids])
+        if follower_distances is not None:
+            follower_distances.append(float(dists[0][fol].max()))
+        if t == 0:
+            first = dists
+    target_distances = tuple([float(d.max()) for d in lead] for lead in leader_distances)
     max_alpha = tuple([float(a[ids].max()) for a in alphas] for ids in part.leader_ids)
-    follower_distances = radii = leader_max_alpha = max_rest = None
-    if m:
-        g = scenario.target(1)
-        radii = [float(distances_to(s.opinions, g).max()) for s in states]
-        if fol.size:
-            follower_distances = [float(distances_to(s.opinions[fol], g).max()) for s in states]
-        lead = part.group_of > 0
-        leader_max_alpha = [float(a[lead].max()) for a in alphas]
-    if fol.size:
-        max_rest = [float((1.0 - beta_sums(b)).max()) for b in betas]
-    return Series(target_distances, follower_distances, radii, max_alpha, leader_max_alpha, max_rest, alphas, betas)
+    leaders = part.group_of > 0
+    leader_max_alpha = [float(a[leaders].max()) for a in alphas] if m else None
+    max_rest = [float((1.0 - beta_sums(b)).max()) for b in betas] if fol.size else None
+    return Series(target_distances, follower_distances, radii, leader_distances, first, dists,
+                  max_alpha, leader_max_alpha, max_rest, alphas, betas)
 
 
 def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
@@ -307,6 +322,11 @@ def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
     delta = max(alphas, default=None)
     gamma = max(alphas + (series.max_rest or []), default=None)
     return gamma, delta
+
+
+def _gamma(series: Series, t0: int) -> float:
+    """The largest max(1 - beta sum, alpha) from step t0 on; 0.0 if none."""
+    return max([0.0] + (series.max_rest or [])[t0:] + series.leader_max_alpha[t0:])
 
 
 def metrics_rows(trajectory: Trajectory) -> list[MetricsRow]:
@@ -352,10 +372,8 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     series = measure(trajectory)
     for t, alphas in enumerate(series.alphas):
         for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names), start=1):
-            g = scenario.target(k)
             x = states[t].opinions[ids]
-            dist0 = distances_to(x, g)
-            dist1 = distances_to(states[t + 1].opinions[ids], g)
+            dist0, dist1 = series.leader_distances[k - 1][t : t + 2]
             worst = np.empty_like(dist0)
             for start, block in _squared_distances(x, x):
                 worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
@@ -469,7 +487,7 @@ def check_ball_invariance(trajectory: Trajectory, radius: float | None = None) -
     name = "ball_invariance"
     if scenario.m != 1:
         return _skipped(name, INAPPLICABLE, f"needs exactly one leader group, found {scenario.m}")
-    radii = measure(trajectory).radii
+    radii = measure(trajectory).radii[0]
     if radius is None:
         radius = radii[0]
     report = CheckReport(name, tolerance=BALL_TOL, params={"radius": radius})
@@ -508,7 +526,7 @@ def check_consensus_bound(trajectory: Trajectory) -> CheckReport:
     eps = scenario.epsilon
     horizon = trajectory.horizon
     series = measure(trajectory)
-    radii = series.radii
+    radii = series.radii[0]
     curve_c = series.target_distances[0]
     curve_a = series.follower_distances or [0.0] * len(radii)
 
@@ -519,8 +537,7 @@ def check_consensus_bound(trajectory: Trajectory) -> CheckReport:
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
     delta = radii[t_star]
 
-    # for one group the followers' 1 - (sum of betas) is 1 - beta
-    gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.max_alpha[0][t_star:])
+    gamma = _gamma(series, t_star)  # for one group the followers' 1 - (sum of betas) is 1 - beta
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
@@ -573,9 +590,8 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     scenario = trajectory.scenario
     name = "mixture_limit"
     part = scenario.partition
-    m = scenario.m
     horizon = trajectory.horizon
-    if m < 1:
+    if scenario.m < 1:
         return _skipped(name, INAPPLICABLE, "needs at least one leader group")
     if horizon < 1:
         return _skipped(name, INAPPLICABLE, "trajectory has no steps")
@@ -595,16 +611,11 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
         return _skipped(name, UNDEFINED_LIMIT, f"agent {fol[j]} has zero beta sum; mixture undefined")
     weights = tail[-1] / total[:, None]
 
-    t_star = delta = center_group = None
     target_reach = [float(distances_to(scenario.targets, target).max()) for target in scenario.targets]
-    for t, state in enumerate(trajectory.states):
-        for j in range(1, m + 1):
-            r = max(float(distances_to(state.opinions, scenario.target(j)).max()), target_reach[j - 1])
-            if r < scenario.epsilon:
-                t_star, delta, center_group = t, r, j
-                break
-        if t_star is not None:
-            break
+    # the first step with a ball that holds all opinions and targets, around the lowest such group's target
+    balls = ((t, max(radii[t], reach), j) for t in range(horizon + 1)
+             for j, (radii, reach) in enumerate(zip(series.radii, target_reach), start=1))
+    t_star, delta, center_group = next((b for b in balls if b[1] < scenario.epsilon), (None, None, None))
     if t_star is None:
         return _skipped(
             name, INAPPLICABLE, "no step where all opinions and targets fit one epsilon ball"
@@ -612,7 +623,7 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     if t_star >= horizon:
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
 
-    gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.leader_max_alpha[t_star:])
+    gamma = _gamma(series, t_star)
     if gamma >= 1.0:
         return _skipped(
             name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
@@ -633,11 +644,8 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     for j, i in enumerate(fol.tolist()):
         lhs = float(np.sqrt(((final[i] - weights[j] @ scenario.targets) ** 2).sum()))
         report.records.append(StepRecord(horizon, f"follower {i} mixture", lhs, CONSENSUS_TOL))
-    for k in range(1, m + 1):
-        dists = distances_to(final[part.leader_ids[k - 1]], scenario.target(k))
-        report.records.append(
-            StepRecord(horizon, f"group {part.leader_names[k - 1]} target", float(dists.max()), CONSENSUS_TOL)
-        )
+    for name, curve in zip(part.leader_names, series.target_distances):
+        report.records.append(StepRecord(horizon, f"group {name} target", curve[-1], CONSENSUS_TOL))
     return report
 
 
@@ -780,14 +788,11 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     series = measure(trajectory)
 
     report = CheckReport(name, params={"consensus_tol": CONSENSUS_TOL, "cross_contacts": 0})
-    x0 = scenario.initial_state.opinions
-    final_joint = trajectory.final_state.opinions
     for k in range(1, scenario.m + 1):
         mine = assigned == k
         followers_k = part.follower_ids[mine]
         members = np.sort(np.concatenate((followers_k, part.leader_ids[k - 1])))  # disjoint id sets
-        g = scenario.target(k)
-        delta_k = float(distances_to(x0[members], g).max())
+        delta_k = float(series.first_distances[k - 1][members].max())
         if delta_k >= scenario.epsilon:
             return _skipped(
                 name, INAPPLICABLE,
@@ -806,14 +811,9 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
             alone = trajectory
         else:
             alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
-        dists = distances_to(alone.final_state.opinions, g)  # a subsystem's agents are its members in id order
-        for new, orig in enumerate(members.tolist()):
-            report.records.append(
-                StepRecord(alone.horizon, f"standalone agent {orig}", float(dists[new]), CONSENSUS_TOL)
-            )
-        joint_dists = distances_to(final_joint[members], g)
-        for pos, i in enumerate(members.tolist()):
-            report.records.append(
-                StepRecord(horizon, f"joint agent {i}", float(joint_dists[pos]), CONSENSUS_TOL)
-            )
+        # another trajectory, so measured here; a subsystem's agents are its members in id order
+        for i, dist in zip(members.tolist(), distances_to(alone.final_state.opinions, scenario.target(k)).tolist()):
+            report.records.append(StepRecord(alone.horizon, f"standalone agent {i}", dist, CONSENSUS_TOL))
+        for i, dist in zip(members.tolist(), series.last_distances[k - 1][members].tolist()):
+            report.records.append(StepRecord(horizon, f"joint agent {i}", dist, CONSENSUS_TOL))
     return report

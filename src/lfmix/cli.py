@@ -365,12 +365,9 @@ def _cmd_sweep(args) -> int:
             {"wall_time_seconds": wall, "threads": args.threads, "sweep_point": index,
              "sweep_params": assignments},
         )
-        final = trajectory.final_state.opinions
-        if scenario.m >= 1:
-            reference = scenario.target(1)
-        else:
-            reference = final.mean(axis=0)
-        final_max = float(analysis.distances_to(final, reference).max())
+        final = trajectory.final_state.opinions  # measured to its mean only without a target
+        final_max = (analysis.measure(trajectory).radii[0][-1] if scenario.m
+                     else float(analysis.distances_to(final, final.mean(axis=0)).max()))
         with open(summary, "a", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(
                 [index]

@@ -17,15 +17,15 @@ that the update reads from its pairs.
   the band, go to ``_within``. The checks scan only the pairs they need and
   call it just to name a cross-talk contact they found.
 * ``row_classes``: the class map of a state, its agents whose opinion rows
-  have identical bytes (and group, where the labels are given), each class
-  numbered by its smallest member. ``state_classes`` takes it with the
-  groups as labels, and ``dynamics`` searches only the classes'
-  representatives, one row per class: every path's verdict is that of the
-  reference test below, a function of the two rows' bytes, so agents of one
-  class have the same pairs, and the pairs of the representatives give
-  every agent's. Every state is stepped through its map; where no two rows
-  share bytes and group, every class has one agent, class c is agent c, and
-  the representatives' pairs are the agents'.
+  have identical bytes and label, each class numbered by its smallest
+  member. ``state_classes`` takes it with the groups as labels, and
+  ``dynamics`` searches only the classes' representatives, one row per
+  class: every path's verdict is that of the reference test below, a
+  function of the two rows' bytes, so agents of one class have the same
+  pairs, and the pairs of the representatives give every agent's. Every
+  state is stepped through its map; where no two rows share bytes and
+  group, every class has one agent, class c is agent c, and the
+  representatives' pairs are the agents'.
 * ``Pairs.set_means``: every agent's neighbor-set means. With R rows, one
   per class, there are (1 + m)·R sets: set k·R + r is row r's own-group set
   for k = 0 and follower row r's group-k leader set for k >= 1, the cols of
@@ -333,8 +333,8 @@ def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class Classes:
     """The classes of a state's agents whose opinion rows have identical
-    bytes (and, where labels are given, equal labels), numbered by their
-    smallest members, ascending; see ``row_classes``."""
+    bytes and equal labels, numbered by their smallest members, ascending;
+    see ``row_classes``."""
 
     of: np.ndarray  # each agent's class, int32
     reps: np.ndarray  # each class's smallest member, ascending
@@ -346,7 +346,7 @@ class Classes:
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so that multiplying by it permutes the 64-bit words
 
 
-def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
+def row_classes(x: np.ndarray, labels: np.ndarray) -> Classes:
     """The classes of the rows of ``x`` that have the same bytes and label:
     -0.0 and 0.0 differ, as they do in ``repr``.
 
@@ -359,7 +359,7 @@ def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
     """
     n, d = x.shape
     bits = x.view(np.uint64)  # a state's opinions are C-contiguous float64
-    h = np.zeros(n, dtype=np.uint64) if labels is None else labels.astype(np.uint64)
+    h = labels.astype(np.uint64)
     for c in range(d):
         h ^= bits[:, c]
         h ^= h >> 32  # with the product, a bijection that carries every bit into the high ones
@@ -374,9 +374,8 @@ def row_classes(x: np.ndarray, labels: np.ndarray | None = None) -> Classes:
     start = np.empty(n, dtype=bool)  # where a class starts: a row or label unlike the previous one's
     start[:1] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=start[1:])
-    if labels is not None:
-        tags = labels[order]
-        start[1:] |= tags[1:] != tags[:-1]
+    tags = labels[order]
+    start[1:] |= tags[1:] != tags[:-1]
     first = np.flatnonzero(start).astype(np.int32)
     size = np.diff(first, append=n)
     lead = np.zeros(n, dtype=bool)  # the smallest member of each class

@@ -13,11 +13,12 @@ recorded step. Metrics CSV: header ``t,group,metric,value`` with metrics
 
 Both files hold exactly what ``csv.writer`` writes (excel dialect, CRLF line
 ends). The trajectory writer quotes each group name once and writes a
-recorded state as one string, one row per agent. Agents whose opinion rows
-have the same bytes share one text: each state's ``row_classes`` is taken
-and each distinct row formatted once, so a run whose clusters have merged
-calls ``repr`` per cluster, not per agent. Keying by bytes keeps -0.0 and
-0.0, which ``repr`` tells apart, in different classes.
+recorded state as one string, one row per agent. Agents of one group whose
+opinion rows have the same bytes share one text: each state's
+``row_classes``, with the groups as labels, is taken and each class's row
+formatted once, so a run whose clusters have merged calls ``repr`` per
+cluster and group, not per agent. Keying by bytes keeps -0.0 and 0.0,
+which ``repr`` tells apart, in different classes.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) ->
             if state.t % record_every and state.t != last:
                 continue
             t = str(state.t)
-            classes = row_classes(state.opinions)
+            classes = row_classes(state.opinions, part.group_of)
             texts = [",".join(map(repr, row)) + "\r\n" for row in state.opinions[classes.reps].tolist()]
             fh.write("".join([t + p + texts[c] for p, c in zip(prefixes, classes.of.tolist())]))
 

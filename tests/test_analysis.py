@@ -237,34 +237,54 @@ def hexes(values):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_series_equals_per_state_distances_bitwise(seed):
+    # every distance the series keeps, against distances_to over the agents
+    # it covers; a quarter of the initial rows are -0.0, and some targets
+    # have a 0.0 coordinate
     rng = np.random.default_rng(300 + seed)
     for trial in range(8):
         cfg = random_mixed_config(rng, d_lo=1, d_hi=8, m_lo=0, m_hi=4,
                                   n_followers_hi=0 if trial % 4 == 0 else 20, horizon=6)
+        n = sum(g["members"] for g in cfg["groups"])
+        x0 = rng.uniform(0.0, 1.0, size=(n, cfg["dimension"]))
+        x0[rng.random(n) < 0.25] = -0.0
+        cfg["initial_opinions"] = {"explicit": x0.tolist()}
+        for g in cfg["groups"]:
+            if g["kind"] == "leader" and rng.random() < 0.5:
+                g["target"][0] = 0.0
         sc = build_scenario(cfg)
         traj = run(sc)
+        assert np.signbit(sc.initial_state.opinions).sum() == np.signbit(x0).sum()
         series = measure(traj)
         part = sc.partition
         fol = part.follower_ids
-        assert len(series.target_distances) == len(series.max_alpha) == sc.m
+        xs = [s.opinions for s in traj.states]
+        assert sc.m == len(series.target_distances) == len(series.radii) == len(series.leader_distances)
+        assert sc.m == len(series.first_distances) == len(series.last_distances) == len(series.max_alpha)
         for k in range(1, sc.m + 1):
+            g, ids = sc.target(k), part.leader_ids[k - 1]
+            assert hexes(series.radii[k - 1]) == hexes(distances_to(x, g).max() for x in xs)
+            assert [a.tobytes() for a in series.leader_distances[k - 1]] == [
+                distances_to(x[ids], g).tobytes() for x in xs
+            ]
             assert hexes(series.target_distances[k - 1]) == hexes(
                 max_target_distance(s, sc, k) for s in traj.states
             )
+            for kept, x in ((series.first_distances[k - 1], xs[0]), (series.last_distances[k - 1], xs[-1])):
+                assert kept.tobytes() == distances_to(x, g).tobytes()
+                subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                assert kept[subset].tobytes() == distances_to(x[subset], g).tobytes()
             assert hexes(series.max_alpha[k - 1]) == hexes(
-                realized_alpha(sc, t)[part.leader_ids[k - 1]].max() for t in range(traj.horizon)
+                realized_alpha(sc, t)[ids].max() for t in range(traj.horizon)
             )
         if sc.m:
-            g = sc.target(1)
-            assert hexes(series.radii) == hexes(distances_to(s.opinions, g).max() for s in traj.states)
             assert hexes(series.leader_max_alpha) == hexes(
                 realized_alpha(sc, t)[part.group_of > 0].max() for t in range(traj.horizon)
             )
         else:
-            assert series.radii is None and series.leader_max_alpha is None
+            assert series.leader_max_alpha is None
         if sc.m and fol.size:
             assert hexes(series.follower_distances) == hexes(
-                distances_to(s.opinions[fol], g).max() for s in traj.states
+                distances_to(x[fol], sc.target(1)).max() for x in xs
             )
         else:
             assert series.follower_distances is None
@@ -722,6 +742,30 @@ def test_mixture_limit_two_groups():
         assert abs(final[i, 0]) <= 1e-6
     for i in (5, 6):
         assert final[i, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_mixture_limit_centres_the_ball_on_a_later_target():
+    # t = 0: the follower at 1.2 and the low leader at 1.5 are 1.2 or more
+    # from both targets. t = 1: the low leader is at 0.75 and the follower at
+    # 1.08, still epsilon or more from target 1 but within 0.78 of target 2
+    sc = scenario(
+        epsilon=1.0,
+        followers=1,
+        leader_groups=[("low", 1, [0.0], constant(0.5)), ("high", 1, [0.3], constant(0.5))],
+        initial=[[1.2], [1.5], [0.3]],
+        follower_betas=[constant(0.2), constant(0.2)],
+        horizon=60,
+    )
+    traj = run(sc)
+    rep = check_mixture_limit(traj)
+    assert rep.passed
+    assert (rep.params["t_star"], rep.params["delta"], rep.params["ball_center_group"]) == (1, 0.78, 2)
+    final = traj.final_state.opinions[:, 0]
+    assert [(r.t, r.label, r.lhs, r.rhs) for r in rep.records] == [
+        (60, "follower 0 mixture", abs(final[0] - 0.15), 1e-6),  # (0.2 * 0 + 0.2 * 0.3) / 0.4
+        (60, "group low target", abs(final[1]), 1e-6),
+        (60, "group high target", abs(final[2] - 0.3), 1e-6),
+    ]
 
 
 def test_mixture_limit_single_group_collapses_to_target():

@@ -429,7 +429,7 @@ def classes_oracle(x, labels, every_hash_ties):
     seen, runs, last = {}, 0, None
     of = []
     for i in range(x.shape[0]):
-        key = (None if labels is None else int(labels[i]), x[i].tobytes())
+        key = (int(labels[i]), x[i].tobytes())
         runs += key != last
         last = key
         of.append(seen.setdefault((runs, key) if every_hash_ties else key, len(seen)))
@@ -449,7 +449,7 @@ def test_row_classes_key_rows_by_bytes_and_label(monkeypatch):
             pool = rng.integers(-2, 3, size=(6, d)) * 0.5
             pool[rng.random(pool.shape) < 0.3] = -0.0
             x = pool[rng.integers(0, 6, size=n)]
-            labels = rng.integers(0, 3, size=n) if trial % 2 else None
+            labels = rng.integers(0, 3, size=n) if trial % 2 else np.zeros(n, dtype=np.int64)
             expected = classes_oracle(x, labels, every_hash_ties)
             classes = row_classes(x, labels)
             assert classes.of.tolist() == expected
