@@ -38,7 +38,8 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 ``measure`` reads a trajectory once into a ``Series``, cached for as long as
 the trajectory lives: one pass per state and target over every agent's
 distance to it, of which each distance a check reads is an index or a max,
-and the per-step degrees re-queried from the schedules with their maxima.
+and the per-step degrees re-queried from the schedules, through degree
+tables of its own, with their maxima.
 ``metrics_rows``, ``measured_degree_bounds`` and every check read that one
 series; no check queries a schedule or measures a distance to a target
 itself, save cor2 on its standalone re-runs (other trajectories) and on
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, beta_sums, realized_alpha, realized_betas, run
+from .dynamics import DegreeTable, Trajectory, beta_sums, realized_alpha, realized_betas, run
 from .model import Partition, Scenario, SystemState
 from .neighbors import neighbors_naive
 from .schedules import RemappedAgents
@@ -291,8 +292,10 @@ def _measure(trajectory: Trajectory) -> Series:
     fol = part.follower_ids
     m = scenario.m
     steps = range(trajectory.horizon)
-    alphas = tuple(realized_alpha(scenario, t) for t in steps) if m else ()
-    betas = tuple(realized_betas(scenario, t)[fol] for t in steps)
+    # its own tables, a chunk of steps at a time; nothing of the engine's
+    alpha_table, beta_table = (DegreeTable(scenario, kind, trajectory.horizon) for kind in ("alpha", "betas"))
+    alphas = tuple(realized_alpha(scenario, t, alpha_table) for t in steps) if m else ()
+    betas = tuple(realized_betas(scenario, t, beta_table)[fol] for t in steps)
     radii = tuple([] for _ in range(m))
     leader_distances = tuple([] for _ in range(m))
     follower_distances = [] if m and fol.size else None

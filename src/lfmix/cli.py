@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma-separated subset of {','.join(CHECK_TOKENS)}; {_CHECK_HELP}")
     chk.add_argument("--report", default=None, help="write the JSON report here (default: stdout)")
     chk.add_argument("--horizon", type=_count(0), default=None)
-    chk.add_argument("--threads", type=int, default=1)
+    chk.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     chk.add_argument("--inject-fault", choices=FAULT_KINDS, default=None,
                      help="corrupt the engine on purpose to demonstrate check sensitivity")
     chk.set_defaults(func=_cmd_check)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", required=True)
     swp.add_argument("--horizon", type=_count(0), default=None)
     swp.add_argument("--record-every", type=_count(1), default=1)
-    swp.add_argument("--threads", type=int, default=1)
+    swp.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     swp.add_argument("--seed", type=int, default=None, help="base seed for per-point seeds")
     swp.set_defaults(func=_cmd_sweep)
 

@@ -16,8 +16,9 @@ follower's set of each leader group, and their sizes; the ``neighbors``
 module docstring says how the pairs become those sets. One (1 + m, N)
 weight matrix, row 0 the own weight and rows 1..m the masked betas, mixes
 them per agent, and its reductions over axis 0 give the ``StepDigest``.
-Degrees come from one query per schedule block; no per-agent object is
-built.
+A step alone queries each schedule block once for its degrees; ``run``
+reads them from its own ``DegreeTable`` per kind, which asks each built-in
+block once per chunk of steps. No per-agent object is built.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does (``neighbors`` says how
@@ -39,6 +40,7 @@ import numpy as np
 from .errors import NonFiniteState, ScheduleViolation
 from .model import Scenario, SystemState
 from .neighbors import PairTracker, Pairs, compute_neighbors, state_classes
+from .schedules import tabled
 
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
@@ -49,6 +51,7 @@ STOP_CONVERGED = "converged"
 STOP_STAGNATED = "stagnated"
 
 _SCENARIO_DEFAULT = object()
+_TABLE_FLOATS = 1 << 16  # degrees per chunk of a DegreeTable
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,15 @@ class Trajectory:
         return self.states[-1]
 
 
-def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> None:
-    """``out[ids] = schedule.at(ids, t)``; every value must be a number in [0, 1]."""
-    raw = schedule.at(ids, t)
-    try:
-        out[ids] = raw
-    except (TypeError, ValueError):
-        raise ScheduleViolation(f"{what} for agents {ids} at t={t} returned non-numeric {raw!r}") from None
+def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str, ask: bool = True) -> None:
+    """``out[ids] = schedule.at(ids, t)``, or, where ``ask`` is false, the
+    values ``out[ids]`` already holds; every value must be a number in [0, 1]."""
+    if ask:
+        raw = schedule.at(ids, t)
+        try:
+            out[ids] = raw
+        except (TypeError, ValueError):
+            raise ScheduleViolation(f"{what} for agents {ids} at t={t} returned non-numeric {raw!r}") from None
     bad = ~((out[ids] >= 0.0) & (out[ids] <= 1.0))  # NaN too
     if bad.any():
         i = ids[bad.argmax()]
@@ -108,27 +113,94 @@ def beta_sums(betas: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, betas.T, np.zeros(len(betas)))
 
 
-def realized_alpha(scenario: Scenario, t: int) -> np.ndarray:
-    """All N leader degrees at step t (0 for followers), one schedule query
-    per block, guarded against out-of-range returns."""
-    alpha = np.zeros(scenario.n_agents)
-    for schedule, ids in scenario.alphas:
-        _query(alpha, schedule, ids, t, "alpha schedule")
-    return alpha
+class DegreeTable:
+    """The alpha or the beta degrees of steps t < ``horizon`` of one run,
+    ``kind`` ``"alpha"`` or ``"betas"``, as (N, width) rows: width 1 for
+    alpha, m for the betas, 0 for an agent the kind does not cover.
+
+    Its cells are the scenario's (schedule, ids, column) blocks, in the
+    order a step queries them. A ``schedules.tabled`` cell gives the values
+    of a chunk of steps in one ``at_steps`` call, one value per step where
+    it does not depend on the agent. A chunk holds at most as many steps as
+    came before it and ``_TABLE_FLOATS`` degrees, so a run that stops early
+    tables at most about twice the steps it took. Any other schedule, or
+    one whose ``at_steps`` raised or gave no numbers, is asked with ``at``
+    at its step, and so is every schedule without a ``horizon``, as
+    ``step`` alone asks them.
+
+    ``row(t)`` builds step t's row and guards it as ``_query`` does. A
+    chunk tests its tabled values in one pass; a row whose tabled values
+    all lie in [0, 1] and that has no schedule to ask skips the per-cell
+    tests. Any other row asks or tests each cell in order, so every error
+    is raised at its step, with its message, in the order of the per-step
+    queries.
+    """
+
+    def __init__(self, scenario: Scenario, kind: str, horizon: int | None = None):
+        self.betas = kind == "betas"
+        if self.betas:
+            self.cells = [(s, ids, k, f"beta schedule {k + 1}") for group, ids in scenario.betas
+                          for k, s in enumerate(group)]
+        else:
+            self.cells = [(s, ids, 0, "alpha schedule") for s, ids in scenario.alphas]
+        self.shape = (scenario.n_agents, scenario.m if self.betas else 1)
+        self.horizon = horizon
+        self.start = self.stop = 0
+
+    def _fill(self, t: int) -> None:
+        steps = 1
+        if self.horizon is not None:
+            steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // max(1, self.shape[0] * self.shape[1])))
+        ts = np.arange(t, t + steps)
+        self.values = []  # each cell's (steps, ids) values, None where it is asked at its step
+        self.clean = np.full(steps, self.horizon is not None)
+        for schedule, ids, _, _ in self.cells:
+            values = None
+            if self.horizon is not None and tabled(schedule):
+                try:
+                    values = np.asarray(schedule.at_steps(ids, ts), dtype=float)
+                except (ArithmeticError, TypeError, ValueError):
+                    pass  # asked at each step, so that its error comes at its step
+            if values is None:
+                self.clean[:] = False
+            else:
+                self.clean &= ((values >= 0.0) & (values <= 1.0)).all(axis=1)
+            self.values.append(values)
+        self.start, self.stop = t, t + steps
+
+    def row(self, t: int) -> np.ndarray:
+        """Step t's (N, width) degrees; raises ScheduleViolation as
+        ``realized_alpha`` and ``realized_betas`` do."""
+        if not self.start <= t < self.stop:
+            self._fill(t)
+        i = t - self.start
+        row = np.zeros(self.shape)
+        for (schedule, ids, k, what), values in zip(self.cells, self.values):
+            if values is not None:
+                row[ids, k] = values[i]
+            if not self.clean[i]:
+                _query(row[:, k], schedule, ids, t, what, values is None)
+        if self.betas:
+            total = beta_sums(row)
+            if (total > 1.0).any():
+                i = (total > 1.0).argmax()
+                raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
+        return row
 
 
-def realized_betas(scenario: Scenario, t: int) -> np.ndarray:
-    """The (N, m) follower degrees at step t (0 for leaders), one query per
-    block and leader group; each entry and each agent's sum guarded."""
-    betas = np.zeros((scenario.n_agents, scenario.m))
-    for schedules, ids in scenario.betas:
-        for k, schedule in enumerate(schedules):
-            _query(betas[:, k], schedule, ids, t, f"beta schedule {k + 1}")
-    total = beta_sums(betas)
-    if (total > 1.0).any():
-        i = (total > 1.0).argmax()
-        raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
-    return betas
+def realized_alpha(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
+    """All N leader degrees at step t (0 for followers), guarded against
+    out-of-range returns: from ``table``, a run's alpha ``DegreeTable``,
+    where given, else one schedule query per block."""
+    return (DegreeTable(scenario, "alpha") if table is None else table).row(t)[:, 0]
+
+
+def realized_betas(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
+    """The (N, m) follower degrees at step t (0 for leaders), each entry and
+    each agent's sum guarded: from ``table``, a run's betas
+    ``DegreeTable``, where given, else one query per block and leader
+    group."""
+    return (DegreeTable(scenario, "betas") if table is None else table).row(t)
 
 
 def _searched(state: SystemState, scenario: Scenario) -> Pairs:
@@ -146,6 +218,7 @@ def step(
     *,
     fault: str | None = None,
     pairs: Pairs | None = None,
+    degrees: tuple[DegreeTable, DegreeTable] | None = None,
 ) -> tuple[SystemState, StepDigest]:
     """Apply one synchronous update to every agent.
 
@@ -154,9 +227,11 @@ def step(
     and so have the same sets: ``pairs`` if given (``run`` passes its
     ``PairTracker``'s, which carry their classes), else by a fresh
     ``state_classes`` and ``compute_neighbors``. Every state is stepped
-    through its map, one class per agent where all rows differ. Every new
-    opinion depends only on ``state``. Raises NonFiniteState for an agent
-    that is not its own neighbor (its opinion is not finite),
+    through its map, one class per agent where all rows differ. The
+    degrees come from ``degrees``, a run's alpha and betas ``DegreeTable``,
+    if given, else from one query per schedule block, after the set means.
+    Every new opinion depends only on ``state``. Raises NonFiniteState for
+    an agent that is not its own neighbor (its opinion is not finite),
     ScheduleViolation if a schedule leaves its declared range, and
     ValueError for an unknown fault.
     """
@@ -169,8 +244,9 @@ def step(
         means += _MEAN_SHIFT
     group_of = scenario.partition.group_of
     lead = group_of > 0
-    alpha = realized_alpha(scenario, t)
-    betas = realized_betas(scenario, t)
+    alpha_table, beta_table = degrees or (None, None)
+    alpha = realized_alpha(scenario, t, alpha_table)
+    betas = realized_betas(scenario, t, beta_table)
 
     # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
     # for a follower; row k: the beta toward group k, masked where its set is empty
@@ -216,7 +292,9 @@ def run(
     exactly a fresh search's either way (the proof is in
     ``PairTracker._holds``). How the steps got them is the trajectory's
     ``pair_counts``, and the time that took its ``pair_seconds``; the time
-    its ``step`` calls took is its ``step_seconds``.
+    its ``step`` calls took is its ``step_seconds``. The steps read their
+    degrees from the run's two ``DegreeTable``s, which table at most the
+    ``horizon`` steps.
     """
     opts = scenario.engine
     if horizon is None:
@@ -230,6 +308,7 @@ def run(
     reason = STOP_HORIZON
     recent: deque[float] = deque(maxlen=opts.stop_window)
     tracker = PairTracker(scenario)
+    degrees = DegreeTable(scenario, "alpha", horizon), DegreeTable(scenario, "betas", horizon)
     disp = math.inf
     searching = updating = 0.0
     for t in range(horizon):
@@ -239,7 +318,7 @@ def run(
             pairs = _searched(states[-1], scenario)
         searching += time.perf_counter() - started
         started = time.perf_counter()
-        nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs)
+        nxt, digest = step(states[-1], scenario, t, fault=fault, pairs=pairs, degrees=degrees)
         updating += time.perf_counter() - started
         del pairs  # a fresh search's pairs die with their step, not during the next search
         finite = np.isfinite(nxt.opinions).all(axis=1)
@@ -250,6 +329,7 @@ def run(
         diff = nxt.opinions - states[-1].opinions
         states.append(nxt)
         disp = float(np.sqrt((diff * diff).sum(axis=1).max()))
+        del diff  # not kept through the next step's search
         recent.append(disp)
         if tol is not None and len(recent) == opts.stop_window and max(recent) <= tol:
             reason = STOP_CONVERGED

@@ -6,8 +6,9 @@ that the update reads from its pairs.
   (i, j); every agent is its own neighbor. For d <= 6 and N >= 64 the
   candidates come from ``neighbors_grid``, a grid of cells of side just over
   epsilon whose 3^d block around an agent's cell covers every point within
-  epsilon of it; otherwise it is ``neighbors_naive``. Only N and d choose;
-  both yield the same pairs.
+  epsilon of it, unless the rows' bounding box spans at most 3 cells on
+  every axis; otherwise it is ``neighbors_naive``. N, d and that O(N·d)
+  test of each axis's extremes choose; both yield the same pairs.
 * ``neighbors_naive``: the same pairs in the same format from an exact
   O(N^2) scan of every agent against all agents, in blocks of rows, the
   reference the tests hold the grid to (and check themselves against a
@@ -264,9 +265,27 @@ def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ids, counts), np.concatenate(cols)
 
 
-def _uses_grid(x: np.ndarray) -> bool:
+def _cell_side(lo: np.ndarray, hi: np.ndarray, eps: float) -> float:
+    """The side of ``neighbors_grid``'s cells for rows whose axes run from
+    ``lo`` to ``hi``."""
+    # the distance test keeps pairs a few ulps more than epsilon apart (-1e-17
+    # and 0.5 at epsilon 0.5) and x / side rounds; this margin keeps them adjacent
+    return eps * (1.0 + 2.0**-48) + float(np.maximum(-lo, hi).max()) * 2.0**-50  # the largest |x|
+
+
+def _uses_grid(x: np.ndarray, eps: float) -> bool:
+    """Whether to search the rows ``x`` within ``eps`` on the grid: for N
+    >= 64 and d <= 6, unless its cells would span at most 3 per axis. Then
+    an agent's 3^d block misses only agents two cells away on some axis,
+    none at a span of 2 or less, so the grid would test most of the N^2
+    pairs, one index gather at a time, where the scan screens all of them
+    with one matrix product per block of rows."""
     n, d = x.shape
-    return n >= _GRID_MIN_AGENTS and d <= _GRID_MAX_DIM
+    if n < _GRID_MIN_AGENTS or d > _GRID_MAX_DIM:
+        return False
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    side = _cell_side(lo, hi, eps)  # floor(x / side) is monotone in x: the extremes give the extreme cells
+    return not (np.floor(hi / side) - np.floor(lo / side) <= 2).all()
 
 
 def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +296,10 @@ def neighbors_naive(state: SystemState, scenario: Scenario) -> tuple[np.ndarray,
 
 
 def compute_neighbors(state: SystemState, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row, col)."""
-    if not _uses_grid(state.opinions):
+    """All epsilon-neighbor pairs as int32 ``(rows, cols)``, sorted by (row,
+    col): from ``neighbors_grid`` where ``_uses_grid`` says so, else from
+    ``neighbors_naive``."""
+    if not _uses_grid(state.opinions, scenario.epsilon):
         return neighbors_naive(state, scenario)
     return neighbors_grid(state.opinions, scenario.epsilon)
 
@@ -296,10 +317,7 @@ def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     n, d = x.shape
     xt = np.ascontiguousarray(x.T)
     eps2 = eps * eps
-    # the distance test keeps pairs a few ulps more than epsilon apart (-1e-17
-    # and 0.5 at epsilon 0.5) and x / side rounds; this margin keeps them adjacent
-    side = eps * (1.0 + 2.0**-48) + float(np.abs(x).max()) * 2.0**-50
-    cells = np.floor(x / side).astype(np.int64)
+    cells = np.floor(x / _cell_side(x.min(axis=0), x.max(axis=0), eps)).astype(np.int64)
     cells -= cells.min(axis=0) - 1  # every coordinate >= 1, so a -1 offset stays >= 0
     strides = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2].astype(np.uint64), dtype=np.uint64)
     keys = (cells.astype(np.uint64) * strides).sum(axis=1, dtype=np.uint64)
@@ -610,7 +628,7 @@ class PairTracker:
         within eps + skin."""
         x = reps.opinions
         xt = np.ascontiguousarray(x.T)
-        rows, cols = neighbors_grid(x, self.reach) if _uses_grid(x) else _scan(x, self.reach)
+        rows, cols = neighbors_grid(x, self.reach) if _uses_grid(x, self.reach) else _scan(x, self.reach)
         total = _column_sums(xt, rows, cols)
         keep = _within(x, xt, rows, cols, self.eps2, total)
         gap = np.abs(np.sqrt(total) - self.eps)

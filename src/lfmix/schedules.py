@@ -7,7 +7,14 @@ value, which is what makes trajectories reproducible at any thread count.
 ``at`` takes one agent id or an int array of ids. For an array it returns a
 value that broadcasts to the array's shape (a scalar for agent-independent
 kinds) and equals the scalar query of each id, so one call per step serves
-every agent a schedule covers.
+every agent a schedule covers. ``at_steps`` takes an int array of ids and one
+of steps and returns their (steps, ids) table, row i equal to ``at(ids,
+ts[i])`` bit for bit. The base class asks ``at`` once per step; the
+built-in kinds answer in one go, and an agent-independent kind broadcasts
+one value per step without building the table. ``tabled`` says which
+schedules a run may table ahead of its steps: the built-in kinds and
+remappings of them. Any other schedule is asked with ``at`` at each step,
+so its calls and errors come at that step.
 
 Built-in kinds:
 
@@ -41,6 +48,12 @@ class Schedule:
         always in [0, 1], broadcasting to the shape of ``agent``."""
         raise NotImplementedError
 
+    def at_steps(self, ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The (len(ts), len(ids)) degrees of the int array ``ids`` at the
+        int array of steps ``ts``: one ``at`` query per step."""
+        rows = [np.broadcast_to(self.at(ids, t), ids.shape) for t in np.asarray(ts).tolist()]
+        return np.stack(rows) if rows else np.empty((0, ids.size))
+
     def peak(self, t: int) -> float:
         """The largest degree ``at`` can return for any agent at step ``t``."""
         raise NotImplementedError
@@ -61,6 +74,9 @@ class Constant(Schedule):
     def at(self, agent, t: int):
         return self.value
 
+    def at_steps(self, ids, ts):
+        return np.broadcast_to(self.value, (len(ts), len(ids)))
+
     def peak(self, t: int) -> float:
         return self.value
 
@@ -76,6 +92,10 @@ class Table(Schedule):
     def at(self, agent, t: int):
         return self.values[min(t, len(self.values) - 1)]
 
+    def at_steps(self, ids, ts):
+        held = np.minimum(np.asarray(ts, dtype=np.int64), len(self.values) - 1)
+        return _per_step(np.asarray(self.values)[held], ids)
+
     def peak(self, t: int) -> float:
         return self.at(0, t)
 
@@ -89,6 +109,10 @@ class GeometricDecay(Schedule):
 
     def at(self, agent, t: int):
         return min(1.0, max(0.0, self.initial * self.ratio**t))
+
+    def at_steps(self, ids, ts):
+        # Python's float ** int, step by step: np.power rounds some powers differently
+        return _per_step(np.array([self.at(None, t) for t in np.asarray(ts).tolist()], dtype=float), ids)
 
     def peak(self, t: int) -> float:
         return self.at(0, t)
@@ -107,6 +131,10 @@ class SeededRandom(Schedule):
     def at(self, agent, t: int):
         return self.low + (self.high - self.low) * unit_uniform(self.seed, agent, t)
 
+    def at_steps(self, ids, ts):
+        draws = unit_uniform(self.seed, np.asarray(ids)[None, :], np.asarray(ts, dtype=np.int64)[:, None])
+        return self.low + (self.high - self.low) * draws
+
     def peak(self, t: int) -> float:
         return self.high
 
@@ -118,7 +146,7 @@ class RemappedAgents(Schedule):
     Used when a subsystem is extracted from a larger scenario so that
     agent-keyed draws keep their original streams; ``original_ids[new]`` is
     the original id of agent ``new``. Subsystems are only run, so it has
-    only ``at``.
+    only ``at`` and ``at_steps``.
     """
 
     inner: Schedule
@@ -128,3 +156,19 @@ class RemappedAgents(Schedule):
 
     def at(self, agent, t: int):
         return self.inner.at(self.original_ids[agent], t)
+
+    def at_steps(self, ids, ts):
+        return self.inner.at_steps(self.original_ids[ids], ts)
+
+
+def _per_step(values: np.ndarray, ids) -> np.ndarray:
+    """One value per step, broadcast to every id without copying."""
+    return np.broadcast_to(values[:, None], (values.size, len(ids)))
+
+
+def tabled(schedule) -> bool:
+    """Whether a run may table ``schedule`` with ``at_steps`` ahead of its
+    steps: a built-in kind, or a remapping of one."""
+    while type(schedule) is RemappedAgents:
+        schedule = schedule.inner
+    return type(schedule) in (Constant, Table, GeometricDecay, SeededRandom)

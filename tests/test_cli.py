@@ -477,14 +477,15 @@ def test_check_report_to_stdout(tmp_path, capsys):
 ], ids=["one_group", "two_groups"])
 def test_check_measures_the_run_once(tmp_path, monkeypatch, cfg):
     # one Series per `lfmix check`, and the analysis layer's only schedule
-    # queries are the ones that measurement makes: one of each per step
+    # queries are the ones that measurement makes, from its own degree
+    # tables: one of each per step
     built, queries = [], []
     real_series = lfmix.analysis.Series
     monkeypatch.setattr(lfmix.analysis, "Series", lambda *a: built.append(a) or real_series(*a))
     for name in ("realized_alpha", "realized_betas"):
         real = getattr(lfmix.analysis, name)
         monkeypatch.setattr(lfmix.analysis, name,
-                            lambda sc, t, real=real, name=name: queries.append((name, t)) or real(sc, t))
+                            lambda sc, t, table, real=real, name=name: queries.append((name, t)) or real(sc, t, table))
     path = write_config(tmp_path, cfg)
     report_path = tmp_path / "report.json"
     assert main(["check", "--scenario", str(path), "--report", str(report_path)]) == 0

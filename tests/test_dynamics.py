@@ -33,7 +33,8 @@ from lfmix.dynamics import (
 )
 from lfmix.errors import NonFiniteState
 from lfmix.neighbors import row_classes
-from lfmix.schedules import Constant
+from lfmix.analysis import measure
+from lfmix.schedules import Constant, GeometricDecay, SeededRandom, Table
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -563,6 +564,129 @@ def test_step_queries_each_schedule_once_per_block_and_group():
     assert np.array_equal(new.opinions, expected.opinions) and digest == expected_digest
 
 
+def mixed_schedule_scenario(horizon=40):
+    """Every built-in kind, and per-agent overrides of the alpha and the betas."""
+    cfg = config(
+        followers=5,
+        leader_groups=[("a", 3, [0.0], {"kind": "table", "values": [0.9, 0.4, 0.6]}),
+                       ("b", 2, [1.0], {"kind": "seeded_random", "seed": 3, "low": 0.2, "high": 0.6})],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 4},
+        follower_betas=[{"kind": "geometric_decay", "initial": 0.3, "ratio": 0.9},
+                        {"kind": "seeded_random", "seed": 8, "low": 0.0, "high": 0.3}],
+        per_agent_betas={1: [constant(0.1), constant(0.1)], 3: [constant(0.0), constant(0.4)]},
+        horizon=horizon,
+    )
+    cfg["schedules"]["a"]["per_agent"] = {"6": {"alpha": constant(0.9)}}
+    return build_scenario(cfg)
+
+
+class Asked:
+    """A custom schedule: ``inner``'s degrees through ``at`` alone, each
+    step it is asked for recorded in ``steps``."""
+
+    def __init__(self, inner, steps):
+        self.inner, self.steps = inner, steps
+
+    def at(self, agent, t):
+        self.steps.append(t)
+        return self.inner.at(agent, t)
+
+
+def asked_everywhere(sc, steps):
+    return dataclasses.replace(
+        sc,
+        alphas=tuple((Asked(s, steps), ids) for s, ids in sc.alphas),
+        betas=tuple((tuple(Asked(s, steps) for s in group), ids) for group, ids in sc.betas),
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_degree_tables_equal_per_step_queries(budget, monkeypatch):
+    # 40 degrees a chunk: 4 alpha rows or 2 beta rows of the 10 agents
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", budget)
+    sc = mixed_schedule_scenario()
+    alpha_table, beta_table = (dynamics.DegreeTable(sc, kind, 40) for kind in ("alpha", "betas"))
+    for t in range(40):
+        assert realized_alpha(sc, t, alpha_table).tobytes() == realized_alpha(sc, t).tobytes()
+        assert realized_betas(sc, t, beta_table).tobytes() == realized_betas(sc, t).tobytes()
+    steps = []
+    for tabled, asked in zip(run(sc).states, run(asked_everywhere(sc, steps)).states, strict=True):
+        assert tabled.opinions.tobytes() == asked.opinions.tobytes()
+
+
+def test_run_tables_each_built_in_block_once_per_chunk_and_asks_a_custom_one_each_step(monkeypatch):
+    chunks = {}
+    for kind in (Constant, Table, GeometricDecay, SeededRandom):
+        def counted(self, ids, ts, real=kind.at_steps):
+            chunks.setdefault((id(self), ids.tobytes()), []).append(ts.tolist())
+            return real(self, ids, ts)
+        monkeypatch.setattr(kind, "at_steps", counted)
+    sc = mixed_schedule_scenario(horizon=37)
+    steps = []
+    (custom, ids), *rest = sc.alphas
+    sc = dataclasses.replace(sc, alphas=((Asked(custom, steps), ids), *rest))
+    traj = run(sc)
+    assert traj.horizon == 37 and steps == list(range(37))
+    cells = len(sc.alphas) - 1 + sc.m * len(sc.betas)
+    # chunks of at most as many steps as came before them: 1, 1, 2, 4, 8, 16 and the last 5
+    expected = [[0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)), list(range(32, 37))]
+    assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
+    chunks.clear()
+    measure(traj)  # its own tables, not the engine's
+    assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
+    assert steps == list(range(37)) * 2
+
+
+class SpikeAt:
+    """Degree 0.5, but ``bad`` at step ``k``, or an error raised there."""
+
+    def __init__(self, k, bad):
+        self.k, self.bad, self.steps = k, bad, []
+
+    def at(self, agent, t):
+        self.steps.append(t)
+        if t == self.k and isinstance(self.bad, Exception):
+            raise self.bad
+        return self.bad if t == self.k else 0.5
+
+
+def test_a_run_raises_a_schedule_error_at_its_step_and_not_before_it():
+    sc = geometric_scenario(horizon=20)
+    (_, ids), = sc.alphas
+    for schedule in (SpikeAt(7, 1.5), SpikeAt(7, float("nan")), Table((0.5,) * 7 + (1.5,)),
+                     Table((0.5,) * 7 + ("x",)), Table((0.5,) * 7 + (-0.25,))):
+        bad = dataclasses.replace(sc, alphas=((schedule, ids),))
+        with pytest.raises(ScheduleViolation) as expected:
+            realized_alpha(bad, 7)
+        with pytest.raises(ScheduleViolation) as raised:
+            run(bad)
+        assert str(raised.value) == str(expected.value) and "t=7" in str(raised.value)
+        assert run(bad, 7).horizon == 7
+    spike = SpikeAt(7, RuntimeError("no degree at step 7"))
+    with pytest.raises(RuntimeError, match="no degree at step 7"):
+        run(dataclasses.replace(sc, alphas=((spike, ids),)))
+    assert spike.steps == list(range(8))
+    # converged at step 9, before the bad step 15
+    sc = geometric_scenario(horizon=50, stop_tol=1e-3)
+    for schedule in (SpikeAt(15, 1.5), SpikeAt(15, RuntimeError("step 15")), Table((0.5,) * 15 + (1.5,))):
+        traj = run(dataclasses.replace(sc, alphas=((schedule, ids),)))
+        assert traj.stop_reason == STOP_CONVERGED and traj.horizon < 15
+
+
+def test_a_run_raises_non_finite_state_before_a_schedule_violation_of_the_same_step():
+    sc = two_leader_scenario()
+    (_, ids), = sc.alphas
+    x = sc.initial_state.opinions.copy()
+    x[1] = np.nan
+    bad = dataclasses.replace(sc, initial_state=dataclasses.replace(sc.initial_state, opinions=x),
+                              alphas=((Table((1.5,)), ids),))
+    with pytest.raises(NonFiniteState, match="agent 1 is not its own neighbor"):
+        run(bad)
+    with pytest.raises(ScheduleViolation, match="t=0"):
+        run(dataclasses.replace(bad, initial_state=sc.initial_state))
+
+
 def test_non_finite_state_stops_the_run():
     # the followers' mean overflows to inf; an inf agent is then not its own neighbor
     sc = scenario(
@@ -643,7 +767,7 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
     real_step = dynamics.step
     listed = []
 
-    def checking_step(state, sc, t, *, fault=None, pairs=None):
+    def checking_step(state, sc, t, *, fault=None, pairs=None, degrees=None):
         # the pairs are over classes of agents of one group, which a fresh
         # search takes from equal rows and a held list keeps from its
         # rebuild: two agents are neighbors when their classes are
@@ -655,7 +779,7 @@ def test_run_pairs_equal_a_fresh_search_at_every_step(fault, monkeypatch):
         linked = agent_pairs(pairs)
         assert np.array_equal(linked[0], rows) and np.array_equal(linked[1], cols)
         listed.append(reps.size < sc.n_agents)
-        return real_step(state, sc, t, fault=fault, pairs=pairs)
+        return real_step(state, sc, t, fault=fault, pairs=pairs, degrees=degrees)
 
     monkeypatch.setattr(dynamics, "step", checking_step)
     rng = np.random.default_rng(41)

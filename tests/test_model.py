@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import DimensionMismatch, config, constant, distance, run_in_child, scenario
 from lfmix import ScenarioValidationError, build_scenario
 from lfmix.dynamics import realized_alpha, realized_betas
-from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, SeededRandom, Table
+from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, Schedule, SeededRandom, Table, tabled
 from lfmix.seeding import derive_key, unit_uniform
 
 
@@ -469,6 +469,42 @@ def test_schedule_at_id_array_equals_scalar_queries(schedule):
         assert values.tolist() == [schedule.at(int(i), t) for i in ids]
         if isinstance(schedule, RemappedAgents):
             assert values.tolist() == [schedule.inner.at(int(schedule.original_ids[i]), t) for i in ids]
+
+
+class HalfStep(Schedule):
+    """A custom kind with ``at`` only: the base class's ``at_steps`` loops over it."""
+
+    def at(self, agent, t):
+        return np.asarray(agent) * 0.0 + 0.5**t
+
+
+@pytest.mark.parametrize("schedule", [
+    Constant(0.37),
+    Table((0.9, 0.1, 0.5)),
+    GeometricDecay(0.8, 0.9),
+    GeometricDecay(1.0, 0.7),
+    SeededRandom(77, 0.1, 0.6),
+    RemappedAgents(SeededRandom(5, 0.0, 1.0), np.array([9, 3, 40, 7, 0, 12])),
+    RemappedAgents(Table((0.2, 0.4)), np.array([9, 3, 40, 7, 0, 12])),
+    HalfStep(),
+])
+def test_schedule_at_steps_equals_stacked_queries(schedule):
+    for ids in (np.array([0, 3, 1, 5, 5, 2]), np.array([4]), np.array([], dtype=np.int64)):
+        for ts in (np.array([0, 1, 2, 7, 1000]), np.arange(3, 40), np.array([5]), np.arange(0)):
+            table = schedule.at_steps(ids, ts)
+            stacked = [np.broadcast_to(schedule.at(ids, int(t)), ids.shape) for t in ts]
+            expected = np.stack(stacked) if stacked else np.empty((0, ids.size))
+            assert table.shape == (ts.size, ids.size)
+            assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
+            if isinstance(schedule, (Constant, Table, GeometricDecay)) and ids.size > 1:
+                assert table.strides[1] == 0  # one value per step, broadcast over the ids
+
+
+def test_only_built_in_kinds_are_tabled():
+    inner = SeededRandom(5, 0.0, 1.0)
+    assert all(tabled(s) for s in (Constant(0.1), Table((0.2,)), GeometricDecay(0.5, 0.5), inner,
+                                   RemappedAgents(RemappedAgents(inner, np.arange(3)), np.arange(3))))
+    assert not any(tabled(s) for s in (HalfStep(), RemappedAgents(HalfStep(), np.arange(3)), object()))
 
 
 def test_per_agent_override_applies():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import agent_pairs, config, constant, neighbor_sets, pairs_match_naive, pairs_oracle
 from lfmix import SystemState, build_scenario, compute_neighbors, neighbors_naive
-from lfmix import neighbors
+from lfmix import dynamics, neighbors
 from lfmix.neighbors import PairTracker, row_classes
 
 
@@ -76,6 +76,9 @@ def test_identical_opinions_on_both_sides_of_the_grid_choice():
         rows, cols = compute_neighbors(sc.initial_state, sc)
         assert rows.size == n * n
         assert pairs_match_naive(sc)
+        # one cell: the search takes the scan, and the grid gives the same pairs
+        grid = neighbors.neighbors_grid(sc.initial_state.opinions, sc.epsilon)
+        assert pair_list(*grid) == pair_list(rows, cols)
 
 
 def mixed_scenario():
@@ -350,6 +353,55 @@ def test_grid_spread_beyond_int64_cell_keys():
     assert np.bincount(rows, minlength=sc.n_agents).min() >= 3
 
 
+def counted_searches(monkeypatch):
+    """Count the calls of ``neighbors_grid``, ``neighbors_naive`` and ``_scan``
+    made through the ``neighbors`` module."""
+    calls = {"neighbors_grid": 0, "neighbors_naive": 0, "_scan": 0}
+    for name in calls:
+        def counted(*args, real=getattr(neighbors, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(neighbors, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, d, high, eps, grid", [
+    (100, 2, 0.3, 0.2, False),  # 2 cells an axis
+    (400, 2, 0.6, 0.2, False),  # 3 cells an axis
+    (64, 6, 0.5, 0.2, False),
+    (100, 2, 2.0, 0.2, True),  # 10 cells an axis
+    (64, 6, 1.0, 0.2, True),
+])
+def test_search_takes_the_scan_where_the_cells_span_three_or_fewer(n, d, high, eps, grid, monkeypatch):
+    x = np.random.default_rng(n + d).uniform(0.0, high, size=(n, d))
+    sc = follower_only(x.tolist(), eps, d=d)
+    state = sc.initial_state
+    cells = np.floor(x / neighbors._cell_side(x.min(axis=0), x.max(axis=0), eps))
+    assert ((cells.max(axis=0) - cells.min(axis=0)).max() >= 3) == grid
+    expected = neighbors_naive(state, sc)
+    calls = counted_searches(monkeypatch)
+    pairs = dynamics.compute_neighbors(state, sc)
+    assert calls == {"neighbors_grid": int(grid), "neighbors_naive": int(not grid), "_scan": int(not grid)}
+    assert all(np.array_equal(a, b) for a, b in zip(pairs, expected, strict=True))
+    # the pair tracker's rebuild at epsilon + skin follows the same rule, here to the same side
+    calls.update(dict.fromkeys(calls, 0))
+    held = PairTracker(sc).pairs(state, 0.0)
+    assert calls == {"neighbors_grid": int(grid), "neighbors_naive": 0, "_scan": int(not grid)}
+    assert all(np.array_equal(a, b) for a, b in zip(agent_pairs(held), expected, strict=True))
+
+
+def test_search_rule_at_a_span_of_three_and_four_cells(monkeypatch):
+    far = [[0.0]] * 62 + [[1.5], [2.5]]  # cells 0, 1 and 2 at epsilon 1
+    calls = counted_searches(monkeypatch)
+    for opinions, grid in ((far, False), (far + [[3.5]], True)):
+        sc = follower_only(opinions, 1.0)
+        expected = neighbors_naive(sc.initial_state, sc)
+        calls.update(dict.fromkeys(calls, 0))
+        pairs = compute_neighbors(sc.initial_state, sc)
+        assert calls["neighbors_grid"] == int(grid) and calls["_scan"] == int(not grid)
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, expected, strict=True))
+
+
 def test_strategy_dispatch_matches():
     for strategy in ("naive", "grid", "auto"):
         sc = random_state_scenario(np.random.default_rng(11), 90, 2, strategy=strategy)
@@ -462,7 +514,8 @@ def test_row_classes_key_rows_by_bytes_and_label(monkeypatch):
 @pytest.mark.parametrize("n, d, pool", [(40, 2, None), (150, 3, None), (150, 7, None), (300, 2, 100), (200, 7, 20)])
 def test_rebuilt_pair_list_equals_a_search_and_a_per_pair_band(n, d, pool):
     # every agent its own class (N < 64 and N >= 64, d <= 6 and d = 7), and
-    # classes whose representatives take the grid (100 rows in 2-D) or the scan
+    # classes of 100 or 20 rows; every rebuild here takes the scan, as its
+    # cells at epsilon + skin span at most 3 an axis
     rng = np.random.default_rng(n + d)
     x = rng.uniform(0.0, 1.0, size=(n if pool is None else pool, d))
     if pool is not None:
