@@ -267,14 +267,15 @@ def _point_values(varies: list, index: int) -> list:
 
 def _scaled_counts(counts: list[int], kinds: list[str], target: int) -> list[int] | None:
     """Largest-remainder scaling of group sizes to a new total; leader groups
-    keep at least one member."""
+    keep at least one member. None where a group's count would be negative
+    or the total too small for the leader groups."""
     total = sum(counts)
     floors = [c * target // total for c in counts]
     for gi, kind in enumerate(kinds):
         if kind == LEADER and floors[gi] == 0:
             floors[gi] = 1
     deficit = target - sum(floors)
-    if deficit < 0:
+    if deficit < 0 or min(floors) < 0:
         return None
     remainders = sorted(
         range(len(counts)),
@@ -336,6 +337,8 @@ def _cmd_sweep(args) -> int:
         if any("per_agent" in entry for entry in base["schedules"].values()):
             _err("varying n is not supported with per-agent schedule overrides")
             return 2
+    if args.seed is not None and "random" not in base["initial_opinions"]:
+        _err("--seed ignored: scenario has explicit initial opinions")
     base_seed = args.seed if args.seed is not None else base_scenario.base_seed
 
     out_root = Path(args.out)

@@ -17,8 +17,9 @@ module docstring says how the pairs become those sets. One (1 + m, N)
 weight matrix, row 0 the own weight and rows 1..m the masked betas, mixes
 them per agent, and its reductions over axis 0 give the ``StepDigest``.
 A step alone queries each schedule block once for its degrees; ``run``
-reads them from its own ``DegreeTable`` per kind, which asks each built-in
-block once per chunk of steps. No per-agent object is built.
+reads them from its own ``DegreeTable`` per kind, which tables each
+built-in block once per chunk of steps into one checked block and serves a
+step that passed the check as a view of it. No per-agent object is built.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does (``neighbors`` says how
@@ -92,15 +93,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str, ask: bool = True) -> None:
-    """``out[ids] = schedule.at(ids, t)``, or, where ``ask`` is false, the
-    values ``out[ids]`` already holds; every value must be a number in [0, 1]."""
-    if ask:
-        raw = schedule.at(ids, t)
-        try:
-            out[ids] = raw
-        except (TypeError, ValueError):
-            raise ScheduleViolation(f"{what} for agents {ids} at t={t} returned non-numeric {raw!r}") from None
+def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> None:
+    """``out[ids] = schedule.at(ids, t)``; every value must be a number in [0, 1]."""
+    raw = schedule.at(ids, t)
+    try:
+        out[ids] = raw
+    except (TypeError, ValueError):
+        raise ScheduleViolation(f"{what} for agents {ids} at t={t} returned non-numeric {raw!r}") from None
     bad = ~((out[ids] >= 0.0) & (out[ids] <= 1.0))  # NaN too
     if bad.any():
         i = ids[bad.argmax()]
@@ -108,9 +107,9 @@ def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str, ask: b
 
 
 def beta_sums(betas: np.ndarray) -> np.ndarray:
-    """Row sums added left to right as ``sum(row)`` does; ``betas.sum(axis=1)``
-    adds pairwise and differs from it once m >= 8."""
-    return functools.reduce(np.add, betas.T, np.zeros(len(betas)))
+    """Sums over the last axis, added left to right as ``sum(row)`` does;
+    ``betas.sum(axis=-1)`` adds pairwise and differs from it once m >= 8."""
+    return functools.reduce(np.add, np.moveaxis(betas, -1, 0), np.zeros(betas.shape[:-1]))
 
 
 class DegreeTable:
@@ -119,21 +118,19 @@ class DegreeTable:
     alpha, m for the betas, 0 for an agent the kind does not cover.
 
     Its cells are the scenario's (schedule, ids, column) blocks, in the
-    order a step queries them. A ``schedules.tabled`` cell gives the values
-    of a chunk of steps in one ``at_steps`` call, one value per step where
-    it does not depend on the agent. A chunk holds at most as many steps as
-    came before it and ``_TABLE_FLOATS`` degrees, so a run that stops early
-    tables at most about twice the steps it took. Any other schedule, or
-    one whose ``at_steps`` raised or gave no numbers, is asked with ``at``
-    at its step, and so is every schedule without a ``horizon``, as
-    ``step`` alone asks them.
+    order a step queries them. A chunk of steps is one read-only (steps, N,
+    width) block: each ``schedules.tabled`` cell fills its part with one
+    ``at_steps`` call, and any other cell, or one whose call raised or gave
+    no numbers, with NaN. A chunk holds at most as many steps as came before
+    it and ``_TABLE_FLOATS`` degrees, so a run that stops early tables at
+    most about twice the steps it took. One pass then checks the block:
+    every degree in [0, 1] and every agent's beta sum at most 1.
 
-    ``row(t)`` builds step t's row and guards it as ``_query`` does. A
-    chunk tests its tabled values in one pass; a row whose tabled values
-    all lie in [0, 1] and that has no schedule to ask skips the per-cell
-    tests. Any other row asks or tests each cell in order, so every error
-    is raised at its step, with its message, in the order of the per-step
-    queries.
+    ``row(t)`` is step t's row of the block where that step passed the
+    check. Every other step, and every step of a table without a
+    ``horizon``, asks each cell with ``at`` in order and guards it with
+    ``_query``, as ``step`` alone does, so every error is raised at its
+    step, with its message, in the order of the per-step queries.
     """
 
     def __init__(self, scenario: Scenario, kind: str, horizon: int | None = None):
@@ -148,38 +145,31 @@ class DegreeTable:
         self.start = self.stop = 0
 
     def _fill(self, t: int) -> None:
-        steps = 1
-        if self.horizon is not None:
-            steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // max(1, self.shape[0] * self.shape[1])))
+        steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // max(1, self.shape[0] * self.shape[1])))
         ts = np.arange(t, t + steps)
-        self.values = []  # each cell's (steps, ids) values, None where it is asked at its step
-        self.clean = np.full(steps, self.horizon is not None)
-        for schedule, ids, _, _ in self.cells:
-            values = None
-            if self.horizon is not None and tabled(schedule):
-                try:
-                    values = np.asarray(schedule.at_steps(ids, ts), dtype=float)
-                except (ArithmeticError, TypeError, ValueError):
-                    pass  # asked at each step, so that its error comes at its step
-            if values is None:
-                self.clean[:] = False
-            else:
-                self.clean &= ((values >= 0.0) & (values <= 1.0)).all(axis=1)
-            self.values.append(values)
-        self.start, self.stop = t, t + steps
+        block = np.zeros((steps, *self.shape))
+        for schedule, ids, k, _ in self.cells:
+            try:
+                block[:, ids, k] = schedule.at_steps(ids, ts) if tabled(schedule) else np.nan
+            except (ArithmeticError, TypeError, ValueError):
+                block[:, ids, k] = np.nan  # asked at each step, so that its error comes at its step
+        self.clean = ((block >= 0.0) & (block <= 1.0)).all(axis=(1, 2))  # NaN too
+        if self.betas:
+            self.clean &= (beta_sums(block) <= 1.0).all(axis=1)
+        block.flags.writeable = False
+        self.block, self.start, self.stop = block, t, t + steps
 
     def row(self, t: int) -> np.ndarray:
         """Step t's (N, width) degrees; raises ScheduleViolation as
         ``realized_alpha`` and ``realized_betas`` do."""
-        if not self.start <= t < self.stop:
-            self._fill(t)
-        i = t - self.start
+        if self.horizon is not None:
+            if not self.start <= t < self.stop:
+                self._fill(t)
+            if self.clean[t - self.start]:
+                return self.block[t - self.start]
         row = np.zeros(self.shape)
-        for (schedule, ids, k, what), values in zip(self.cells, self.values):
-            if values is not None:
-                row[ids, k] = values[i]
-            if not self.clean[i]:
-                _query(row[:, k], schedule, ids, t, what, values is None)
+        for schedule, ids, k, what in self.cells:
+            _query(row[:, k], schedule, ids, t, what)
         if self.betas:
             total = beta_sums(row)
             if (total > 1.0).any():

@@ -9,12 +9,11 @@ value that broadcasts to the array's shape (a scalar for agent-independent
 kinds) and equals the scalar query of each id, so one call per step serves
 every agent a schedule covers. ``at_steps`` takes an int array of ids and one
 of steps and returns their (steps, ids) table, row i equal to ``at(ids,
-ts[i])`` bit for bit. The base class asks ``at`` once per step; the
-built-in kinds answer in one go, and an agent-independent kind broadcasts
-one value per step without building the table. ``tabled`` says which
-schedules a run may table ahead of its steps: the built-in kinds and
-remappings of them. Any other schedule is asked with ``at`` at each step,
-so its calls and errors come at that step.
+ts[i])`` bit for bit. The base class asks ``at`` once per step;
+``seeded_random`` draws the whole table in one call, and a remapping maps
+its ids first. ``tabled`` says which schedules a run may table ahead of its
+steps: the built-in kinds and remappings of them. Any other schedule is
+asked with ``at`` at each step, so its calls and errors come at that step.
 
 Built-in kinds:
 
@@ -74,9 +73,6 @@ class Constant(Schedule):
     def at(self, agent, t: int):
         return self.value
 
-    def at_steps(self, ids, ts):
-        return np.broadcast_to(self.value, (len(ts), len(ids)))
-
     def peak(self, t: int) -> float:
         return self.value
 
@@ -92,10 +88,6 @@ class Table(Schedule):
     def at(self, agent, t: int):
         return self.values[min(t, len(self.values) - 1)]
 
-    def at_steps(self, ids, ts):
-        held = np.minimum(np.asarray(ts, dtype=np.int64), len(self.values) - 1)
-        return _per_step(np.asarray(self.values)[held], ids)
-
     def peak(self, t: int) -> float:
         return self.at(0, t)
 
@@ -109,10 +101,6 @@ class GeometricDecay(Schedule):
 
     def at(self, agent, t: int):
         return min(1.0, max(0.0, self.initial * self.ratio**t))
-
-    def at_steps(self, ids, ts):
-        # Python's float ** int, step by step: np.power rounds some powers differently
-        return _per_step(np.array([self.at(None, t) for t in np.asarray(ts).tolist()], dtype=float), ids)
 
     def peak(self, t: int) -> float:
         return self.at(0, t)
@@ -159,11 +147,6 @@ class RemappedAgents(Schedule):
 
     def at_steps(self, ids, ts):
         return self.inner.at_steps(self.original_ids[ids], ts)
-
-
-def _per_step(values: np.ndarray, ids) -> np.ndarray:
-    """One value per step, broadcast to every id without copying."""
-    return np.broadcast_to(values[:, None], (values.size, len(ids)))
 
 
 def tabled(schedule) -> bool:

@@ -253,6 +253,14 @@ def test_sweep_n_past_the_agent_bound_exits_2(tmp_path):
     assert "sweep point 0 is invalid: BadConfig: groups: 1000000000000 agents, more than the 2147483647" in done.stderr
 
 
+def test_sweep_n_scaled_below_zero_exits_2(tmp_path, capsys):
+    path = SCENARIOS / "ball_consensus.json"
+    for spec, count in (("n=-5:-5:1", -5), ("n=0.4:0.4:1", 0)):
+        assert main(["sweep", "--scenario", str(path), "--vary", spec, "--out", str(tmp_path / "s")]) == 2
+        assert f"sweep point 0 is invalid: cannot scale agent count to {count}\n" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_of_a_hundred_million_points_lists_no_grid(tmp_path):
     # each point's values come from its index, so point 0 is checked at once
     path = SCENARIOS / "ball_consensus.json"
@@ -367,6 +375,16 @@ def test_run_json_records_no_seed_when_it_is_ignored(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", "7"]) == 0
     assert "--seed ignored" in capsys.readouterr().err
     assert json.loads((out / "run.json").read_text())["seed"] is None
+
+
+def test_sweep_says_when_it_ignores_the_seed(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config(horizon=3))  # explicit initial opinions
+    out = tmp_path / "s"
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.3:2", "--out", str(out),
+                 "--seed", "5"]) == 0
+    assert "lfmix: --seed ignored: scenario has explicit initial opinions" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.3:2", "--out", str(out)]) == 0
+    assert "--seed ignored" not in capsys.readouterr().err
 
 
 def test_seed_override_of_a_file_whose_own_seed_is_invalid_exits_2(tmp_path, capsys):

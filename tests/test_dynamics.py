@@ -674,6 +674,52 @@ def test_a_run_raises_a_schedule_error_at_its_step_and_not_before_it():
         assert traj.stop_reason == STOP_CONVERGED and traj.horizon < 15
 
 
+def test_served_rows_are_read_only_and_equal_lone_step_queries():
+    sc = mixed_schedule_scenario()
+    alpha_table, beta_table = (dynamics.DegreeTable(sc, kind, 40) for kind in ("alpha", "betas"))
+    for t in range(40):
+        for served, lone in ((realized_alpha(sc, t, alpha_table), realized_alpha(sc, t)),
+                             (realized_betas(sc, t, beta_table), realized_betas(sc, t))):
+            assert not served.flags.writeable and lone.flags.writeable
+            assert served.tobytes() == lone.tobytes()
+    # the chunk of steps 4 to 7 holds 1.5 at step 7: steps 4 to 6 are still served from its block
+    sc = geometric_scenario(horizon=20)
+    (_, ids), = sc.alphas
+    bad = dataclasses.replace(sc, alphas=((Table((0.5,) * 7 + (1.5,)), ids),))
+    table = dynamics.DegreeTable(bad, "alpha", 20)
+    for t in range(7):
+        served = realized_alpha(bad, t, table)
+        assert not served.flags.writeable and served.tobytes() == realized_alpha(bad, t).tobytes()
+    assert (table.start, table.stop) == (4, 8)
+    with pytest.raises(ScheduleViolation) as expected:
+        realized_alpha(bad, 7)
+    with pytest.raises(ScheduleViolation) as raised:
+        realized_alpha(bad, 7, table)
+    assert str(raised.value) == str(expected.value) and "t=7" in str(raised.value)
+
+
+def test_a_run_checks_nine_betas_summed_left_to_right():
+    betas = [0.09, 0.19, 0.21, 0.03, 0.12, 0.17, 0.06, 0.06, 0.07]
+    assert dynamics.beta_sums(np.array([betas]))[0] > 1.0 >= np.array([betas]).sum(axis=1)[0]  # pairwise: 1.0
+    sc = scenario(
+        followers=2,
+        leader_groups=[(f"g{k}", 1, [float(k)], constant(0.5)) for k in range(9)],
+        initial=[[0.5]] * 11,
+        follower_betas=[constant(0.05)] * 9,
+        horizon=20,
+    )
+    (_, followers), = sc.betas
+    # past load-time validation: the sum exceeds 1 at step 5 only in left-to-right order
+    bad = dataclasses.replace(sc, betas=((tuple(Table((0.05,) * 5 + (b,)) for b in betas), followers),))
+    with pytest.raises(ScheduleViolation) as expected:
+        realized_betas(bad, 5)
+    assert "beta sum for agent 0 is 1.0000000000000002 > 1 at t=5" in str(expected.value)
+    with pytest.raises(ScheduleViolation) as raised:
+        run(bad)
+    assert str(raised.value) == str(expected.value)
+    assert run(bad, 5).horizon == 5
+
+
 def test_a_run_raises_non_finite_state_before_a_schedule_violation_of_the_same_step():
     sc = two_leader_scenario()
     (_, ids), = sc.alphas
