@@ -36,10 +36,16 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
 
 ``measure`` reads a trajectory once into a ``Series``, cached for as long as
-the trajectory lives: one pass per state and target over every agent's
-distance to it, of which each distance a check reads is an index or a max,
-and the per-step degrees re-queried from the schedules, through degree
-tables of its own, with their maxima.
+the trajectory lives: every agent's distance to each target, of which each
+distance a check reads is an index or a max, and the per-step degrees
+re-queried from the schedules, through degree tables of its own, with their
+maxima. It reads the states a block of steps at a time, stacked into one
+(steps, N, d) array of about ``_SCAN_FLOATS`` coordinates, and keeps no copy
+of them: a row's distance is the same reduction over its last axis whatever
+the leading shape, so each state's distances are bit for bit those of the
+state alone. lemma1's leader scans and cor2's cross-talk scan read blocks
+of states the same way, and lemma1, cor1 and cor2 build their records from
+whole-run arrays.
 ``metrics_rows``, ``measured_degree_bounds`` and every check read that one
 series; no check queries a schedule or measures a distance to a target
 itself, save cor2 on its standalone re-runs (other trajectories) and on
@@ -58,6 +64,8 @@ import bisect
 import math
 import weakref
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +91,7 @@ CROSSTALK = "CrossTalk"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One checked inequality: passes when lhs <= rhs + tolerance."""
 
     t: int
@@ -106,13 +113,16 @@ class CheckReport:
     records: list[StepRecord] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
+    def _slacks(self) -> list[float]:
+        return [r.rhs - r.lhs for r in self.records]
+
     @property
     def worst_slack(self) -> float | None:
-        return min((r.slack for r in self.records), default=None)
+        return min(self._slacks(), default=None)
 
     @property
     def passed(self) -> bool:
-        return all(r.slack >= -self.tolerance for r in self.records)
+        return all(s >= -self.tolerance for s in self._slacks())
 
     @property
     def status(self) -> str:
@@ -122,12 +132,13 @@ class CheckReport:
         return [r for r in self.records if r.slack < -self.tolerance]
 
     def to_dict(self) -> dict:
-        passed = self.passed  # walks every record, so once
+        slacks = self._slacks()  # every record's, once
+        passed = all(s >= -self.tolerance for s in slacks)
         out = {
             "name": self.name,
             "status": "skipped" if not self.applicable else "pass" if passed else "fail",
             "records": len(self.records),
-            "worst_slack": self.worst_slack,
+            "worst_slack": min(slacks, default=None),
             "params": dict(self.params),
         }
         if self.reason:
@@ -141,6 +152,13 @@ class CheckReport:
 
 def _skipped(name: str, kind: str, message: str, **params) -> CheckReport:
     return CheckReport(name, applicable=False, reason=f"{kind}: {message}", params=params)
+
+
+def _step_records(labels: list[str], lhs: np.ndarray, rhs: np.ndarray) -> list[StepRecord]:
+    """One record per entry of the (steps, len(labels)) arrays ``lhs`` and
+    ``rhs``, row t at step t, in row order."""
+    ts = np.repeat(np.arange(len(lhs)), len(labels)).tolist()
+    return list(map(StepRecord, ts, labels * len(lhs), lhs.ravel().tolist(), rhs.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +183,13 @@ class MetricsRow:
 
 
 def distances_to(x: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The distances of the rows of ``x``, of any leading shape, to
+    ``point``: each row's sum over its last axis is the same reduction
+    whatever the leading shape, so a block of states gives each state's
+    distances bit for bit."""
     diff = x - point
-    return np.sqrt((diff * diff).sum(axis=1))
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
 def max_target_distance(state: SystemState, scenario: Scenario, k: int) -> float:
@@ -185,14 +208,24 @@ _PRUNE_MIN_SQUARED = 2.0**-900
 
 def _squared_distances(a: np.ndarray, b: np.ndarray):
     """Squared distances of the rows of ``a`` to all of ``b``, a block of
-    rows at a time: yields ``(start, block)`` with ``block[r, j]`` the
-    squared distance of ``a[start + r]`` and ``b[j]``, by the arithmetic of
-    the engine's neighbor test."""
+    rows at a time: yields ``(start, block)`` with ``block[..., r, j]`` the
+    squared distance of ``a[..., start + r, :]`` and ``b[..., j, :]``, by
+    the arithmetic of the engine's neighbor test. Leading axes, such as the
+    steps of a block of states, pair ``a``'s with ``b``'s."""
     rows = max(1, _SCAN_FLOATS // max(b.size, 1))
-    for start in range(0, a.shape[0], rows):
-        diff = a[start : start + rows, None, :] - b[None, :, :]
+    for start in range(0, a.shape[-2], rows):
+        diff = a[..., start : start + rows, None, :] - b[..., None, :, :]
         diff *= diff
-        yield start, diff.sum(axis=2)
+        yield start, diff.sum(axis=-1)
+
+
+def _state_blocks(states, steps: int, ids=None):
+    """The opinions of ``states``, of the agents ``ids`` (all by default),
+    as (steps, agents, d) blocks of up to ``steps`` states: yields
+    ``(start, block)``, the first state of the block and the block."""
+    rows = slice(None) if ids is None else ids
+    for start in range(0, len(states), steps):
+        yield start, np.stack([state.opinions[rows] for state in states[start : start + steps]])
 
 
 def _max_squared_distance(x: np.ndarray) -> float:
@@ -248,30 +281,31 @@ class Series:
     """Per-state (t = 0..T) and per-step (t = 0..T-1) measurements of one trajectory.
 
     Per state, indices and maxima of one array per target k, all agents'
-    distances to g_k: group k's leaders' distances in id order,
-    ``leader_distances[k - 1][t]``, and their max C_t,
-    ``target_distances[k - 1][t]``; the followers' max to target 1, A_t; all
-    agents' max, ``radii[k - 1][t]``; the whole array at t = 0 and T,
-    ``first_distances[k - 1]`` and ``last_distances[k - 1]``. Per step:
-    group k's max degree, ``max_alpha[k - 1][t]``; the max over all leaders in
-    one reduction (so a zero max keeps numpy's sign); the followers' max
-    1 - (sum of betas); the degrees themselves, ``alphas[t]`` for all N
-    agents (0 for followers; no entries without leader groups) and
-    ``betas[t]``, the followers' (F, m) rows in follower-id order. A field is
-    None, or ``()`` per target, without its agents or target 1.
+    distances to g_k: group k's leaders' distances in id order, the (T + 1,
+    L_k) array ``leader_distances[k - 1]``, row t at state t, and their max
+    C_t, ``target_distances[k - 1][t]``; the followers' max to target 1,
+    A_t; all agents' max, ``radii[k - 1][t]``; the whole array at t = 0 and
+    T, ``first_distances[k - 1]`` and ``last_distances[k - 1]``. Per step:
+    group k's max degree, ``max_alpha[k - 1][t]``; the max over all leaders
+    in one reduction (so a zero max keeps numpy's sign); the followers' max
+    1 - (sum of betas); the degrees themselves, the (T, N) array ``alphas``,
+    row t all N agents' (0 for followers; no rows without leader groups),
+    and the (T, F, m) array ``betas``, the followers' rows in follower-id
+    order. The maxima are lists of floats. A field is None, or ``()`` per
+    target, without its agents or target 1.
     """
 
     target_distances: tuple[list[float], ...]
     follower_distances: list[float] | None
     radii: tuple[list[float], ...]
-    leader_distances: tuple[list[np.ndarray], ...]
+    leader_distances: tuple[np.ndarray, ...]
     first_distances: tuple[np.ndarray, ...]
     last_distances: tuple[np.ndarray, ...]
     max_alpha: tuple[list[float], ...]
     leader_max_alpha: list[float] | None
     max_rest: list[float] | None
-    alphas: tuple[np.ndarray, ...]
-    betas: tuple[np.ndarray, ...]
+    alphas: np.ndarray
+    betas: np.ndarray
 
 
 _SERIES: weakref.WeakKeyDictionary[Trajectory, Series] = weakref.WeakKeyDictionary()
@@ -290,32 +324,50 @@ def _measure(trajectory: Trajectory) -> Series:
     scenario = trajectory.scenario
     part = scenario.partition
     fol = part.follower_ids
-    m = scenario.m
-    steps = range(trajectory.horizon)
-    # its own tables, a chunk of steps at a time; nothing of the engine's
-    alpha_table, beta_table = (DegreeTable(scenario, kind, trajectory.horizon) for kind in ("alpha", "betas"))
-    alphas = tuple(realized_alpha(scenario, t, alpha_table) for t in steps) if m else ()
-    betas = tuple(realized_betas(scenario, t, beta_table)[fol] for t in steps)
-    radii = tuple([] for _ in range(m))
-    leader_distances = tuple([] for _ in range(m))
-    follower_distances = [] if m and fol.size else None
-    for t, state in enumerate(trajectory.states):
-        # one pass per target over every agent; distances_to(x[ids], g) equals its [ids] bit for bit
-        dists = tuple(distances_to(state.opinions, g) for g in scenario.targets)
-        for dist, ids, radius, lead in zip(dists, part.leader_ids, radii, leader_distances):
-            radius.append(float(dist.max()))
-            lead.append(dist[ids])
-        if follower_distances is not None:
-            follower_distances.append(float(dists[0][fol].max()))
-        if t == 0:
-            first = dists
-    target_distances = tuple([float(d.max()) for d in lead] for lead in leader_distances)
-    max_alpha = tuple([float(a[ids].max()) for a in alphas] for ids in part.leader_ids)
+    m, n = scenario.m, scenario.n_agents
+    horizon = trajectory.horizon
+    # its own tables, a chunk of steps at a time; nothing of the engine's.
+    # One query per step, so that a schedule's error comes at its step
+    alpha_table, beta_table = (DegreeTable(scenario, kind, horizon) for kind in ("alpha", "betas"))
+    alphas = np.zeros((horizon if m else 0, n))
+    for t in range(len(alphas)):
+        alphas[t] = realized_alpha(scenario, t, alpha_table)
+    betas = np.zeros((horizon, fol.size, m))
+    for t in range(horizon):
+        betas[t] = realized_betas(scenario, t, beta_table)[fol]
+    # the distances of a block of states to each target at once, a block
+    # holding about as many coordinates as a block of a pairwise scan
+    radii = np.zeros((m, horizon + 1))
+    leader_distances = tuple(np.zeros((horizon + 1, ids.size)) for ids in part.leader_ids)
+    follower_distances = np.zeros(horizon + 1)
+    first, last = [], []
+    steps = max(1, _SCAN_FLOATS // (n * scenario.dimension))
+    for start, x in _state_blocks(trajectory.states, steps) if m else ():
+        at = slice(start, start + len(x))
+        for k, (g, ids) in enumerate(zip(scenario.targets, part.leader_ids)):
+            dist = distances_to(x, g)  # its [:, ids] equals distances_to(x[:, ids], g) bit for bit
+            radii[k, at] = dist.max(axis=1)
+            leader_distances[k][at] = dist[:, ids]
+            if k == 0 and fol.size:
+                follower_distances[at] = dist[:, fol].max(axis=1)
+            if start == 0:
+                first.append(dist[0].copy())
+            if at.stop > horizon:
+                last.append(dist[-1].copy())
     leaders = part.group_of > 0
-    leader_max_alpha = [float(a[leaders].max()) for a in alphas] if m else None
-    max_rest = [float((1.0 - beta_sums(b)).max()) for b in betas] if fol.size else None
-    return Series(target_distances, follower_distances, radii, leader_distances, first, dists,
-                  max_alpha, leader_max_alpha, max_rest, alphas, betas)
+    return Series(
+        tuple(lead.max(axis=1).tolist() for lead in leader_distances),
+        follower_distances.tolist() if m and fol.size else None,
+        tuple(radii.tolist()),
+        leader_distances,
+        tuple(first),
+        tuple(last),
+        tuple(alphas[:, ids].max(axis=1).tolist() for ids in part.leader_ids),
+        alphas[:, leaders].max(axis=1).tolist() if m else None,
+        (1.0 - beta_sums(betas)).max(axis=1).tolist() if fol.size else None,
+        alphas,
+        betas,
+    )
 
 
 def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
@@ -360,9 +412,11 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     at most alpha times the worst distance at time t among i's own-group
     neighbors, i included; per group, the max distance contracts by the
     group's max degree. Own-group neighbors are recomputed from the raw
-    states, each group's leaders scanned against that group only, and the
-    degrees are the series' re-queried ones, independently of whatever the
-    engine did.
+    states, each group's leaders scanned against that group only, a block
+    of steps at a time whose (steps, L, L) squared distances stay within
+    the scan's float budget, and the degrees are the series' re-queried
+    ones, independently of whatever the engine did. The records come step
+    by step, each group's agents and then the group.
     """
     scenario = trajectory.scenario
     report = CheckReport("contraction")
@@ -371,20 +425,25 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
         return report
     part = scenario.partition
     eps2 = scenario.epsilon * scenario.epsilon
-    states = trajectory.states
+    horizon = trajectory.horizon
     series = measure(trajectory)
-    for t, alphas in enumerate(series.alphas):
-        for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names), start=1):
-            x = states[t].opinions[ids]
-            dist0, dist1 = series.leader_distances[k - 1][t : t + 2]
-            worst = np.empty_like(dist0)
-            for start, block in _squared_distances(x, x):
-                worst[start : start + block.shape[0]] = np.where(block <= eps2, dist0, -np.inf).max(axis=1)
-            report.records += [StepRecord(t, f"agent {i}", d1, r)
-                               for i, d1, r in zip(ids.tolist(), dist1.tolist(), (alphas[ids] * worst).tolist())]
-            group_alpha = max(0.0, series.max_alpha[k - 1][t])  # 0.0 first, so a -0.0 degree gives a 0.0 bound
-            report.records.append(StepRecord(t, f"group {name}", float(dist1.max()), group_alpha * float(dist0.max())))
-    report.params["steps"] = trajectory.horizon
+    labels, lhs, rhs = [], [], []
+    for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names)):
+        dist = series.leader_distances[k]
+        worst = np.empty((horizon, ids.size))  # the largest distance among each leader's neighbors
+        steps = max(1, _SCAN_FLOATS // (ids.size * ids.size * scenario.dimension))
+        for start, x in _state_blocks(trajectory.states[:horizon], steps, ids):
+            dist0 = dist[start : start + len(x), None, :]
+            for row, block in _squared_distances(x, x):
+                worst[start : start + len(x), row : row + block.shape[1]] = np.where(block <= eps2, dist0,
+                                                                                    -np.inf).max(axis=2)
+        group_alpha = np.asarray(series.max_alpha[k])
+        group_alpha = np.where(group_alpha > 0.0, group_alpha, 0.0)  # max(0.0, alpha): a -0.0 degree gives a 0.0 bound
+        labels += [f"agent {i}" for i in ids.tolist()] + [f"group {name}"]
+        lhs += [dist[1:], dist[1:].max(axis=1, keepdims=True)]
+        rhs += [series.alphas[:, ids] * worst, (group_alpha * dist[:-1].max(axis=1))[:, None]]
+    report.records = _step_records(labels, np.concatenate(lhs, axis=1), np.concatenate(rhs, axis=1))
+    report.params["steps"] = horizon
     return report
 
 
@@ -601,7 +660,7 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
 
     fol = part.follower_ids
     series = measure(trajectory)
-    tail = np.stack(series.betas[-STABILIZATION_WINDOW:])
+    tail = series.betas[-STABILIZATION_WINDOW:]
     spread = (tail.max(axis=0) - tail.min(axis=0)).max(axis=1)
     total = tail[-1].sum(axis=1)
     unfit = (spread > STABILIZATION_TOL) | (total == 0.0)
@@ -614,15 +673,16 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
         return _skipped(name, UNDEFINED_LIMIT, f"agent {fol[j]} has zero beta sum; mixture undefined")
     weights = tail[-1] / total[:, None]
 
-    target_reach = [float(distances_to(scenario.targets, target).max()) for target in scenario.targets]
+    target_reach = [distances_to(scenario.targets, target).max() for target in scenario.targets]
     # the first step with a ball that holds all opinions and targets, around the lowest such group's target
-    balls = ((t, max(radii[t], reach), j) for t in range(horizon + 1)
-             for j, (radii, reach) in enumerate(zip(series.radii, target_reach), start=1))
-    t_star, delta, center_group = next((b for b in balls if b[1] < scenario.epsilon), (None, None, None))
-    if t_star is None:
+    balls = np.maximum(np.array(series.radii).T, target_reach)  # (T + 1, m)
+    inside = balls < scenario.epsilon
+    if not inside.any():
         return _skipped(
             name, INAPPLICABLE, "no step where all opinions and targets fit one epsilon ball"
         )
+    t_star, j = divmod(int(inside.argmax()), scenario.m)
+    delta, center_group = float(balls[t_star, j]), j + 1
     if t_star >= horizon:
         return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
 
@@ -643,12 +703,15 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
             "consensus_tol": CONSENSUS_TOL,
         },
     )
-    final = trajectory.final_state.opinions
-    for j, i in enumerate(fol.tolist()):
-        lhs = float(np.sqrt(((final[i] - weights[j] @ scenario.targets) ** 2).sum()))
-        report.records.append(StepRecord(horizon, f"follower {i} mixture", lhs, CONSENSUS_TOL))
-    for name, curve in zip(part.leader_names, series.target_distances):
-        report.records.append(StepRecord(horizon, f"group {name} target", curve[-1], CONSENSUS_TOL))
+    # each follower's mixture is its weights' product with the targets, as
+    # one vector-matrix product per distinct row of weights
+    rows, which = np.unique(weights, axis=0, return_inverse=True)
+    mixtures = np.array([row @ scenario.targets for row in rows]).reshape(len(rows), scenario.dimension)[which.ravel()]
+    lhs = np.sqrt(((trajectory.final_state.opinions[fol] - mixtures) ** 2).sum(axis=1))
+    labels = [f"follower {i} mixture" for i in fol.tolist()]
+    labels += [f"group {name} target" for name in part.leader_names]
+    lhs = lhs.tolist() + [curve[-1] for curve in series.target_distances]
+    report.records = list(map(StepRecord, repeat(horizon), labels, lhs, repeat(CONSENSUS_TOL)))
     return report
 
 
@@ -716,32 +779,42 @@ def derive_subsystem_assignment(trajectory: Trajectory) -> dict[int, int] | None
     has no group or several; else the map in follower-id order."""
     scenario = trajectory.scenario
     fol = scenario.partition.follower_ids
-    active = np.zeros((fol.size, scenario.m), dtype=bool)
-    for betas in measure(trajectory).betas or (realized_betas(scenario, 0)[fol],):
-        active |= betas > 0.0
+    betas = measure(trajectory).betas
+    if not len(betas):
+        betas = realized_betas(scenario, 0)[None, fol]
+    active = (betas > 0.0).any(axis=0)
     if (active.sum(axis=1) != 1).any():
         return None
     return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
 
 
-def _crosstalk(state: SystemState, scenario: Scenario, label: np.ndarray) -> str | None:
+def _crosstalk(trajectory: Trajectory, label: np.ndarray) -> str | None:
     """Names the first follower within epsilon of an agent of another
-    subsystem, or None. Each subsystem's followers are scanned against the
-    agents outside it; only a state with a contact gets the full neighbor
-    pairs, to name the lowest such follower, then its lowest-id follower
-    contact or else its lowest leader group."""
+    subsystem at the first state with one, or None. Each subsystem's
+    followers are scanned against the agents outside it, a block of states
+    at a time within the scan's float budget; only the first state with a
+    contact gets the full neighbor pairs, to name the lowest such follower,
+    then its lowest-id follower contact or else its lowest leader group."""
+    scenario = trajectory.scenario
     part = scenario.partition
     fol = part.follower_ids
-    x = state.opinions
     eps2 = scenario.epsilon * scenario.epsilon
+    first = None  # the first state with a contact so far; later subsystems scan the states before it
     for a in range(1, scenario.m + 1):
-        own = fol[label[fol] == a]
-        others = label != a
-        if own.size and others.any():
-            if any((block <= eps2).any() for _, block in _squared_distances(x[own], x[others])):
+        own, others = fol[label[fol] == a], np.flatnonzero(label != a)
+        if not (own.size and others.size):
+            continue
+        steps = max(1, _SCAN_FLOATS // (max(own.size * others.size, scenario.n_agents) * scenario.dimension))
+        for start, x in _state_blocks(trajectory.states[:first], steps):
+            hit = np.zeros(len(x), dtype=bool)
+            for _, block in _squared_distances(x[:, own], x[:, others]):
+                hit |= (block <= eps2).any(axis=(1, 2))
+            if hit.any():
+                first = start + int(hit.argmax())
                 break
-    else:
+    if first is None:
         return None
+    state = trajectory.states[first]
     rows, cols = neighbors_naive(state, scenario)
     cross = (part.group_of[rows] == 0) & (label[cols] != label[rows])
     i = rows[cross.argmax()]
@@ -784,10 +857,9 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     label = part.group_of.copy()  # subsystem of every agent: a leader's group, a follower's assignment
     assigned = np.asarray(list(assignment.values()), dtype=np.int64)  # in follower-id order
     label[part.follower_ids] = assigned
-    for state in trajectory.states:
-        message = _crosstalk(state, scenario, label)
-        if message:
-            return _skipped(name, CROSSTALK, message)
+    message = _crosstalk(trajectory, label)
+    if message:
+        return _skipped(name, CROSSTALK, message)
     series = measure(trajectory)
 
     report = CheckReport(name, params={"consensus_tol": CONSENSUS_TOL, "cross_contacts": 0})
@@ -801,10 +873,9 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
                 name, INAPPLICABLE,
                 f"subsystem {k} starts at radius {delta_k:.6g}, not inside the epsilon ball",
             )
-        gamma_k = 0.0
-        for alpha, betas in zip(series.max_alpha[k - 1], series.betas):
-            rest = 1.0 - betas[mine, k - 1]
-            gamma_k = max(gamma_k, float(rest.max(initial=0.0)), alpha)
+        # 0.0 first: a zero gamma is 0.0, whatever the signs of the zero degrees
+        rest = float((1.0 - series.betas[:, mine, k - 1]).max(initial=0.0))
+        gamma_k = max(0.0, rest, max(series.max_alpha[k - 1], default=0.0))
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
         report.params[f"delta_{k}"] = delta_k
@@ -815,8 +886,9 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
         else:
             alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
         # another trajectory, so measured here; a subsystem's agents are its members in id order
-        for i, dist in zip(members.tolist(), distances_to(alone.final_state.opinions, scenario.target(k)).tolist()):
-            report.records.append(StepRecord(alone.horizon, f"standalone agent {i}", dist, CONSENSUS_TOL))
-        for i, dist in zip(members.tolist(), series.last_distances[k - 1][members].tolist()):
-            report.records.append(StepRecord(horizon, f"joint agent {i}", dist, CONSENSUS_TOL))
+        standalone = distances_to(alone.final_state.opinions, scenario.target(k))
+        for t, kind, dist in ((alone.horizon, "standalone", standalone),
+                              (horizon, "joint", series.last_distances[k - 1][members])):
+            labels = [f"{kind} agent {i}" for i in members.tolist()]
+            report.records += map(StepRecord, repeat(t), labels, dist.tolist(), repeat(CONSENSUS_TOL))
     return report

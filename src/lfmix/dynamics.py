@@ -21,6 +21,16 @@ reads them from its own ``DegreeTable`` per kind, which tables each
 built-in block once per chunk of steps into one checked block and serves a
 step that passed the check as a view of it. No per-agent object is built.
 
+The weights and the digest depend on the set sizes and the degrees alone,
+not on the opinions. So where ``run`` holds a pair list for a further step
+and both tables serve that step from their blocks, ``_weights`` computes
+them for the rest of the chunk in one pass over a (steps, 1 + m, N) block,
+each step's values as a lone step would get them, and the ``Pairs`` keeps
+them; each later step of the chunk then only sums the sets, gathers the
+means and mixes. Every step still goes through ``step``, and any other
+step, such as one that failed its table's check, queries its degrees
+alone, so every error comes at its step.
+
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does (``neighbors`` says how
 its gathers keep that order), and each new opinion reads only the time-t
@@ -30,7 +40,6 @@ agent from its own id arrays (the tests keep one).
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import deque
@@ -109,7 +118,10 @@ def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> Non
 def beta_sums(betas: np.ndarray) -> np.ndarray:
     """Sums over the last axis, added left to right as ``sum(row)`` does;
     ``betas.sum(axis=-1)`` adds pairwise and differs from it once m >= 8."""
-    return functools.reduce(np.add, np.moveaxis(betas, -1, 0), np.zeros(betas.shape[:-1]))
+    total = np.zeros(betas.shape[:-1])
+    for k in range(betas.shape[-1]):
+        total += betas[..., k]
+    return total
 
 
 class DegreeTable:
@@ -118,19 +130,21 @@ class DegreeTable:
     alpha, m for the betas, 0 for an agent the kind does not cover.
 
     Its cells are the scenario's (schedule, ids, column) blocks, in the
-    order a step queries them. A chunk of steps is one read-only (steps, N,
-    width) block: each ``schedules.tabled`` cell fills its part with one
-    ``at_steps`` call, and any other cell, or one whose call raised or gave
-    no numbers, with NaN. A chunk holds at most as many steps as came before
+    order a step queries them. Where every cell is ``schedules.tabled``, a
+    chunk of steps is one read-only (steps, N, width) block: each cell fills
+    its part with one ``at_steps`` call, or with NaN where that call raised
+    or gave no numbers. A chunk holds at most as many steps as came before
     it and ``_TABLE_FLOATS`` degrees, so a run that stops early tables at
     most about twice the steps it took. One pass then checks the block:
     every degree in [0, 1] and every agent's beta sum at most 1.
 
     ``row(t)`` is step t's row of the block where that step passed the
-    check. Every other step, and every step of a table without a
-    ``horizon``, asks each cell with ``at`` in order and guards it with
-    ``_query``, as ``step`` alone does, so every error is raised at its
-    step, with its message, in the order of the per-step queries.
+    check, and ``served(t)`` how many steps from t on the block serves so.
+    Every other step, and every step of a table without a ``horizon`` or
+    with a custom cell, whose NaN would fail every step's check, asks each
+    cell with ``at`` in order and guards it with ``_query``, as ``step``
+    alone does, so every error is raised at its step, with its message, in
+    the order of the per-step queries.
     """
 
     def __init__(self, scenario: Scenario, kind: str, horizon: int | None = None):
@@ -141,8 +155,9 @@ class DegreeTable:
         else:
             self.cells = [(s, ids, 0, "alpha schedule") for s, ids in scenario.alphas]
         self.shape = (scenario.n_agents, scenario.m if self.betas else 1)
-        self.horizon = horizon
+        self.horizon = horizon if all(tabled(s) for s, *_ in self.cells) else None
         self.start = self.stop = 0
+        self.block = None
 
     def _fill(self, t: int) -> None:
         steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // max(1, self.shape[0] * self.shape[1])))
@@ -150,7 +165,7 @@ class DegreeTable:
         block = np.zeros((steps, *self.shape))
         for schedule, ids, k, _ in self.cells:
             try:
-                block[:, ids, k] = schedule.at_steps(ids, ts) if tabled(schedule) else np.nan
+                block[:, ids, k] = schedule.at_steps(ids, ts)
             except (ArithmeticError, TypeError, ValueError):
                 block[:, ids, k] = np.nan  # asked at each step, so that its error comes at its step
         self.clean = ((block >= 0.0) & (block <= 1.0)).all(axis=(1, 2))  # NaN too
@@ -158,6 +173,14 @@ class DegreeTable:
             self.clean &= (beta_sums(block) <= 1.0).all(axis=1)
         block.flags.writeable = False
         self.block, self.start, self.stop = block, t, t + steps
+
+    def served(self, t: int) -> int:
+        """How many steps from t on ``row`` reads from the current block: 0
+        where it holds no step t, else up to the first step that failed the
+        check or the block's end."""
+        if self.block is None or not self.start <= t < self.stop:
+            return 0
+        return int(np.append(self.clean[t - self.start:], False).argmin())
 
     def row(self, t: int) -> np.ndarray:
         """Step t's (N, width) degrees; raises ScheduleViolation as
@@ -201,6 +224,58 @@ def _searched(state: SystemState, scenario: Scenario) -> Pairs:
     return Pairs(*compute_neighbors(reps, scenario), classes=classes)
 
 
+def _weights(scenario: Scenario, size: np.ndarray, alphas: np.ndarray, betas: np.ndarray):
+    """The weights of steps whose degrees are ``alphas`` (steps, N) and
+    ``betas`` (steps, N, m), at the (1 + m, N) set sizes ``size``: the
+    (steps, 1 + m, N) weights ``w``, each step's (L, d) target pull of the
+    leaders, and each step's ``StepDigest`` fields (min weight, sum error,
+    neighbor pairs). Every operation is elementwise per step, or an exact
+    min, max or integer sum, so a step's values do not depend on the others
+    computed with it."""
+    group_of = scenario.partition.group_of
+    lead = group_of > 0
+    # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
+    # for a follower; row k: the beta toward group k, masked where its set is empty
+    w = np.empty((len(alphas), *size.shape))
+    w[:, 1:] = np.where(size[1:] > 0, betas.transpose(0, 2, 1), 0.0)
+    w[:, 0] = np.where(lead, alphas, 1.0 - beta_sums(w[:, 1:].transpose(0, 2, 1)))
+    w_target = np.where(lead, 1.0 - w[:, 0], 0.0)
+    pull = w_target[:, lead, None] * scenario.targets[group_of[lead] - 1]
+    each = w / np.maximum(size, 1)
+    sum_w = beta_sums((each * size).transpose(0, 2, 1)) + w_target
+    min_w = np.minimum(np.where(w > 0.0, each, math.inf).min(axis=(1, 2)),
+                       np.where(w_target > 0.0, w_target, math.inf).min(axis=1))
+    error = np.abs(1.0 - sum_w).max(axis=1, initial=0.0)
+    counted = size[0].sum() + (size[1:] * (w[:, 1:] != 0.0)).sum(axis=(1, 2))  # the own set always counts
+    return w, pull, list(zip(min_w.tolist(), error.tolist(), counted.tolist()))
+
+
+def _step_weights(scenario: Scenario, t: int, pairs: Pairs, size: np.ndarray, held: bool,
+                  degrees: tuple[DegreeTable, DegreeTable] | None):
+    """Step t's entry of ``_weights``. Where ``pairs`` keep the weights of a
+    chunk of ``degrees`` that holds step t, they are read. Otherwise step
+    t's degrees are queried, and a ``held`` list whose step both tables
+    serve from their blocks gets, in one pass, and keeps the weights of
+    every step up to the end of the blocks' clean run."""
+    cached = pairs.weights
+    if degrees is not None and cached is not None:
+        (alpha_block, beta_block), first, weights = cached
+        if alpha_block is degrees[0].block and beta_block is degrees[1].block and 0 <= t - first < len(weights[0]):
+            return tuple(part[t - first] for part in weights)
+    alpha_table, beta_table = degrees or (None, None)
+    alpha = realized_alpha(scenario, t, alpha_table)
+    betas = realized_betas(scenario, t, beta_table)
+    steps = min(alpha_table.served(t), beta_table.served(t)) if held and degrees is not None else 0
+    if steps:
+        alphas = alpha_table.block[t - alpha_table.start:][:steps, :, 0]
+        betas = beta_table.block[t - beta_table.start:][:steps]
+        weights = _weights(scenario, size, alphas, betas)
+        pairs.weights = (alpha_table.block, beta_table.block), t, weights
+    else:
+        weights = _weights(scenario, size, alpha[None], betas[None])
+    return tuple(part[0] for part in weights)
+
+
 def step(
     state: SystemState,
     scenario: Scenario,
@@ -220,43 +295,29 @@ def step(
     through its map, one class per agent where all rows differ. The
     degrees come from ``degrees``, a run's alpha and betas ``DegreeTable``,
     if given, else from one query per schedule block, after the set means.
-    Every new opinion depends only on ``state``. Raises NonFiniteState for
-    an agent that is not its own neighbor (its opinion is not finite),
-    ScheduleViolation if a schedule leaves its declared range, and
-    ValueError for an unknown fault.
+    ``pairs`` that an earlier step read are a held list: where both tables
+    serve step t from their blocks, the weights and digests of the rest of
+    the chunk are computed at once and kept on ``pairs``, and the later
+    steps of the chunk read them. Every new opinion depends only on
+    ``state``. Raises NonFiniteState for an agent that is not its own
+    neighbor (its opinion is not finite), ScheduleViolation if a schedule
+    leaves its declared range, and ValueError for an unknown fault.
     """
     if fault is not None and fault not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {fault!r}")
     if pairs is None:
         pairs = _searched(state, scenario)
+    held = pairs.grouping is not None  # an earlier step read these pairs
     means, size, *summed = pairs.set_means(scenario, state.opinions)
     if fault == FAULT_MEAN_SHIFT:
         means += _MEAN_SHIFT
-    group_of = scenario.partition.group_of
-    lead = group_of > 0
-    alpha_table, beta_table = degrees or (None, None)
-    alpha = realized_alpha(scenario, t, alpha_table)
-    betas = realized_betas(scenario, t, beta_table)
-
-    # row 0: the own weight, alpha for a leader and 1 - (sum of masked betas)
-    # for a follower; row k: the beta toward group k, masked where its set is empty
-    w = np.empty(size.shape)
-    w[1:] = np.where(size[1:] > 0, betas.T, 0.0)
-    w[0] = np.where(lead, alpha, 1.0 - beta_sums(w[1:].T))
-    w_target = np.where(lead, 1.0 - w[0], 0.0)
-
+    w, pull, fields = _step_weights(scenario, t, pairs, size, held, degrees)
     new = w[0, :, None] * means[0]
     for k in range(1, len(w)):
         # a masked set's mean stays out: an overflowed mean times 0 is NaN
         new = np.where(w[k, :, None] != 0.0, new + w[k, :, None] * means[k], new)
-    new[lead] += w_target[lead, None] * scenario.targets[group_of[lead] - 1]
-
-    each = w / np.maximum(size, 1)
-    sum_w = beta_sums((each * size).T) + w_target
-    min_w = min(each[w > 0.0].min(initial=math.inf), w_target[w_target > 0.0].min(initial=math.inf))
-    counted = int(size[0].sum() + size[1:][w[1:] != 0.0].sum())  # the own set always counts
-    digest = StepDigest(t, float(min_w), float(np.abs(1.0 - sum_w).max(initial=0.0)), counted, *summed)
-    return SystemState(t + 1, new), digest
+    new[scenario.partition.group_of > 0] += pull
+    return SystemState(t + 1, new), StepDigest(t, *fields, *summed)
 
 
 def run(

@@ -557,12 +557,16 @@ class Pairs:
     of a state's ``classes``, one row per class. ``set_means`` groups them
     into neighbor sets on first use and keeps that ``grouping``, which
     depends on the pairs and classes alone; a ``PairTracker`` hands out the
-    same object for as long as both hold, so a grouping is never stale."""
+    same object for as long as both hold, so a grouping is never stale.
+    ``weights`` is where ``dynamics.step`` keeps the weights and digests of
+    the steps of a chunk of degrees that a held list serves: they depend on
+    the set sizes and the degrees alone."""
 
     rows: np.ndarray
     cols: np.ndarray
     classes: Classes
     grouping: tuple | None = None
+    weights: tuple | None = None
 
     def set_means(self, scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Each agent's (1 + m, N, d) set means at the opinions ``x``, 0 for

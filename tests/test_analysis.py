@@ -1,7 +1,9 @@
 """Verification harness: metrics, convergence detection, and every check."""
 
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from lfmix import (
     check_subsystem_independence,
     check_target_envelope,
     check_target_envelope_all,
+    load_scenario,
     max_target_distance,
     metrics_rows,
     opinion_diameter,
@@ -44,6 +47,8 @@ from lfmix.analysis import (
 from lfmix.dynamics import STOP_CONVERGED, beta_sums, realized_alpha, realized_betas
 from lfmix.model import SystemState
 from lfmix.schedules import SeededRandom
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def two_leader_scenario(alpha=0.5, horizon=10):
@@ -1039,3 +1044,82 @@ def test_reused_report_equals_rerun_report_bitwise(analysis_runs):
     rerun = check_subsystem_independence(rerun_joint)
     assert len(analysis_runs) == 1
     assert report_bits(reused) == report_bits(rerun)
+
+
+# ---------------------------------------------------------------------------
+# blocks of states
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_block_distances_equal_per_state_distances_bitwise(d):
+    rng = np.random.default_rng(900 + d)
+    for steps, n in ((1, 1), (2, 5), (7, 40), (3, 300)):
+        x = rng.standard_normal((steps, n, d)) * 10.0 ** rng.integers(-8, 8, size=(steps, n, d))
+        x[rng.random((steps, n)) < 0.25] = -0.0  # whole rows of -0.0
+        x[rng.random((steps, n, d)) < 0.1] = -0.0
+        for g in (rng.standard_normal(d), np.zeros(d), -np.zeros(d)):
+            block = distances_to(x, g)
+            assert block.shape == (steps, n)
+            for t in range(steps):
+                assert block[t].tobytes() == distances_to(x[t], g).tobytes()
+
+
+def series_bits(series):
+    """Every field of a series, floats as hex and arrays as bytes."""
+    def bits(v):
+        if v is None:
+            return None
+        if isinstance(v, np.ndarray):
+            return v.shape, v.tobytes()
+        if isinstance(v, (tuple, list)):
+            return [bits(u) for u in v]
+        return float(v).hex()
+    return [bits(getattr(series, f.name)) for f in dataclasses.fields(series)]
+
+
+def late_crosstalk_scenario():
+    """The south leader moves from 0 toward its target 9 by halves, and
+    comes within epsilon of the north follower, which creeps from 9.6
+    toward 10, at t=5."""
+    return scenario(
+        epsilon=1.0,
+        followers=1,
+        leader_groups=[("south", 1, [9.0], constant(0.5)), ("north", 1, [10.0], constant(0.5))],
+        initial=[[9.6], [0.0], [10.0]],
+        follower_betas=[constant(0.0), constant(0.02)],
+        horizon=12,
+    )
+
+
+def test_crosstalk_names_the_first_contact_after_the_start():
+    rep = check_subsystem_independence(run(late_crosstalk_scenario()))
+    assert rep.reason == f"{CROSSTALK}: follower 0 (subsystem 2) sees leader group 1 at t=5"
+
+
+def block_budget_cases():
+    rng = np.random.default_rng(77)
+    cases = [load_scenario(SCENARIOS / "ball_consensus.json"), ball_scenario(horizon=30), late_crosstalk_scenario()]
+    cases += [build_scenario(random_mixed_config(rng, d_lo=1, d_hi=8, m_lo=0, m_hi=4, leader_size_hi=9, horizon=30))
+              for _ in range(8)]
+    cases += [build_scenario(assigned_subsystem_config(rng, int(rng.integers(2, 5)), separated=i % 2 == 0))
+              for i in range(6)]
+    return cases
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_blocks_of_states_give_the_same_series_and_reports(steps, monkeypatch):
+    checks = (check_contraction, check_target_envelope_all, check_ball_invariance, check_consensus_bound,
+              check_mixture_limit, check_subsystem_independence)
+    for sc in block_budget_cases():
+        traj = run(sc, stop_tol=None)
+        expected_series = series_bits(analysis._measure(traj))
+        expected = [report_bits(check(traj)) for check in checks]
+        leaders = max((ids.size for ids in sc.partition.leader_ids), default=1)
+        # blocks of ``steps`` states in measure, then in lemma1's scan and cor2's cross-talk scan
+        for budget in (steps * sc.n_agents * sc.dimension, steps * leaders * leaders * sc.dimension):
+            monkeypatch.setattr(analysis, "_SCAN_FLOATS", budget)
+            analysis._SERIES.pop(traj, None)
+            assert series_bits(measure(traj)) == expected_series
+            assert [report_bits(check(traj)) for check in checks] == expected
+        monkeypatch.undo()

@@ -628,7 +628,7 @@ def test_run_tables_each_built_in_block_once_per_chunk_and_asks_a_custom_one_eac
     sc = dataclasses.replace(sc, alphas=((Asked(custom, steps), ids), *rest))
     traj = run(sc)
     assert traj.horizon == 37 and steps == list(range(37))
-    cells = len(sc.alphas) - 1 + sc.m * len(sc.betas)
+    cells = sc.m * len(sc.betas)  # the alpha table holds a custom cell, so it tables none of its cells
     # chunks of at most as many steps as came before them: 1, 1, 2, 4, 8, 16 and the last 5
     expected = [[0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)), list(range(32, 37))]
     assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
@@ -636,6 +636,31 @@ def test_run_tables_each_built_in_block_once_per_chunk_and_asks_a_custom_one_eac
     measure(traj)  # its own tables, not the engine's
     assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
     assert steps == list(range(37)) * 2
+
+
+def test_a_table_with_a_custom_schedule_tables_no_block(monkeypatch):
+    calls = []
+    for kind in (Constant, Table, GeometricDecay, SeededRandom):
+        def counted(self, ids, ts, real=kind.at_steps):
+            calls.append(len(ts))
+            return real(self, ids, ts)
+        monkeypatch.setattr(kind, "at_steps", counted)
+    sc = mixed_schedule_scenario(horizon=37)
+    expected = run(sc)
+    # 3 alpha and 6 beta cells, each tabled once in each of the 7 chunks
+    assert len(calls) == 63 and sum(calls) == 9 * 37
+    calls.clear()
+    steps = []
+    (custom, ids), *rest = sc.alphas
+    asked = dataclasses.replace(sc, alphas=((Asked(custom, steps), ids), *rest))
+    traj = run(asked)
+    # the custom alpha cell's NaN would fail every step's check: only the beta cells are tabled
+    assert len(calls) == 42 and sum(calls) == 6 * 37 and steps == list(range(37))
+    alpha_table = dynamics.DegreeTable(asked, "alpha", 37)
+    assert alpha_table.horizon is None and alpha_table.served(0) == 0
+    for a, b in zip(traj.states, expected.states, strict=True):
+        assert a.opinions.tobytes() == b.opinions.tobytes()
+    assert traj.step_digests == expected.step_digests
 
 
 class SpikeAt:
@@ -935,6 +960,95 @@ def test_run_groups_each_pair_object_once(monkeypatch):
     assert traj.horizon == 40
     assert traj.pair_counts == {"searches": 3, "rebuilds": 1, "reuses": 36}
     assert len(grouped) == 4
+
+
+def check_ball_shaped(alpha=None, horizon=40):
+    """The benchmark's check_ball shape: 380 followers and 20 leaders, every
+    agent within epsilon of the target, whose pair list is held for most
+    steps."""
+    return scenario(
+        dimension=2,
+        epsilon=0.2,
+        followers=380,
+        leader_groups=[("brand", 20, [0.5, 0.5],
+                        alpha or {"kind": "seeded_random", "seed": 5, "low": 0.3, "high": 0.7})],
+        random_init={"distribution": "uniform_box", "low": 0.4, "high": 0.6, "seed": 7},
+        follower_betas=[constant(0.5)],
+        horizon=horizon,
+    )
+
+
+def run_bits(traj):
+    """Everything of a run that a held step could change: its states, every
+    ``StepDigest`` field and how its steps got their pairs."""
+    return ([s.opinions.tobytes() for s in traj.states], traj.stop_reason, traj.pair_counts,
+            [(d.t, d.min_weight.hex(), d.max_sum_error.hex(), d.neighbor_pairs, d.classes, d.summed_sets)
+             for d in traj.step_digests])
+
+
+def lone_run(sc, monkeypatch, **kwargs):
+    """``run`` with every step computing its own weights from one query per
+    schedule block: no degree table, so no chunk of weights either."""
+    real = dynamics.step
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "step", lambda state, sc, t, *, fault=None, pairs=None, degrees=None:
+                        real(state, sc, t, fault=fault, pairs=pairs))
+        return run(sc, **kwargs)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_held_chunks_equal_lone_steps(chunk, monkeypatch):
+    passes, logged = [], []
+    real_weights, real_step = dynamics._weights, dynamics.step
+    monkeypatch.setattr(dynamics, "_weights",
+                        lambda sc, size, a, b: passes.append(len(a)) or real_weights(sc, size, a, b))
+
+    def logging_step(state, sc, t, *, fault=None, pairs=None, degrees=None):
+        out = real_step(state, sc, t, fault=fault, pairs=pairs, degrees=degrees)
+        logged.append((t, pairs, pairs.weights))
+        return out
+
+    rng = np.random.default_rng(20260810)
+    cases = [(load_scenario(SCENARIOS / "ball_consensus.json"), None), (check_ball_shaped(), None),
+             (check_ball_shaped(), FAULT_MEAN_SHIFT)]
+    cases += [(build_scenario(random_mixed_config(rng, n_followers_hi=12, leader_size_hi=5, d_hi=5, m_hi=4,
+                                                  horizon=200)), FAULT_MEAN_SHIFT if i % 4 == 3 else None)
+              for i in range(12)]
+    dropped = 0
+    for sc, fault in cases:
+        # chunks of up to ``chunk`` steps of the beta table
+        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", chunk * sc.n_agents * max(sc.m, 1))
+        expected = run_bits(lone_run(sc, monkeypatch, fault=fault))
+        logged.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "step", logging_step)
+            assert run_bits(run(sc, fault=fault)) == expected
+        # a held list dropped while the weights it kept covered the step
+        dropped += any(now is not before and kept is not None and 0 <= t - kept[1] < len(kept[2][0])
+                       for (_, before, kept), (t, now, _) in zip(logged, logged[1:]))
+    assert max(passes) == chunk
+    if chunk > 1:
+        assert dropped >= 3
+
+
+def test_a_held_chunk_raises_at_the_step_that_fails_its_check(monkeypatch):
+    # chunks of 1, 1, 2, 4, 8 and 16 steps; step 13, in the chunk of steps 8
+    # to 15, holds a degree 1.5
+    passes = []
+    real_weights = dynamics._weights
+    monkeypatch.setattr(dynamics, "_weights",
+                        lambda sc, size, a, b: passes.append(len(a)) or real_weights(sc, size, a, b))
+    good = check_ball_shaped(alpha=constant(0.5))
+    (_, ids), = good.alphas
+    bad = dataclasses.replace(good, alphas=((Table((0.5,) * 13 + (1.5,)), ids),))
+    with pytest.raises(ScheduleViolation) as expected:
+        realized_alpha(bad, 13)
+    with pytest.raises(ScheduleViolation) as raised:
+        run(bad)
+    assert str(raised.value) == str(expected.value) and "t=13" in str(raised.value)
+    # steps 8 to 12 in one pass; step 13 asked its schedules alone and raised before its weights
+    assert passes[-1] == 5
+    assert run_bits(run(bad, 13)) == run_bits(lone_run(bad, monkeypatch, horizon=13)) == run_bits(run(good, 13))
 
 
 # ---------------------------------------------------------------------------
