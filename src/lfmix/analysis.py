@@ -69,10 +69,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DegreeTable, Trajectory, beta_sums, realized_alpha, realized_betas, run
+from .dynamics import DegreeTable, Trajectory, realized_alpha, realized_betas, run
 from .model import Partition, Scenario, SystemState
 from .neighbors import neighbors_naive
-from .schedules import RemappedAgents
+from .schedules import RemappedAgents, beta_sums
 
 SLACK_TOL = 1e-9  # a record passes when rhs - lhs >= -SLACK_TOL (BALL_TOL for lemma3)
 BALL_TOL = 1e-12
@@ -248,9 +248,7 @@ def opinion_diameter(x: np.ndarray) -> float:
     if d == 1:
         return float(x.max() - x.min())
     lo, hi = x.min(axis=0), x.max(axis=0)
-    diff = x - (0.5 * lo + 0.5 * hi)
-    diff *= diff
-    r = np.sqrt(diff.sum(axis=1))
+    r = distances_to(x, 0.5 * lo + 0.5 * hi)
     a = int(r.argmax())
     _, row = next(_squared_distances(x[a : a + 1], x))
     lower = float(row.max())
@@ -379,9 +377,19 @@ def measured_degree_bounds(series: Series) -> tuple[float | None, float | None]:
     return gamma, delta
 
 
-def _gamma(series: Series, t0: int) -> float:
-    """The largest max(1 - beta sum, alpha) from step t0 on; 0.0 if none."""
-    return max([0.0] + (series.max_rest or [])[t0:] + series.leader_max_alpha[t0:])
+def _onset(name: str, series: Series, t_star: int, delta: float, horizon: int) -> float | CheckReport:
+    """gamma, the largest max(1 - beta sum, alpha) from step t_star, where
+    the run entered a ball of radius delta, on (0.0 if none); or the skip of
+    check ``name`` when t_star is the final state or gamma is not below 1."""
+    if t_star >= horizon:
+        return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
+    gamma = max([0.0] + (series.max_rest or [])[t_star:] + series.leader_max_alpha[t_star:])
+    if gamma >= 1.0:
+        return _skipped(
+            name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
+            gamma=gamma, t_star=t_star, delta=delta,
+        )
+    return gamma
 
 
 def metrics_rows(trajectory: Trajectory) -> list[MetricsRow]:
@@ -595,16 +603,10 @@ def check_consensus_bound(trajectory: Trajectory) -> CheckReport:
     t_star = next((t for t, r in enumerate(radii) if r < eps), None)
     if t_star is None:
         return _skipped(name, INAPPLICABLE, "opinions never entered the epsilon ball around the target")
-    if t_star >= horizon:
-        return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
     delta = radii[t_star]
-
-    gamma = _gamma(series, t_star)  # for one group the followers' 1 - (sum of betas) is 1 - beta
-    if gamma >= 1.0:
-        return _skipped(
-            name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
-            gamma=gamma, t_star=t_star, delta=delta,
-        )
+    gamma = _onset(name, series, t_star, delta, horizon)  # for one group the followers' 1 - (sum of betas) is 1 - beta
+    if isinstance(gamma, CheckReport):
+        return gamma
 
     # smallest p >= t_star with every later leader distance below epsilon - delta
     p = 1 + max((t for t in range(t_star, horizon + 1) if not curve_c[t] < eps - delta), default=t_star - 1)
@@ -683,15 +685,9 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
         )
     t_star, j = divmod(int(inside.argmax()), scenario.m)
     delta, center_group = float(balls[t_star, j]), j + 1
-    if t_star >= horizon:
-        return _skipped(name, INAPPLICABLE, "ball entered only at the final state; no steps to bound")
-
-    gamma = _gamma(series, t_star)
-    if gamma >= 1.0:
-        return _skipped(
-            name, INAPPLICABLE, f"measured gamma {gamma} is not below 1",
-            gamma=gamma, t_star=t_star, delta=delta,
-        )
+    gamma = _onset(name, series, t_star, delta, horizon)
+    if isinstance(gamma, CheckReport):
+        return gamma
 
     report = CheckReport(
         name,

@@ -10,6 +10,15 @@ Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file),
 Diagnostics go to stderr. ``--threads`` is accepted and recorded in
 ``run.json`` but changes nothing: a step is a few array operations with a
 single result.
+
+The commands that run a scenario share their flags: ``--scenario``,
+``--horizon`` and ``--threads`` come from one parent parser for
+``simulate``, ``check`` and ``sweep``, and ``--out``, ``--record-every``
+and ``--seed`` from one for ``simulate`` and ``sweep``, so a shared flag
+has one help text. ``CHECKS`` is the one table of check tokens: each
+token's ``analysis`` function, looked up by name when the check runs, and
+its help. ``simulate`` and every sweep point run, time and write their run
+directory through ``_run_point``.
 """
 
 from __future__ import annotations
@@ -30,25 +39,25 @@ from .errors import NonFiniteState, ScenarioValidationError, ScheduleViolation
 from .model import LEADER, Scenario, build_scenario
 from .scenario_io import (
     dump_canonical,
+    json_text,
     load_scenario,
     read_metrics_csv,
     write_metrics_csv,
-    write_run_json,
     write_trajectory_csv,
 )
 from .seeding import derive_key
 from .svgplot import render_line_chart
 
-CHECK_TOKENS = ("lemma1", "thm2", "lemma3", "thm4", "cor1", "cor2")
-
-_CHECK_HELP = (
-    "lemma1: per-step leader contraction toward the target; "
-    "thm2: geometric target envelope with measured delta; "
-    "lemma3: ball invariance around the target; "
-    "thm4: single-group consensus bound; "
-    "cor1: follower mixture limit; "
-    "cor2: independent subsystem convergence"
-)
+# token -> (its check's name in ``analysis``, what it checks). The function
+# is looked up when the check runs, so a wrapper set on the module is called
+CHECKS = {
+    "lemma1": ("check_contraction", "per-step leader contraction toward the target"),
+    "thm2": ("check_target_envelope_all", "geometric target envelope with measured delta"),
+    "lemma3": ("check_ball_invariance", "ball invariance around the target"),
+    "thm4": ("check_consensus_bound", "single-group consensus bound"),
+    "cor1": ("check_mixture_limit", "follower mixture limit"),
+    "cor2": ("check_subsystem_independence", "independent subsystem convergence"),
+}
 
 
 def _err(message: str) -> None:
@@ -90,10 +99,17 @@ def _load(path: str, seed: int | None) -> Scenario | None:
     return scenario
 
 
-def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: int, extra: dict) -> None:
+def _run_point(args, scenario: Scenario, out_dir: Path, extra: dict):
+    """Run ``scenario`` for ``args.horizon`` steps, time the run and write its
+    directory: the trajectory every ``args.record_every`` states, the
+    metrics, the canonical scenario and ``run.json``, which gets ``extra``'s
+    keys too. Returns the trajectory."""
+    started = time.perf_counter()
+    trajectory = run(scenario, args.horizon)
+    wall = time.perf_counter() - started
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    write_trajectory_csv(trajectory, out_dir / "trajectory.csv", record_every)
+    write_trajectory_csv(trajectory, out_dir / "trajectory.csv", args.record_every)
     written = time.perf_counter()
     series = analysis.measure(trajectory)
     write_metrics_csv(analysis.metrics_rows(trajectory), scenario, out_dir / "metrics.csv")
@@ -133,54 +149,36 @@ def _write_outputs(out_dir: Path, scenario: Scenario, trajectory, record_every: 
         "dimension": scenario.dimension,
         "measured_gamma": gamma,
         "measured_delta": delta,
-        "record_every": record_every,
+        "record_every": args.record_every,
+        "wall_time_seconds": wall,
+        "threads": args.threads,
+        **extra,
     }
-    payload.update(extra)
-    write_run_json(payload, out_dir / "run.json")
+    (out_dir / "run.json").write_text(json_text(payload), encoding="utf-8")
+    return trajectory
 
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args.scenario, args.seed)
     if scenario is None:
         return 2
-    started = time.perf_counter()
-    trajectory = run(scenario, args.horizon)
-    wall = time.perf_counter() - started
     # _load ignores --seed for explicit opinions, so run.json records none
     seed = args.seed if "random" in scenario.canonical["initial_opinions"] else None
-    _write_outputs(
-        Path(args.out),
-        scenario,
-        trajectory,
-        args.record_every,
-        {"wall_time_seconds": wall, "threads": args.threads, "seed": seed},
-    )
+    _run_point(args, scenario, Path(args.out), {"seed": seed})
     return 0
 
 
-def _run_checks(trajectory, tokens) -> dict:
-    checks = {
-        "lemma1": analysis.check_contraction,
-        "thm2": analysis.check_target_envelope_all,
-        "lemma3": analysis.check_ball_invariance,
-        "thm4": analysis.check_consensus_bound,
-        "cor1": analysis.check_mixture_limit,
-        "cor2": analysis.check_subsystem_independence,
-    }
-    return {token: checks[token](trajectory) for token in tokens}
-
-
 def _cmd_check(args) -> int:
-    tokens = CHECK_TOKENS if args.checks is None else tuple(t.strip() for t in args.checks.split(","))
-    unknown = [t for t in tokens if t not in CHECK_TOKENS]
+    tokens = tuple(CHECKS) if args.checks is None else tuple(t.strip() for t in args.checks.split(","))
+    unknown = [t for t in tokens if t not in CHECKS]
     if unknown:
-        _err(f"unknown checks: {', '.join(unknown)} (expected {', '.join(CHECK_TOKENS)})")
+        _err(f"unknown checks: {', '.join(map(repr, unknown))} (expected {', '.join(CHECKS)})")
         return 2
     scenario = _load(args.scenario, None)
     if scenario is None:
         return 2
     trajectory = run(scenario, args.horizon, fault=args.inject_fault)
-    checks = {token: report.to_dict() for token, report in _run_checks(trajectory, tokens).items()}
+    checks = {token: getattr(analysis, CHECKS[token][0])(trajectory).to_dict() for token in tokens}
     payload = {
         "scenario": args.scenario,
         "horizon": trajectory.horizon,
@@ -190,7 +188,7 @@ def _cmd_check(args) -> int:
     }
     failed = [t for t, c in checks.items() if c["status"] == "fail"]
     payload["all_passed"] = not failed
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if args.report:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(text, encoding="utf-8")
@@ -240,6 +238,9 @@ def _parse_vary(spec: str):
     try:
         param, rng = spec.split("=", 1)
         lo_s, hi_s, steps_s = rng.split(":")
+        # float and int take Python literals such as 3_0; the steps are read as _count reads a count
+        if "_" in lo_s + hi_s or not steps_s.removeprefix("-").isdecimal():
+            raise ValueError
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError:
         raise ValueError(f"bad --vary spec {spec!r}; expected param=lo:hi:steps") from None
@@ -326,7 +327,7 @@ def _cmd_sweep(args) -> int:
     if repeated is not None:
         _err(f"--vary {repeated} given more than once; vary each parameter once")
         return 2
-    base_scenario = _load(args.scenario, None)
+    base_scenario = _load(args.scenario, args.seed)  # a --seed of random opinions is the base of the points' seeds
     if base_scenario is None:
         return 2
     base = base_scenario.canonical
@@ -337,9 +338,6 @@ def _cmd_sweep(args) -> int:
         if any("per_agent" in entry for entry in base["schedules"].values()):
             _err("varying n is not supported with per-agent schedule overrides")
             return 2
-    if args.seed is not None and "random" not in base["initial_opinions"]:
-        _err("--seed ignored: scenario has explicit initial opinions")
-    base_seed = args.seed if args.seed is not None else base_scenario.base_seed
 
     out_root = Path(args.out)
     summary = out_root / "summary.csv"
@@ -347,7 +345,7 @@ def _cmd_sweep(args) -> int:
         combo = _point_values(varies, index)
         assignments = dict(zip(params, combo))
         try:
-            config = _point_config(base, assignments, index, base_seed)
+            config = _point_config(base, assignments, index, base_scenario.base_seed)
             scenario = build_scenario(config)
         except (ValueError, ScenarioValidationError) as exc:
             _err(f"sweep point {index} is invalid: {exc}")
@@ -356,18 +354,11 @@ def _cmd_sweep(args) -> int:
             out_root.mkdir(parents=True, exist_ok=True)
             with open(summary, "w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh).writerow(["point"] + params + ["stop_reason", "converged", "steps", "final_max_distance"])
-        started = time.perf_counter()
         try:
-            trajectory = run(scenario, args.horizon)
+            trajectory = _run_point(args, scenario, out_root / f"point_{index:04d}",
+                                    {"sweep_point": index, "sweep_params": assignments})
         except (ScheduleViolation, NonFiniteState) as exc:
             raise type(exc)(f"sweep point {index}: {exc}") from None
-        wall = time.perf_counter() - started
-        point_dir = out_root / f"point_{index:04d}"
-        _write_outputs(
-            point_dir, scenario, trajectory, args.record_every,
-            {"wall_time_seconds": wall, "threads": args.threads, "sweep_point": index,
-             "sweep_params": assignments},
-        )
         final = trajectory.final_state.opinions  # measured to its mean only without a target
         final_max = (analysis.measure(trajectory).radii[0][-1] if scenario.m
                      else float(analysis.distances_to(final, final.mean(axis=0)).max()))
@@ -389,24 +380,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a scenario and write trajectory/metrics files")
-    sim.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--horizon", type=_count(0), default=None, help="override the scenario horizon")
-    sim.add_argument("--record-every", type=_count(1), default=1, metavar="K",
-                     help="record opinions every K steps (metrics are always per step)")
-    sim.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="override the seed of random initial opinions")
+    # the flags of every command that runs a scenario, and of those that write run directories
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+    runs.add_argument("--horizon", type=_count(0), default=None, help="override the scenario horizon")
+    runs.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", required=True, help="output directory")
+    writes.add_argument("--record-every", type=_count(1), default=1, metavar="K",
+                        help="record opinions every K steps (metrics are always per step)")
+    writes.add_argument("--seed", type=int, default=None,
+                        help="override the seed of random initial opinions; a sweep derives each point's from it")
+
+    sim = sub.add_parser("simulate", parents=[runs, writes], help="run a scenario and write trajectory/metrics files")
     sim.set_defaults(func=_cmd_simulate)
 
-    chk = sub.add_parser("check", help="run the verification harness on a scenario")
-    chk.add_argument("--scenario", required=True)
+    chk = sub.add_parser("check", parents=[runs], help="run the verification harness on a scenario")
     chk.add_argument("--checks", default=None, metavar="LIST",
-                     help=f"comma-separated subset of {','.join(CHECK_TOKENS)}; {_CHECK_HELP}")
+                     help=f"comma-separated subset of {','.join(CHECKS)}; "
+                     + "; ".join(f"{token}: {text}" for token, (_, text) in CHECKS.items()))
     chk.add_argument("--report", default=None, help="write the JSON report here (default: stdout)")
-    chk.add_argument("--horizon", type=_count(0), default=None)
-    chk.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     chk.add_argument("--inject-fault", choices=FAULT_KINDS, default=None,
                      help="corrupt the engine on purpose to demonstrate check sensitivity")
     chk.set_defaults(func=_cmd_check)
@@ -419,15 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     plt.add_argument("--log-y", action="store_true", help="log10 y axis (drops values <= 0)")
     plt.set_defaults(func=_cmd_plot)
 
-    swp = sub.add_parser("sweep", help="run a Cartesian parameter sweep")
-    swp.add_argument("--scenario", required=True)
+    swp = sub.add_parser("sweep", parents=[runs, writes], help="run a Cartesian parameter sweep")
     swp.add_argument("--vary", action="append", required=True, metavar="P=LO:HI:STEPS",
                      help=f"parameter grid over one of {', '.join(_SWEEP_PARAMS)}; repeatable")
-    swp.add_argument("--out", required=True)
-    swp.add_argument("--horizon", type=_count(0), default=None)
-    swp.add_argument("--record-every", type=_count(1), default=1)
-    swp.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    swp.add_argument("--seed", type=int, default=None, help="base seed for per-point seeds")
     swp.set_defaults(func=_cmd_sweep)
 
     return parser

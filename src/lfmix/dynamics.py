@@ -50,7 +50,7 @@ import numpy as np
 from .errors import NonFiniteState, ScheduleViolation
 from .model import Scenario, SystemState
 from .neighbors import PairTracker, Pairs, compute_neighbors, state_classes
-from .schedules import tabled
+from .schedules import beta_sums, tabled
 
 FAULT_MEAN_SHIFT = "mean-shift"
 FAULT_KINDS = (FAULT_MEAN_SHIFT,)
@@ -113,15 +113,6 @@ def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> Non
     if bad.any():
         i = ids[bad.argmax()]
         raise ScheduleViolation(f"{what} for agent {i} at t={t} returned {float(out[i])!r} outside [0, 1]")
-
-
-def beta_sums(betas: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, added left to right as ``sum(row)`` does;
-    ``betas.sum(axis=-1)`` adds pairwise and differs from it once m >= 8."""
-    total = np.zeros(betas.shape[:-1])
-    for k in range(betas.shape[-1]):
-        total += betas[..., k]
-    return total
 
 
 class DegreeTable:

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -214,13 +213,9 @@ def _check_keys(d: dict, allowed: set, where: str, issues: _Issues):
             issues.add(BAD_CONFIG, f"{where}: unknown key {key!r}")
 
 
-# the keys holding each schedule kind's degrees; a table's one key holds a list
-_DEGREE_KEYS = {"constant": ("value",), "table": ("values",), "geometric_decay": ("initial", "ratio"),
-                "seeded_random": ("low", "high")}
-
-
-def _degrees(spec: dict, keys: tuple, where: str, issues: _Issues) -> list[float] | None:
-    """The degrees under ``keys`` as floats in [0, 1], or None after one issue."""
+def _degrees(spec: dict, keys: list, where: str, issues: _Issues) -> dict | None:
+    """The degrees under ``keys`` as floats in [0, 1], keyed as a schedule
+    takes them, or None after one issue. A table's one key holds a list."""
     raw = spec.get("values") if spec["kind"] == "table" else [spec.get(k) for k in keys]
     vals = [_finite(v) for v in raw] if isinstance(raw, list) and raw else [None]
     names = " and ".join(repr(k) for k in keys)
@@ -230,46 +225,44 @@ def _degrees(spec: dict, keys: tuple, where: str, issues: _Issues) -> list[float
     if not all(0.0 <= v <= 1.0 for v in vals):
         issues.add(DEGREE_OUT_OF_RANGE, f"{where}: {spec['kind']} {names} must lie in [0, 1]")
         return None
-    return vals
+    return {"values": tuple(vals)} if spec["kind"] == "table" else dict(zip(keys, vals))
 
 
 def _parse_schedule(spec, where: str, issues: _Issues) -> sched.Schedule | None:
+    """A schedule of one of ``schedules.KINDS``, its spec keys its fields:
+    a ``seed`` integer, the rest degrees."""
     if not isinstance(spec, dict):
         issues.add(BAD_CONFIG, f"{where}: schedule spec must be an object")
         return None
     kind = spec.get("kind")
-    keys = _DEGREE_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    cls = next((c for c in sched.KINDS if c.kind == kind), None)
+    if cls is None:
         issues.add(BAD_CONFIG, f"{where}: unknown schedule kind {kind!r}")
         return None
-    _check_keys(spec, {"kind", "seed", *keys} if kind == "seeded_random" else {"kind", *keys}, where, issues)
-    if kind == "seeded_random" and not _is_int(spec.get("seed")):
-        issues.add(BAD_CONFIG, f"{where}: seeded_random needs an integer 'seed'")
+    keys = [f.name for f in fields(cls)]
+    _check_keys(spec, {"kind", *keys}, where, issues)
+    seed = {"seed": spec.get("seed")} if "seed" in keys else {}
+    if seed and not _is_int(seed["seed"]):
+        issues.add(BAD_CONFIG, f"{where}: {kind} needs an integer 'seed'")
         return None
-    degrees = _degrees(spec, keys, where, issues)
+    degrees = _degrees(spec, [k for k in keys if k != "seed"], where, issues)
     if degrees is None:
         return None
-    if kind == "constant":
-        return sched.Constant(*degrees)
-    if kind == "table":
-        return sched.Table(tuple(degrees))
-    if kind == "geometric_decay":
-        return sched.GeometricDecay(*degrees)
-    if degrees[0] > degrees[1]:
-        issues.add(DEGREE_OUT_OF_RANGE, f"{where}: seeded_random low {degrees[0]} exceeds high {degrees[1]}")
+    if "low" in degrees and degrees["low"] > degrees["high"]:
+        issues.add(DEGREE_OUT_OF_RANGE, f"{where}: {kind} low {degrees['low']} exceeds high {degrees['high']}")
         return None
-    return sched.SeededRandom(spec["seed"], *degrees)
+    return cls(**seed, **degrees)
 
 
 def _beta_sum_violation(betas: Sequence[sched.Schedule]) -> float | None:
     """Largest sum of the betas' peaks over one step if it exceeds 1, else None.
 
     Every kind's peak is nonincreasing past the longest table, so a scan to
-    its end is exhaustive. Peaks add left to right, not by ``sum``, whose
-    compensated float sum (Python 3.12 on) could move a verdict at 1.
+    its end is exhaustive. Peaks add by ``schedules.beta_sums``, as the engine
+    adds the betas, so a verdict at 1 is the engine's.
     """
     steps = max((len(b.values) for b in betas if isinstance(b, sched.Table)), default=1)
-    worst = max(functools.reduce(operator.add, [b.peak(t) for b in betas], 0.0) for t in range(steps))
+    worst = float(sched.beta_sums(np.array([[b.peak(t) for b in betas] for t in range(steps)])).max())
     return worst if worst > 1.0 else None
 
 

@@ -3,7 +3,9 @@
 Scenario files are JSON documents in the shape accepted by
 ``model.build_scenario``. Serialization always goes through the canonical
 form (explicit member ids, normalized schedules, defaults materialized), so
-parse -> serialize -> parse is the identity on canonical files.
+parse -> serialize -> parse is the identity on canonical files. Every JSON
+file lfmix writes, the canonical scenario, ``run.json`` and the ``check``
+report, is the text ``json_text`` gives it.
 
 Trajectory CSV: header ``t,agent,group,x0,...,x{d-1}``, one row per agent per
 recorded step. Metrics CSV: header ``t,group,metric,value`` with metrics
@@ -26,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from pathlib import Path
 
 from .analysis import MetricsRow
 from .dynamics import Trajectory
@@ -45,8 +46,14 @@ def canonical_dict(scenario: Scenario) -> dict:
     return json.loads(json.dumps(scenario.canonical))
 
 
+def json_text(payload) -> str:
+    """The text of every JSON file lfmix writes: sorted keys, an indent of 2
+    and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def dump_canonical(scenario: Scenario) -> str:
-    return json.dumps(scenario.canonical, indent=2, sort_keys=True) + "\n"
+    return json_text(scenario.canonical)
 
 
 def _fmt(value: float) -> str:
@@ -125,7 +132,3 @@ def read_metrics_csv(path) -> list[dict]:
     if not out:
         raise ValueError(f"{path}: no metric rows")
     return out
-
-
-def write_run_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -15,6 +15,11 @@ its ids first. ``tabled`` says which schedules a run may table ahead of its
 steps: the built-in kinds and remappings of them. Any other schedule is
 asked with ``at`` at each step, so its calls and errors come at that step.
 
+``KINDS`` lists the built-in kinds, which a scenario file names by their
+``kind``; each takes the spec keys of its fields. ``beta_sums`` is the one
+rule for adding a follower's betas: left to right, by the engine, the
+checks and the load-time test of their peaks alike.
+
 Built-in kinds:
 
 * ``constant``        fixed value for all agents and times
@@ -149,9 +154,22 @@ class RemappedAgents(Schedule):
         return self.inner.at_steps(self.original_ids[ids], ts)
 
 
+KINDS = (Constant, Table, GeometricDecay, SeededRandom)
+
+
 def tabled(schedule) -> bool:
     """Whether a run may table ``schedule`` with ``at_steps`` ahead of its
     steps: a built-in kind, or a remapping of one."""
     while type(schedule) is RemappedAgents:
         schedule = schedule.inner
-    return type(schedule) in (Constant, Table, GeometricDecay, SeededRandom)
+    return type(schedule) in KINDS
+
+
+def beta_sums(betas: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right from 0.0;
+    ``betas.sum(axis=-1)`` adds pairwise and differs from it once m >= 8, and
+    Python's ``sum`` compensates its float sums from 3.12 on."""
+    total = np.zeros(betas.shape[:-1])
+    for k in range(betas.shape[-1]):
+        total += betas[..., k]
+    return total

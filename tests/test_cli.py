@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, and file outputs."""
 
+import argparse
 import copy
 import csv
 import json
@@ -476,6 +477,12 @@ def test_check_unknown_token_exits_2(tmp_path, capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+def test_check_quotes_each_unknown_token(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    assert main(["check", "--scenario", str(path), "--checks", "lemma1,,thm2,lemma9"]) == 2
+    assert "unknown checks: '', 'lemma9' (expected lemma1, thm2, lemma3, thm4, cor1, cor2)" in capsys.readouterr().err
+
+
 def test_check_report_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path, demo_config())
     assert main(["check", "--scenario", str(path), "--checks", "lemma1"]) == 0
@@ -708,6 +715,16 @@ def test_sweep_bad_spec_exits_2(tmp_path, capsys):
         ) == 2
 
 
+def test_sweep_rejects_python_numeric_literals(tmp_path, capsys):
+    # int and float take underscores: 3_0 would run 30 points, 0_2:0_3 sweep 2.0 and 3.0
+    path = write_config(tmp_path, demo_config(horizon=3))
+    for bad in ("epsilon=0.2:0.3:3_0", "epsilon=0_2:0_3:2", "epsilon=0.2:0.3: 2", "epsilon=0.2:0.3:+2"):
+        capsys.readouterr()
+        assert main(["sweep", "--scenario", str(path), "--vary", bad, "--out", str(tmp_path / "s")]) == 2
+        assert f"bad --vary spec {bad!r}; expected param=lo:hi:steps" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_parameter_varied_twice_exits_2(tmp_path, capsys):
     # only the last value would reach the scenario, while summary.csv showed the first
     path = write_config(tmp_path, demo_config())
@@ -831,3 +848,16 @@ def test_help_lists_every_flag(capsys):
     for flag in ("--scenario", "--out", "--horizon", "--record-every", "--threads", "--seed",
                  "--checks", "--report", "--inject-fault", "--metrics", "--series", "--log-y", "--vary"):
         assert flag in out
+
+
+
+def test_a_flag_the_run_commands_share_has_one_help_text():
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {}
+    for command in ("simulate", "check", "sweep"):
+        for action in commands.choices[command]._actions:
+            helps.setdefault(tuple(action.option_strings), []).append(action.help)
+    shared = {flags: texts for flags, texts in helps.items() if len(texts) > 1}
+    assert {flags[-1] for flags in shared} >= {"--scenario", "--horizon", "--threads", "--out", "--record-every"}
+    for flags, texts in shared.items():
+        assert texts[0] is not None and texts.count(texts[0]) == len(texts), flags

@@ -474,6 +474,23 @@ def test_pair_list_falls_back_to_fresh_search():
     assert PairTracker(tiny).pairs(tiny.initial_state, 0.0) is None
 
 
+def test_pair_list_drops_a_band_pair_within_its_rounding_margin():
+    # agent 1 starts 0.125 past epsilon, in the band, and moves 2^-33 less
+    # than that toward agent 0. The move falls short of epsilon, but by less
+    # than the rounding margin, where a computed distance could cross it:
+    # the list is dropped, and as the step moved past the quiet bound, the
+    # state is searched afresh. Every position and move is exact.
+    start, near = states_of([[[0.0], [1.125]], [[0.0], [1.0 + 2.0**-33]]])
+    sc = follower_only(start.opinions.tolist(), 1.0)
+    tracker = PairTracker(sc)
+    assert tracker.pairs(start, 0.0) is not None
+    moved = 0.125 - 2.0**-33
+    assert moved < 0.125 <= moved + neighbors._MARGIN * tracker.reach
+    assert not tracker._holds(near.opinions)
+    assert tracker.pairs(near, moved) is None
+    assert tracker.counts == {"searches": 1, "rebuilds": 1, "reuses": 0}
+
+
 def classes_oracle(x, labels, every_hash_ties):
     """Each row's class, numbered by its smallest member: the rows of one
     label and bytes, grouped in a dict. Where every hash ties, the key order
