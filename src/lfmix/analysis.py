@@ -38,7 +38,7 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 ``measure`` reads a trajectory once into a ``Series``, cached for as long as
 the trajectory lives: every agent's distance to each target, of which each
 distance a check reads is an index or a max, and the per-step degrees
-re-queried from the schedules, through degree tables of its own, with their
+re-queried from the schedules, through a degree table of its own, with their
 maxima. It reads the states a block of steps at a time, stacked into one
 (steps, N, d) array of about ``_SCAN_FLOATS`` coordinates, and keeps no copy
 of them: a row's distance is the same reduction over its last axis whatever
@@ -324,15 +324,15 @@ def _measure(trajectory: Trajectory) -> Series:
     fol = part.follower_ids
     m, n = scenario.m, scenario.n_agents
     horizon = trajectory.horizon
-    # its own tables, a chunk of steps at a time; nothing of the engine's.
+    # its own table, a chunk of steps at a time; nothing of the engine's.
     # One query per step, so that a schedule's error comes at its step
-    alpha_table, beta_table = (DegreeTable(scenario, kind, horizon) for kind in ("alpha", "betas"))
+    table = DegreeTable(scenario, horizon)
     alphas = np.zeros((horizon if m else 0, n))
-    for t in range(len(alphas)):
-        alphas[t] = realized_alpha(scenario, t, alpha_table)
     betas = np.zeros((horizon, fol.size, m))
     for t in range(horizon):
-        betas[t] = realized_betas(scenario, t, beta_table)[fol]
+        if m:
+            alphas[t] = realized_alpha(scenario, t, table)
+        betas[t] = realized_betas(scenario, t, table)[fol]
     # the distances of a block of states to each target at once, a block
     # holding about as many coordinates as a block of a pairwise scan
     radii = np.zeros((m, horizon + 1))

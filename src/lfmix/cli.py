@@ -4,9 +4,10 @@ Subcommands: ``simulate`` (run and persist a trajectory), ``check`` (run the
 verification harness), ``plot`` (metrics CSV to standalone SVG), ``sweep``
 (Cartesian parameter sweeps with derived per-point seeds).
 
-Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file),
-3 runtime schedule violation, 4 at least one applicable check failed,
-5 a step produced an infinite or NaN opinion.
+Exit codes: 0 success, 2 invalid input (scenario, sweep spec, metrics file)
+or an output path that cannot be written, 3 runtime schedule violation,
+4 at least one applicable check failed, 5 a step produced an infinite or
+NaN opinion.
 Diagnostics go to stderr. ``--threads`` is accepted and recorded in
 ``run.json`` but changes nothing: a step is a few array operations with a
 single result.
@@ -169,7 +170,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tokens = tuple(CHECKS) if args.checks is None else tuple(t.strip() for t in args.checks.split(","))
+    # a token given twice runs once, where it first appears
+    tokens = tuple(dict.fromkeys(CHECKS if args.checks is None else map(str.strip, args.checks.split(","))))
     unknown = [t for t in tokens if t not in CHECKS]
     if unknown:
         _err(f"unknown checks: {', '.join(map(repr, unknown))} (expected {', '.join(CHECKS)})")
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
     except NonFiniteState as exc:
         _err(f"non-finite state: {exc}")
         return 5
+    except OSError as exc:  # every read is caught where it happens: this is a write
+        _err(f"cannot write output: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,19 +16,22 @@ follower's set of each leader group, and their sizes; the ``neighbors``
 module docstring says how the pairs become those sets. One (1 + m, N)
 weight matrix, row 0 the own weight and rows 1..m the masked betas, mixes
 them per agent, and its reductions over axis 0 give the ``StepDigest``.
-A step alone queries each schedule block once for its degrees; ``run``
-reads them from its own ``DegreeTable`` per kind, which tables each
-built-in block once per chunk of steps into one checked block and serves a
-step that passed the check as a view of it. No per-agent object is built.
+A step reads its degrees from one ``DegreeTable`` in the same layout, an
+(N, 1 + m) row per step, column 0 the alphas and columns 1..m the betas:
+``run`` builds one for the whole run, which tables each built-in block
+once per chunk of steps into one checked block and serves a step that
+passed the check as a view of it, and a step alone builds one without a
+horizon, which asks each schedule block once. No per-agent object is
+built.
 
 The weights and the digest depend on the set sizes and the degrees alone,
 not on the opinions. So where ``run`` holds a pair list for a further step
-and both tables serve that step from their blocks, ``_weights`` computes
-them for the rest of the chunk in one pass over a (steps, 1 + m, N) block,
+and the table serves that step from its block, ``_weights`` computes them
+for the rest of the chunk in one pass over a (steps, 1 + m, N) block,
 each step's values as a lone step would get them, and the ``Pairs`` keeps
 them; each later step of the chunk then only sums the sets, gathers the
 means and mixes. Every step still goes through ``step``, and any other
-step, such as one that failed its table's check, queries its degrees
+step, such as one that failed the table's check, queries its degrees
 alone, so every error comes at its step.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
@@ -116,42 +119,41 @@ def _query(out: np.ndarray, schedule, ids: np.ndarray, t: int, what: str) -> Non
 
 
 class DegreeTable:
-    """The alpha or the beta degrees of steps t < ``horizon`` of one run,
-    ``kind`` ``"alpha"`` or ``"betas"``, as (N, width) rows: width 1 for
-    alpha, m for the betas, 0 for an agent the kind does not cover.
+    """The degrees of steps t < ``horizon`` of one run as (N, 1 + m) rows,
+    in the weights' layout: column 0 each leader's alpha, column k each
+    follower's beta toward group k, 0 where an agent has no such degree.
 
-    Its cells are the scenario's (schedule, ids, column) blocks, in the
-    order a step queries them. Where every cell is ``schedules.tabled``, a
-    chunk of steps is one read-only (steps, N, width) block: each cell fills
-    its part with one ``at_steps`` call, or with NaN where that call raised
-    or gave no numbers. A chunk holds at most as many steps as came before
-    it and ``_TABLE_FLOATS`` degrees, so a run that stops early tables at
-    most about twice the steps it took. One pass then checks the block:
-    every degree in [0, 1] and every agent's beta sum at most 1.
+    Its cells are the scenario's (schedule, ids, column) blocks, the alpha
+    blocks and then the beta blocks, in the order a step queries them.
+    Where every cell is ``schedules.tabled``, a chunk of steps is one
+    read-only (steps, N, 1 + m) block: each cell fills its part with one
+    ``at_steps`` call, or with NaN where that call raised or gave no
+    numbers. A chunk holds at most as many steps as came before it and
+    ``_TABLE_FLOATS`` degrees, so a run that stops early tables at most
+    about twice the steps it took. One pass then checks the block: every
+    degree in [0, 1] and every agent's beta sum, over columns 1..m, at most
+    1.
 
     ``row(t)`` is step t's row of the block where that step passed the
     check, and ``served(t)`` how many steps from t on the block serves so.
     Every other step, and every step of a table without a ``horizon`` or
-    with a custom cell, whose NaN would fail every step's check, asks each
-    cell with ``at`` in order and guards it with ``_query``, as ``step``
-    alone does, so every error is raised at its step, with its message, in
-    the order of the per-step queries.
+    with a custom cell, asks each cell with ``at`` in order and guards it
+    with ``_query``, so every error is raised at its step, with its message,
+    in the order of the per-step queries; the row last asked is kept, so a
+    step asks each schedule once.
     """
 
-    def __init__(self, scenario: Scenario, kind: str, horizon: int | None = None):
-        self.betas = kind == "betas"
-        if self.betas:
-            self.cells = [(s, ids, k, f"beta schedule {k + 1}") for group, ids in scenario.betas
-                          for k, s in enumerate(group)]
-        else:
-            self.cells = [(s, ids, 0, "alpha schedule") for s, ids in scenario.alphas]
-        self.shape = (scenario.n_agents, scenario.m if self.betas else 1)
+    def __init__(self, scenario: Scenario, horizon: int | None = None):
+        self.cells = [(s, ids, 0, "alpha schedule") for s, ids in scenario.alphas]
+        self.cells += [(s, ids, k, f"beta schedule {k}") for group, ids in scenario.betas
+                       for k, s in enumerate(group, start=1)]
+        self.shape = (scenario.n_agents, 1 + scenario.m)
         self.horizon = horizon if all(tabled(s) for s, *_ in self.cells) else None
         self.start = self.stop = 0
-        self.block = None
+        self.block = self.asked = None
 
     def _fill(self, t: int) -> None:
-        steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // max(1, self.shape[0] * self.shape[1])))
+        steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // (self.shape[0] * self.shape[1])))
         ts = np.arange(t, t + steps)
         block = np.zeros((steps, *self.shape))
         for schedule, ids, k, _ in self.cells:
@@ -160,8 +162,7 @@ class DegreeTable:
             except (ArithmeticError, TypeError, ValueError):
                 block[:, ids, k] = np.nan  # asked at each step, so that its error comes at its step
         self.clean = ((block >= 0.0) & (block <= 1.0)).all(axis=(1, 2))  # NaN too
-        if self.betas:
-            self.clean &= (beta_sums(block) <= 1.0).all(axis=1)
+        self.clean &= (beta_sums(block[..., 1:]) <= 1.0).all(axis=1)
         block.flags.writeable = False
         self.block, self.start, self.stop = block, t, t + steps
 
@@ -174,37 +175,38 @@ class DegreeTable:
         return int(np.append(self.clean[t - self.start:], False).argmin())
 
     def row(self, t: int) -> np.ndarray:
-        """Step t's (N, width) degrees; raises ScheduleViolation as
+        """Step t's (N, 1 + m) degrees; raises ScheduleViolation as
         ``realized_alpha`` and ``realized_betas`` do."""
         if self.horizon is not None:
             if not self.start <= t < self.stop:
                 self._fill(t)
             if self.clean[t - self.start]:
                 return self.block[t - self.start]
+        if self.asked is not None and self.asked[0] == t:
+            return self.asked[1]
         row = np.zeros(self.shape)
         for schedule, ids, k, what in self.cells:
             _query(row[:, k], schedule, ids, t, what)
-        if self.betas:
-            total = beta_sums(row)
-            if (total > 1.0).any():
-                i = (total > 1.0).argmax()
-                raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
+        total = beta_sums(row[:, 1:])
+        if (total > 1.0).any():
+            i = (total > 1.0).argmax()
+            raise ScheduleViolation(f"beta sum for agent {i} is {float(total[i])!r} > 1 at t={t}")
+        self.asked = t, row
         return row
 
 
 def realized_alpha(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
     """All N leader degrees at step t (0 for followers), guarded against
-    out-of-range returns: from ``table``, a run's alpha ``DegreeTable``,
-    where given, else one schedule query per block."""
-    return (DegreeTable(scenario, "alpha") if table is None else table).row(t)[:, 0]
+    out-of-range returns: column 0 of ``table``'s row, a run's
+    ``DegreeTable``, where given, else of one query per schedule block."""
+    return (DegreeTable(scenario) if table is None else table).row(t)[:, 0]
 
 
 def realized_betas(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
     """The (N, m) follower degrees at step t (0 for leaders), each entry and
-    each agent's sum guarded: from ``table``, a run's betas
-    ``DegreeTable``, where given, else one query per block and leader
-    group."""
-    return (DegreeTable(scenario, "betas") if table is None else table).row(t)
+    each agent's sum guarded: columns 1..m of ``table``'s row, where given,
+    else of one query per schedule block and leader group."""
+    return (DegreeTable(scenario) if table is None else table).row(t)[:, 1:]
 
 
 def _searched(state: SystemState, scenario: Scenario) -> Pairs:
@@ -241,27 +243,23 @@ def _weights(scenario: Scenario, size: np.ndarray, alphas: np.ndarray, betas: np
     return w, pull, list(zip(min_w.tolist(), error.tolist(), counted.tolist()))
 
 
-def _step_weights(scenario: Scenario, t: int, pairs: Pairs, size: np.ndarray, held: bool,
-                  degrees: tuple[DegreeTable, DegreeTable] | None):
+def _step_weights(scenario: Scenario, t: int, pairs: Pairs, size: np.ndarray, held: bool, degrees: DegreeTable):
     """Step t's entry of ``_weights``. Where ``pairs`` keep the weights of a
     chunk of ``degrees`` that holds step t, they are read. Otherwise step
-    t's degrees are queried, and a ``held`` list whose step both tables
-    serve from their blocks gets, in one pass, and keeps the weights of
-    every step up to the end of the blocks' clean run."""
-    cached = pairs.weights
-    if degrees is not None and cached is not None:
-        (alpha_block, beta_block), first, weights = cached
-        if alpha_block is degrees[0].block and beta_block is degrees[1].block and 0 <= t - first < len(weights[0]):
+    t's degrees are read from ``degrees``, and a ``held`` list whose step
+    the table serves from its block gets, in one pass, and keeps the weights
+    of every step up to the end of the block's clean run."""
+    if pairs.weights is not None:
+        block, first, weights = pairs.weights
+        if block is degrees.block and 0 <= t - first < len(weights[0]):
             return tuple(part[t - first] for part in weights)
-    alpha_table, beta_table = degrees or (None, None)
-    alpha = realized_alpha(scenario, t, alpha_table)
-    betas = realized_betas(scenario, t, beta_table)
-    steps = min(alpha_table.served(t), beta_table.served(t)) if held and degrees is not None else 0
+    alpha = realized_alpha(scenario, t, degrees)
+    betas = realized_betas(scenario, t, degrees)
+    steps = degrees.served(t) if held else 0
     if steps:
-        alphas = alpha_table.block[t - alpha_table.start:][:steps, :, 0]
-        betas = beta_table.block[t - beta_table.start:][:steps]
-        weights = _weights(scenario, size, alphas, betas)
-        pairs.weights = (alpha_table.block, beta_table.block), t, weights
+        block = degrees.block[t - degrees.start:][:steps]
+        weights = _weights(scenario, size, block[..., 0], block[..., 1:])
+        pairs.weights = degrees.block, t, weights
     else:
         weights = _weights(scenario, size, alpha[None], betas[None])
     return tuple(part[0] for part in weights)
@@ -274,7 +272,7 @@ def step(
     *,
     fault: str | None = None,
     pairs: Pairs | None = None,
-    degrees: tuple[DegreeTable, DegreeTable] | None = None,
+    degrees: DegreeTable | None = None,
 ) -> tuple[SystemState, StepDigest]:
     """Apply one synchronous update to every agent.
 
@@ -284,12 +282,12 @@ def step(
     ``PairTracker``'s, which carry their classes), else by a fresh
     ``state_classes`` and ``compute_neighbors``. Every state is stepped
     through its map, one class per agent where all rows differ. The
-    degrees come from ``degrees``, a run's alpha and betas ``DegreeTable``,
-    if given, else from one query per schedule block, after the set means.
-    ``pairs`` that an earlier step read are a held list: where both tables
-    serve step t from their blocks, the weights and digests of the rest of
-    the chunk are computed at once and kept on ``pairs``, and the later
-    steps of the chunk read them. Every new opinion depends only on
+    degrees come from ``degrees``, a run's ``DegreeTable``, if given, else
+    from a table without a horizon, one query per schedule block, after the
+    set means. ``pairs`` that an earlier step read are a held list: where
+    the table serves step t from its block, the weights and digests of the
+    rest of the chunk are computed at once and kept on ``pairs``, and the
+    later steps of the chunk read them. Every new opinion depends only on
     ``state``. Raises NonFiniteState for an agent that is not its own
     neighbor (its opinion is not finite), ScheduleViolation if a schedule
     leaves its declared range, and ValueError for an unknown fault.
@@ -302,7 +300,7 @@ def step(
     means, size, *summed = pairs.set_means(scenario, state.opinions)
     if fault == FAULT_MEAN_SHIFT:
         means += _MEAN_SHIFT
-    w, pull, fields = _step_weights(scenario, t, pairs, size, held, degrees)
+    w, pull, fields = _step_weights(scenario, t, pairs, size, held, degrees or DegreeTable(scenario))
     new = w[0, :, None] * means[0]
     for k in range(1, len(w)):
         # a masked set's mean stays out: an overflowed mean times 0 is NaN
@@ -335,8 +333,9 @@ def run(
     ``PairTracker._holds``). How the steps got them is the trajectory's
     ``pair_counts``, and the time that took its ``pair_seconds``; the time
     its ``step`` calls took is its ``step_seconds``. The steps read their
-    degrees from the run's two ``DegreeTable``s, which table at most the
-    ``horizon`` steps.
+    degrees from the run's one ``DegreeTable``, which tables at most the
+    ``horizon`` steps, and nothing where any schedule is not
+    ``schedules.tabled``.
     """
     opts = scenario.engine
     if horizon is None:
@@ -350,7 +349,7 @@ def run(
     reason = STOP_HORIZON
     recent: deque[float] = deque(maxlen=opts.stop_window)
     tracker = PairTracker(scenario)
-    degrees = DegreeTable(scenario, "alpha", horizon), DegreeTable(scenario, "betas", horizon)
+    degrees = DegreeTable(scenario, horizon)
     disp = math.inf
     searching = updating = 0.0
     for t in range(horizon):

@@ -32,9 +32,9 @@ that the update reads from its pairs.
   for k = 0 and follower row r's group-k leader set for k >= 1, the cols of
   r's pairs that carry that group. ``_expanded`` first expands each pair's
   class to its members, so each row lists its neighbor agents in ascending
-  order: a row that reaches only one-agent classes is so already, and one
-  stable sort merges the others' runs; where every class has one agent,
-  the pairs are returned as they are. Every group is one range of ids, as
+  order: each class's run of members is ascending, and one stable sort of
+  all the (row, agent) keys merges the runs; where every class has one
+  agent, the pairs are returned as they are. Every group is one range of ids, as
   member counts make them, so ``_grouping`` finds each set as one run of
   its row's cols by counting the row's cols below each group bound. Where explicit member lists
   interleave the groups, the cols of each row are first put in (group, id)
@@ -511,21 +511,13 @@ def _expanded(pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
     np.add.accumulate(at, out=at)
     cols = np.take(classes.members, at)
     del at
-    # each row is a run of ascending members per neighbor class, the classes
-    # in ascending order of smallest member: a row that reaches only
-    # singleton classes is ascending already, and a stable sort of the
-    # others' (row, agent) keys merges their runs
-    within = rows[1:] == rows[:-1]
-    within &= cols[1:] < cols[:-1]
-    unsorted = np.zeros(classes.reps.size, dtype=bool)
-    unsorted[rows[1:][within]] = True
-    del within
-    pick = unsorted[rows]
-    key = rows[pick].astype(np.int64)
+    # each row is a run of ascending members per neighbor class: one stable
+    # sort of the (row, agent) keys puts every row's agents in order
+    key = rows.astype(np.int64)
     key <<= 32
-    key |= cols[pick]
+    key |= cols
     key.sort(kind="stable")
-    cols[pick] = key.astype(np.int32)  # the low 32 bits: the agent
+    cols[:] = key  # the low 32 bits: the agent
     return rows, cols
 
 

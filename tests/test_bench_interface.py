@@ -52,4 +52,5 @@ def test_the_benchmark_tracer_sees_every_layer_of_check_and_simulate(tmp_path):
     assert set(tracer.CHECKS.values()) <= called
     assert {"lfmix.cli.run", tracer.STEP, tracer.QUERY, tracer.METRICS, tracer.DIAMETER,
             tracer.TRAJECTORY_CSV, tracer.METRICS_CSV} <= called
-    assert called & set(tracer.SCHEDULES)
+    # the engine's degree queries and the checks' own, each by the name the tracer wraps
+    assert {"lfmix.dynamics.realized_alpha", "lfmix.analysis.realized_alpha"} <= called

@@ -115,6 +115,14 @@ def test_simulate_demo_converges(tmp_path):
     assert payload["step_digest"]["classes"]["first"] == 2  # two distinct rows: one class each
 
 
+def test_simulate_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("lfmix: cannot write output: ")
+
+
 def test_run_json_counts_the_classes_of_fewer_than_64_agents(tmp_path):
     # twelve followers on four rows, in two pairs of rows that merge after the first step
     initial = [[0.0], [0.0625], [1.0], [1.0625]] * 3
@@ -483,6 +491,24 @@ def test_check_quotes_each_unknown_token(tmp_path, capsys):
     assert "unknown checks: '', 'lemma9' (expected lemma1, thm2, lemma3, thm4, cor1, cor2)" in capsys.readouterr().err
 
 
+def test_check_runs_a_token_given_twice_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = lfmix.analysis.check_contraction
+    monkeypatch.setattr(lfmix.analysis, "check_contraction", lambda traj: calls.append(traj) or real(traj))
+    path = write_config(tmp_path, demo_config())
+    assert main(["check", "--scenario", str(path), "--checks", "lemma1,thm2,lemma1"]) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 1
+    assert list(json.loads(out)["checks"]) == ["lemma1", "thm2"]
+    assert err == "lemma1: pass\nthm2: pass\n"
+
+
+def test_check_report_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    assert main(["check", "--scenario", str(path), "--checks", "lemma1", "--report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(f"lfmix: cannot write output: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 def test_check_report_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path, demo_config())
     assert main(["check", "--scenario", str(path), "--checks", "lemma1"]) == 0
@@ -581,6 +607,12 @@ def test_plot_empty_metrics_exits_2(tmp_path, capsys):
     assert main(["plot", "--metrics", str(overlong), "--out", str(tmp_path / "x.svg")]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    metrics = simulate_demo(tmp_path)
+    assert main(["plot", "--metrics", str(metrics), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"lfmix: cannot write output: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_plot_drops_non_finite_values(tmp_path, capsys):
@@ -752,6 +784,15 @@ def test_sweep_that_fails_midway_keeps_the_points_it_finished(tmp_path, capsys):
     assert rows[0] == ["point", "epsilon", "stop_reason", "converged", "steps", "final_max_distance"]
     assert [row[:2] for row in rows[1:]] == [["0", "0.5"]]
     assert sorted(p.name for p in out.iterdir()) == ["point_0000", "summary.csv"]
+
+
+def test_sweep_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, demo_config())
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.3:2", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"lfmix: cannot write output: [Errno 17] File exists: '{taken}'\n"
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 def test_sweep_non_finite_bounds_exit_2(tmp_path, capsys):

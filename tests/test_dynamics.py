@@ -602,14 +602,14 @@ def asked_everywhere(sc, steps):
 
 @pytest.mark.parametrize("budget", [None, 40])
 def test_degree_tables_equal_per_step_queries(budget, monkeypatch):
-    # 40 degrees a chunk: 4 alpha rows or 2 beta rows of the 10 agents
+    # 40 degrees a chunk: one step of the 10 agents' 1 + m = 3 degrees each
     if budget is not None:
         monkeypatch.setattr(dynamics, "_TABLE_FLOATS", budget)
     sc = mixed_schedule_scenario()
-    alpha_table, beta_table = (dynamics.DegreeTable(sc, kind, 40) for kind in ("alpha", "betas"))
+    table = dynamics.DegreeTable(sc, 40)
     for t in range(40):
-        assert realized_alpha(sc, t, alpha_table).tobytes() == realized_alpha(sc, t).tobytes()
-        assert realized_betas(sc, t, beta_table).tobytes() == realized_betas(sc, t).tobytes()
+        assert realized_alpha(sc, t, table).tobytes() == realized_alpha(sc, t).tobytes()
+        assert realized_betas(sc, t, table).tobytes() == realized_betas(sc, t).tobytes()
     steps = []
     for tabled, asked in zip(run(sc).states, run(asked_everywhere(sc, steps)).states, strict=True):
         assert tabled.opinions.tobytes() == asked.opinions.tobytes()
@@ -627,15 +627,18 @@ def test_run_tables_each_built_in_block_once_per_chunk_and_asks_a_custom_one_eac
     (custom, ids), *rest = sc.alphas
     sc = dataclasses.replace(sc, alphas=((Asked(custom, steps), ids), *rest))
     traj = run(sc)
-    assert traj.horizon == 37 and steps == list(range(37))
-    cells = sc.m * len(sc.betas)  # the alpha table holds a custom cell, so it tables none of its cells
+    # the table holds a custom cell, so it tables none of its cells
+    assert traj.horizon == 37 and steps == list(range(37)) and chunks == {}
+    measure(traj)  # its own table, not the engine's
+    assert chunks == {} and steps == list(range(37)) * 2
     # chunks of at most as many steps as came before them: 1, 1, 2, 4, 8, 16 and the last 5
     expected = [[0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)), list(range(32, 37))]
+    cells = len(sc.alphas) + sc.m * len(sc.betas)
+    traj = run(mixed_schedule_scenario(horizon=37))
     assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
     chunks.clear()
-    measure(traj)  # its own tables, not the engine's
+    measure(traj)
     assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
-    assert steps == list(range(37)) * 2
 
 
 def test_a_table_with_a_custom_schedule_tables_no_block(monkeypatch):
@@ -654,10 +657,10 @@ def test_a_table_with_a_custom_schedule_tables_no_block(monkeypatch):
     (custom, ids), *rest = sc.alphas
     asked = dataclasses.replace(sc, alphas=((Asked(custom, steps), ids), *rest))
     traj = run(asked)
-    # the custom alpha cell's NaN would fail every step's check: only the beta cells are tabled
-    assert len(calls) == 42 and sum(calls) == 6 * 37 and steps == list(range(37))
-    alpha_table = dynamics.DegreeTable(asked, "alpha", 37)
-    assert alpha_table.horizon is None and alpha_table.served(0) == 0
+    # the custom alpha cell's NaN would fail every step's check: no cell is tabled
+    assert calls == [] and steps == list(range(37))
+    table = dynamics.DegreeTable(asked, 37)
+    assert table.horizon is None and table.served(0) == 0
     for a, b in zip(traj.states, expected.states, strict=True):
         assert a.opinions.tobytes() == b.opinions.tobytes()
     assert traj.step_digests == expected.step_digests
@@ -701,17 +704,17 @@ def test_a_run_raises_a_schedule_error_at_its_step_and_not_before_it():
 
 def test_served_rows_are_read_only_and_equal_lone_step_queries():
     sc = mixed_schedule_scenario()
-    alpha_table, beta_table = (dynamics.DegreeTable(sc, kind, 40) for kind in ("alpha", "betas"))
+    table = dynamics.DegreeTable(sc, 40)
     for t in range(40):
-        for served, lone in ((realized_alpha(sc, t, alpha_table), realized_alpha(sc, t)),
-                             (realized_betas(sc, t, beta_table), realized_betas(sc, t))):
+        for served, lone in ((realized_alpha(sc, t, table), realized_alpha(sc, t)),
+                             (realized_betas(sc, t, table), realized_betas(sc, t))):
             assert not served.flags.writeable and lone.flags.writeable
             assert served.tobytes() == lone.tobytes()
     # the chunk of steps 4 to 7 holds 1.5 at step 7: steps 4 to 6 are still served from its block
     sc = geometric_scenario(horizon=20)
     (_, ids), = sc.alphas
     bad = dataclasses.replace(sc, alphas=((Table((0.5,) * 7 + (1.5,)), ids),))
-    table = dynamics.DegreeTable(bad, "alpha", 20)
+    table = dynamics.DegreeTable(bad, 20)
     for t in range(7):
         served = realized_alpha(bad, t, table)
         assert not served.flags.writeable and served.tobytes() == realized_alpha(bad, t).tobytes()
@@ -1016,8 +1019,8 @@ def test_held_chunks_equal_lone_steps(chunk, monkeypatch):
               for i in range(12)]
     dropped = 0
     for sc, fault in cases:
-        # chunks of up to ``chunk`` steps of the beta table
-        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", chunk * sc.n_agents * max(sc.m, 1))
+        # chunks of up to ``chunk`` steps of the table
+        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", chunk * sc.n_agents * (1 + sc.m))
         expected = run_bits(lone_run(sc, monkeypatch, fault=fault))
         logged.clear()
         with monkeypatch.context() as patched:
