@@ -58,9 +58,11 @@ MUTANTS = [
     ("held-step-reads-previous-entry", "dynamics.py", "return tuple(part[t - first] for part in weights)",
      "return tuple(part[t - first - 1] for part in weights)", ["test_dynamics.py"]),
     ("block-check-without-beta-sums", "dynamics.py",
-     "self.clean &= (beta_sums(block[..., 1:]) <= 1.0).all(axis=1)", "pass", ["test_dynamics.py"]),
+     "clean &= (beta_sums(block[..., 1:]) <= 1.0).all(axis=1)", "pass", ["test_dynamics.py"]),
     ("served-ignores-block-check", "dynamics.py",
-     "return int(np.append(self.clean[t - self.start:], False).argmin())", "return self.stop - t",
+     "return max(self.served_until - t, 0) if self.start <= t else 0",
+     "return max(self.stop - t, 0) if self.start <= t else 0", ["test_dynamics.py"]),
+    ("row-served-past-served-until", "dynamics.py", "if t < self.served_until:", "if t <= self.served_until:",
      ["test_dynamics.py"]),
     ("last-distances-from-block-start", "analysis.py", "last.append(dist[-1].copy())",
      "last.append(dist[0].copy())", ["test_analysis.py"]),
@@ -70,8 +72,14 @@ MUTANTS = [
     ("cor2-contact-at-block-start", "analysis.py", "first = start + int(hit.argmax())", "first = start",
      ["test_analysis.py"]),
     ("cor2-scan-first-block-only", "analysis.py",
-     "for start, x in _state_blocks(trajectory.states[:first], steps):",
-     "for start, x in list(_state_blocks(trajectory.states[:first], steps))[:1]:", ["test_analysis.py"]),
+     "for start, x in _state_blocks(trajectory.states[:first], floats):",
+     "for start, x in list(_state_blocks(trajectory.states[:first], floats))[:1]:", ["test_analysis.py"]),
+    # the one block budget and the measured search rule
+    ("per-block-without-floor", "neighbors.py", "return max(1, _BLOCK_FLOATS // max(floats, 1))",
+     "return _BLOCK_FLOATS // max(floats, 1)", ["test_dynamics.py"]),
+    ("uses-grid-without-3-to-the-d", "neighbors.py",
+     "if n < _GRID_AGENTS * 3 ** min(d, 20):  # 64 · 3^20 > 2^31: past d = 20 no int32 N reaches it",
+     "if n < _GRID_AGENTS:", ["test_neighbors.py"]),
     # one sort per class expansion, one degree row per step, and the traced degree queries
     ("expanded-unsorted", "neighbors.py", 'key.sort(kind="stable")', "pass", ["test_dynamics.py"]),
     ("table-without-kept-row", "dynamics.py", "if self.asked is not None and self.asked[0] == t:", "if False:",

@@ -40,12 +40,12 @@ the trajectory lives: every agent's distance to each target, of which each
 distance a check reads is an index or a max, and the per-step degrees
 re-queried from the schedules, through a degree table of its own, with their
 maxima. It reads the states a block of steps at a time, stacked into one
-(steps, N, d) array of about ``_SCAN_FLOATS`` coordinates, and keeps no copy
-of them: a row's distance is the same reduction over its last axis whatever
-the leading shape, so each state's distances are bit for bit those of the
-state alone. lemma1's leader scans and cor2's cross-talk scan read blocks
-of states the same way, and lemma1, cor1 and cor2 build their records from
-whole-run arrays.
+(steps, N, d) array of about ``neighbors._BLOCK_FLOATS`` coordinates, and
+keeps no copy of them: a row's distance is the same reduction over its last
+axis whatever the leading shape, so each state's distances are bit for bit
+those of the state alone. lemma1's leader scans and cor2's cross-talk scan
+read blocks of states the same way, and lemma1, cor1 and cor2 build their
+records from whole-run arrays.
 ``metrics_rows``, ``measured_degree_bounds`` and every check read that one
 series; no check queries a schedule or measures a distance to a target
 itself, save cor2 on its standalone re-runs (other trajectories) and on
@@ -71,7 +71,7 @@ import numpy as np
 
 from .dynamics import DegreeTable, Trajectory, realized_alpha, realized_betas, run
 from .model import Partition, Scenario, SystemState
-from .neighbors import neighbors_naive
+from .neighbors import neighbors_naive, per_block
 from .schedules import RemappedAgents, beta_sums
 
 SLACK_TOL = 1e-9  # a record passes when rhs - lhs >= -SLACK_TOL (BALL_TOL for lemma3)
@@ -200,7 +200,6 @@ def max_target_distance(state: SystemState, scenario: Scenario, k: int) -> float
     return float(distances_to(state.opinions[ids], scenario.target(k)).max())
 
 
-_SCAN_FLOATS = 1 << 17  # coordinate differences per block of a pairwise scan
 # opinion_diameter prunes only above this squared lower bound: below it the
 # absolute rounding error of subnormal squares can outweigh the slack
 _PRUNE_MIN_SQUARED = 2.0**-900
@@ -212,18 +211,18 @@ def _squared_distances(a: np.ndarray, b: np.ndarray):
     squared distance of ``a[..., start + r, :]`` and ``b[..., j, :]``, by
     the arithmetic of the engine's neighbor test. Leading axes, such as the
     steps of a block of states, pair ``a``'s with ``b``'s."""
-    rows = max(1, _SCAN_FLOATS // max(b.size, 1))
+    rows = per_block(b.size)
     for start in range(0, a.shape[-2], rows):
         diff = a[..., start : start + rows, None, :] - b[..., None, :, :]
         diff *= diff
         yield start, diff.sum(axis=-1)
 
 
-def _state_blocks(states, steps: int, ids=None):
+def _state_blocks(states, floats: int, ids=None):
     """The opinions of ``states``, of the agents ``ids`` (all by default),
-    as (steps, agents, d) blocks of up to ``steps`` states: yields
+    as (steps, agents, d) blocks of ``per_block(floats)`` states: yields
     ``(start, block)``, the first state of the block and the block."""
-    rows = slice(None) if ids is None else ids
+    rows, steps = (slice(None) if ids is None else ids), per_block(floats)
     for start in range(0, len(states), steps):
         yield start, np.stack([state.opinions[rows] for state in states[start : start + steps]])
 
@@ -339,8 +338,7 @@ def _measure(trajectory: Trajectory) -> Series:
     leader_distances = tuple(np.zeros((horizon + 1, ids.size)) for ids in part.leader_ids)
     follower_distances = np.zeros(horizon + 1)
     first, last = [], []
-    steps = max(1, _SCAN_FLOATS // (n * scenario.dimension))
-    for start, x in _state_blocks(trajectory.states, steps) if m else ():
+    for start, x in _state_blocks(trajectory.states, n * scenario.dimension) if m else ():
         at = slice(start, start + len(x))
         for k, (g, ids) in enumerate(zip(scenario.targets, part.leader_ids)):
             dist = distances_to(x, g)  # its [:, ids] equals distances_to(x[:, ids], g) bit for bit
@@ -422,8 +420,8 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     group's max degree. Own-group neighbors are recomputed from the raw
     states, each group's leaders scanned against that group only, a block
     of steps at a time whose (steps, L, L) squared distances stay within
-    the scan's float budget, and the degrees are the series' re-queried
-    ones, independently of whatever the engine did. The records come step
+    the float budget of a block, and the degrees are the series'
+    re-queried ones, independently of whatever the engine did. The records come step
     by step, each group's agents and then the group.
     """
     scenario = trajectory.scenario
@@ -439,8 +437,7 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names)):
         dist = series.leader_distances[k]
         worst = np.empty((horizon, ids.size))  # the largest distance among each leader's neighbors
-        steps = max(1, _SCAN_FLOATS // (ids.size * ids.size * scenario.dimension))
-        for start, x in _state_blocks(trajectory.states[:horizon], steps, ids):
+        for start, x in _state_blocks(trajectory.states[:horizon], ids.size * ids.size * scenario.dimension, ids):
             dist0 = dist[start : start + len(x), None, :]
             for row, block in _squared_distances(x, x):
                 worst[start : start + len(x), row : row + block.shape[1]] = np.where(block <= eps2, dist0,
@@ -788,9 +785,10 @@ def _crosstalk(trajectory: Trajectory, label: np.ndarray) -> str | None:
     """Names the first follower within epsilon of an agent of another
     subsystem at the first state with one, or None. Each subsystem's
     followers are scanned against the agents outside it, a block of states
-    at a time within the scan's float budget; only the first state with a
-    contact gets the full neighbor pairs, to name the lowest such follower,
-    then its lowest-id follower contact or else its lowest leader group."""
+    at a time within the float budget of a block; only the first state with
+    a contact gets the full neighbor pairs, to name the lowest such
+    follower, then its lowest-id follower contact or else its lowest leader
+    group."""
     scenario = trajectory.scenario
     part = scenario.partition
     fol = part.follower_ids
@@ -800,8 +798,8 @@ def _crosstalk(trajectory: Trajectory, label: np.ndarray) -> str | None:
         own, others = fol[label[fol] == a], np.flatnonzero(label != a)
         if not (own.size and others.size):
             continue
-        steps = max(1, _SCAN_FLOATS // (max(own.size * others.size, scenario.n_agents) * scenario.dimension))
-        for start, x in _state_blocks(trajectory.states[:first], steps):
+        floats = max(own.size * others.size, scenario.n_agents) * scenario.dimension
+        for start, x in _state_blocks(trajectory.states[:first], floats):
             hit = np.zeros(len(x), dtype=bool)
             for _, block in _squared_distances(x[:, own], x[:, others]):
                 hit |= (block <= eps2).any(axis=(1, 2))

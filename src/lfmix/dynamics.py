@@ -19,10 +19,10 @@ them per agent, and its reductions over axis 0 give the ``StepDigest``.
 A step reads its degrees from one ``DegreeTable`` in the same layout, an
 (N, 1 + m) row per step, column 0 the alphas and columns 1..m the betas:
 ``run`` builds one for the whole run, which tables each built-in block
-once per chunk of steps into one checked block and serves a step that
-passed the check as a view of it, and a step alone builds one without a
-horizon, which asks each schedule block once. No per-agent object is
-built.
+once per chunk of steps into one checked block and serves the steps
+before the first that failed the check as views of it, and a step alone
+builds one without a horizon, which asks each schedule block once. No
+per-agent object is built.
 
 The weights and the digest depend on the set sizes and the degrees alone,
 not on the opinions. So where ``run`` holds a pair list for a further step
@@ -31,8 +31,8 @@ for the rest of the chunk in one pass over a (steps, 1 + m, N) block,
 each step's values as a lone step would get them, and the ``Pairs`` keeps
 them; each later step of the chunk then only sums the sets, gathers the
 means and mixes. Every step still goes through ``step``, and any other
-step, such as one that failed the table's check, queries its degrees
-alone, so every error comes at its step.
+step, such as one at or past a failure of the table's check, queries
+its degrees alone, so every error comes at its step.
 
 Determinism contract: every set sum adds the set's opinions in ascending id
 order exactly as ``np.sum(x[ids], axis=0)`` does (``neighbors`` says how
@@ -46,13 +46,13 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteState, ScheduleViolation
 from .model import Scenario, SystemState
-from .neighbors import PairTracker, Pairs, compute_neighbors, state_classes
+from .neighbors import PairTracker, Pairs, compute_neighbors, per_block, state_classes
 from .schedules import beta_sums, tabled
 
 FAULT_MEAN_SHIFT = "mean-shift"
@@ -64,7 +64,6 @@ STOP_CONVERGED = "converged"
 STOP_STAGNATED = "stagnated"
 
 _SCENARIO_DEFAULT = object()
-_TABLE_FLOATS = 1 << 16  # degrees per chunk of a DegreeTable
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,15 @@ class DegreeTable:
     Where every cell is ``schedules.tabled``, a chunk of steps is one
     read-only (steps, N, 1 + m) block: each cell fills its part with one
     ``at_steps`` call, or with NaN where that call raised or gave no
-    numbers. A chunk holds at most as many steps as came before it and
-    ``_TABLE_FLOATS`` degrees, so a run that stops early tables at most
+    numbers. A chunk holds at most as many steps as came before it and as
+    ``neighbors.per_block`` fit, so a run that stops early tables at most
     about twice the steps it took. One pass then checks the block: every
     degree in [0, 1] and every agent's beta sum, over columns 1..m, at most
-    1.
+    1. ``served_until`` is the first step of the block that failed it, or
+    the block's end.
 
-    ``row(t)`` is step t's row of the block where that step passed the
-    check, and ``served(t)`` how many steps from t on the block serves so.
+    ``row(t)`` is step t's row of the block for a step before
+    ``served_until``, and ``served(t)`` how many steps from t on it serves so.
     Every other step, and every step of a table without a ``horizon`` or
     with a custom cell, asks each cell with ``at`` in order and guards it
     with ``_query``, so every error is raised at its step, with its message,
@@ -149,11 +149,11 @@ class DegreeTable:
                        for k, s in enumerate(group, start=1)]
         self.shape = (scenario.n_agents, 1 + scenario.m)
         self.horizon = horizon if all(tabled(s) for s, *_ in self.cells) else None
-        self.start = self.stop = 0
+        self.start = self.stop = self.served_until = 0
         self.block = self.asked = None
 
     def _fill(self, t: int) -> None:
-        steps = max(1, min(self.horizon - t, t, _TABLE_FLOATS // (self.shape[0] * self.shape[1])))
+        steps = max(1, min(self.horizon - t, t, per_block(self.shape[0] * self.shape[1])))
         ts = np.arange(t, t + steps)
         block = np.zeros((steps, *self.shape))
         for schedule, ids, k, _ in self.cells:
@@ -161,18 +161,16 @@ class DegreeTable:
                 block[:, ids, k] = schedule.at_steps(ids, ts)
             except (ArithmeticError, TypeError, ValueError):
                 block[:, ids, k] = np.nan  # asked at each step, so that its error comes at its step
-        self.clean = ((block >= 0.0) & (block <= 1.0)).all(axis=(1, 2))  # NaN too
-        self.clean &= (beta_sums(block[..., 1:]) <= 1.0).all(axis=1)
+        clean = ((block >= 0.0) & (block <= 1.0)).all(axis=(1, 2))  # NaN too
+        clean &= (beta_sums(block[..., 1:]) <= 1.0).all(axis=1)
         block.flags.writeable = False
         self.block, self.start, self.stop = block, t, t + steps
+        self.served_until = t + int(np.append(clean, False).argmin())
 
     def served(self, t: int) -> int:
         """How many steps from t on ``row`` reads from the current block: 0
-        where it holds no step t, else up to the first step that failed the
-        check or the block's end."""
-        if self.block is None or not self.start <= t < self.stop:
-            return 0
-        return int(np.append(self.clean[t - self.start:], False).argmin())
+        where it holds no step t, else up to ``served_until``."""
+        return max(self.served_until - t, 0) if self.start <= t else 0
 
     def row(self, t: int) -> np.ndarray:
         """Step t's (N, 1 + m) degrees; raises ScheduleViolation as
@@ -180,7 +178,7 @@ class DegreeTable:
         if self.horizon is not None:
             if not self.start <= t < self.stop:
                 self._fill(t)
-            if self.clean[t - self.start]:
+            if t < self.served_until:
                 return self.block[t - self.start]
         if self.asked is not None and self.asked[0] == t:
             return self.asked[1]
@@ -198,15 +196,15 @@ class DegreeTable:
 def realized_alpha(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
     """All N leader degrees at step t (0 for followers), guarded against
     out-of-range returns: column 0 of ``table``'s row, a run's
-    ``DegreeTable``, where given, else of one query per schedule block."""
-    return (DegreeTable(scenario) if table is None else table).row(t)[:, 0]
+    ``DegreeTable``, where given, else of one query per alpha block."""
+    return (DegreeTable(replace(scenario, betas=())) if table is None else table).row(t)[:, 0]
 
 
 def realized_betas(scenario: Scenario, t: int, table: DegreeTable | None = None) -> np.ndarray:
     """The (N, m) follower degrees at step t (0 for leaders), each entry and
     each agent's sum guarded: columns 1..m of ``table``'s row, where given,
-    else of one query per schedule block and leader group."""
-    return (DegreeTable(scenario) if table is None else table).row(t)[:, 1:]
+    else of one query per beta block and leader group."""
+    return (DegreeTable(replace(scenario, alphas=())) if table is None else table).row(t)[:, 1:]
 
 
 def _searched(state: SystemState, scenario: Scenario) -> Pairs:
@@ -248,7 +246,7 @@ def _step_weights(scenario: Scenario, t: int, pairs: Pairs, size: np.ndarray, he
     chunk of ``degrees`` that holds step t, they are read. Otherwise step
     t's degrees are read from ``degrees``, and a ``held`` list whose step
     the table serves from its block gets, in one pass, and keeps the weights
-    of every step up to the end of the block's clean run."""
+    of every step before the block's ``served_until``."""
     if pairs.weights is not None:
         block, first, weights = pairs.weights
         if block is degrees.block and 0 <= t - first < len(weights[0]):

@@ -3,7 +3,7 @@ that the update reads from its pairs.
 
 * ``compute_neighbors``: the engine's search. It returns every ordered pair
   (i, j) with ||x_i - x_j||^2 <= epsilon^2 as two int32 arrays sorted by
-  (i, j); every agent is its own neighbor. For d <= 6 and N >= 64 the
+  (i, j); every agent is its own neighbor. For N >= 64 · 3^d the
   candidates come from ``neighbors_grid``, a grid of cells of side just over
   epsilon whose 3^d block around an agent's cell covers every point within
   epsilon of it, unless the rows' bounding box spans at most 3 cells on
@@ -104,15 +104,16 @@ import numpy as np
 from .errors import NonFiniteState
 from .model import Scenario, SystemState
 
-_CHUNK = 128  # rows per block of the grid search
-_SCAN_FLOATS = 1 << 17  # coordinate differences per block of the scan
-_GRID_MIN_AGENTS = 64
-_GRID_MAX_DIM = 6
+_BLOCK_FLOATS = 1 << 17  # the floats that one block of any blocked loop of the package takes
+_GRID_AGENTS = 64  # the grid needs this many agents per cell of an agent's 3^d block
 _SKIN = 0.25  # a pair list's skin, as a fraction of epsilon
 _QUIET = 0.25  # build a list only after a step that moved no agent more than this fraction of the skin
 _MARGIN = 2.0**-30  # rounding margin of a pair list, as a fraction of epsilon + skin
-# a block of equal-size sets gathers at most this many coordinates
-_GATHER_FLOATS = 1 << 17
+
+
+def per_block(floats: int) -> int:
+    """How many items of ``floats`` floats each fit in one block: at least one."""
+    return max(1, _BLOCK_FLOATS // max(floats, 1))
 
 
 def _column_sums(xt: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -243,7 +244,7 @@ def _scan(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # the same pairs: the verdicts rest on this bound, not on how small the
     # rounding of this machine's BLAS happens to be.
     counts, cols = np.empty(n, dtype=np.intp), []  # each row's pairs, and each tile's cols
-    block = max(1, _SCAN_FLOATS // n)  # each tile is (block, n)
+    block = per_block(n)  # each tile is (block, n)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", x, x)
         top = float(norms.max())
@@ -275,13 +276,13 @@ def _cell_side(lo: np.ndarray, hi: np.ndarray, eps: float) -> float:
 
 def _uses_grid(x: np.ndarray, eps: float) -> bool:
     """Whether to search the rows ``x`` within ``eps`` on the grid: for N
-    >= 64 and d <= 6, unless its cells would span at most 3 per axis. Then
-    an agent's 3^d block misses only agents two cells away on some axis,
-    none at a span of 2 or less, so the grid would test most of the N^2
-    pairs, one index gather at a time, where the scan screens all of them
-    with one matrix product per block of rows."""
+    >= 64 · 3^d, where the grid beat the scan on uniform boxes of 1 to 6
+    axes, unless its cells would span at most 3 per axis. Then an agent's
+    3^d block misses only agents two cells away on some axis, none at a
+    span of 2 or less, so the grid would test most of the N^2 pairs, one
+    gather at a time, where the scan screens them with a product per block."""
     n, d = x.shape
-    if n < _GRID_MIN_AGENTS or d > _GRID_MAX_DIM:
+    if n < _GRID_AGENTS * 3 ** min(d, 20):  # 64 · 3^20 > 2^31: past d = 20 no int32 N reaches it
         return False
     lo, hi = x.min(axis=0), x.max(axis=0)
     side = _cell_side(lo, hi, eps)  # floor(x / side) is monotone in x: the extremes give the extreme cells
@@ -315,8 +316,7 @@ def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     candidates, which the distance test then drops, and loses none.
     """
     n, d = x.shape
-    xt = np.ascontiguousarray(x.T)
-    eps2 = eps * eps
+    xt, eps2 = np.ascontiguousarray(x.T), eps * eps
     cells = np.floor(x / _cell_side(x.min(axis=0), x.max(axis=0), eps)).astype(np.int64)
     cells -= cells.min(axis=0) - 1  # every coordinate >= 1, so a -1 offset stays >= 0
     strides = np.cumprod(np.r_[1, cells.max(axis=0)[:-1] + 2].astype(np.uint64), dtype=np.uint64)
@@ -327,9 +327,11 @@ def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
     order = np.argsort(keys, kind="stable").astype(np.int32)  # agents by cell, ascending id within a cell
     cell_keys, first, size = np.unique(keys[order], return_index=True, return_counts=True)
+    # a row takes about 5 words for each cell it looks up and each candidate, at the mean agents per occupied cell
+    chunk = per_block(5 * offsets.size * (1 + n // cell_keys.size))
     found_rows, found_cols = [], []
-    for start in range(0, n, _CHUNK):
-        block = np.arange(start, min(start + _CHUNK, n), dtype=np.int32)
+    for start in range(0, n, chunk):
+        block = np.arange(start, min(start + chunk, n), dtype=np.int32)
         wanted = (keys[block, None] + offsets).ravel()
         cell = np.minimum(np.searchsorted(cell_keys, wanted), cell_keys.size - 1)
         found = cell_keys[cell] == wanted
@@ -345,6 +347,7 @@ def neighbors_grid(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
         pairs.sort(kind="stable")  # the runs from each cell are already ascending
         found_rows.append((pairs >> 32).astype(np.int32))
         found_cols.append((pairs & 0xFFFFFFFF).astype(np.int32))
+    del rows, cols, keep, pairs  # the last block's candidates, not held through the join
     return np.concatenate(found_rows), np.concatenate(found_cols)
 
 
@@ -478,7 +481,7 @@ def _grouping(scenario: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     cuts = np.flatnonzero(np.diff(size[by_size])) + 1
     for sets in np.split(by_size, cuts):
         k = int(size[sets[0]])
-        block = max(1, _GATHER_FLOATS // (k * d))
+        block = per_block(k * d)
         for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
             view = index[end:end + at.size].reshape(at.shape)

@@ -136,13 +136,14 @@ def random_mixed_config(
 
 
 def pairs_match_naive(sc: Scenario, state=None) -> bool:
-    """Whether ``compute_neighbors`` gives exactly the int32 ``(rows, cols)``
+    """Whether ``compute_neighbors``, and ``neighbors_grid`` itself whichever
+    search the engine's rule picks, give exactly the int32 ``(rows, cols)``
     pairs of ``neighbors_naive``, which come sorted by (row, col)."""
     state = sc.initial_state if state is None else state
-    rows, cols = compute_neighbors(state, sc)
     ref_rows, ref_cols = neighbors_naive(state, sc)
-    return (rows.dtype == cols.dtype == ref_rows.dtype == ref_cols.dtype == np.int32
-            and np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols))
+    return all(rows.dtype == cols.dtype == ref_rows.dtype == ref_cols.dtype == np.int32
+               and np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+               for rows, cols in (compute_neighbors(state, sc), neighbors.neighbors_grid(state.opinions, sc.epsilon)))
 
 
 def pairs_oracle(sc: Scenario, state=None) -> list[tuple[int, int]]:
@@ -218,7 +219,7 @@ def grouping_oracle(sc: Scenario, d: int, rows: np.ndarray, cols: np.ndarray, re
     blocks = []
     for k in np.unique(size[gathered]).tolist():
         sets = np.flatnonzero(gathered & (size == k))
-        block = max(1, neighbors._GATHER_FLOATS // (k * d))
+        block = neighbors.per_block(k * d)
         for part in np.split(sets, range(block, sets.size, block)):
             at = first[part, None] + np.arange(k) if d == 1 else first[part] + np.arange(k)[:, None]
             blocks.append((part, cols[at]))

@@ -35,7 +35,7 @@ from lfmix import (
     opinion_diameter,
     run,
 )
-from lfmix import analysis
+from lfmix import analysis, neighbors
 from lfmix.analysis import (
     CROSSTALK,
     INAPPLICABLE,
@@ -1118,7 +1118,7 @@ def test_blocks_of_states_give_the_same_series_and_reports(steps, monkeypatch):
         leaders = max((ids.size for ids in sc.partition.leader_ids), default=1)
         # blocks of ``steps`` states in measure, then in lemma1's scan and cor2's cross-talk scan
         for budget in (steps * sc.n_agents * sc.dimension, steps * leaders * leaders * sc.dimension):
-            monkeypatch.setattr(analysis, "_SCAN_FLOATS", budget)
+            monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", budget)
             analysis._SERIES.pop(traj, None)
             assert series_bits(measure(traj)) == expected_series
             assert [report_bits(check(traj)) for check in checks] == expected

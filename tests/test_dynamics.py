@@ -415,10 +415,10 @@ def test_full_sets_copy_the_sum_of_their_groups_first_full_set(d, gather, monkey
     sum of the group's first full set, whether the class map has one agent
     per class or pools rows, for interleaved member lists and a leader group
     of one member; a set one agent short of its group is gathered. A small
-    ``_GATHER_FLOATS`` puts a source and the sets it stands for in different
+    ``_BLOCK_FLOATS`` puts a source and the sets it stands for in different
     blocks."""
     if gather is not None:
-        monkeypatch.setattr(neighbors, "_GATHER_FLOATS", gather)
+        monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", gather)
     rng = np.random.default_rng(40 + d)
     opinions = rng.uniform(-1.0, 1.0, size=(113, d)).round(2)
     opinions[rng.random(opinions.shape) < 0.3] = -0.0
@@ -604,7 +604,7 @@ def asked_everywhere(sc, steps):
 def test_degree_tables_equal_per_step_queries(budget, monkeypatch):
     # 40 degrees a chunk: one step of the 10 agents' 1 + m = 3 degrees each
     if budget is not None:
-        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", budget)
+        monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", budget)
     sc = mixed_schedule_scenario()
     table = dynamics.DegreeTable(sc, 40)
     for t in range(40):
@@ -700,6 +700,22 @@ def test_a_run_raises_a_schedule_error_at_its_step_and_not_before_it():
     for schedule in (SpikeAt(15, 1.5), SpikeAt(15, RuntimeError("step 15")), Table((0.5,) * 15 + (1.5,))):
         traj = run(dataclasses.replace(sc, alphas=((schedule, ids),)))
         assert traj.stop_reason == STOP_CONVERGED and traj.horizon < 15
+
+
+def test_a_lone_degree_query_asks_only_its_own_kind_of_schedule():
+    # every beta, or every alpha, of the mixture demo out of range: a lone
+    # query of the other kind neither asks those schedules nor raises
+    sc = load_scenario(SCENARIOS / "mixture_demo.json")
+    bad_betas = dataclasses.replace(sc, betas=tuple((tuple(Constant(1.5) for _ in group), ids)
+                                                    for group, ids in sc.betas))
+    bad_alphas = dataclasses.replace(sc, alphas=tuple((Constant(1.5), ids) for _, ids in sc.alphas))
+    for t in (0, 3):
+        assert realized_alpha(bad_betas, t).tobytes() == realized_alpha(sc, t).tobytes()
+        assert realized_betas(bad_alphas, t).tobytes() == realized_betas(sc, t).tobytes()
+        with pytest.raises(ScheduleViolation, match=f"beta schedule 1 for agent 0 at t={t} returned 1.5"):
+            realized_betas(bad_betas, t)
+        with pytest.raises(ScheduleViolation, match=f"alpha schedule for agent 3 at t={t} returned 1.5"):
+            realized_alpha(bad_alphas, t)
 
 
 def test_served_rows_are_read_only_and_equal_lone_step_queries():
@@ -1020,7 +1036,7 @@ def test_held_chunks_equal_lone_steps(chunk, monkeypatch):
     dropped = 0
     for sc, fault in cases:
         # chunks of up to ``chunk`` steps of the table
-        monkeypatch.setattr(dynamics, "_TABLE_FLOATS", chunk * sc.n_agents * (1 + sc.m))
+        monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", chunk * sc.n_agents * (1 + sc.m))
         expected = run_bits(lone_run(sc, monkeypatch, fault=fault))
         logged.clear()
         with monkeypatch.context() as patched:

@@ -247,7 +247,7 @@ def test_scan_across_tile_boundaries_equals_per_pair_oracle(d, monkeypatch):
         sc = follower_only(x.tolist(), eps, d=d)
         expected = pairs_oracle(sc)
         for rows in (1, 2, 7):
-            monkeypatch.setattr(neighbors, "_SCAN_FLOATS", rows * len(x))
+            monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", rows * len(x))
             assert pair_list(*neighbors_naive(sc.initial_state, sc)) == expected, (rows, eps)
 
 
@@ -369,15 +369,19 @@ def counted_searches(monkeypatch):
     (100, 2, 0.3, 0.2, False),  # 2 cells an axis
     (400, 2, 0.6, 0.2, False),  # 3 cells an axis
     (64, 6, 0.5, 0.2, False),
-    (100, 2, 2.0, 0.2, True),  # 10 cells an axis
-    (64, 6, 1.0, 0.2, True),
+    (600, 2, 2.0, 0.2, True),  # 10 cells an axis, at least 64 * 3^2 agents
+    (200, 1, 1.0, 0.2, True),
+    (191, 1, 2.0, 0.2, False),  # one agent short of 64 * 3^d, and at it
+    (192, 1, 2.0, 0.2, True),
+    (575, 2, 2.0, 0.2, False),
+    (576, 2, 2.0, 0.2, True),
 ])
 def test_search_takes_the_scan_where_the_cells_span_three_or_fewer(n, d, high, eps, grid, monkeypatch):
     x = np.random.default_rng(n + d).uniform(0.0, high, size=(n, d))
     sc = follower_only(x.tolist(), eps, d=d)
     state = sc.initial_state
     cells = np.floor(x / neighbors._cell_side(x.min(axis=0), x.max(axis=0), eps))
-    assert ((cells.max(axis=0) - cells.min(axis=0)).max() >= 3) == grid
+    assert ((cells.max(axis=0) - cells.min(axis=0)).max() >= 3 and n >= 64 * 3**d) == grid
     expected = neighbors_naive(state, sc)
     calls = counted_searches(monkeypatch)
     pairs = dynamics.compute_neighbors(state, sc)
@@ -391,7 +395,7 @@ def test_search_takes_the_scan_where_the_cells_span_three_or_fewer(n, d, high, e
 
 
 def test_search_rule_at_a_span_of_three_and_four_cells(monkeypatch):
-    far = [[0.0]] * 62 + [[1.5], [2.5]]  # cells 0, 1 and 2 at epsilon 1
+    far = [[0.0]] * 190 + [[1.5], [2.5]]  # cells 0, 1 and 2 at epsilon 1, and 64 * 3 agents
     calls = counted_searches(monkeypatch)
     for opinions, grid in ((far, False), (far + [[3.5]], True)):
         sc = follower_only(opinions, 1.0)
@@ -400,6 +404,33 @@ def test_search_rule_at_a_span_of_three_and_four_cells(monkeypatch):
         pairs = compute_neighbors(sc.initial_state, sc)
         assert calls["neighbors_grid"] == int(grid) and calls["_scan"] == int(not grid)
         assert all(np.array_equal(a, b) for a, b in zip(pairs, expected, strict=True))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_across_block_boundaries_equals_naive(d, monkeypatch):
+    # blocks of 1, 2 and 7 rows over 71 agents in clusters around a few
+    # cells, with empty cells between them; the last block of 2 or 7 is short
+    rng = np.random.default_rng(30 + d)
+    centers = rng.integers(0, 8, size=(5, d)) * 0.5
+    x = centers[rng.integers(0, 5, size=71)] + rng.uniform(-0.15, 0.15, size=(71, d))
+    eps = 0.2
+    sc = follower_only(x.tolist(), eps, d=d)
+    expected = neighbors_naive(sc.initial_state, sc)
+    side = neighbors._cell_side(x.min(axis=0), x.max(axis=0), eps)
+    cells = np.unique(np.floor(x / side), axis=0)
+    spread = (cells.max(axis=0) - cells.min(axis=0) + 1).prod()
+    assert cells.shape[0] < spread  # some cells in the grid's box are empty
+    per_row = 5 * 3**d * (1 + len(x) // cells.shape[0])
+    sizes = []
+    real = neighbors.per_block
+    monkeypatch.setattr(neighbors, "per_block", lambda floats: sizes.append(real(floats)) or sizes[-1])
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", rows * per_row)
+        sizes.clear()
+        pairs = neighbors.neighbors_grid(x, eps)
+        assert sizes == [rows]
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, expected, strict=True)), rows
+        assert pairs[0].dtype == pairs[1].dtype == np.int32
 
 
 def test_strategy_dispatch_matches():
