@@ -64,8 +64,6 @@ MUTANTS = [
      "return max(self.stop - t, 0) if self.start <= t else 0", ["test_dynamics.py"]),
     ("row-served-past-served-until", "dynamics.py", "if t < self.served_until:", "if t <= self.served_until:",
      ["test_dynamics.py"]),
-    ("last-distances-from-block-start", "analysis.py", "last.append(dist[-1].copy())",
-     "last.append(dist[0].copy())", ["test_analysis.py"]),
     ("lemma1-worst-at-row-0", "analysis.py",
      "worst[start : start + len(x), row : row + block.shape[1]] = np.where(block <= eps2, dist0,",
      "worst[start : start + len(x), 0 : block.shape[1]] = np.where(block <= eps2, dist0,", ["test_analysis.py"]),
@@ -74,6 +72,17 @@ MUTANTS = [
     ("cor2-scan-first-block-only", "analysis.py",
      "for start, x in _state_blocks(trajectory.states[:first], floats):",
      "for start, x in list(_state_blocks(trajectory.states[:first], floats))[:1]:", ["test_analysis.py"]),
+    # the series keeps each group's leader degrees; cor2 measures the joint run's final state itself
+    ("group-alphas-from-leading-columns", "analysis.py",
+     "group_alphas = tuple(alphas[:, np.searchsorted(leaders, ids)] for ids in part.leader_ids)",
+     "group_alphas = tuple(alphas[:, :ids.size] for ids in part.leader_ids)", ["test_analysis.py"]),
+    ("cor2-joint-from-initial-state", "analysis.py",
+     "joint = distances_to(trajectory.final_state.opinions[members], g)",
+     "joint = distances_to(trajectory.states[0].opinions[members], g)", ["test_analysis.py"]),
+    # an override holds only its degree key
+    ("override-keys-with-per-agent", "model.py",
+     'sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]", ())',
+     'sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]")', ["test_model.py"]),
     # the one block budget and the measured search rule
     ("per-block-without-floor", "neighbors.py", "return max(1, _BLOCK_FLOATS // max(floats, 1))",
      "return _BLOCK_FLOATS // max(floats, 1)", ["test_dynamics.py"]),

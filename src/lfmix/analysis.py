@@ -36,21 +36,23 @@ Checks whose hypotheses are not met return reports flagged inapplicable
 (reason prefixed with the failure kind) instead of raising.
 
 ``measure`` reads a trajectory once into a ``Series``, cached for as long as
-the trajectory lives: every agent's distance to each target, of which each
-distance a check reads is an index or a max, and the per-step degrees
-re-queried from the schedules, through a degree table of its own, with their
+the trajectory lives. It keeps only what a check indexes: the leaders'
+distances to their targets and the per-state maxima of all agents'
+distances, each leader group's degrees and the followers' betas,
+re-queried from the schedules through a degree table of its own, and their
 maxima. It reads the states a block of steps at a time, stacked into one
 (steps, N, d) array of about ``neighbors._BLOCK_FLOATS`` coordinates, and
 keeps no copy of them: a row's distance is the same reduction over its last
 axis whatever the leading shape, so each state's distances are bit for bit
 those of the state alone. lemma1's leader scans and cor2's cross-talk scan
 read blocks of states the same way, and lemma1, cor1 and cor2 build their
-records from whole-run arrays.
+records from whole-run arrays and reductions over views of them.
 ``metrics_rows``, ``measured_degree_bounds`` and every check read that one
 series; no check queries a schedule or measures a distance to a target
-itself, save cor2 on its standalone re-runs (other trajectories) and on
-step 0's betas when the run has no steps. A check takes the trajectory and
-its theorem's own inputs only: tolerances are the module constants below.
+itself, save cor2 on its members at the joint run's first and final states,
+on its standalone re-runs (other trajectories) and on step 0's betas when
+the run has no steps. A check takes the trajectory and its theorem's own
+inputs only: tolerances are the module constants below.
 
 ``opinion_diameter`` is exact and needs numpy only. For d >= 2 it gives the
 square root of the largest squared distance the engine's arithmetic gives
@@ -281,27 +283,24 @@ class Series:
     distances to g_k: group k's leaders' distances in id order, the (T + 1,
     L_k) array ``leader_distances[k - 1]``, row t at state t, and their max
     C_t, ``target_distances[k - 1][t]``; the followers' max to target 1,
-    A_t; all agents' max, ``radii[k - 1][t]``; the whole array at t = 0 and
-    T, ``first_distances[k - 1]`` and ``last_distances[k - 1]``. Per step:
-    group k's max degree, ``max_alpha[k - 1][t]``; the max over all leaders
-    in one reduction (so a zero max keeps numpy's sign); the followers' max
-    1 - (sum of betas); the degrees themselves, the (T, N) array ``alphas``,
-    row t all N agents' (0 for followers; no rows without leader groups),
-    and the (T, F, m) array ``betas``, the followers' rows in follower-id
-    order. The maxima are lists of floats. A field is None, or ``()`` per
-    target, without its agents or target 1.
+    A_t; all agents' max, ``radii[k - 1][t]``. Per step: group k's max
+    degree, ``max_alpha[k - 1][t]``; the max over all leaders in one
+    reduction, in id order (so a zero max keeps numpy's sign); the
+    followers' max 1 - (sum of betas); the degrees themselves, group k's
+    leaders' in id order, the (T, L_k) array ``alphas[k - 1]``, and the
+    (T, F, m) array ``betas``, the followers' rows in follower-id order.
+    The maxima are lists of floats. A field is None, or ``()`` per target,
+    without its agents or target 1.
     """
 
     target_distances: tuple[list[float], ...]
     follower_distances: list[float] | None
     radii: tuple[list[float], ...]
     leader_distances: tuple[np.ndarray, ...]
-    first_distances: tuple[np.ndarray, ...]
-    last_distances: tuple[np.ndarray, ...]
     max_alpha: tuple[list[float], ...]
     leader_max_alpha: list[float] | None
     max_rest: list[float] | None
-    alphas: np.ndarray
+    alphas: tuple[np.ndarray, ...]
     betas: np.ndarray
 
 
@@ -323,21 +322,11 @@ def _measure(trajectory: Trajectory) -> Series:
     fol = part.follower_ids
     m, n = scenario.m, scenario.n_agents
     horizon = trajectory.horizon
-    # its own table, a chunk of steps at a time; nothing of the engine's.
-    # One query per step, so that a schedule's error comes at its step
-    table = DegreeTable(scenario, horizon)
-    alphas = np.zeros((horizon if m else 0, n))
-    betas = np.zeros((horizon, fol.size, m))
-    for t in range(horizon):
-        if m:
-            alphas[t] = realized_alpha(scenario, t, table)
-        betas[t] = realized_betas(scenario, t, table)[fol]
     # the distances of a block of states to each target at once, a block
     # holding about as many coordinates as a block of a pairwise scan
     radii = np.zeros((m, horizon + 1))
     leader_distances = tuple(np.zeros((horizon + 1, ids.size)) for ids in part.leader_ids)
     follower_distances = np.zeros(horizon + 1)
-    first, last = [], []
     for start, x in _state_blocks(trajectory.states, n * scenario.dimension) if m else ():
         at = slice(start, start + len(x))
         for k, (g, ids) in enumerate(zip(scenario.targets, part.leader_ids)):
@@ -346,22 +335,28 @@ def _measure(trajectory: Trajectory) -> Series:
             leader_distances[k][at] = dist[:, ids]
             if k == 0 and fol.size:
                 follower_distances[at] = dist[:, fol].max(axis=1)
-            if start == 0:
-                first.append(dist[0].copy())
-            if at.stop > horizon:
-                last.append(dist[-1].copy())
-    leaders = part.group_of > 0
+    # its own table, a chunk of steps at a time; nothing of the engine's.
+    # One query per step, so that a schedule's error comes at its step. After
+    # the distances, so that no block of states is held with the degrees
+    table = DegreeTable(scenario, horizon)
+    leaders = np.flatnonzero(part.group_of > 0)
+    alphas = np.zeros((horizon if m else 0, leaders.size))
+    betas = np.zeros((horizon, fol.size, m))
+    for t in range(horizon):
+        if m:
+            alphas[t] = realized_alpha(scenario, t, table)[leaders]
+        betas[t] = realized_betas(scenario, t, table)[fol]
+    group_alphas = tuple(alphas[:, np.searchsorted(leaders, ids)] for ids in part.leader_ids)
     return Series(
         tuple(lead.max(axis=1).tolist() for lead in leader_distances),
         follower_distances.tolist() if m and fol.size else None,
         tuple(radii.tolist()),
         leader_distances,
-        tuple(first),
-        tuple(last),
-        tuple(alphas[:, ids].max(axis=1).tolist() for ids in part.leader_ids),
-        alphas[:, leaders].max(axis=1).tolist() if m else None,
-        (1.0 - beta_sums(betas)).max(axis=1).tolist() if fol.size else None,
-        alphas,
+        tuple(group.max(axis=1).tolist() for group in group_alphas),
+        alphas.max(axis=1).tolist() if m else None,
+        # a step at a time: the max of each step's nonnegative values, in any order
+        [float((1.0 - beta_sums(b)).max()) for b in betas] if fol.size else None,
+        group_alphas,
         betas,
     )
 
@@ -446,7 +441,7 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
         group_alpha = np.where(group_alpha > 0.0, group_alpha, 0.0)  # max(0.0, alpha): a -0.0 degree gives a 0.0 bound
         labels += [f"agent {i}" for i in ids.tolist()] + [f"group {name}"]
         lhs += [dist[1:], dist[1:].max(axis=1, keepdims=True)]
-        rhs += [series.alphas[:, ids] * worst, (group_alpha * dist[:-1].max(axis=1))[:, None]]
+        rhs += [series.alphas[k] * worst, (group_alpha * dist[:-1].max(axis=1))[:, None]]
     report.records = _step_records(labels, np.concatenate(lhs, axis=1), np.concatenate(rhs, axis=1))
     report.params["steps"] = horizon
     return report
@@ -480,7 +475,7 @@ def check_target_envelope(trajectory: Trajectory, k: int, delta: float, steps=No
     t = next((s for s in steps if series.max_alpha[k - 1][s] > delta), None)
     if t is not None:
         ids = scenario.partition.leader_ids[k - 1]
-        alpha = series.alphas[t][ids]
+        alpha = series.alphas[k - 1][t]
         i = (alpha > delta).argmax()
         message = f"degree {float(alpha[i])} of agent {ids[i]} at t={t} exceeds delta {delta}"
         return _skipped(name, INAPPLICABLE, message, delta=delta, k=k)
@@ -775,7 +770,7 @@ def derive_subsystem_assignment(trajectory: Trajectory) -> dict[int, int] | None
     betas = measure(trajectory).betas
     if not len(betas):
         betas = realized_betas(scenario, 0)[None, fol]
-    active = (betas > 0.0).any(axis=0)
+    active = betas.max(axis=0) > 0.0
     if (active.sum(axis=1) != 1).any():
         return None
     return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
@@ -855,20 +850,23 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     if message:
         return _skipped(name, CROSSTALK, message)
     series = measure(trajectory)
+    lowest = series.betas.min(axis=0, initial=1.0)  # each follower's smallest beta per group
 
     report = CheckReport(name, params={"consensus_tol": CONSENSUS_TOL, "cross_contacts": 0})
     for k in range(1, scenario.m + 1):
         mine = assigned == k
         followers_k = part.follower_ids[mine]
         members = np.sort(np.concatenate((followers_k, part.leader_ids[k - 1])))  # disjoint id sets
-        delta_k = float(series.first_distances[k - 1][members].max())
+        g = scenario.target(k)
+        delta_k = float(distances_to(trajectory.states[0].opinions[members], g).max())
         if delta_k >= scenario.epsilon:
             return _skipped(
                 name, INAPPLICABLE,
                 f"subsystem {k} starts at radius {delta_k:.6g}, not inside the epsilon ball",
             )
+        # a degree lies in [0, 1], so the largest 1 - beta is 1 - the smallest beta;
         # 0.0 first: a zero gamma is 0.0, whatever the signs of the zero degrees
-        rest = float((1.0 - series.betas[:, mine, k - 1]).max(initial=0.0))
+        rest = 1.0 - float(lowest[mine, k - 1].min(initial=1.0))
         gamma_k = max(0.0, rest, max(series.max_alpha[k - 1], default=0.0))
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
@@ -879,10 +877,10 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
             alone = trajectory
         else:
             alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
-        # another trajectory, so measured here; a subsystem's agents are its members in id order
-        standalone = distances_to(alone.final_state.opinions, scenario.target(k))
-        for t, kind, dist in ((alone.horizon, "standalone", standalone),
-                              (horizon, "joint", series.last_distances[k - 1][members])):
+        # each run measured at its final state; a subsystem's agents are its members in id order
+        standalone = distances_to(alone.final_state.opinions, g)
+        joint = distances_to(trajectory.final_state.opinions[members], g)
+        for t, kind, dist in ((alone.horizon, "standalone", standalone), (horizon, "joint", joint)):
             labels = [f"{kind} agent {i}" for i in members.tolist()]
             report.records += map(StepRecord, repeat(t), labels, dist.tolist(), repeat(CONSENSUS_TOL))
     return report

@@ -537,13 +537,14 @@ def build_scenario(raw: Any) -> Scenario:
     betas: list = []  # (m-tuple of schedules, ids) blocks of followers
     schedules_norm: dict[str, dict] = {}
 
-    def parse_group_entry(entry, spec, where) -> tuple[Any, dict | None]:
-        """Parse {'alpha': ...} or {'betas': ...} for one group or agent."""
+    def parse_group_entry(entry, spec, where, keys=("per_agent",)) -> tuple[Any, dict | None]:
+        """Parse {'alpha': ...} or {'betas': ...} for one group or agent;
+        ``keys`` are the other keys it may hold, none for an agent's override."""
         if not isinstance(spec, dict):
             issues.add(BAD_CONFIG, f"{where}: must be an object")
             return None, None
         if entry["kind"] == LEADER:
-            _check_keys(spec, {"alpha", "per_agent"}, where, issues)
+            _check_keys(spec, {"alpha", *keys}, where, issues)
             if "alpha" not in spec:
                 issues.add(MISSING_SCHEDULE, f"{where}: leader group needs an 'alpha' schedule")
                 return None, None
@@ -551,7 +552,7 @@ def build_scenario(raw: Any) -> Scenario:
             if alpha is None:
                 return None, None
             return alpha, {"alpha": alpha.to_spec()}
-        _check_keys(spec, {"betas", "per_agent"}, where, issues)
+        _check_keys(spec, {"betas", *keys}, where, issues)
         raw_betas = spec.get("betas", [] if m == 0 else None)
         if raw_betas is None:
             issues.add(MISSING_SCHEDULE, f"{where}: follower group needs a 'betas' schedule list")
@@ -603,7 +604,7 @@ def build_scenario(raw: Any) -> Scenario:
                 if not (0 <= agent < n and group_of[agent] == e["code"]):
                     issues.add(BAD_CONFIG, f"schedules.{name}.per_agent: agent {agent} not in group")
                     continue
-                sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]")
+                sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]", ())
                 if sub_base is None:
                     continue
                 own[agent] = sub_base

@@ -90,7 +90,6 @@ def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) ->
 
 def write_metrics_csv(rows: list[MetricsRow], scenario: Scenario, path) -> None:
     part = scenario.partition
-    follower = part.follower_name or "followers"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "group", "metric", "value"])
@@ -98,7 +97,7 @@ def write_metrics_csv(rows: list[MetricsRow], scenario: Scenario, path) -> None:
             for k, value in enumerate(row.target_distances):
                 writer.writerow([row.t, part.leader_names[k], "C", _fmt(value)])
             if row.follower_max_distance is not None:
-                writer.writerow([row.t, follower, "A", _fmt(row.follower_max_distance)])
+                writer.writerow([row.t, part.group_name_of(part.follower_ids[0]), "A", _fmt(row.follower_max_distance)])
             writer.writerow([row.t, "all", "diameter", _fmt(row.diameter)])
             if row.max_alpha is not None:
                 writer.writerow([row.t, "all", "max_alpha", _fmt(row.max_alpha)])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +265,7 @@ def test_series_equals_per_state_distances_bitwise(seed):
         fol = part.follower_ids
         xs = [s.opinions for s in traj.states]
         assert sc.m == len(series.target_distances) == len(series.radii) == len(series.leader_distances)
-        assert sc.m == len(series.first_distances) == len(series.last_distances) == len(series.max_alpha)
+        assert sc.m == len(series.alphas) == len(series.max_alpha)
         for k in range(1, sc.m + 1):
             g, ids = sc.target(k), part.leader_ids[k - 1]
             assert hexes(series.radii[k - 1]) == hexes(distances_to(x, g).max() for x in xs)
@@ -274,10 +275,10 @@ def test_series_equals_per_state_distances_bitwise(seed):
             assert hexes(series.target_distances[k - 1]) == hexes(
                 max_target_distance(s, sc, k) for s in traj.states
             )
-            for kept, x in ((series.first_distances[k - 1], xs[0]), (series.last_distances[k - 1], xs[-1])):
-                assert kept.tobytes() == distances_to(x, g).tobytes()
-                subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-                assert kept[subset].tobytes() == distances_to(x[subset], g).tobytes()
+            assert series.alphas[k - 1].shape == (traj.horizon, ids.size)
+            assert [a.tobytes() for a in series.alphas[k - 1]] == [
+                realized_alpha(sc, t)[ids].tobytes() for t in range(traj.horizon)
+            ]
             assert hexes(series.max_alpha[k - 1]) == hexes(
                 realized_alpha(sc, t)[ids].max() for t in range(traj.horizon)
             )
@@ -299,6 +300,39 @@ def test_series_equals_per_state_distances_bitwise(seed):
             )
         else:
             assert series.max_rest is None
+
+
+def test_measure_and_cor2_keep_no_whole_run_temporaries(monkeypatch):
+    # what measure keeps grows with the horizon by its (T, F, m) betas and
+    # O(T·L + T) more; what it and cor2 allocate on top of that does not grow
+    monkeypatch.setattr(neighbors, "_BLOCK_FLOATS", 2**12)
+    readings = []
+    for horizon in (50, 200):
+        sc = scenario(
+            dimension=2,
+            epsilon=0.2,
+            followers=490,
+            leader_groups=[("brand", 10, [0.5, 0.5], {"kind": "seeded_random", "seed": 3, "low": 0.3, "high": 0.7})],
+            random_init={"distribution": "uniform_box", "low": 0.4, "high": 0.6, "seed": 11},
+            follower_betas=[constant(0.05)],  # slow enough that no run stagnates before its horizon
+            horizon=horizon,
+        )
+        traj = run(sc, stop_tol=None)
+        assert traj.horizon == horizon
+        tracemalloc.start()
+        try:
+            series = measure(traj)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            check_subsystem_independence(traj)
+            cor2_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        readings.append((kept - series.betas.nbytes, peak - kept, cor2_peak - kept))
+    (kept_50, extra_50, cor2_50), (kept_200, extra_200, cor2_200) = readings
+    assert kept_200 - kept_50 <= 128 * 1024
+    assert extra_200 <= extra_50
+    assert cor2_200 <= cor2_50
 
 
 def test_metrics_max_alpha_keeps_the_sign_of_a_zero_max():

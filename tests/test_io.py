@@ -1,6 +1,7 @@
 """Scenario round trips and CSV persistence."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_metrics_csv_round_trip(tmp_path):
     assert c0[0]["value"] == rows[0].target_distances[0]
     # degree rows exist only for steps actually taken
     assert not [r for r in parsed if r["metric"] == "max_alpha" and r["t"] == 3]
+
+
+def test_an_unnamed_follower_group_has_one_name_in_both_csv_files(tmp_path):
+    # scenario files always name their groups; a partition built in code need not
+    sc = build_scenario(sample_config())
+    sc = dataclasses.replace(sc, partition=dataclasses.replace(sc.partition, follower_name=None))
+    traj = run(sc, 2)
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_metrics_csv(metrics_rows(traj), sc, tmp_path / "metrics.csv")
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        named = {rec["group"] for rec in csv.DictReader(fh) if int(rec["agent"]) in sc.partition.follower_ids}
+    assert named == {sc.partition.group_name_of(int(sc.partition.follower_ids[0]))}
+    assert {rec["group"] for rec in read_metrics_csv(tmp_path / "metrics.csv") if rec["metric"] == "A"} == named
 
 
 def test_metrics_csv_rejects_garbage(tmp_path):

@@ -1,5 +1,6 @@
 """Domain types, validation, and degree schedules."""
 
+import copy
 import json
 import math
 import sys
@@ -267,6 +268,172 @@ def test_errors_are_collected_not_first_only():
         build_scenario(cfg)
     kinds = issue_kinds(exc.value)
     assert {"EpsilonNonpositive", "DegreeOutOfRange"} <= kinds
+
+
+def _set(*path, value=None, drop=False):
+    """An edit of a config that puts ``value`` at ``path`` (a copy of it;
+    appended where the path ends one past a list), or drops the key at
+    ``path``."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if drop:
+            del node[path[-1]]
+        elif isinstance(node, list) and path[-1] == len(node):
+            node.append(copy.deepcopy(value))
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+        return cfg
+    return edit
+
+
+def _both(*edits):
+    def edit(cfg):
+        for e in edits:
+            cfg = e(cfg)
+        return cfg
+    return edit
+
+
+_RIVAL = _both(  # a second leader group, so that the betas can sum above 1
+    _set("groups", 2, value={"name": "rival", "kind": "leader", "members": 1, "target": [1.0]}),
+    _set("initial_opinions", "explicit", 2, value=[0.5]),
+    _set("schedules", "rival", value={"alpha": constant(0.5)}),
+)
+_ALPHA = ("schedules", "brand", "alpha")
+_RANDOM = ("initial_opinions", "random")
+_BOX = {"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 0}
+
+# one malformed variant of ``well_formed()`` (follower group 'crowd', agent 0;
+# leader group 'brand', agent 1, target [0.0]; d = 1) per validation message,
+# with every issue it raises
+VALIDATION_MESSAGES = [
+    (lambda c: [], ["BadConfig: scenario config must be a JSON object"]),
+    (_set("extra", value=1), ["BadConfig: scenario: unknown key 'extra'"]),
+    (_set("dimension", value=0), ["DimensionMismatch: dimension must be an integer in [1, sys.maxsize], got 0"]),
+    (_set("epsilon", value=-1), ["EpsilonNonpositive: epsilon must be a finite positive number, got -1"]),
+    (_set("epsilon", value=1e200), ["NonFinite: epsilon 1e+200 is too large: epsilon**2 overflows to inf"]),
+    (_set("groups", value=[]), ["BadConfig: groups: must be a nonempty list"]),
+    (_set("groups", 1, value=3), ["BadConfig: groups[1]: must be an object"]),
+    (_set("groups", 1, "color", value="red"), ["BadConfig: groups[1]: unknown key 'color'"]),
+    (_set("groups", 1, "name", value=""), ["BadConfig: groups[1]: needs a nonempty string 'name'"]),
+    (_both(_set("groups", 2, value={"name": "brand", "kind": "leader", "members": 1, "target": [1.0]}),
+           _set("initial_opinions", "explicit", 2, value=[0.5]),
+           _set("schedules", "crowd", "betas", value=[constant(0.2), constant(0.2)])),
+     ["PartitionIncomplete: duplicate group name 'brand'"]),
+    (_set("groups", 1, "kind", value="boss"), ["BadConfig: groups[1]: kind must be 'follower' or 'leader'"]),
+    (_set("groups", 0, "target", value=[0.0]), ["BadConfig: groups[0]: follower group cannot have a target"]),
+    (_set("groups", 0, "members", value="x"), ["BadConfig: groups[0]: members must be a count or a list of ids"]),
+    (_set("groups", 2, value={"name": "more", "kind": "follower", "members": 1}),
+     ["PartitionIncomplete: at most one follower group is allowed"]),
+    (_set("groups", 0, "members", value=[0]),
+     ["PartitionIncomplete: groups must all use counts or all use explicit id lists"]),
+    (_both(_set("groups", 0, "members", value=[0]), _set("groups", 1, "members", value=[0, 1])),
+     ["PartitionIncomplete: agent 0 assigned to more than one group"]),
+    (_both(_set("groups", 0, "members", value=[0]), _set("groups", 1, "members", value=[2])),
+     ["PartitionIncomplete: explicit ids must cover 0..N-1 with no gaps"]),
+    (_set("groups", 0, "members", value=2**31),
+     ["BadConfig: groups: 2147483649 agents, more than the 2147483647 that int32 neighbor ids can number"]),
+    (_set("initial_opinions", "explicit", 2, value=[0.5]),
+     ["DimensionMismatch: initial_opinions.explicit: 3 rows, the groups have 2 agents"]),
+    (_both(_set("groups", value=[{"name": "crowd", "kind": "follower", "members": 0}]),
+           _set("initial_opinions", "explicit", value=[])),
+     ["PartitionIncomplete: scenario has no agents"]),
+    (_both(_set("groups", 1, "members", value=0), _set("initial_opinions", "explicit", value=[[0.3]])),
+     ["PartitionIncomplete: leader group 'brand' is empty"]),
+    (_set("groups", 1, "target", drop=True), ["BadConfig: leader group 'brand' needs a 'target'"]),
+    (_set("groups", 1, "target", value="x"), ["BadConfig: leader group 'brand': target must be a list of numbers"]),
+    (_set("groups", 1, "target", value=[0.0, 0.0]),
+     ["DimensionMismatch: leader group 'brand': target has length 2, expected 1"]),
+    (_set("groups", 1, "target", value=[math.inf]),
+     ["NonFinite: leader group 'brand': target has non-finite coordinates"]),
+    (_set("initial_opinions", value={}),
+     ["BadConfig: initial_opinions: must be {'explicit': ...} or {'random': ...}"]),
+    (_set("initial_opinions", value={"uniform": 1}),
+     ["BadConfig: initial_opinions: must be {'explicit': ...} or {'random': ...}"]),
+    (_set("initial_opinions", "explicit", 0, value=[0.3, 0.3]),
+     ["DimensionMismatch: initial_opinions.explicit: need an 2 x 1 matrix"]),
+    (_set("initial_opinions", "explicit", 0, value=["x"]),
+     ["BadConfig: initial_opinions.explicit: entries must be numbers"]),
+    (_set("initial_opinions", "explicit", 0, value=[math.nan]),
+     ["NonFinite: initial_opinions.explicit: entries must be finite"]),
+    (_set("initial_opinions", value={"random": 3}), ["BadConfig: initial_opinions.random: must be an object"]),
+    (_set("initial_opinions", value={"random": dict(_BOX, extra=1)}),
+     ["BadConfig: initial_opinions.random: unknown key 'extra'"]),
+    (_set("initial_opinions", value={"random": dict(_BOX, distribution="normal")}),
+     ["BadConfig: initial_opinions.random: only 'uniform_box' is supported"]),
+    (_both(_set("initial_opinions", value={"random": _BOX}), _set("dimension", value=2**30),
+           _set("groups", 1, "target", drop=True)),
+     ["BadConfig: leader group 'brand' needs a 'target'",
+      "BadConfig: initial_opinions.random: 2 agents x 1073741824 dimensions, more than 2147483647 coordinates"]),
+    (_set("initial_opinions", value={"random": dict(_BOX, low=[0.0, 0.0])}),
+     ["BadConfig: initial_opinions.random: low must be a finite number or list of 1 numbers"]),
+    (_set("initial_opinions", value={"random": dict(_BOX, seed=1.5)}),
+     ["BadConfig: initial_opinions.random: needs an integer 'seed'"]),
+    (_set("initial_opinions", value={"random": dict(_BOX, low=0.6, high=0.4)}),
+     ["BadConfig: initial_opinions.random: low must not exceed high"]),
+    (_set("engine", value=3), ["BadConfig: engine: must be an object"]),
+    (_set("engine", "threads", value=2), ["BadConfig: engine: unknown key 'threads'"]),
+    (_set("engine", "neighbor_strategy", value="kd_tree"), ["BadConfig: engine: unknown neighbor_strategy 'kd_tree'"]),
+    (_set("engine", "horizon", value=-1), ["BadConfig: engine: horizon must be a nonnegative integer"]),
+    (_set("engine", "grid_dim_cap", value=0), ["BadConfig: engine: grid_dim_cap must be a positive integer"]),
+    (_set("engine", "stop", value=3), ["BadConfig: engine.stop: must be an object"]),
+    (_set("engine", "stop", "every", value=2), ["BadConfig: engine.stop: unknown key 'every'"]),
+    (_set("engine", "stop", "tol", value=-1e-9), ["BadConfig: engine.stop: tol must be null or a positive number"]),
+    (_set("engine", "stop", "window", value=0), ["BadConfig: engine.stop: window must be an integer >= 1"]),
+    (_set("schedules", value=3),
+     ["BadConfig: schedules: must be an object keyed by group name",
+      "MissingSchedule: follower group 'crowd' has no schedule entry",
+      "MissingSchedule: leader group 'brand' has no schedule entry"]),
+    (_set("schedules", "ghost", value={"alpha": constant(0.5)}), ["BadConfig: schedules: unknown group 'ghost'"]),
+    (_set("schedules", "brand", drop=True), ["MissingSchedule: leader group 'brand' has no schedule entry"]),
+    (_set("schedules", "crowd", drop=True), ["MissingSchedule: follower group 'crowd' has no schedule entry"]),
+    (_set("schedules", "brand", value=3), ["BadConfig: schedules.brand: must be an object"]),
+    (_set("schedules", "brand", value={}),
+     ["MissingSchedule: schedules.brand: leader group needs an 'alpha' schedule"]),
+    (_set("schedules", "crowd", value={}),
+     ["MissingSchedule: schedules.crowd: follower group needs a 'betas' schedule list"]),
+    (_set("schedules", "crowd", "betas", value=[]),
+     ["BadConfig: schedules.crowd: betas must list one schedule per leader group (1)"]),
+    (_both(_RIVAL, _set("schedules", "crowd", "betas", value=[constant(0.6), constant(0.6)])),
+     ["BetaSumExceedsOne: schedules.crowd: betas can sum to 1.2 > 1"]),
+    (_set("schedules", "brand", "betas", value=[constant(0.5)]), ["BadConfig: schedules.brand: unknown key 'betas'"]),
+    (_set("schedules", "crowd", "per_agent", value=3), ["BadConfig: schedules.crowd.per_agent: must be an object"]),
+    (_set("schedules", "crowd", "per_agent", value={"00": {"betas": [constant(0.1)]}}),
+     ["BadConfig: schedules.crowd.per_agent: bad agent id '00'"]),
+    (_set("schedules", "crowd", "per_agent", value={"1": {"betas": [constant(0.1)]}}),
+     ["BadConfig: schedules.crowd.per_agent: agent 1 not in group"]),
+    # an override holds only its degree key: a nested per_agent is rejected, not silently dropped
+    (_set("schedules", "brand", "per_agent", value={"1": {"alpha": constant(0.1), "per_agent": {}}}),
+     ["BadConfig: schedules.brand.per_agent[1]: unknown key 'per_agent'"]),
+    (_set("schedules", "crowd", "per_agent", value={"0": {"betas": [constant(0.1)], "per_agent": {"0": {}}}}),
+     ["BadConfig: schedules.crowd.per_agent[0]: unknown key 'per_agent'"]),
+    (_set(*_ALPHA, value=0.5), ["BadConfig: schedules.brand.alpha: schedule spec must be an object"]),
+    (_set(*_ALPHA, value={"kind": "linear", "value": 0.5}),
+     ["BadConfig: schedules.brand.alpha: unknown schedule kind 'linear'"]),
+    (_set(*_ALPHA, value=dict(constant(0.5), ratio=0.5)),
+     ["BadConfig: schedules.brand.alpha: unknown key 'ratio'"]),
+    (_set(*_ALPHA, value={"kind": "seeded_random", "seed": "7", "low": 0.1, "high": 0.2}),
+     ["BadConfig: schedules.brand.alpha: seeded_random needs an integer 'seed'"]),
+    (_set(*_ALPHA, value={"kind": "geometric_decay", "initial": 0.5, "ratio": None}),
+     ["BadConfig: schedules.brand.alpha: geometric_decay needs finite numbers 'initial' and 'ratio'"]),
+    (_set(*_ALPHA, value={"kind": "table", "values": []}),
+     ["BadConfig: schedules.brand.alpha: table needs finite numbers 'values'"]),
+    (_set(*_ALPHA, value=constant(1.5)),
+     ["DegreeOutOfRange: schedules.brand.alpha: constant 'value' must lie in [0, 1]"]),
+    (_set(*_ALPHA, value={"kind": "seeded_random", "seed": 7, "low": 0.7, "high": 0.3}),
+     ["DegreeOutOfRange: schedules.brand.alpha: seeded_random low 0.7 exceeds high 0.3"]),
+    (_set("schedules", "crowd", "betas", value=[{"kind": "seeded_random", "seed": 7, "low": 0.7, "high": 0.3}]),
+     ["DegreeOutOfRange: schedules.crowd.betas[0]: seeded_random low 0.7 exceeds high 0.3"]),
+]
+
+
+@pytest.mark.parametrize("edit, messages", VALIDATION_MESSAGES)
+def test_validation_messages(edit, messages):
+    with pytest.raises(ScenarioValidationError) as exc:
+        build_scenario(edit(well_formed()))
+    assert [str(issue) for issue in exc.value.issues] == messages
 
 
 _json_scalars = st.one_of(
