@@ -79,6 +79,9 @@ MUTANTS = [
     ("cor2-joint-from-initial-state", "analysis.py",
      "joint = distances_to(trajectory.final_state.opinions[members], g)",
      "joint = distances_to(trajectory.states[0].opinions[members], g)", ["test_analysis.py"]),
+    # cor1 adds a follower's betas as the engine does
+    ("cor1-total-pairwise", "analysis.py", "total = beta_sums(tail[-1])", "total = tail[-1].sum(axis=1)",
+     ["test_analysis.py"]),
     # an override holds only its degree key
     ("override-keys-with-per-agent", "model.py",
      'sub_base, sub_norm = parse_group_entry(e, sub, f"schedules.{name}.per_agent[{agent}]", ())',

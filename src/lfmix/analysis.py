@@ -65,7 +65,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -656,7 +656,7 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
     series = measure(trajectory)
     tail = series.betas[-STABILIZATION_WINDOW:]
     spread = (tail.max(axis=0) - tail.min(axis=0)).max(axis=1)
-    total = tail[-1].sum(axis=1)
+    total = beta_sums(tail[-1])
     unfit = (spread > STABILIZATION_TOL) | (total == 0.0)
     if unfit.any():
         j = unfit.argmax()
@@ -721,11 +721,7 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
     originals = np.sort(np.concatenate((follower_ids, part.leader_ids[k - 1])))  # the two id sets are disjoint
     new_id = np.full(scenario.n_agents, -1, dtype=np.int64)
     new_id[originals] = np.arange(originals.size)
-
-    new_followers = np.sort(new_id[follower_ids])
-    new_leaders = new_id[part.leader_ids[k - 1]]
-    group_of = np.zeros(originals.size, dtype=np.int64)
-    group_of[new_leaders] = 1
+    group_of = (part.group_of[originals] == k).astype(np.int64)
 
     def remap(blocks, pick) -> tuple:
         """The blocks' schedules over the kept agents, queried under their original ids."""
@@ -737,22 +733,13 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
                 out.append((pick(schedules), ids))
         return tuple(out)
 
-    sub = Scenario(
-        dimension=scenario.dimension,
-        epsilon=scenario.epsilon,
-        partition=Partition(
-            group_of=group_of,
-            follower_ids=new_followers,
-            leader_ids=(new_leaders,),
-            leader_names=(part.leader_names[k - 1],),
-            follower_name=part.follower_name if new_followers.size else None,
-        ),
+    sub = replace(
+        scenario,
+        partition=Partition(group_of, part.leader_names[k - 1 : k], part.follower_name if follower_ids.size else None),
         targets=scenario.targets[k - 1 : k],
         initial_state=SystemState(0, scenario.initial_state.opinions[originals]),
         alphas=remap(scenario.alphas, lambda s: RemappedAgents(s, originals)),
         betas=remap(scenario.betas, lambda s: (RemappedAgents(s[k - 1], originals),)),
-        engine=scenario.engine,
-        base_seed=scenario.base_seed,
         canonical={},
     )
     return sub, originals

@@ -289,7 +289,9 @@ def _scaled_counts(counts: list[int], kinds: list[str], target: int) -> list[int
     return floors
 
 
-def _point_config(base: dict, assignments: dict, index: int, base_seed: int) -> dict:
+def _point_config(base: dict, assignments: dict, index: int) -> dict:
+    """The config of sweep point ``index``: ``base`` with the point's values;
+    random opinions get a seed derived from the base seed and the index."""
     config = copy.deepcopy(base)
     for param, value in assignments.items():
         if param == "epsilon":
@@ -313,8 +315,9 @@ def _point_config(base: dict, assignments: dict, index: int, base_seed: int) -> 
                 raise ValueError(f"cannot scale agent count to {value}")
             for g, count in zip(config["groups"], scaled):
                 g["members"] = count  # build_scenario gives counts consecutive ids and bounds their sum
-    if "random" in config["initial_opinions"]:
-        config["initial_opinions"]["random"]["seed"] = int(derive_key(base_seed, index)) % (1 << 62)
+    random = config["initial_opinions"].get("random")
+    if random is not None:
+        random["seed"] = int(derive_key(random["seed"], index)) % (1 << 62)
     return config
 
 
@@ -347,7 +350,7 @@ def _cmd_sweep(args) -> int:
         combo = _point_values(varies, index)
         assignments = dict(zip(params, combo))
         try:
-            config = _point_config(base, assignments, index, base_scenario.base_seed)
+            config = _point_config(base, assignments, index)
             scenario = build_scenario(config)
         except (ValueError, ScenarioValidationError) as exc:
             _err(f"sweep point {index} is invalid: {exc}")

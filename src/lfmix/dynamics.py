@@ -127,12 +127,12 @@ class DegreeTable:
     Where every cell is ``schedules.tabled``, a chunk of steps is one
     read-only (steps, N, 1 + m) block: each cell fills its part with one
     ``at_steps`` call, or with NaN where that call raised or gave no
-    numbers. A chunk holds at most as many steps as came before it and as
-    ``neighbors.per_block`` fit, so a run that stops early tables at most
-    about twice the steps it took. One pass then checks the block: every
-    degree in [0, 1] and every agent's beta sum, over columns 1..m, at most
-    1. ``served_until`` is the first step of the block that failed it, or
-    the block's end.
+    numbers. A chunk holds as many steps as ``neighbors.per_block`` fits,
+    at least one and none past the horizon, so a run that stops early tables
+    at most one block of floats past its last step. One pass then checks the
+    block: every degree in [0, 1] and every agent's beta sum, over columns
+    1..m, at most 1. ``served_until`` is the first step of the block that
+    failed it, or the block's end.
 
     ``row(t)`` is step t's row of the block for a step before
     ``served_until``, and ``served(t)`` how many steps from t on it serves so.
@@ -153,7 +153,7 @@ class DegreeTable:
         self.block = self.asked = None
 
     def _fill(self, t: int) -> None:
-        steps = max(1, min(self.horizon - t, t, per_block(self.shape[0] * self.shape[1])))
+        steps = max(1, min(self.horizon - t, per_block(self.shape[0] * self.shape[1])))
         ts = np.arange(t, t + steps)
         block = np.zeros((steps, *self.shape))
         for schedule, ids, k, _ in self.cells:

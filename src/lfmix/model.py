@@ -58,9 +58,6 @@ from .seeding import unit_uniform
 FOLLOWER = "follower"
 LEADER = "leader"
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_IDS.flags.writeable = False
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -69,11 +66,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint assignment of agents 0..N-1 to the follower and leader groups."""
+    """Disjoint assignment of agents 0..N-1 to the follower and leader
+    groups: its group codes and the groups' names. Every id array is derived
+    from the codes once, read-only and sorted."""
 
     group_of: np.ndarray  # (N,) codes: 0 follower, k = leader group k
-    follower_ids: np.ndarray
-    leader_ids: tuple[np.ndarray, ...]  # one sorted array per leader group
     leader_names: tuple[str, ...]
     follower_name: str | None
 
@@ -83,7 +80,16 @@ class Partition:
 
     @property
     def m(self) -> int:
-        return len(self.leader_ids)
+        return len(self.leader_names)
+
+    @functools.cached_property
+    def follower_ids(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.group_of == 0))
+
+    @functools.cached_property
+    def leader_ids(self) -> tuple[np.ndarray, ...]:
+        """One array per leader group."""
+        return tuple(_frozen(np.flatnonzero(self.group_of == k)) for k in range(1, self.m + 1))
 
     def group_name_of(self, agent: int) -> str:
         code = int(self.group_of[agent])
@@ -118,14 +124,6 @@ class SystemState:
         arr = np.ascontiguousarray(self.opinions, dtype=np.float64)
         object.__setattr__(self, "opinions", _frozen(arr))
 
-    @property
-    def n_agents(self) -> int:
-        return int(self.opinions.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.opinions.shape[1])
-
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -143,7 +141,9 @@ class Scenario:
     m-tuple of leader-mix schedules of the follower agents ``ids``. Every
     leader is in exactly one alpha block and every follower, when m >= 1, in
     exactly one beta block; ids are sorted int64 arrays. ``canonical`` is the
-    normalized config dict this scenario round-trips through.
+    normalized config dict this scenario round-trips through, and the one
+    place that holds what only the config says, such as the seed of random
+    initial opinions.
     """
 
     dimension: int
@@ -154,7 +154,6 @@ class Scenario:
     alphas: tuple
     betas: tuple
     engine: EngineOptions = EngineOptions()
-    base_seed: int = 0
     canonical: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -379,10 +378,10 @@ def _broadcast_bounds(value, d: int, what: str, issues: _Issues) -> list[float] 
 
 
 def _parse_initial(raw, n: int, d: int, issues: _Issues):
-    """Returns (opinions array, normalized spec, base_seed)."""
+    """Returns (opinions array, normalized spec)."""
     if not isinstance(raw, dict) or len(raw) != 1:
         issues.add(BAD_CONFIG, "initial_opinions: must be {'explicit': ...} or {'random': ...}")
-        return None, None, 0
+        return None, None
     if "explicit" in raw:
         matrix = raw["explicit"]
         if (
@@ -390,45 +389,45 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
             or len(matrix) != n
             or not all(isinstance(row, list) and len(row) == d for row in matrix)
         ):
-            issues.add(DIMENSION_MISMATCH, f"initial_opinions.explicit: need an {n} x {d} matrix")
-            return None, None, 0
+            issues.add(DIMENSION_MISMATCH, f"initial_opinions.explicit: need {n} rows of {d} numbers")
+            return None, None
         if not all(_is_int(v) or isinstance(v, float) for row in matrix for v in row):
             issues.add(BAD_CONFIG, "initial_opinions.explicit: entries must be numbers")
-            return None, None, 0
+            return None, None
         rows = [[_finite(v) for v in row] for row in matrix]
         if any(None in row for row in rows):
             issues.add(NON_FINITE, "initial_opinions.explicit: entries must be finite")
-            return None, None, 0
-        return np.array(rows, dtype=np.float64), {"explicit": rows}, 0
+            return None, None
+        return np.array(rows, dtype=np.float64), {"explicit": rows}
     if "random" in raw:
         spec = raw["random"]
         if not isinstance(spec, dict):
             issues.add(BAD_CONFIG, "initial_opinions.random: must be an object")
-            return None, None, 0
+            return None, None
         _check_keys(spec, {"distribution", "low", "high", "seed"}, "initial_opinions.random", issues)
         if spec.get("distribution") != "uniform_box":
             issues.add(BAD_CONFIG, "initial_opinions.random: only 'uniform_box' is supported")
-            return None, None, 0
+            return None, None
         if n * d > 2**31 - 1:  # the agent bound, for coordinates: one state of them is 16 GiB
             issues.add(BAD_CONFIG,
                        f"initial_opinions.random: {n} agents x {d} dimensions, more than 2147483647 coordinates")
-            return None, None, 0
+            return None, None
         low = _broadcast_bounds(spec.get("low"), d, "low", issues)
         high = _broadcast_bounds(spec.get("high"), d, "high", issues)
         seed = spec.get("seed")
         if not _is_int(seed):
             issues.add(BAD_CONFIG, "initial_opinions.random: needs an integer 'seed'")
-            return None, None, 0
+            return None, None
         if low is None or high is None:
-            return None, None, 0
+            return None, None
         if any(lo > hi for lo, hi in zip(low, high)):
             issues.add(BAD_CONFIG, "initial_opinions.random: low must not exceed high")
-            return None, None, 0
+            return None, None
         arr = low + np.subtract(high, low) * unit_uniform(seed, np.arange(n)[:, None], np.arange(d))
         norm = {"random": {"distribution": "uniform_box", "low": low, "high": high, "seed": int(seed)}}
-        return arr, norm, int(seed)
+        return arr, norm
     issues.add(BAD_CONFIG, "initial_opinions: must be {'explicit': ...} or {'random': ...}")
-    return None, None, 0
+    return None, None
 
 
 def _parse_engine(raw, issues: _Issues) -> tuple[EngineOptions, dict]:
@@ -445,15 +444,16 @@ def _parse_engine(raw, issues: _Issues) -> tuple[EngineOptions, dict]:
     if strategy not in ("naive", "grid", "auto"):
         issues.add(BAD_CONFIG, f"engine: unknown neighbor_strategy {strategy!r}")
         strategy = "auto"
-    horizon = raw.get("horizon", 1000)
+    default = EngineOptions()
+    horizon = raw.get("horizon", default.horizon)
     if not _is_int(horizon) or horizon < 0:
         issues.add(BAD_CONFIG, "engine: horizon must be a nonnegative integer")
-        horizon = 1000
+        horizon = default.horizon
     cap = raw.get("grid_dim_cap", 6)
     if not _is_int(cap) or cap < 1:
         issues.add(BAD_CONFIG, "engine: grid_dim_cap must be a positive integer")
         cap = 6
-    stop_tol, stop_window = None, 1
+    stop_tol, stop_window = None, default.stop_window
     stop = raw.get("stop")
     if stop is not None:
         if not isinstance(stop, dict):
@@ -465,10 +465,10 @@ def _parse_engine(raw, issues: _Issues) -> tuple[EngineOptions, dict]:
             if tol is not None and (stop_tol is None or stop_tol <= 0):
                 issues.add(BAD_CONFIG, "engine.stop: tol must be null or a positive number")
                 stop_tol = None
-            stop_window = stop.get("window", 1)
+            stop_window = stop.get("window", default.stop_window)
             if not _is_int(stop_window) or stop_window < 1:
                 issues.add(BAD_CONFIG, "engine.stop: window must be an integer >= 1")
-                stop_window = 1
+                stop_window = default.stop_window
     engine = EngineOptions(int(horizon), stop_tol, int(stop_window))
     return engine, {"neighbor_strategy": strategy, "horizon": engine.horizon,
                     "stop": {"tol": stop_tol, "window": engine.stop_window}, "grid_dim_cap": int(cap)}
@@ -521,7 +521,7 @@ def build_scenario(raw: Any) -> Scenario:
 
     targets = [_parse_target(e.get("target"), d, e["name"], issues) for e in leader_entries]  # None means an issue
 
-    opinions, initial_norm, base_seed = _parse_initial(raw_initial, n, d, issues)
+    opinions, initial_norm = _parse_initial(raw_initial, n, d, issues)
 
     # Schedules
     raw_schedules = raw.get("schedules", {})
@@ -625,8 +625,6 @@ def build_scenario(raw: Any) -> Scenario:
 
     partition = Partition(
         group_of=_frozen(group_of),
-        follower_ids=_frozen(follower_entry["ids"] if follower_entry else _EMPTY_IDS.copy()),
-        leader_ids=tuple(_frozen(e["ids"]) for e in leader_entries),
         leader_names=tuple(e["name"] for e in leader_entries),
         follower_name=follower_entry["name"] if follower_entry else None,
     )
@@ -659,6 +657,5 @@ def build_scenario(raw: Any) -> Scenario:
         alphas=tuple(alphas),
         betas=tuple(betas),
         engine=engine,
-        base_seed=base_seed,
         canonical=canonical,
     )

@@ -42,10 +42,6 @@ def load_scenario(path) -> Scenario:
     return build_scenario(raw)
 
 
-def canonical_dict(scenario: Scenario) -> dict:
-    return json.loads(json.dumps(scenario.canonical))
-
-
 def json_text(payload) -> str:
     """The text of every JSON file lfmix writes: sorted keys, an indent of 2
     and a final newline."""

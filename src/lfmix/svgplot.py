@@ -29,9 +29,20 @@ def _esc(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+def _axis(lo: float, hi: float) -> tuple[float, float, float]:
+    """``(scale, lo, hi)``: the range [lo, hi] in units of ``scale``, a power
+    of two that keeps every span and tick sum of the axis finite (1 while
+    both ends lie within 2^1019 of 0, which leaves the arithmetic as it
+    is). An equal range widens by 1 above it or, where adding 1 leaves it
+    as it is, by 2^-50 of its magnitude toward 0, so no label overflows."""
+    scale = 1.0 if max(abs(lo), abs(hi)) < 2.0**1019 else 2.0**-4
+    lo, hi = lo * scale, hi * scale
+    if hi == lo:
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 != lo else sorted((lo, lo - lo * 2.0**-50))
+    return scale, lo, hi
 
 
 def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str = "") -> None:
@@ -50,19 +61,15 @@ def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str
         dropped = "non-finite values" + (" and values <= 0" if log_y else "")
         raise ValueError(f"no drawable points ({dropped} are dropped)")
 
-    x_lo = min(min(xs) for xs, _ in drawable.values())
-    x_hi = max(max(xs) for xs, _ in drawable.values())
-    y_lo = min(min(ys) for _, ys in drawable.values())
-    y_hi = max(max(ys) for _, ys in drawable.values())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_scale, x_lo, x_hi = _axis(min(min(xs) for xs, _ in drawable.values()),
+                                max(max(xs) for xs, _ in drawable.values()))
+    y_scale, y_lo, y_hi = _axis(min(min(ys) for _, ys in drawable.values()),
+                                max(max(ys) for _, ys in drawable.values()))
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x: float) -> float:  # x in units of x_scale, as the ticks are
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
@@ -85,7 +92,7 @@ def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str
             f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        label = f"1e{yv:.2f}" if log_y else f"{yv:.6g}"
+        label = f"1e{yv / y_scale:.2f}" if log_y else f"{yv / y_scale:.6g}"
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
@@ -98,7 +105,7 @@ def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:.6g}</text>'
+            f'font-family="sans-serif" font-size="11">{xv / x_scale:.6g}</text>'
         )
     parts.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -116,6 +123,7 @@ def render_line_chart(series: dict, out_path, *, log_y: bool = False, title: str
 
     for idx, (label, (xs, ys)) in enumerate(drawable.items()):
         color = _PALETTE[idx % len(_PALETTE)]
+        xs, ys = [x * x_scale for x in xs], [y * y_scale for y in ys]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         if len(xs) == 1:
             parts.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" r="3" fill="{color}"/>')

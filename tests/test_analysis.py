@@ -87,6 +87,16 @@ def test_max_target_distance_examples():
     assert max_target_distance(shifted, sc, 1) == 0.125
 
 
+def test_a_leader_group_out_of_range_is_refused():
+    sc = two_leader_scenario()
+    traj = run(sc, 3)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match=f"leader group {k} out of range 1..1"):
+            max_target_distance(sc.initial_state, sc, k)
+        rep = check_target_envelope(traj, k, 0.5)
+        assert rep.status == "skipped" and rep.reason == f"{INAPPLICABLE}: no leader group {k}"
+
+
 def test_opinion_diameter_matches_brute_force():
     rng = np.random.default_rng(0)
     for n, d in ((1, 2), (2, 3), (40, 2), (300, 3)):
@@ -554,6 +564,21 @@ def test_envelope_all_measures_delta():
     assert rep.params["delta_brand"] == 0.5
 
 
+def test_envelope_all_skips_each_group_whose_delta_reaches_1():
+    def two_groups(moving_alpha):
+        return scenario(
+            leader_groups=[("stuck", 1, [0.0], constant(1.0)), ("moving", 1, [1.0], constant(moving_alpha))],
+            initial=[[0.5], [0.5]],
+            horizon=10,
+        )
+
+    rep = check_target_envelope_all(run(two_groups(0.5)))
+    assert rep.passed and rep.params["group_stuck"] == "skipped (measured delta reaches 1)"
+    assert rep.params["delta_moving"] == 0.5 and all(r.label.startswith("moving: ") for r in rep.records)
+    rep = check_target_envelope_all(run(two_groups(1.0)))
+    assert rep.status == "skipped" and rep.reason == f"{INAPPLICABLE}: every leader group has measured delta at 1"
+
+
 def alternating_envelope_run(horizon):
     # degrees alternate 1.0 and 0.5; contraction is only claimed on the 0.5 steps.
     # A step at 1.0 leaves the state as it is, so a 2-step stop window keeps
@@ -844,6 +869,46 @@ def test_mixture_limit_requires_stabilized_betas():
     assert "not stabilized" in rep.reason
 
 
+def test_mixture_limit_adds_eight_betas_left_to_right():
+    # numpy's pairwise row sum adds these eight betas to a different total
+    betas = [0.0663, 0.114551, 0.025858, 0.114351, 0.044301, 0.056566, 0.101047, 0.055012]
+    sc = scenario(
+        epsilon=10.0,
+        followers=1,
+        leader_groups=[(f"g{k}", 1, [k / 8], constant(0.5)) for k in range(8)],
+        initial=[[0.5]] + [[k / 8] for k in range(8)],
+        follower_betas=[constant(b) for b in betas],
+        horizon=30,
+    )
+    traj = run(sc)
+    rep = check_mixture_limit(traj)
+    total = 0.0
+    for b in betas:
+        total += b
+    assert np.sum(betas) != total
+    mixture = (np.array(betas) / total) @ sc.targets
+    assert rep.passed and rep.records[0].label == "follower 0 mixture"
+    assert rep.records[0].lhs == float(abs(traj.final_state.opinions[0] - mixture)[0])
+
+
+def stuck_leader_scenario():
+    """A follower and a leader whose degree 1 holds it where it starts."""
+    return scenario(
+        epsilon=5.0,
+        followers=1,
+        leader_groups=[("brand", 1, [0.0], constant(1.0))],
+        initial=[[0.5], [0.25]],
+        follower_betas=[constant(0.5)],
+        horizon=10,
+    )
+
+
+def test_mixture_limit_skips_a_run_whose_gamma_reaches_1():
+    rep = check_mixture_limit(run(stuck_leader_scenario()))
+    assert rep.status == "skipped" and rep.reason == f"{INAPPLICABLE}: measured gamma 1.0 is not below 1"
+    assert rep.params == {"gamma": 1.0, "t_star": 0, "delta": 0.5}
+
+
 # ---------------------------------------------------------------------------
 # subsystem independence
 # ---------------------------------------------------------------------------
@@ -941,6 +1006,12 @@ def test_single_subsystem_reduces_to_consensus_check():
     rep = check_subsystem_independence(joint)
     consensus = check_consensus_bound(joint)
     assert rep.passed and consensus.passed
+
+
+def test_subsystems_skip_a_subsystem_whose_gamma_reaches_1():
+    rep = check_subsystem_independence(run(stuck_leader_scenario()))
+    assert rep.status == "skipped"
+    assert rep.reason == f"{INAPPLICABLE}: measured gamma 1.0 of subsystem 1 is not below 1"
 
 
 def test_subsystem_assignment_fails_on_overlapping_betas():

@@ -88,6 +88,24 @@ def test_simulate_invalid_scenario_exits_2_with_issues(tmp_path, capsys):
     assert "EpsilonNonpositive" in capsys.readouterr().err
 
 
+def test_scenario_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("lfmix: scenario is not valid JSON: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_invalid_scenario_exits_2_with_issues(tmp_path, capsys):
+    cfg = demo_config()
+    cfg["epsilon"] = 0
+    path = write_config(tmp_path, cfg)
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid scenario {path}:" in captured.err
+    assert "EpsilonNonpositive" in captured.err
+
+
 def test_simulate_demo_converges(tmp_path):
     path = write_config(tmp_path, demo_config())
     out = tmp_path / "out"
@@ -632,6 +650,49 @@ def test_plot_drops_non_finite_values(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_plot_series_that_matches_nothing_exits_2(tmp_path, capsys):
+    metrics = simulate_demo(tmp_path)
+    capsys.readouterr()
+    assert main(["plot", "--metrics", str(metrics), "--out", str(tmp_path / "x.svg"), "--series", "B"]) == 2
+    assert capsys.readouterr().err == "lfmix: no matching metric series\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
+def y_labels(svg_text):
+    return re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]+)<', svg_text)
+
+
+@pytest.mark.parametrize("values, points, labels", [
+    # a constant series lies on the bottom edge of a range widened by 1
+    ((0.5, 0.5), [(70.0, 470.0), (870.0, 470.0)], ["0.5", "0.75", "1", "1.25", "1.5"]),
+    # ... or, where adding 1 leaves it as it is, by 2^-50 of its magnitude toward 0
+    ((1e20, 1e20), [(70.0, 40.0), (870.0, 40.0)], ["1e+20"] * 5),
+    ((-1e20, -1e20), [(70.0, 470.0), (870.0, 470.0)], ["-1e+20"] * 5),
+    ((sys.float_info.max,) * 2, [(70.0, 40.0), (870.0, 40.0)], ["1.79769e+308"] * 5),
+    # a span that overflows a float
+    ((1e308, -1e308), [(70.0, 40.0), (870.0, 470.0)], ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]),
+])
+def test_plot_maps_every_finite_range(tmp_path, values, points, labels):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("t,group,metric,value\n" + "".join(f"{t},all,diameter,{v!r}\n" for t, v in enumerate(values)),
+                       encoding="utf-8")
+    out = tmp_path / "chart.svg"
+    assert main(["plot", "--metrics", str(metrics), "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert polyline_points(svg) == [points] and y_labels(svg) == labels
+
+
+def test_plot_draws_a_one_point_series_as_a_dot(tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("t,group,metric,value\n3,all,diameter,0.25\n", encoding="utf-8")
+    out = tmp_path / "chart.svg"
+    assert main(["plot", "--metrics", str(metrics), "--out", str(out)]) == 0
+    svg = out.read_text()
+    # one point spans neither axis: both widen by 1 from it
+    assert polyline_points(svg) == [] and '<circle cx="70.00" cy="470.00" r="3"' in svg
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -729,6 +790,49 @@ def test_sweep_writes_integer_point_seeds(tmp_path):
         canon = json.loads((out / f"point_{index:04d}" / "scenario.canonical.json").read_text())
         seed = canon["initial_opinions"]["random"]["seed"]
         assert type(seed) is int and seed == int(derive_key(-(2**63), index)) % (1 << 62)
+
+
+def test_sweep_derives_point_seeds_from_the_file_seed_without_a_seed_flag(tmp_path):
+    cfg = config(
+        followers=4,
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": 1.0, "seed": 3},
+        epsilon=0.3,
+        horizon=2,
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(write_config(tmp_path, cfg)), "--vary", "epsilon=0.2:0.4:2",
+                 "--out", str(out)]) == 0
+    for index in range(2):
+        canon = json.loads((out / f"point_{index:04d}" / "scenario.canonical.json").read_text())
+        assert canon["initial_opinions"]["random"]["seed"] == int(derive_key(3, index)) % (1 << 62)
+
+
+def test_sweep_of_an_invalid_base_scenario_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = demo_config()
+    cfg["epsilon"] = 0
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--scenario", str(path), "--vary", "epsilon=0.2:0.4:2", "--out", str(tmp_path / "s")]) == 2
+    assert "EpsilonNonpositive" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_n_with_per_agent_overrides_exits_2(tmp_path, capsys):
+    cfg = config(
+        followers=3,
+        leader_groups=[("brand", 1, [0.0], constant(0.5))],
+        follower_betas=[constant(0.2)],
+        per_agent_betas={1: [constant(0.7)]},
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--scenario", str(path), "--vary", "n=4:8:2", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "lfmix: varying n is not supported with per-agent schedule overrides\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_scaled_counts_hand_out_the_rest_by_largest_remainder():
+    # 7 * [3, 1, 1] / 5 = [4.2, 1.4, 1.4]: the floors [4, 1, 1] leave one
+    # agent, which goes to the first of the groups with the largest remainder
+    assert cli._scaled_counts([3, 1, 1], ["follower", "leader", "leader"], 7) == [4, 2, 1]
 
 
 def test_sweep_n_with_explicit_initials_exits_2(tmp_path, capsys):

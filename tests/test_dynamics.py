@@ -631,8 +631,8 @@ def test_run_tables_each_built_in_block_once_per_chunk_and_asks_a_custom_one_eac
     assert traj.horizon == 37 and steps == list(range(37)) and chunks == {}
     measure(traj)  # its own table, not the engine's
     assert chunks == {} and steps == list(range(37)) * 2
-    # chunks of at most as many steps as came before them: 1, 1, 2, 4, 8, 16 and the last 5
-    expected = [[0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)), list(range(32, 37))]
+    # one chunk of all 37 steps: a block's float budget holds them
+    expected = [list(range(37))]
     cells = len(sc.alphas) + sc.m * len(sc.betas)
     traj = run(mixed_schedule_scenario(horizon=37))
     assert len(chunks) == cells and all(queried == expected for queried in chunks.values())
@@ -650,8 +650,8 @@ def test_a_table_with_a_custom_schedule_tables_no_block(monkeypatch):
         monkeypatch.setattr(kind, "at_steps", counted)
     sc = mixed_schedule_scenario(horizon=37)
     expected = run(sc)
-    # 3 alpha and 6 beta cells, each tabled once in each of the 7 chunks
-    assert len(calls) == 63 and sum(calls) == 9 * 37
+    # 3 alpha and 6 beta cells, each tabled once in the one chunk
+    assert len(calls) == 9 and sum(calls) == 9 * 37
     calls.clear()
     steps = []
     (custom, ids), *rest = sc.alphas
@@ -726,7 +726,7 @@ def test_served_rows_are_read_only_and_equal_lone_step_queries():
                              (realized_betas(sc, t, table), realized_betas(sc, t))):
             assert not served.flags.writeable and lone.flags.writeable
             assert served.tobytes() == lone.tobytes()
-    # the chunk of steps 4 to 7 holds 1.5 at step 7: steps 4 to 6 are still served from its block
+    # the one chunk, steps 0 to 19, holds 1.5 at step 7: steps 0 to 6 are still served from its block
     sc = geometric_scenario(horizon=20)
     (_, ids), = sc.alphas
     bad = dataclasses.replace(sc, alphas=((Table((0.5,) * 7 + (1.5,)), ids),))
@@ -734,7 +734,7 @@ def test_served_rows_are_read_only_and_equal_lone_step_queries():
     for t in range(7):
         served = realized_alpha(bad, t, table)
         assert not served.flags.writeable and served.tobytes() == realized_alpha(bad, t).tobytes()
-    assert (table.start, table.stop) == (4, 8)
+    assert (table.start, table.stop) == (0, 20)
     with pytest.raises(ScheduleViolation) as expected:
         realized_alpha(bad, 7)
     with pytest.raises(ScheduleViolation) as raised:
@@ -811,6 +811,11 @@ def test_run_horizon_zero_is_initial_only():
     assert len(traj.states) == 1
     assert traj.stop_reason == STOP_HORIZON
     assert np.array_equal(traj.states[0].opinions, [[1.0]])
+
+
+def test_run_refuses_a_negative_horizon():
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        run(geometric_scenario(), -1)
 
 
 def test_run_geometric_halving():
@@ -1051,8 +1056,8 @@ def test_held_chunks_equal_lone_steps(chunk, monkeypatch):
 
 
 def test_a_held_chunk_raises_at_the_step_that_fails_its_check(monkeypatch):
-    # chunks of 1, 1, 2, 4, 8 and 16 steps; step 13, in the chunk of steps 8
-    # to 15, holds a degree 1.5
+    # one chunk of every step; step 13 holds a degree 1.5, so the chunk's
+    # block serves steps 0 to 12
     passes = []
     real_weights = dynamics._weights
     monkeypatch.setattr(dynamics, "_weights",
@@ -1065,8 +1070,8 @@ def test_a_held_chunk_raises_at_the_step_that_fails_its_check(monkeypatch):
     with pytest.raises(ScheduleViolation) as raised:
         run(bad)
     assert str(raised.value) == str(expected.value) and "t=13" in str(raised.value)
-    # steps 8 to 12 in one pass; step 13 asked its schedules alone and raised before its weights
-    assert passes[-1] == 5
+    # steps 4 to 12 in one pass; step 13 asked its schedules alone and raised before its weights
+    assert passes[-1] == 9
     assert run_bits(run(bad, 13)) == run_bits(lone_run(bad, monkeypatch, horizon=13)) == run_bits(run(good, 13))
 
 

@@ -12,7 +12,6 @@ from lfmix import build_scenario, metrics_rows, run
 from lfmix.dynamics import Trajectory
 from lfmix.model import SystemState
 from lfmix.scenario_io import (
-    canonical_dict,
     dump_canonical,
     load_scenario,
     read_metrics_csv,
@@ -49,14 +48,14 @@ def every_kind_config():
 
 def test_canonical_round_trip_is_identity():
     sc = build_scenario(sample_config())
-    canon = canonical_dict(sc)
-    again = canonical_dict(build_scenario(canon))
+    canon = json.loads(dump_canonical(sc))
+    again = json.loads(dump_canonical(build_scenario(canon)))
     assert canon == again
     # canonical form resolves member counts to explicit ids
     assert canon["groups"][0]["members"] == [0, 1, 2]
     assert canon["groups"][1]["members"] == [3, 4]
     sc = build_scenario(every_kind_config())
-    assert dump_canonical(build_scenario(canonical_dict(sc))) == dump_canonical(sc)
+    assert dump_canonical(build_scenario(json.loads(dump_canonical(sc)))) == dump_canonical(sc)
     # to_spec turns a table's tuple into a list
     assert sc.canonical["schedules"]["a"]["alpha"] == {"kind": "table", "values": [0.4, 0.2, 0.1]}
     override = sc.canonical["schedules"]["crowd"]["per_agent"]["1"]["betas"]
@@ -68,7 +67,7 @@ def test_canonical_round_trip_is_identity():
 
 def test_canonical_rerun_reproduces_trajectory():
     sc = build_scenario(sample_config())
-    sc2 = build_scenario(canonical_dict(sc))
+    sc2 = build_scenario(json.loads(dump_canonical(sc)))
     t1, t2 = run(sc), run(sc2)
     assert len(t1.states) == len(t2.states)
     for a, b in zip(t1.states, t2.states):
@@ -81,7 +80,7 @@ def test_load_scenario_from_file(tmp_path):
     sc = load_scenario(path)
     assert sc.n_agents == 5
     dumped = dump_canonical(sc)
-    assert json.loads(dumped) == canonical_dict(sc)
+    assert json.loads(dumped) == sc.canonical
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -110,6 +109,13 @@ def test_trajectory_csv_record_every_includes_final(tmp_path):
     with open(path, newline="") as fh:
         ts = sorted({int(rec["t"]) for rec in csv.DictReader(fh)})
     assert ts == [0, 3, 6, 7]  # multiples of 3 plus the final state
+
+
+def test_trajectory_csv_refuses_a_record_every_below_1(tmp_path):
+    path = tmp_path / "none.csv"
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        write_trajectory_csv(run(build_scenario(sample_config()), 2), path, record_every=0)
+    assert not path.exists()
 
 
 def test_metrics_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Domain types, validation, and degree schedules."""
 
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DimensionMismatch, config, constant, distance, run_in_child, scenario
-from lfmix import ScenarioValidationError, build_scenario
+from lfmix import EngineOptions, ScenarioValidationError, build_scenario
 from lfmix.dynamics import realized_alpha, realized_betas
 from lfmix.schedules import Constant, GeometricDecay, RemappedAgents, Schedule, SeededRandom, Table, tabled
 from lfmix.seeding import derive_key, unit_uniform
@@ -353,7 +354,7 @@ VALIDATION_MESSAGES = [
     (_set("initial_opinions", value={"uniform": 1}),
      ["BadConfig: initial_opinions: must be {'explicit': ...} or {'random': ...}"]),
     (_set("initial_opinions", "explicit", 0, value=[0.3, 0.3]),
-     ["DimensionMismatch: initial_opinions.explicit: need an 2 x 1 matrix"]),
+     ["DimensionMismatch: initial_opinions.explicit: need 2 rows of 1 numbers"]),
     (_set("initial_opinions", "explicit", 0, value=["x"]),
      ["BadConfig: initial_opinions.explicit: entries must be numbers"]),
     (_set("initial_opinions", "explicit", 0, value=[math.nan]),
@@ -700,3 +701,65 @@ def test_immutability_of_state_and_partition():
         sc.initial_state.opinions[0, 0] = 9.0
     with pytest.raises(ValueError):
         sc.partition.group_of[0] = 5
+
+
+def test_partition_ids_come_from_its_codes():
+    cfg = config(
+        leader_groups=[("a", 2, [0.0], constant(0.5)), ("b", 1, [1.0], constant(0.5))],
+        followers=2,
+        initial=[[0.0]] * 5,
+        follower_betas=[constant(0.2), constant(0.2)],
+    )
+    cfg["groups"] = [dict(g, members=ids) for g, ids in zip(cfg["groups"], ([4, 0], [3, 1], [2]))]
+    part = build_scenario(cfg).partition
+    assert [f.name for f in dataclasses.fields(part)] == ["group_of", "leader_names", "follower_name"]
+    assert part.group_of.tolist() == [0, 1, 2, 1, 0] and part.m == 2
+    assert part.follower_ids.tolist() == [0, 4]
+    assert [ids.tolist() for ids in part.leader_ids] == [[1, 3], [2]]
+    for ids in (part.follower_ids, *part.leader_ids):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+    assert part.leader_ids is part.leader_ids  # derived once
+    leaders_only = build_scenario(config(leader_groups=[("a", 2, [0.0], constant(0.5))], initial=[[0.0]] * 2))
+    assert leaders_only.partition.follower_ids.tolist() == [] and leaders_only.partition.follower_name is None
+
+
+def test_a_scenario_without_an_engine_block_takes_the_engine_defaults():
+    cfg = well_formed()
+    del cfg["engine"]
+    sc = build_scenario(cfg)
+    assert sc.engine == EngineOptions()
+    assert sc.canonical["engine"] == {"neighbor_strategy": "auto", "horizon": EngineOptions().horizon,
+                                      "stop": {"tol": None, "window": EngineOptions().stop_window},
+                                      "grid_dim_cap": 6}
+
+
+def test_one_beta_spec_object_serves_every_leader_group():
+    cfg = config(
+        followers=1,
+        leader_groups=[("a", 1, [0.0], constant(0.5)), ("b", 1, [1.0], constant(0.5))],
+        initial=[[0.5], [0.0], [1.0]],
+    )
+    cfg["schedules"]["crowd"]["betas"] = constant(0.25)
+    sc = build_scenario(cfg)
+    assert sc.canonical["schedules"]["crowd"]["betas"] == [constant(0.25)] * 2
+    assert realized_betas(sc, 0)[0].tolist() == [0.25, 0.25]
+
+
+def test_a_follower_group_needs_no_schedule_entry_without_leader_groups():
+    cfg = config(followers=2, initial=[[0.0], [1.0]])
+    del cfg["schedules"]["crowd"]
+    sc = build_scenario(cfg)
+    assert sc.canonical["schedules"] == {"crowd": {"betas": []}} and sc.betas == ()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"x": {"betas": [constant(0.1)]}}, "BadConfig: schedules.crowd.per_agent: bad agent id 'x'"),
+    ({"0": {"betas": [{"kind": "nope"}]}},
+     "BadConfig: schedules.crowd.per_agent[0].betas[0]: unknown schedule kind 'nope'"),
+])
+def test_a_bad_per_agent_override_is_an_issue(overrides, message):
+    cfg = well_formed()
+    cfg["schedules"]["crowd"]["per_agent"] = overrides
+    with pytest.raises(ScenarioValidationError) as exc:
+        build_scenario(cfg)
+    assert [str(issue) for issue in exc.value.issues] == [message]
