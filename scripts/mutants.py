@@ -98,6 +98,12 @@ MUTANTS = [
      ["test_dynamics.py"]),
     ("engine-alpha-untraced", "dynamics.py", "alpha = realized_alpha(scenario, t, degrees)",
      "alpha = degrees.row(t)[:, 0]", ["test_bench_interface.py"]),
+    # membership as code arrays: cor2's subsystem labels and the writer's names by group code
+    ("subsystem-members-at-or-above-k", "analysis.py", "members = np.flatnonzero(label == k)",
+     "members = np.flatnonzero(label >= k)", ["test_analysis.py"]),
+    ("writer-name-of-code-0", "scenario_io.py",
+     'prefixes = [f",{i},{quoted[code]}," for i, code in enumerate(part.group_of.tolist())]',
+     'prefixes = [f",{i},{quoted[0]}," for i, code in enumerate(part.group_of.tolist())]', ["test_io.py"]),
 ]
 
 

@@ -21,7 +21,8 @@ concrete trajectories, with measured slack:
   each follower ends at the beta-weighted mixture of the targets.
 * ``check_subsystem_independence``: spatially separated subsystems evolve as
   if simulated alone and each reaches its own target; any cross-group
-  neighbor contact is flagged.
+  neighbor contact is flagged. The subsystems are one (N,) code array,
+  ``subsystem_labels``: a leader's own group, a follower's one beta group.
 
 All checks recompute distances and neighbor relations from raw states,
 independent of the engine's internals, so a pass is evidence rather than
@@ -708,20 +709,17 @@ def check_mixture_limit(trajectory: Trajectory) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenario, np.ndarray]:
-    """Extract leader group k plus the given followers as a standalone system.
-
-    Agents are reindexed in ascending original-id order; schedules keep their
-    original agent keys through a remapping wrapper, and the follower beta
-    vector is restricted to the single remaining group. Returns the scenario
-    and the original ids (indexed by new id).
+def subsystem_scenario(scenario: Scenario, k: int, members: np.ndarray) -> Scenario:
+    """Leader group k and the followers among ``members`` as a standalone
+    system. ``members`` are original ids in ascending order, all of group k's
+    leaders among them, and agent j of the result is ``members[j]``:
+    schedules keep their original agent keys through a remapping wrapper,
+    and the follower beta vector is restricted to the single remaining group.
     """
     part = scenario.partition
-    follower_ids = np.asarray(follower_ids, dtype=np.int64)
-    originals = np.sort(np.concatenate((follower_ids, part.leader_ids[k - 1])))  # the two id sets are disjoint
     new_id = np.full(scenario.n_agents, -1, dtype=np.int64)
-    new_id[originals] = np.arange(originals.size)
-    group_of = (part.group_of[originals] == k).astype(np.int64)
+    new_id[members] = np.arange(members.size)
+    group_of = (part.group_of[members] == k).astype(np.int64)
 
     def remap(blocks, pick) -> tuple:
         """The blocks' schedules over the kept agents, queried under their original ids."""
@@ -733,34 +731,37 @@ def subsystem_scenario(scenario: Scenario, k: int, follower_ids) -> tuple[Scenar
                 out.append((pick(schedules), ids))
         return tuple(out)
 
-    sub = replace(
+    return replace(
         scenario,
-        partition=Partition(group_of, part.leader_names[k - 1 : k], part.follower_name if follower_ids.size else None),
+        partition=Partition(group_of, part.leader_names[k - 1 : k], part.follower_name if 0 in group_of else None),
         targets=scenario.targets[k - 1 : k],
-        initial_state=SystemState(0, scenario.initial_state.opinions[originals]),
-        alphas=remap(scenario.alphas, lambda s: RemappedAgents(s, originals)),
-        betas=remap(scenario.betas, lambda s: (RemappedAgents(s[k - 1], originals),)),
+        initial_state=SystemState(0, scenario.initial_state.opinions[members]),
+        alphas=remap(scenario.alphas, lambda s: RemappedAgents(s, members)),
+        betas=remap(scenario.betas, lambda s: (RemappedAgents(s[k - 1], members),)),
         canonical={},
     )
-    return sub, originals
 
 
-def derive_subsystem_assignment(trajectory: Trajectory) -> dict[int, int] | None:
-    """Map each follower to the unique leader group it can mix toward.
+def subsystem_labels(trajectory: Trajectory) -> np.ndarray | None:
+    """Each agent's subsystem: a leader's own group, and for a follower the
+    unique leader group it can mix toward.
 
     A follower belongs to group k when its beta toward k is positive at some
     step of the run (at step 0 when it has no steps) and its betas toward
     every other group are identically zero. Returns None when any follower
-    has no group or several; else the map in follower-id order."""
+    has no group or several."""
     scenario = trajectory.scenario
-    fol = scenario.partition.follower_ids
+    part = scenario.partition
+    fol = part.follower_ids
     betas = measure(trajectory).betas
     if not len(betas):
         betas = realized_betas(scenario, 0)[None, fol]
     active = betas.max(axis=0) > 0.0
     if (active.sum(axis=1) != 1).any():
         return None
-    return dict(zip(fol.tolist(), (active.argmax(axis=1) + 1).tolist()))
+    label = part.group_of.copy()
+    label[fol] = active.argmax(axis=1) + 1
+    return label
 
 
 def _crosstalk(trajectory: Trajectory, label: np.ndarray) -> str | None:
@@ -824,16 +825,12 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
     horizon = trajectory.horizon
     part = scenario.partition
 
-    assignment = derive_subsystem_assignment(trajectory)
-    if assignment is None:
+    label = subsystem_labels(trajectory)
+    if label is None:
         return _skipped(
             name, INAPPLICABLE, "followers do not split into one leader group each (betas overlap or vanish)"
         )
-    # cross-subsystem contact scan on the joint run
-    label = part.group_of.copy()  # subsystem of every agent: a leader's group, a follower's assignment
-    assigned = np.asarray(list(assignment.values()), dtype=np.int64)  # in follower-id order
-    label[part.follower_ids] = assigned
-    message = _crosstalk(trajectory, label)
+    message = _crosstalk(trajectory, label)  # cross-subsystem contact scan on the joint run
     if message:
         return _skipped(name, CROSSTALK, message)
     series = measure(trajectory)
@@ -841,9 +838,7 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
 
     report = CheckReport(name, params={"consensus_tol": CONSENSUS_TOL, "cross_contacts": 0})
     for k in range(1, scenario.m + 1):
-        mine = assigned == k
-        followers_k = part.follower_ids[mine]
-        members = np.sort(np.concatenate((followers_k, part.leader_ids[k - 1])))  # disjoint id sets
+        members = np.flatnonzero(label == k)
         g = scenario.target(k)
         delta_k = float(distances_to(trajectory.states[0].opinions[members], g).max())
         if delta_k >= scenario.epsilon:
@@ -853,7 +848,7 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
             )
         # a degree lies in [0, 1], so the largest 1 - beta is 1 - the smallest beta;
         # 0.0 first: a zero gamma is 0.0, whatever the signs of the zero degrees
-        rest = 1.0 - float(lowest[mine, k - 1].min(initial=1.0))
+        rest = 1.0 - float(lowest[label[part.follower_ids] == k, k - 1].min(initial=1.0))
         gamma_k = max(0.0, rest, max(series.max_alpha[k - 1], default=0.0))
         if gamma_k >= 1.0:
             return _skipped(name, INAPPLICABLE, f"measured gamma {gamma_k} of subsystem {k} is not below 1")
@@ -863,7 +858,7 @@ def check_subsystem_independence(trajectory: Trajectory) -> CheckReport:
         if scenario.m == 1 and trajectory.fault is None and trajectory.stop_tol is None:
             alone = trajectory
         else:
-            alone = run(subsystem_scenario(scenario, k, followers_k)[0], horizon, stop_tol=None)
+            alone = run(subsystem_scenario(scenario, k, members), horizon, stop_tol=None)
         # each run measured at its final state; a subsystem's agents are its members in id order
         standalone = distances_to(alone.final_state.opinions, g)
         joint = distances_to(trajectory.final_state.opinions[members], g)

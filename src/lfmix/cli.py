@@ -28,7 +28,6 @@ import argparse
 import copy
 import csv
 import itertools
-import json
 import math
 import sys
 import time
@@ -39,7 +38,6 @@ from .dynamics import FAULT_KINDS, STOP_CONVERGED, run
 from .errors import NonFiniteState, ScenarioValidationError, ScheduleViolation
 from .model import LEADER, Scenario, build_scenario
 from .scenario_io import (
-    dump_canonical,
     json_text,
     load_scenario,
     read_metrics_csv,
@@ -81,13 +79,13 @@ def _load(path: str, seed: int | None) -> Scenario | None:
     except OSError as exc:
         _err(f"cannot read scenario: {exc}")
         return None
-    except json.JSONDecodeError as exc:
-        _err(f"scenario is not valid JSON: {exc}")
-        return None
-    except ScenarioValidationError as exc:
+    except ScenarioValidationError as exc:  # a ValueError, so before the handler below
         _err(f"invalid scenario {path}:")
         for issue in exc.issues:
             print(f"  {issue}", file=sys.stderr)
+        return None
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, an overlong integer, too deep a nesting
+        _err(f"scenario is not valid JSON: {exc}")
         return None
     if seed is not None:
         initial = scenario.canonical["initial_opinions"]
@@ -116,7 +114,7 @@ def _run_point(args, scenario: Scenario, out_dir: Path, extra: dict):
     write_metrics_csv(analysis.metrics_rows(trajectory), scenario, out_dir / "metrics.csv")
     timings = {"update_s": trajectory.step_seconds, "trajectory_csv_s": written - started,
                "metrics_s": time.perf_counter() - written}
-    (out_dir / "scenario.canonical.json").write_text(dump_canonical(scenario), encoding="utf-8")
+    (out_dir / "scenario.canonical.json").write_text(json_text(scenario.canonical), encoding="utf-8")
     gamma, delta = analysis.measured_degree_bounds(series)
     digests = trajectory.step_digests
     pairs = [d.neighbor_pairs for d in digests]

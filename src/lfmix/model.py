@@ -68,7 +68,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Partition:
     """Disjoint assignment of agents 0..N-1 to the follower and leader
     groups: its group codes and the groups' names. Every id array is derived
-    from the codes once, read-only and sorted."""
+    from the codes once, read-only and sorted, and ``names`` is indexed by
+    code."""
 
     group_of: np.ndarray  # (N,) codes: 0 follower, k = leader group k
     leader_names: tuple[str, ...]
@@ -91,11 +92,11 @@ class Partition:
         """One array per leader group."""
         return tuple(_frozen(np.flatnonzero(self.group_of == k)) for k in range(1, self.m + 1))
 
-    def group_name_of(self, agent: int) -> str:
-        code = int(self.group_of[agent])
-        if code == 0:
-            return self.follower_name if self.follower_name is not None else FOLLOWER
-        return self.leader_names[code - 1]
+    @functools.cached_property
+    def names(self) -> tuple[str, ...]:
+        """Group names by code: 0 the follower group's ("follower" when it
+        has none), k leader group k's."""
+        return (self.follower_name if self.follower_name is not None else FOLLOWER, *self.leader_names)
 
     @functools.cached_property
     def ranges(self) -> tuple[np.ndarray | None, np.ndarray]:
@@ -585,7 +586,7 @@ def build_scenario(raw: Any) -> Scenario:
         base, norm = parse_group_entry(e, spec, f"schedules.{name}")
         if base is None:
             continue
-        overrides = spec.get("per_agent") if isinstance(spec, dict) else None
+        overrides = spec.get("per_agent")
         if overrides is not None:
             if not isinstance(overrides, dict):
                 issues.add(BAD_CONFIG, f"schedules.{name}.per_agent: must be an object")
@@ -613,10 +614,9 @@ def build_scenario(raw: Any) -> Scenario:
         blocks = [(base, ids[~np.isin(ids, list(own))])]
         blocks += [(s, np.array([i], dtype=np.int64)) for i, s in own.items()]
         (alphas if e["kind"] == LEADER else betas).extend((s, _frozen(b)) for s, b in blocks if b.size)
-        if norm is not None:
-            if norm_overrides:
-                norm = dict(norm, per_agent=norm_overrides)
-            schedules_norm[name] = norm
+        if norm_overrides:
+            norm = dict(norm, per_agent=norm_overrides)
+        schedules_norm[name] = norm
 
     engine, engine_norm = _parse_engine(raw.get("engine"), issues)
 

@@ -48,10 +48,6 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def dump_canonical(scenario: Scenario) -> str:
-    return json_text(scenario.canonical)
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -69,9 +65,8 @@ def write_trajectory_csv(trajectory: Trajectory, path, record_every: int = 1) ->
         raise ValueError("record_every must be >= 1")
     scenario = trajectory.scenario
     part = scenario.partition
-    names = [part.group_name_of(i) for i in range(scenario.n_agents)]
-    quoted = {name: _csv_field(name) for name in set(names)}
-    prefixes = [f",{i},{quoted[name]}," for i, name in enumerate(names)]
+    quoted = [_csv_field(name) for name in part.names]
+    prefixes = [f",{i},{quoted[code]}," for i, code in enumerate(part.group_of.tolist())]
     last = trajectory.horizon
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["t", "agent", "group"] + [f"x{c}" for c in range(scenario.dimension)])
@@ -93,7 +88,7 @@ def write_metrics_csv(rows: list[MetricsRow], scenario: Scenario, path) -> None:
             for k, value in enumerate(row.target_distances):
                 writer.writerow([row.t, part.leader_names[k], "C", _fmt(value)])
             if row.follower_max_distance is not None:
-                writer.writerow([row.t, part.group_name_of(part.follower_ids[0]), "A", _fmt(row.follower_max_distance)])
+                writer.writerow([row.t, part.names[0], "A", _fmt(row.follower_max_distance)])
             writer.writerow([row.t, "all", "diameter", _fmt(row.diameter)])
             if row.max_alpha is not None:
                 writer.writerow([row.t, "all", "max_alpha", _fmt(row.max_alpha)])

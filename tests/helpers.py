@@ -369,7 +369,7 @@ def trajectory_csv_oracle(trajectory, path, record_every: int = 1) -> None:
     recorded state."""
     scenario = trajectory.scenario
     part = scenario.partition
-    names = [part.group_name_of(i) for i in range(scenario.n_agents)]
+    names = [part.names[code] for code in part.group_of]
     last = trajectory.horizon
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

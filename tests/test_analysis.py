@@ -41,9 +41,9 @@ from lfmix.analysis import (
     CROSSTALK,
     INAPPLICABLE,
     UNDEFINED_LIMIT,
-    derive_subsystem_assignment,
     distances_to,
     measure,
+    subsystem_labels,
 )
 from lfmix.dynamics import STOP_CONVERGED, beta_sums, realized_alpha, realized_betas
 from lfmix.model import SystemState
@@ -987,9 +987,9 @@ def test_crosstalk_reason_equals_naive_oracle():
         m = int(rng.integers(2, 5))
         sc = build_scenario(assigned_subsystem_config(rng, m, separated=trial % 2 == 0))
         joint = run(sc, stop_tol=None)
-        assignment = derive_subsystem_assignment(joint)
-        assert assignment is not None
-        expected = crosstalk_oracle(sc, joint, assignment)
+        label = subsystem_labels(joint)
+        assert label is not None
+        expected = crosstalk_oracle(sc, joint, label)
         rep = check_subsystem_independence(joint)
         if expected is None:
             assert not (rep.reason or "").startswith(CROSSTALK)
@@ -1028,10 +1028,35 @@ def test_joint_run_equals_standalone_rerun_bitwise():
 
     sc = build_scenario(subsystem_config())
     joint = run(sc, 40, stop_tol=None)
-    sub, originals = subsystem_scenario(sc, 1, [0, 1])
-    alone = run(sub, 40, stop_tol=None)
+    members = np.array([0, 1, 4, 5])
+    alone = run(subsystem_scenario(sc, 1, members), 40, stop_tol=None)
     for t in range(41):
-        assert np.array_equal(alone.states[t].opinions, joint.states[t].opinions[originals])
+        assert np.array_equal(alone.states[t].opinions, joint.states[t].opinions[members])
+
+
+def test_subsystems_without_contact_rerun_alone_bitwise():
+    # cor2's premise: a follower's zero betas add exactly in beta_sums, and a
+    # subsystem keeps its members' ids in ascending order, so where no agent
+    # sees another subsystem its standalone run is the joint run on its members
+    from lfmix.analysis import subsystem_scenario
+
+    rng = np.random.default_rng(21)
+    rerun = 0
+    for _ in range(20):
+        m = int(rng.integers(2, 5))
+        sc = build_scenario(assigned_subsystem_config(rng, m, separated=True))
+        joint = run(sc, stop_tol=None)
+        label = subsystem_labels(joint)
+        if analysis._crosstalk(joint, label) is not None:
+            continue
+        for k in range(1, m + 1):
+            members = np.flatnonzero(label == k)
+            alone = run(subsystem_scenario(sc, k, members), joint.horizon, stop_tol=None)
+            assert len(alone.states) == len(joint.states)
+            for a, b in zip(alone.states, joint.states):
+                assert np.array_equal(a.opinions, b.opinions[members])
+            rerun += 1
+    assert rerun >= 40, rerun
 
 
 def ball_scenario(horizon=40, stop_tol=None):

@@ -96,6 +96,24 @@ def test_scenario_that_is_not_json_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+UNDECODABLE = {
+    "not-utf8": b'{"dimension": "\xff"}',
+    "integer-past-the-digit-limit": b'{"dimension": ' + b"9" * 5000 + b"}",
+    "nested-too-deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_scenario_that_cannot_be_decoded_exits_2(tmp_path, capsys, kind, command):
+    path = tmp_path / "broken.json"
+    path.write_bytes(UNDECODABLE[kind])
+    extra = {"simulate": ["--out"], "check": ["--report"], "sweep": ["--vary", "epsilon=0.2:0.3:2", "--out"]}
+    assert main([command, "--scenario", str(path), *extra[command], str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("lfmix: scenario is not valid JSON: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_invalid_scenario_exits_2_with_issues(tmp_path, capsys):
     cfg = demo_config()
     cfg["epsilon"] = 0

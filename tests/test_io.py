@@ -12,7 +12,7 @@ from lfmix import build_scenario, metrics_rows, run
 from lfmix.dynamics import Trajectory
 from lfmix.model import SystemState
 from lfmix.scenario_io import (
-    dump_canonical,
+    json_text,
     load_scenario,
     read_metrics_csv,
     write_metrics_csv,
@@ -48,14 +48,14 @@ def every_kind_config():
 
 def test_canonical_round_trip_is_identity():
     sc = build_scenario(sample_config())
-    canon = json.loads(dump_canonical(sc))
-    again = json.loads(dump_canonical(build_scenario(canon)))
+    canon = json.loads(json_text(sc.canonical))
+    again = json.loads(json_text(build_scenario(canon).canonical))
     assert canon == again
     # canonical form resolves member counts to explicit ids
     assert canon["groups"][0]["members"] == [0, 1, 2]
     assert canon["groups"][1]["members"] == [3, 4]
     sc = build_scenario(every_kind_config())
-    assert dump_canonical(build_scenario(json.loads(dump_canonical(sc)))) == dump_canonical(sc)
+    assert json_text(build_scenario(json.loads(json_text(sc.canonical))).canonical) == json_text(sc.canonical)
     # to_spec turns a table's tuple into a list
     assert sc.canonical["schedules"]["a"]["alpha"] == {"kind": "table", "values": [0.4, 0.2, 0.1]}
     override = sc.canonical["schedules"]["crowd"]["per_agent"]["1"]["betas"]
@@ -67,7 +67,7 @@ def test_canonical_round_trip_is_identity():
 
 def test_canonical_rerun_reproduces_trajectory():
     sc = build_scenario(sample_config())
-    sc2 = build_scenario(json.loads(dump_canonical(sc)))
+    sc2 = build_scenario(json.loads(json_text(sc.canonical)))
     t1, t2 = run(sc), run(sc2)
     assert len(t1.states) == len(t2.states)
     for a, b in zip(t1.states, t2.states):
@@ -79,7 +79,7 @@ def test_load_scenario_from_file(tmp_path):
     path.write_text(json.dumps(sample_config()), encoding="utf-8")
     sc = load_scenario(path)
     assert sc.n_agents == 5
-    dumped = dump_canonical(sc)
+    dumped = json_text(sc.canonical)
     assert json.loads(dumped) == sc.canonical
 
 
@@ -143,7 +143,7 @@ def test_an_unnamed_follower_group_has_one_name_in_both_csv_files(tmp_path):
     write_metrics_csv(metrics_rows(traj), sc, tmp_path / "metrics.csv")
     with open(tmp_path / "trajectory.csv", newline="") as fh:
         named = {rec["group"] for rec in csv.DictReader(fh) if int(rec["agent"]) in sc.partition.follower_ids}
-    assert named == {sc.partition.group_name_of(int(sc.partition.follower_ids[0]))}
+    assert named == {sc.partition.names[0]}
     assert {rec["group"] for rec in read_metrics_csv(tmp_path / "metrics.csv") if rec["metric"] == "A"} == named
 
 

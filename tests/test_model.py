@@ -86,8 +86,8 @@ def test_build_well_formed():
     assert sc.n_agents == 2
     assert sc.m == 1
     assert sc.epsilon == 1.0
-    assert sc.partition.group_name_of(0) == "crowd"
-    assert sc.partition.group_name_of(1) == "brand"
+    assert sc.partition.names[sc.partition.group_of[0]] == "crowd"
+    assert sc.partition.names[sc.partition.group_of[1]] == "brand"
     assert np.array_equal(sc.initial_state.opinions, [[0.3], [0.1]])
 
 
