@@ -33,7 +33,7 @@ SRC = ROOT / "src" / "lfmix"
 ALLOWED = {
     # opinion_diameter's guard: the kept points always hold a farthest pair found by the two passes
     ("analysis.py", "return math.sqrt(lower)"),
-    # the bodies of Schedule.at and Schedule.peak, which every kind overrides
+    # the body of Schedule.at, which every kind overrides
     ("schedules.py", "raise NotImplementedError"),
     ("cli.py", "sys.exit(main())"),
 }

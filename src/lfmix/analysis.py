@@ -135,18 +135,16 @@ class CheckReport:
         return [r for r in self.records if r.slack < -self.tolerance]
 
     def to_dict(self) -> dict:
-        slacks = self._slacks()  # every record's, once
-        passed = all(s >= -self.tolerance for s in slacks)
         out = {
             "name": self.name,
-            "status": "skipped" if not self.applicable else "pass" if passed else "fail",
+            "status": self.status,
             "records": len(self.records),
-            "worst_slack": min(slacks, default=None),
+            "worst_slack": self.worst_slack,
             "params": dict(self.params),
         }
         if self.reason:
             out["reason"] = self.reason
-        if not passed:
+        if not self.passed:
             out["failures"] = [
                 {"t": r.t, "label": r.label, "lhs": r.lhs, "rhs": r.rhs} for r in self.failures()[:20]
             ]

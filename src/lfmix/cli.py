@@ -294,17 +294,13 @@ def _point_config(base: dict, assignments: dict, index: int) -> dict:
     for param, value in assignments.items():
         if param == "epsilon":
             config["epsilon"] = float(value)
-        elif param == "alpha":
+        elif param in ("alpha", "beta"):
+            key, spec = param, {"kind": "constant", "value": float(value)}
+            if param == "beta":  # the key holds one schedule per leader group
+                key, spec = "betas", [spec] * sum(1 for g in config["groups"] if g["kind"] == LEADER)
             for name, entry in config["schedules"].items():
-                if "alpha" in entry:
-                    config["schedules"][name] = {"alpha": {"kind": "constant", "value": float(value)}}
-        elif param == "beta":
-            m = sum(1 for g in config["groups"] if g["kind"] == LEADER)
-            for name, entry in config["schedules"].items():
-                if "betas" in entry:
-                    config["schedules"][name] = {
-                        "betas": [{"kind": "constant", "value": float(value)}] * m
-                    }
+                if key in entry:
+                    config["schedules"][name] = {key: spec}
         elif param == "n":
             counts = [len(g["members"]) for g in config["groups"]]
             kinds = [g["kind"] for g in config["groups"]]
@@ -350,7 +346,7 @@ def _cmd_sweep(args) -> int:
         try:
             config = _point_config(base, assignments, index)
             scenario = build_scenario(config)
-        except (ValueError, ScenarioValidationError) as exc:
+        except ValueError as exc:  # a ScenarioValidationError too
             _err(f"sweep point {index} is invalid: {exc}")
             return 2
         if index == 0:  # the output exists only once a point builds; each row is appended as its point ends

@@ -380,7 +380,7 @@ def _broadcast_bounds(value, d: int, what: str, issues: _Issues) -> list[float] 
 
 def _parse_initial(raw, n: int, d: int, issues: _Issues):
     """Returns (opinions array, normalized spec)."""
-    if not isinstance(raw, dict) or len(raw) != 1:
+    if not isinstance(raw, dict) or len(raw) != 1 or not raw.keys() <= {"explicit", "random"}:
         issues.add(BAD_CONFIG, "initial_opinions: must be {'explicit': ...} or {'random': ...}")
         return None, None
     if "explicit" in raw:
@@ -400,35 +400,32 @@ def _parse_initial(raw, n: int, d: int, issues: _Issues):
             issues.add(NON_FINITE, "initial_opinions.explicit: entries must be finite")
             return None, None
         return np.array(rows, dtype=np.float64), {"explicit": rows}
-    if "random" in raw:
-        spec = raw["random"]
-        if not isinstance(spec, dict):
-            issues.add(BAD_CONFIG, "initial_opinions.random: must be an object")
-            return None, None
-        _check_keys(spec, {"distribution", "low", "high", "seed"}, "initial_opinions.random", issues)
-        if spec.get("distribution") != "uniform_box":
-            issues.add(BAD_CONFIG, "initial_opinions.random: only 'uniform_box' is supported")
-            return None, None
-        if n * d > 2**31 - 1:  # the agent bound, for coordinates: one state of them is 16 GiB
-            issues.add(BAD_CONFIG,
-                       f"initial_opinions.random: {n} agents x {d} dimensions, more than 2147483647 coordinates")
-            return None, None
-        low = _broadcast_bounds(spec.get("low"), d, "low", issues)
-        high = _broadcast_bounds(spec.get("high"), d, "high", issues)
-        seed = spec.get("seed")
-        if not _is_int(seed):
-            issues.add(BAD_CONFIG, "initial_opinions.random: needs an integer 'seed'")
-            return None, None
-        if low is None or high is None:
-            return None, None
-        if any(lo > hi for lo, hi in zip(low, high)):
-            issues.add(BAD_CONFIG, "initial_opinions.random: low must not exceed high")
-            return None, None
-        arr = low + np.subtract(high, low) * unit_uniform(seed, np.arange(n)[:, None], np.arange(d))
-        norm = {"random": {"distribution": "uniform_box", "low": low, "high": high, "seed": int(seed)}}
-        return arr, norm
-    issues.add(BAD_CONFIG, "initial_opinions: must be {'explicit': ...} or {'random': ...}")
-    return None, None
+    spec = raw["random"]
+    if not isinstance(spec, dict):
+        issues.add(BAD_CONFIG, "initial_opinions.random: must be an object")
+        return None, None
+    _check_keys(spec, {"distribution", "low", "high", "seed"}, "initial_opinions.random", issues)
+    if spec.get("distribution") != "uniform_box":
+        issues.add(BAD_CONFIG, "initial_opinions.random: only 'uniform_box' is supported")
+        return None, None
+    if n * d > 2**31 - 1:  # the agent bound, for coordinates: one state of them is 16 GiB
+        issues.add(BAD_CONFIG,
+                   f"initial_opinions.random: {n} agents x {d} dimensions, more than 2147483647 coordinates")
+        return None, None
+    low = _broadcast_bounds(spec.get("low"), d, "low", issues)
+    high = _broadcast_bounds(spec.get("high"), d, "high", issues)
+    seed = spec.get("seed")
+    if not _is_int(seed):
+        issues.add(BAD_CONFIG, "initial_opinions.random: needs an integer 'seed'")
+        return None, None
+    if low is None or high is None:
+        return None, None
+    if any(lo > hi for lo, hi in zip(low, high)):
+        issues.add(BAD_CONFIG, "initial_opinions.random: low must not exceed high")
+        return None, None
+    arr = low + np.subtract(high, low) * unit_uniform(seed, np.arange(n)[:, None], np.arange(d))
+    norm = {"random": {"distribution": "uniform_box", "low": low, "high": high, "seed": int(seed)}}
+    return arr, norm
 
 
 def _parse_engine(raw, issues: _Issues) -> tuple[EngineOptions, dict]:

@@ -41,8 +41,10 @@ class Schedule:
     """Base class for degree schedules.
 
     A schedule needs only ``at``. The built-in kinds are dataclasses that
-    also give ``peak``, which the load-time beta-sum check reads, and
-    inherit ``to_spec``.
+    inherit ``to_spec``. ``peak``, which the load-time beta-sum check reads,
+    is ``at`` of agent 0 here, right for every kind whose degree depends only
+    on the step; ``seeded_random`` gives its own. A remapping inherits this
+    ``peak`` too, but it is never read: subsystems are only run.
     """
 
     kind = "abstract"
@@ -60,7 +62,7 @@ class Schedule:
 
     def peak(self, t: int) -> float:
         """The largest degree ``at`` can return for any agent at step ``t``."""
-        raise NotImplementedError
+        return self.at(0, t)
 
     def to_spec(self) -> dict:
         """The scenario-file spec of this schedule: its kind and its fields,
@@ -78,9 +80,6 @@ class Constant(Schedule):
     def at(self, agent, t: int):
         return self.value
 
-    def peak(self, t: int) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Table(Schedule):
@@ -93,9 +92,6 @@ class Table(Schedule):
     def at(self, agent, t: int):
         return self.values[min(t, len(self.values) - 1)]
 
-    def peak(self, t: int) -> float:
-        return self.at(0, t)
-
 
 @dataclass(frozen=True)
 class GeometricDecay(Schedule):
@@ -106,9 +102,6 @@ class GeometricDecay(Schedule):
 
     def at(self, agent, t: int):
         return min(1.0, max(0.0, self.initial * self.ratio**t))
-
-    def peak(self, t: int) -> float:
-        return self.at(0, t)
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ class RemappedAgents(Schedule):
     Used when a subsystem is extracted from a larger scenario so that
     agent-keyed draws keep their original streams; ``original_ids[new]`` is
     the original id of agent ``new``. Subsystems are only run, so it has
-    only ``at`` and ``at_steps``.
+    only ``at`` and ``at_steps``; the ``peak`` it inherits is never read.
     """
 
     inner: Schedule
