@@ -104,6 +104,14 @@ MUTANTS = [
     ("writer-name-of-code-0", "scenario_io.py",
      'prefixes = [f",{i},{quoted[code]}," for i, code in enumerate(part.group_of.tolist())]',
      'prefixes = [f",{i},{quoted[0]}," for i, code in enumerate(part.group_of.tolist())]', ["test_io.py"]),
+    # peak written once in the schedule base class; distances and plot times that overflow
+    ("base-peak-zero", "schedules.py", "return self.at(0, t)", "return 0.0", ["test_model.py"]),
+    ("thm2-infinite-c0-unguarded", "analysis.py",
+     "if not math.isfinite(c0):  # overflowed squares: no envelope bounds an infinite distance", "if False:",
+     ["test_analysis.py"]),
+    ("plot-t-unbounded", "scenario_io.py",
+     "float(t)  # an OverflowError where t does not fit a float, as the chart's x axis needs", "pass",
+     ["test_cli.py"]),
 ]
 
 

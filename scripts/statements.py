@@ -31,8 +31,6 @@ SRC = ROOT / "src" / "lfmix"
 
 # (file, statement text without its indentation): statements no test need run
 ALLOWED = {
-    # opinion_diameter's guard: the kept points always hold a farthest pair found by the two passes
-    ("analysis.py", "return math.sqrt(lower)"),
     # the body of Schedule.at, which every kind overrides
     ("schedules.py", "raise NotImplementedError"),
     ("cli.py", "sys.exit(main())"),

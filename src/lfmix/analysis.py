@@ -430,6 +430,9 @@ def check_contraction(trajectory: Trajectory) -> CheckReport:
     labels, lhs, rhs = [], [], []
     for k, (ids, name) in enumerate(zip(part.leader_ids, part.leader_names)):
         dist = series.leader_distances[k]
+        if not math.isfinite(series.target_distances[k][0]):  # overflowed squares: inf - inf slacks are NaN
+            message = f"initial max target distance {series.target_distances[k][0]} of group {name} is not finite"
+            return _skipped("contraction", INAPPLICABLE, message)
         worst = np.empty((horizon, ids.size))  # the largest distance among each leader's neighbors
         for start, x in _state_blocks(trajectory.states[:horizon], ids.size * ids.size * scenario.dimension, ids):
             dist0 = dist[start : start + len(x), None, :]
@@ -480,6 +483,9 @@ def check_target_envelope(trajectory: Trajectory, k: int, delta: float, steps=No
         return _skipped(name, INAPPLICABLE, message, delta=delta, k=k)
     curve = series.target_distances[k - 1]
     c0 = curve[0]
+    if not math.isfinite(c0):  # overflowed squares: no envelope bounds an infinite distance
+        message = f"initial max target distance {c0} of group {scenario.partition.leader_names[k - 1]} is not finite"
+        return _skipped(name, INAPPLICABLE, message, delta=delta, k=k)
     report = CheckReport(name, params={"k": k, "delta": delta, "c0": c0})
     for t, ct in enumerate(curve):
         # one delta factor per designated step before t: delta**t for every step
@@ -504,8 +510,10 @@ def check_target_envelope_all(trajectory: Trajectory) -> CheckReport:
     """Envelope check for every leader group with delta measured from the run.
 
     Per group, delta is the largest realized degree over the trajectory.
-    Groups whose measured delta reaches 1 are noted and skipped; the report
-    is inapplicable only when no group qualifies.
+    Groups whose measured delta reaches 1, or whose own check is
+    inapplicable (an initial distance that is not finite), are noted and
+    skipped; the report is inapplicable only when no group qualifies, with
+    the first such group's reason if there is one.
     """
     scenario = trajectory.scenario
     name = "target_envelope"
@@ -513,22 +521,26 @@ def check_target_envelope_all(trajectory: Trajectory) -> CheckReport:
         return _skipped(name, INAPPLICABLE, "no leader groups")
     series = measure(trajectory)
     merged = CheckReport(name, params={"target_tol": TARGET_TOL})
-    eligible = 0
+    eligible, unfit = 0, None
     for k in range(1, scenario.m + 1):
         delta = max([0.0] + series.max_alpha[k - 1])
         gname = scenario.partition.leader_names[k - 1]
         if delta >= 1.0:
             merged.params[f"group_{gname}"] = "skipped (measured delta reaches 1)"
             continue
-        eligible += 1
         sub = check_target_envelope(trajectory, k, delta)
+        if not sub.applicable:
+            merged.params[f"group_{gname}"] = f"skipped ({sub.reason})"
+            unfit = unfit or sub
+            continue
+        eligible += 1
         merged.records.extend(
             StepRecord(r.t, f"{gname}: {r.label}", r.lhs, r.rhs) for r in sub.records
         )
         merged.params[f"delta_{gname}"] = delta
         merged.params[f"final_{gname}"] = sub.params.get("final_value")
     if not eligible:
-        return _skipped(name, INAPPLICABLE, "every leader group has measured delta at 1")
+        return unfit or _skipped(name, INAPPLICABLE, "every leader group has measured delta at 1")
     return merged
 
 
@@ -551,6 +563,8 @@ def check_ball_invariance(trajectory: Trajectory, radius: float | None = None) -
     radii = measure(trajectory).radii[0]
     if radius is None:
         radius = radii[0]
+    if not math.isfinite(radius):  # overflowed squares: inf - inf slacks are NaN
+        return _skipped(name, INAPPLICABLE, f"ball radius {radius} is not finite")
     report = CheckReport(name, tolerance=BALL_TOL, params={"radius": radius})
     t0 = next((t for t, r in enumerate(radii) if r <= radius), None)
     if t0 is None:

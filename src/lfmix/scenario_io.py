@@ -109,15 +109,17 @@ def read_metrics_csv(path) -> list[dict]:
                 # being value; an overlong row keeps its extra fields under None
                 if None in rec:
                     raise ValueError
+                t = int(rec["t"])
+                float(t)  # an OverflowError where t does not fit a float, as the chart's x axis needs
                 out.append(
                     {
-                        "t": int(rec["t"]),
+                        "t": t,
                         "group": rec["group"],
                         "metric": rec["metric"],
                         "value": float(rec["value"]),
                     }
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{path}: line {reader.line_num}: expected t,group,metric,value") from None
     if not out:
         raise ValueError(f"{path}: no metric rows")

@@ -579,6 +579,24 @@ def test_envelope_all_skips_each_group_whose_delta_reaches_1():
     assert rep.status == "skipped" and rep.reason == f"{INAPPLICABLE}: every leader group has measured delta at 1"
 
 
+def test_envelope_all_skips_each_group_whose_initial_distance_is_not_finite():
+    # group "far" starts at 1e300 in 2-D, where its squared distance to the target overflows
+    sc = scenario(
+        dimension=2,
+        epsilon=0.5,
+        leader_groups=[("near", 2, [0.0, 0.0], constant(0.5)), ("far", 1, [0.0, 0.0], constant(0.5))],
+        initial=[[0.1, 0.1], [0.2, 0.0], [1e300, 1e300]],
+        horizon=10,
+    )
+    with np.errstate(over="ignore"):
+        traj = run(sc)
+        rep, lemma1 = check_target_envelope_all(traj), check_contraction(traj)
+    distance = f"{INAPPLICABLE}: initial max target distance inf of group far is not finite"
+    assert rep.passed and rep.params["group_far"] == f"skipped ({distance})"
+    assert rep.params["delta_near"] == 0.5 and all(r.label.startswith("near: ") for r in rep.records)
+    assert lemma1.status == "skipped" and lemma1.reason == distance
+
+
 def alternating_envelope_run(horizon):
     # degrees alternate 1.0 and 0.5; contraction is only claimed on the 0.5 steps.
     # A step at 1.0 leaves the state as it is, so a 2-step stop window keeps

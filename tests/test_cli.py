@@ -16,6 +16,7 @@ import pytest
 import lfmix
 from helpers import config, constant, run_in_child
 from lfmix import build_scenario, cli, run
+from lfmix.analysis import INAPPLICABLE
 from lfmix.cli import main
 from lfmix.errors import ScheduleViolation
 from lfmix.scenario_io import load_scenario
@@ -375,6 +376,35 @@ def test_non_finite_state_exits_5(tmp_path, capsys, command):
     assert not (out / "trajectory.csv").exists() and not (out / "report.json").exists()
 
 
+def overflowing_distances_config(high):
+    """Opinions up to ``high`` in 2-D: finite, but at 1e155 and above their
+    squared distances to the target overflow to inf."""
+    return config(
+        dimension=2,
+        epsilon=0.3,
+        followers=5,
+        leader_groups=[("brand", 2, [0.0, 0.0], constant(0.5))],
+        random_init={"distribution": "uniform_box", "low": 0.0, "high": high, "seed": 1},
+        follower_betas=[constant(0.5)],
+        horizon=20,
+    )
+
+
+@pytest.mark.parametrize("high", [1e155, 1e300])
+def test_checks_bounding_distances_that_overflow_are_skipped(tmp_path, capsys, high):
+    path = write_config(tmp_path, overflowing_distances_config(high))
+    report = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert main(["check", "--scenario", str(path), "--report", str(report)]) == 0
+    checks = json.loads(report.read_text())["checks"]
+    assert {token: c["status"] for token, c in checks.items()} == dict.fromkeys(cli.CHECKS, "skipped")
+    distance = f"{INAPPLICABLE}: initial max target distance inf of group brand is not finite"
+    assert checks["lemma1"]["reason"] == checks["thm2"]["reason"] == distance
+    assert checks["lemma3"]["reason"] == f"{INAPPLICABLE}: ball radius inf is not finite"
+    assert "inf" in (tmp_path / "out" / "metrics.csv").read_text()
+
+
 def test_simulate_threads_byte_identical(tmp_path):
     cfg = config(
         dimension=2,
@@ -642,6 +672,10 @@ def test_plot_empty_metrics_exits_2(tmp_path, capsys):
     overlong.write_text("t,group,metric,value\n0,all,diameter,0.5,9\n", encoding="utf-8")
     assert main(["plot", "--metrics", str(overlong), "--out", str(tmp_path / "x.svg")]) == 2
     assert "line 2" in capsys.readouterr().err
+    huge_t = tmp_path / "huge_t.csv"  # a t that does not fit a float
+    huge_t.write_text(f"t,group,metric,value\n0,all,diameter,0.5\n{10**310},all,diameter,0.5\n", encoding="utf-8")
+    assert main(["plot", "--metrics", str(huge_t), "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err.endswith("line 3: expected t,group,metric,value\n")
     assert not (tmp_path / "x.svg").exists()
 
 

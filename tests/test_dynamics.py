@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     agent_pairs,
@@ -952,6 +954,111 @@ def test_run_equals_per_agent_reference_steps():
                     counts[key] += value
     assert small >= 200 and few >= 16 and merges >= 100 and splits >= 10
     assert counts["rebuilds"] >= 10 and counts["reuses"] >= 200
+
+
+def generated_degree(rng, cap):
+    """A degree schedule of any of the four kinds whose peak is at most
+    ``cap`` at every step: a constant (0.0, -0.0 or ``cap`` among them), a
+    table of one to four entries, a geometric decay with a ratio of at most
+    1 (0 too) or a seeded-random draw."""
+    kind = ("constant", "table", "geometric_decay", "seeded_random")[int(rng.integers(0, 4))]
+
+    def below():
+        return float(np.floor(rng.uniform(0.0, cap) * 1e6) / 1e6)
+
+    if kind == "constant":
+        return constant([0.0, -0.0, cap, below()][int(rng.integers(0, 4))])
+    if kind == "table":
+        return {"kind": "table", "values": [below() for _ in range(int(rng.integers(1, 5)))]}
+    if kind == "geometric_decay":
+        return {"kind": "geometric_decay", "initial": below(), "ratio": [0.0, 0.5, 1.0, below()][int(rng.integers(0, 4))]}
+    low = below()
+    return {"kind": "seeded_random", "seed": int(rng.integers(0, 2**31)), "low": low, "high": max(low, below())}
+
+
+def generated_betas(rng, m):
+    """One beta schedule per leader group, their peaks summing to at most 1."""
+    caps = rng.uniform(0.0, 1.0, size=m)
+    caps = np.floor(caps / max(1.0, caps.sum()) * 1e6) / 1e6
+    return [generated_degree(rng, float(cap)) for cap in caps]
+
+
+def generated_config(seed):
+    """A whole scenario drawn from ``seed``: d from 1 to 3 and m from 0 to 3,
+    degrees of all four kinds, per-agent overrides of up to three members of
+    a group, member lists interleaved at random in about half the draws, and
+    opinions and targets on a lattice of epsilon / 4, so that pairs at
+    exactly epsilon occur, with duplicated rows and rows of -0.0."""
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    n_followers = int(rng.integers(0 if m else 2, 13))
+    eps = [0.5, 0.75, 1.0][int(rng.integers(0, 3))]
+
+    def lattice(*shape):
+        return rng.integers(-4, 5, size=shape) * (eps / 4)
+
+    leader_groups = [(f"g{k + 1}", int(rng.integers(1, 5)), lattice(d).tolist(), generated_degree(rng, 1.0))
+                     for k in range(m)]
+    n = n_followers + sum(size for _, size, _, _ in leader_groups)
+    x = lattice(n, d)
+    x[rng.integers(0, n, size=n // 3)] = x[rng.integers(0, n, size=n // 3)]  # duplicated rows
+    x[rng.integers(0, n, size=2)] = -0.0
+    cfg = config(dimension=d, epsilon=eps, followers=n_followers, leader_groups=leader_groups,
+                 initial=x.tolist(), follower_betas=generated_betas(rng, m) if n_followers else None,
+                 horizon=int(rng.integers(1, 7)))
+    if rng.random() < 0.5:
+        cfg = regrouped(cfg, rng, "interleaved")
+    first = 0  # member counts take consecutive ids in group order
+    for g in cfg["groups"]:
+        ids = g["members"] if isinstance(g["members"], list) else list(range(first, first + g["members"]))
+        first += len(ids)
+        chosen = rng.choice(ids, size=int(rng.integers(0, min(len(ids), 3) + 1)), replace=False).tolist()
+        if chosen and (g["kind"] == "leader" or m):
+            key = "alpha" if g["kind"] == "leader" else "betas"
+            cfg["schedules"][g["name"]]["per_agent"] = {
+                str(i): {key: generated_degree(rng, 1.0) if key == "alpha" else generated_betas(rng, m)}
+                for i in chosen
+            }
+    return cfg
+
+
+def test_generated_configs_cover_their_cases():
+    drawn = set()
+    for seed in range(100):
+        cfg = generated_config(seed)
+        x = build_scenario(cfg).initial_state.opinions
+        eps2 = cfg["epsilon"] ** 2
+        drawn |= {f"d={cfg['dimension']}", f"m={sum(g['kind'] == 'leader' for g in cfg['groups'])}"}
+        drawn |= {spec["kind"] for entry in cfg["schedules"].values()
+                  for spec in ([entry["alpha"]] if "alpha" in entry else entry["betas"])}
+        cases = {
+            "override": any("per_agent" in entry for entry in cfg["schedules"].values()),
+            "interleaved": any(isinstance(g["members"], list) for g in cfg["groups"]),
+            "tie": (((x[:, None] - x[None]) ** 2).sum(axis=-1) == eps2).any(),
+            "duplicate": len({row.tobytes() for row in x}) < len(x),
+            "-0.0": (np.signbit(x) & (x == 0.0)).all(axis=1).any(),
+        }
+        drawn |= {case for case, hit in cases.items() if hit}
+    assert drawn == {"d=1", "d=2", "d=3", "m=0", "m=1", "m=2", "m=3", "constant", "table", "geometric_decay",
+                     "seeded_random", "override", "interleaved", "tie", "duplicate", "-0.0"}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_run_of_generated_scenarios_equals_reference_steps(seed):
+    """Every state of ``run`` and every digest's weights and pair count equal
+    per-agent reference steps on a scenario drawn by ``generated_config``,
+    with and without the mean-shift fault."""
+    sc = build_scenario(generated_config(seed))
+    for fault in (None, FAULT_MEAN_SHIFT):
+        traj = run(sc, fault=fault)
+        state = sc.initial_state
+        for t, digest in enumerate(traj.step_digests):
+            expected, pairs = reference_step(state, sc, t, fault)
+            assert traj.states[t + 1].opinions.tobytes() == expected.tobytes()
+            assert (digest.min_weight, digest.max_sum_error) == reference_weights(state, sc, t)
+            assert digest.neighbor_pairs == pairs
+            state = SystemState(t + 1, expected)
 
 
 def test_first_ten_steps_of_perf_10k_search_afresh():
